@@ -312,8 +312,8 @@ func BenchmarkPaperScenarioSimulation(b *testing.B) {
 
 // BenchmarkScatternet runs N interference-coupled piconets over one
 // shared kernel (batched traffic generation on) and reports how
-// simulation throughput scales with the piconet count — the
-// sim_s/wall_s-vs-count trajectory also recorded in BENCH_kernel.json.
+// simulation throughput scales with the piconet count (sim_s/wall_s
+// against the count).
 func BenchmarkScatternet(b *testing.B) {
 	simulated := 5 * time.Second
 	for _, piconets := range []int{1, 2, 4, 8} {

@@ -46,6 +46,21 @@ func TestDeriveParamsPaperValues(t *testing.T) {
 	}
 }
 
+// TestDeriveParamsAllocs pins the segmentation planning of one request to
+// a reused plan buffer: a Fig. 4 flow spans 33 packet sizes, and one plan
+// per size (twice over) would be about 66 allocations.
+func TestDeriveParamsAllocs(t *testing.T) {
+	req := paperRequest(1, 1, piconet.Up, 12800)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DeriveParams(req, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("DeriveParams: %v allocations per call, want <= 2", allocs)
+	}
+}
+
 func TestDeriveParamsDirectionAware(t *testing.T) {
 	req := paperRequest(1, 1, piconet.Up, 12800)
 	p, err := DeriveParams(req, Config{DirectionAware: true})

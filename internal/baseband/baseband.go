@@ -72,6 +72,9 @@ type packetInfo struct {
 	fec     bool
 }
 
+// packetInfos is indexed by PacketType. Entry 0 is the zero entry every
+// invalid type reads, so the property accessors below are single
+// bounds-checked table reads that the compiler inlines.
 var packetInfos = [...]packetInfo{
 	TypeNULL: {name: "NULL", slots: 1, payload: 0},
 	TypePOLL: {name: "POLL", slots: 1, payload: 0},
@@ -91,15 +94,21 @@ func (t PacketType) Valid() bool {
 	return t >= TypeNULL && int(t) <= numPacketTypes
 }
 
-func (t PacketType) info() packetInfo {
-	if !t.Valid() {
-		return packetInfo{name: fmt.Sprintf("PacketType(%d)", int(t))}
+// info returns t's table entry, or the zero entry for an invalid type.
+func (t PacketType) info() *packetInfo {
+	if uint(t) < uint(len(packetInfos)) {
+		return &packetInfos[t]
 	}
-	return packetInfos[t]
+	return &packetInfos[0]
 }
 
 // String returns the specification name of the packet type (e.g. "DH3").
-func (t PacketType) String() string { return t.info().name }
+func (t PacketType) String() string {
+	if !t.Valid() {
+		return fmt.Sprintf("PacketType(%d)", int(t))
+	}
+	return packetInfos[t].name
+}
 
 // Slots returns the number of time slots the packet occupies on air.
 func (t PacketType) Slots() int { return t.info().slots }
@@ -108,7 +117,7 @@ func (t PacketType) Slots() int { return t.info().slots }
 // duration. (The actual burst is slightly shorter than the slot; the guard
 // space is charged to the packet, as in the paper's analysis.)
 func (t PacketType) Duration() time.Duration {
-	return time.Duration(t.Slots()) * SlotDuration
+	return time.Duration(t.info().slots) * SlotDuration
 }
 
 // Payload returns the maximum user payload of the packet type in bytes.
@@ -175,10 +184,11 @@ func (s TypeSet) Contains(t PacketType) bool {
 // Empty reports whether the set contains no types.
 func (s TypeSet) Empty() bool { return s == 0 }
 
+// validTypes is the set of every valid packet type.
+const validTypes = TypeSet(1<<(numPacketTypes+1) - 1<<TypeNULL)
+
 // payloadOrder lists every valid packet type in ascending payload order
-// (ties broken by enum order), computed once at init. Set queries on the
-// segmentation hot path walk this fixed order instead of materialising a
-// per-call slice.
+// (ties broken by enum order), computed once at init.
 var payloadOrder = func() [numPacketTypes]PacketType {
 	var out [numPacketTypes]PacketType
 	for i := range out {
@@ -191,6 +201,12 @@ var payloadOrder = func() [numPacketTypes]PacketType {
 	}
 	return out
 }()
+
+// aclByPayload lists the ACL types in ascending payload order. Their
+// payloads are distinct, and their slot counts never fall as payload
+// rises. The ACL queries below are walks over this fixed order that test
+// one set bit per step.
+var aclByPayload = [...]PacketType{TypeDM1, TypeDH1, TypeDM3, TypeDH3, TypeDM5, TypeDH5}
 
 // Types returns the members of the set in ascending payload order (ties
 // broken by enum order). ACL sets ordered this way are convenient for
@@ -217,25 +233,20 @@ func (s TypeSet) String() string {
 // MaxPayload returns the largest payload capacity among the set's ACL
 // members, or zero if the set has no ACL members.
 func (s TypeSet) MaxPayload() int {
-	maxP := 0
-	for _, t := range payloadOrder {
-		if s.Contains(t) && t.IsACL() && t.Payload() > maxP {
-			maxP = t.Payload()
-		}
-	}
-	return maxP
+	t, _ := s.LargestACL()
+	return t.Payload()
 }
 
 // MaxSlots returns the largest slot occupancy among the set's members, or
 // zero for an empty set.
 func (s TypeSet) MaxSlots() int {
-	maxS := 0
-	for _, t := range payloadOrder {
-		if s.Contains(t) && t.Slots() > maxS {
-			maxS = t.Slots()
-		}
+	if t, ok := s.LargestACL(); ok {
+		return t.Slots()
 	}
-	return maxS
+	if s&validTypes != 0 {
+		return 1 // every non-ACL packet occupies one slot
+	}
+	return 0
 }
 
 // SmallestFitting returns the ACL member of the set with the smallest
@@ -243,8 +254,8 @@ func (s TypeSet) MaxSlots() int {
 // (callers should then send the largest member and carry the remainder in
 // further packets).
 func (s TypeSet) SmallestFitting(n int) (PacketType, bool) {
-	for _, t := range payloadOrder { // ascending payload order
-		if s.Contains(t) && t.IsACL() && t.Payload() >= n {
+	for _, t := range aclByPayload {
+		if s&(1<<t) != 0 && t.Payload() >= n {
 			return t, true
 		}
 	}
@@ -254,14 +265,12 @@ func (s TypeSet) SmallestFitting(n int) (PacketType, bool) {
 // LargestACL returns the ACL member with the largest payload, ok=false when
 // the set has no ACL member.
 func (s TypeSet) LargestACL() (PacketType, bool) {
-	var best PacketType
-	ok := false
-	for _, t := range payloadOrder {
-		if s.Contains(t) && t.IsACL() && (!ok || t.Payload() > best.Payload()) {
-			best, ok = t, true
+	for i := len(aclByPayload) - 1; i >= 0; i-- {
+		if t := aclByPayload[i]; s&(1<<t) != 0 {
+			return t, true
 		}
 	}
-	return best, ok
+	return 0, false
 }
 
 // Common type sets.

@@ -1,7 +1,10 @@
 package baseband
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -82,8 +85,98 @@ func TestInvalidPacketType(t *testing.T) {
 		if typ.Valid() {
 			t.Errorf("Valid() = true for %d", int(typ))
 		}
-		if typ.Slots() != 0 || typ.Payload() != 0 {
-			t.Errorf("invalid type %d has nonzero slots/payload", int(typ))
+		if typ.Slots() != 0 || typ.Payload() != 0 || typ.Duration() != 0 {
+			t.Errorf("invalid type %d has nonzero slots/payload/duration", int(typ))
+		}
+		if typ.IsACL() || typ.IsSCO() || typ.HasFEC() {
+			t.Errorf("invalid type %d has a class or FEC", int(typ))
+		}
+		if got := typ.AirBits(); got != 72+54 {
+			t.Errorf("invalid type %d AirBits = %d, want header-only 126", int(typ), got)
+		}
+		if got, want := typ.String(), fmt.Sprintf("PacketType(%d)", int(typ)); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+		}
+	}
+}
+
+// refType is an independent copy of the specification's packet table for
+// the brute-force reference below.
+type refType struct {
+	typ     PacketType
+	slots   int
+	payload int
+	acl     bool
+}
+
+var refTypes = []refType{
+	{TypeNULL, 1, 0, false}, {TypePOLL, 1, 0, false},
+	{TypeDM1, 1, 17, true}, {TypeDH1, 1, 27, true},
+	{TypeDM3, 3, 121, true}, {TypeDH3, 3, 183, true},
+	{TypeDM5, 5, 224, true}, {TypeDH5, 5, 339, true},
+	{TypeHV1, 1, 10, false}, {TypeHV2, 1, 20, false}, {TypeHV3, 1, 30, false},
+}
+
+// refMembers lists the members of the set over bits 1..11 in ascending
+// payload order, ties broken by enum order.
+func refMembers(s TypeSet) []refType {
+	var out []refType
+	for _, r := range refTypes {
+		if s&(1<<uint(r.typ)) != 0 {
+			out = append(out, r)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].payload < out[j].payload })
+	return out
+}
+
+// TestTypeSetQueriesExhaustive compares every ACL query on all 2^11 sets
+// over bits 1..11 against a brute-force walk of the reference table.
+func TestTypeSetQueriesExhaustive(t *testing.T) {
+	for bits := 0; bits < 1<<numPacketTypes; bits++ {
+		s := TypeSet(bits << 1)
+		members := refMembers(s)
+
+		var wantTypes []PacketType
+		var largest refType
+		hasACL := false
+		maxPayload, maxSlots := 0, 0
+		for _, r := range members {
+			wantTypes = append(wantTypes, r.typ)
+			if r.slots > maxSlots {
+				maxSlots = r.slots
+			}
+			if r.acl && (!hasACL || r.payload > largest.payload) {
+				largest, hasACL = r, true
+			}
+			if r.acl && r.payload > maxPayload {
+				maxPayload = r.payload
+			}
+		}
+		if got := s.Types(); !slices.Equal(got, wantTypes) {
+			t.Fatalf("%b: Types() = %v, want %v", bits, got, wantTypes)
+		}
+		if got, ok := s.LargestACL(); ok != hasACL || got != largest.typ {
+			t.Fatalf("%b: LargestACL() = %v, %v; want %v, %v", bits, got, ok, largest.typ, hasACL)
+		}
+		if got := s.MaxPayload(); got != maxPayload {
+			t.Fatalf("%b: MaxPayload() = %d, want %d", bits, got, maxPayload)
+		}
+		if got := s.MaxSlots(); got != maxSlots {
+			t.Fatalf("%b: MaxSlots() = %d, want %d", bits, got, maxSlots)
+		}
+		for n := 0; n <= 400; n++ {
+			var want PacketType
+			wantOK := false
+			for _, r := range members {
+				if r.acl && r.payload >= n {
+					want, wantOK = r.typ, true
+					break
+				}
+			}
+			if got, ok := s.SmallestFitting(n); ok != wantOK || got != want {
+				t.Fatalf("%b: SmallestFitting(%d) = %v, %v; want %v, %v", bits, n, got, ok, want, wantOK)
+			}
 		}
 	}
 }

@@ -135,17 +135,17 @@ func (p *Piconet) resolveGSLeg(a Action, flow FlowID, dir Direction) (*flowState
 
 // pickBE returns the first best-effort flow of the slave in the given
 // direction whose head packet is available at the cutoff, rotating through
-// the slave's flows for fairness across multiple BE flows.
-func (p *Piconet) pickBE(sl *slaveState, dir Direction, cutoff sim.Time) *flowState {
+// the slave's flows for fairness across multiple BE flows. rr is the
+// rotation cursor for that direction.
+func pickBE(sl *slaveState, rr *int, dir Direction, cutoff sim.Time) *flowState {
 	n := len(sl.flows)
 	for i := 0; i < n; i++ {
-		id := sl.flows[(sl.beRR+i)%n]
-		fs := p.flows[id]
+		fs := sl.flows[(*rr+i)%n]
 		if fs.cfg.Class != BestEffort || fs.cfg.Dir != dir || fs.retired || fs.suspended {
 			continue
 		}
 		if fs.headAvailable(cutoff) {
-			sl.beRR = (sl.beRR + i + 1) % n
+			*rr = (*rr + i + 1) % n
 			return fs
 		}
 	}
@@ -154,10 +154,11 @@ func (p *Piconet) pickBE(sl *slaveState, dir Direction, cutoff sim.Time) *flowSt
 
 // executePoll performs one poll exchange starting at now. window is the
 // number of slots available before the next SCO reservation; an exchange
-// that would overlap it is a scheduler error.
+// that would overlap it is a scheduler error. The exchange's outcome is
+// written straight into pendingPoll for finishPoll.
 func (p *Piconet) executePoll(now sim.Time, a Action, window int64) error {
-	sl, ok := p.slaves[a.Slave]
-	if !ok {
+	sl := p.slave(a.Slave)
+	if sl == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownSlave, a.Slave)
 	}
 
@@ -175,8 +176,9 @@ func (p *Piconet) executePoll(now sim.Time, a Action, window int64) error {
 			return fmt.Errorf("%w: GS poll with no flows", ErrActionInvalid)
 		}
 	case ActionPollBE:
-		downFS = p.pickBE(sl, Down, now)
-		upFS = p.pickBEUp(sl, now)
+		// The down and up picks rotate independently.
+		downFS = pickBE(sl, &sl.beRR, Down, now)
+		upFS = pickBE(sl, &sl.beUpRR, Up, now)
 	}
 
 	rng := p.simulator.Rand()
@@ -185,14 +187,20 @@ func (p *Piconet) executePoll(now sim.Time, a Action, window int64) error {
 	// is not consulted, so its RNG draws and chain state are untouched.
 	linkUp := p.linkDown == nil || !p.linkDown(a.Slave, now)
 
+	pe := &p.pendingPoll
+	*pe = pendingExchange{}
+	o := &pe.outcome
+	o.Start, o.Kind, o.Slave = now, a.Kind, a.Slave
+
 	// Downlink leg.
-	down := LegOutcome{Type: baseband.TypePOLL}
+	down := &o.Down
+	down.Type = baseband.TypePOLL
 	var downPkt *hlPacket
 	if downFS != nil {
 		if pkt := downFS.headPacket(cutoff); pkt != nil {
 			downPkt = pkt
 			seg := pkt.plan[pkt.nextSeg]
-			down = LegOutcome{Flow: downFS.cfg.ID, Type: seg.Type, Bytes: seg.Bytes}
+			down.Flow, down.Type, down.Bytes = downFS.cfg.ID, seg.Type, seg.Bytes
 		}
 	}
 	downDelivered := false
@@ -203,9 +211,9 @@ func (p *Piconet) executePoll(now sim.Time, a Action, window int64) error {
 
 	// Uplink leg: the slave answers only if it decoded the master's
 	// packet; otherwise its response slot passes silently.
-	up := LegOutcome{Type: baseband.TypeNULL}
+	up := &o.Up
+	up.Type = baseband.TypeNULL
 	var upPkt *hlPacket
-	upMore := false
 	upDelivered := true
 	upDur := baseband.TypeNULL.Duration() // silence also occupies one slot
 	if downDelivered {
@@ -213,9 +221,9 @@ func (p *Piconet) executePoll(now sim.Time, a Action, window int64) error {
 			if pkt := upFS.headPacket(cutoff); pkt != nil {
 				upPkt = pkt
 				seg := pkt.plan[pkt.nextSeg]
-				up = LegOutcome{Flow: upFS.cfg.ID, Type: seg.Type, Bytes: seg.Bytes}
+				up.Flow, up.Type, up.Bytes = upFS.cfg.ID, seg.Type, seg.Bytes
 			}
-			upMore = upFS.moreAfterHeadSegment(cutoff)
+			o.UpMoreData = upFS.moreAfterHeadSegment(cutoff)
 		}
 		upDelivered = p.radioModel.Deliver(rng, up.Type)
 		upDur = up.Type.Duration()
@@ -225,11 +233,12 @@ func (p *Piconet) executePoll(now sim.Time, a Action, window int64) error {
 		return fmt.Errorf("%w: %v+%v exchange, %d free slots",
 			ErrWindowOverflow, down.Type, up.Type, window)
 	}
+	o.End = end
 
 	// Apply downlink state changes.
 	if downPkt != nil {
 		if downDelivered {
-			p.advanceHead(downFS, downPkt, downEnd, &down)
+			p.advanceHead(downFS, downPkt, downEnd, down)
 		} else {
 			down.Lost = true
 			down.Bytes = 0
@@ -239,7 +248,7 @@ func (p *Piconet) executePoll(now sim.Time, a Action, window int64) error {
 	// Apply uplink state changes.
 	if upPkt != nil {
 		if upDelivered {
-			p.advanceHead(upFS, upPkt, end, &up)
+			p.advanceHead(upFS, upPkt, end, up)
 		} else {
 			up.Lost = true
 			up.Bytes = 0
@@ -247,34 +256,8 @@ func (p *Piconet) executePoll(now sim.Time, a Action, window int64) error {
 		}
 	}
 
-	outcome := Outcome{
-		Start:      now,
-		End:        end,
-		Kind:       a.Kind,
-		Slave:      a.Slave,
-		Down:       down,
-		Up:         up,
-		UpMoreData: upMore,
-	}
 	p.busyUntil = end
-	downOK, upOK := downDelivered, upDelivered && downDelivered
-	kind := TraceGS
-	if a.Kind == ActionPollBE {
-		kind = TraceBE
-	}
-	p.pendingPoll = pendingExchange{
-		kind: a.Kind,
-		down: down, downOK: downOK,
-		up: up, upOK: upOK,
-		outcome: outcome,
-		entry: TraceEntry{
-			Start: now, End: end, Kind: kind, Slave: a.Slave,
-			DownType: down.Type, UpType: up.Type,
-			DownFlow: down.Flow, UpFlow: up.Flow,
-			DownBytes: down.Bytes, UpBytes: up.Bytes,
-			Lost: down.Lost || up.Lost,
-		},
-	}
+	pe.downOK, pe.upOK = downDelivered, upDelivered && downDelivered
 	p.simulator.Schedule(end, p.finishPollFn)
 	return nil
 }
@@ -284,11 +267,24 @@ func (p *Piconet) executePoll(now sim.Time, a Action, window int64) error {
 // most one exchange is outstanding, so a single slot on the Piconet
 // suffices.
 type pendingExchange struct {
-	kind         ActionKind
-	down, up     LegOutcome
-	downOK, upOK bool
 	outcome      Outcome
-	entry        TraceEntry
+	downOK, upOK bool
+}
+
+// traceEntry renders the exchange for a Tracer.
+func (pe *pendingExchange) traceEntry() TraceEntry {
+	o := &pe.outcome
+	kind := TraceGS
+	if o.Kind == ActionPollBE {
+		kind = TraceBE
+	}
+	return TraceEntry{
+		Start: o.Start, End: o.End, Kind: kind, Slave: o.Slave,
+		DownType: o.Down.Type, UpType: o.Up.Type,
+		DownFlow: o.Down.Flow, UpFlow: o.Up.Flow,
+		DownBytes: o.Down.Bytes, UpBytes: o.Up.Bytes,
+		Lost: o.Down.Lost || o.Up.Lost,
+	}
 }
 
 // finishPoll runs at an ACL exchange's end. Slots are booked at exchange end
@@ -296,8 +292,10 @@ type pendingExchange struct {
 // horizon.
 func (p *Piconet) finishPoll() {
 	pe := &p.pendingPoll
-	p.account(pe.kind, pe.down, pe.downOK, pe.up, pe.upOK)
-	p.trace(pe.entry)
+	p.account(pe.outcome.Kind, &pe.outcome.Down, pe.downOK, &pe.outcome.Up, pe.upOK)
+	if p.tracer != nil {
+		p.tracer.Trace(pe.traceEntry())
+	}
 	p.scheduler.OnOutcome(pe.outcome)
 	p.superviseExchange(pe)
 	p.decide()
@@ -312,8 +310,8 @@ func (p *Piconet) superviseExchange(pe *pendingExchange) {
 	if p.supLimit <= 0 || p.onLinkDead == nil {
 		return
 	}
-	sl, ok := p.slaves[pe.outcome.Slave]
-	if !ok {
+	sl := p.slave(pe.outcome.Slave)
+	if sl == nil {
 		return
 	}
 	if pe.upOK {
@@ -329,24 +327,6 @@ func (p *Piconet) superviseExchange(pe *pendingExchange) {
 		sl.linkDead = true
 		p.onLinkDead(sl.id, sl.failingSince, pe.outcome.End)
 	}
-}
-
-// pickBEUp selects the slave's best-effort uplink flow for a BE poll,
-// rotating independently of the downlink pick.
-func (p *Piconet) pickBEUp(sl *slaveState, cutoff sim.Time) *flowState {
-	n := len(sl.flows)
-	for i := 0; i < n; i++ {
-		id := sl.flows[(sl.beUpRR+i)%n]
-		fs := p.flows[id]
-		if fs.cfg.Class != BestEffort || fs.cfg.Dir != Up || fs.retired || fs.suspended {
-			continue
-		}
-		if fs.headAvailable(cutoff) {
-			sl.beUpRR = (sl.beUpRR + i + 1) % n
-			return fs
-		}
-	}
-	return nil
 }
 
 // advanceHead consumes the head segment of pkt at the given delivery time,
@@ -390,9 +370,9 @@ func (p *Piconet) handleLoss(fs *flowState, pkt *hlPacket, at sim.Time) {
 }
 
 // account books the exchange's slots into the slot account.
-func (p *Piconet) account(kind ActionKind, down LegOutcome, downOK bool, up LegOutcome, upOK bool) {
+func (p *Piconet) account(kind ActionKind, down *LegOutcome, downOK bool, up *LegOutcome, upOK bool) {
 	gs := kind == ActionPollGS
-	book := func(leg LegOutcome, delivered bool) {
+	book := func(leg *LegOutcome, delivered bool) {
 		slots := int64(leg.Type.Slots())
 		switch {
 		case leg.Type == baseband.TypePOLL || leg.Type == baseband.TypeNULL:

@@ -30,7 +30,6 @@ import (
 
 // Errors returned by piconet configuration and operation.
 var (
-	ErrTooManySlaves  = errors.New("piconet: more than 7 active slaves")
 	ErrDuplicateSlave = errors.New("piconet: duplicate slave")
 	ErrUnknownSlave   = errors.New("piconet: unknown slave")
 	ErrUnknownFlow    = errors.New("piconet: unknown flow")
@@ -314,7 +313,9 @@ type Piconet struct {
 	// (see WithDeliveryHook).
 	onDelivery func(flow FlowID, size int, at sim.Time, delivered bool)
 
-	slaves map[SlaveID]*slaveState
+	// slaves is indexed by SlaveID; AddSlave admits only ids 1..7, so
+	// entry 0 stays nil.
+	slaves [baseband.MaxActiveSlaves + 1]*slaveState
 	flows  map[FlowID]*flowState
 	// flowOrder preserves AddFlow order for deterministic iteration.
 	flowOrder []FlowID
@@ -360,8 +361,8 @@ type Piconet struct {
 
 type slaveState struct {
 	id SlaveID
-	// flows lists the slave's flow ids in AddFlow order.
-	flows []FlowID
+	// flows lists the slave's flows in AddFlow order.
+	flows []*flowState
 	// beRR and beUpRR rotate best-effort flow selection (down and up)
 	// across the slave's flows.
 	beRR   int
@@ -380,7 +381,6 @@ func New(s *sim.Simulator, opts ...Option) *Piconet {
 	p := &Piconet{
 		simulator:  s,
 		radioModel: radio.Ideal{},
-		slaves:     make(map[SlaveID]*slaveState),
 		flows:      make(map[FlowID]*flowState),
 	}
 	for _, opt := range opts {
@@ -405,14 +405,19 @@ func (p *Piconet) AddSlave(id SlaveID) error {
 	if id < 1 || int(id) > baseband.MaxActiveSlaves {
 		return fmt.Errorf("%w: slave id %d outside 1..%d", ErrInvalidFlow, id, baseband.MaxActiveSlaves)
 	}
-	if _, dup := p.slaves[id]; dup {
+	if p.slaves[id] != nil {
 		return fmt.Errorf("%w: %d", ErrDuplicateSlave, id)
-	}
-	if len(p.slaves) >= baseband.MaxActiveSlaves {
-		return ErrTooManySlaves
 	}
 	p.slaves[id] = &slaveState{id: id}
 	return nil
+}
+
+// slave returns the registered slave with the given id, or nil.
+func (p *Piconet) slave(id SlaveID) *slaveState {
+	if id < 1 || int(id) > baseband.MaxActiveSlaves {
+		return nil
+	}
+	return p.slaves[id]
 }
 
 // AddFlow registers a flow. The slave must already exist. Flows may be
@@ -423,8 +428,8 @@ func (p *Piconet) AddFlow(cfg FlowConfig) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	sl, ok := p.slaves[cfg.Slave]
-	if !ok {
+	sl := p.slave(cfg.Slave)
+	if sl == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownSlave, cfg.Slave)
 	}
 	if _, dup := p.flows[cfg.ID]; dup {
@@ -433,9 +438,10 @@ func (p *Piconet) AddFlow(cfg FlowConfig) error {
 	if cfg.Policy == nil {
 		cfg.Policy = segmentation.BestFit{}
 	}
-	p.flows[cfg.ID] = newFlowState(p, cfg)
+	fs := newFlowState(p, cfg)
+	p.flows[cfg.ID] = fs
 	p.flowOrder = append(p.flowOrder, cfg.ID)
-	sl.flows = append(sl.flows, cfg.ID)
+	sl.flows = append(sl.flows, fs)
 	return nil
 }
 
@@ -593,10 +599,10 @@ func (p *Piconet) Start() error {
 
 // Slaves returns the registered slave ids in ascending order.
 func (p *Piconet) Slaves() []SlaveID {
-	out := make([]SlaveID, 0, len(p.slaves))
-	for id := SlaveID(1); int(id) <= baseband.MaxActiveSlaves; id++ {
-		if _, ok := p.slaves[id]; ok {
-			out = append(out, id)
+	out := make([]SlaveID, 0, baseband.MaxActiveSlaves)
+	for _, sl := range p.slaves {
+		if sl != nil {
+			out = append(out, sl.id)
 		}
 	}
 	return out
@@ -609,11 +615,15 @@ func (p *Piconet) Flows() []FlowID {
 
 // FlowsAt returns the slave's flow ids in AddFlow order.
 func (p *Piconet) FlowsAt(slave SlaveID) []FlowID {
-	sl, ok := p.slaves[slave]
-	if !ok {
+	sl := p.slave(slave)
+	if sl == nil {
 		return nil
 	}
-	return append([]FlowID(nil), sl.flows...)
+	out := make([]FlowID, len(sl.flows))
+	for i, fs := range sl.flows {
+		out[i] = fs.cfg.ID
+	}
+	return out
 }
 
 // FlowConfig returns the configuration of a flow.
@@ -710,13 +720,13 @@ func (p *Piconet) FlowLost(flow FlowID) (*stats.Meter, bool) {
 // SlaveThroughputKbps returns the delivered throughput of all flows of the
 // slave (both directions) over the elapsed time, in kilobits per second.
 func (p *Piconet) SlaveThroughputKbps(slave SlaveID, elapsed time.Duration) float64 {
-	sl, ok := p.slaves[slave]
-	if !ok || elapsed <= 0 {
+	sl := p.slave(slave)
+	if sl == nil || elapsed <= 0 {
 		return 0
 	}
 	total := 0.0
-	for _, id := range sl.flows {
-		total += p.flows[id].delivered.Kbps(elapsed)
+	for _, fs := range sl.flows {
+		total += fs.delivered.Kbps(elapsed)
 	}
 	return total
 }

@@ -42,7 +42,7 @@ func (p *Piconet) AddSCOLink(slave SlaveID, typ baseband.PacketType) error {
 	if err := p.CheckSCOLink(slave, typ); err != nil {
 		return err
 	}
-	if _, ok := p.slaves[slave]; !ok {
+	if p.slave(slave) == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownSlave, slave)
 	}
 	interval := scoIntervalSlots(typ)

@@ -34,6 +34,12 @@ type PFP struct {
 	inited  bool
 	pending piconet.SlaveID
 
+	// served and weightSum are the running totals of servedSlots and
+	// weight over every slave in state, so a fair-share fraction is O(1).
+	// weightSum is summed in slave-creation order; served adds whole
+	// slots, which float64 sums exactly in any order.
+	served, weightSum float64
+
 	// activeThreshold is the prediction level above which a slave is
 	// treated as having data.
 	activeThreshold float64
@@ -52,6 +58,8 @@ type pfpSlave struct {
 	moreData bool
 	// servedSlots accumulates the polling resource spent on the slave.
 	servedSlots float64
+	// weight is the slave's fair share.
+	weight float64
 }
 
 var _ Poller = (*PFP)(nil)
@@ -105,8 +113,9 @@ func (p *PFP) weight(s piconet.SlaveID) float64 {
 func (p *PFP) slave(s piconet.SlaveID) *pfpSlave {
 	st, ok := p.state[s]
 	if !ok {
-		st = &pfpSlave{lambda: 50} // optimistic prior: 50 packets/s
+		st = &pfpSlave{lambda: 50, weight: p.weight(s)} // optimistic prior: 50 packets/s
 		p.state[s] = st
+		p.weightSum += st.weight
 	}
 	return st
 }
@@ -114,10 +123,13 @@ func (p *PFP) slave(s piconet.SlaveID) *pfpSlave {
 // Predict returns the poller's current estimate of the probability that the
 // slave has data to exchange at time now (exposed for tests and reports).
 func (p *PFP) Predict(now sim.Time, v View, s piconet.SlaveID) float64 {
+	return p.predict(now, v, s, p.slave(s))
+}
+
+func (p *PFP) predict(now sim.Time, v View, s piconet.SlaveID, st *pfpSlave) float64 {
 	if v.DownBacklog(s) > 0 {
 		return 1
 	}
-	st := p.slave(s)
 	if st.moreData {
 		return 1
 	}
@@ -134,19 +146,18 @@ func (p *PFP) Predict(now sim.Time, v View, s piconet.SlaveID) float64 {
 // FairShareFraction returns served/(weight-normalised total): below 1 means
 // the slave has received less than its fair share (exposed for tests).
 func (p *PFP) FairShareFraction(s piconet.SlaveID) float64 {
-	var total, weightSum float64
-	for id, st := range p.state {
-		total += st.servedSlots
-		weightSum += p.weight(id)
-	}
-	if total == 0 || weightSum == 0 {
+	return p.fraction(p.slave(s))
+}
+
+func (p *PFP) fraction(st *pfpSlave) float64 {
+	if p.served == 0 || p.weightSum == 0 {
 		return 0
 	}
-	fairShare := total * p.weight(s) / weightSum
+	fairShare := p.served * st.weight / p.weightSum
 	if fairShare == 0 {
 		return math.Inf(1)
 	}
-	return p.slave(s).servedSlots / fairShare
+	return st.servedSlots / fairShare
 }
 
 // Next implements Poller.
@@ -165,11 +176,11 @@ func (p *PFP) Next(now sim.Time, v View) (piconet.SlaveID, bool) {
 	var best piconet.SlaveID
 	bestFrac := math.Inf(1)
 	for _, s := range slaves {
-		if p.Predict(now, v, s) < p.activeThreshold {
+		st := p.slave(s)
+		if p.predict(now, v, s, st) < p.activeThreshold {
 			continue
 		}
-		frac := p.FairShareFraction(s)
-		if frac < bestFrac {
+		if frac := p.fraction(st); frac < bestFrac {
 			best, bestFrac = s, frac
 		}
 	}
@@ -179,9 +190,10 @@ func (p *PFP) Next(now sim.Time, v View) (piconet.SlaveID, bool) {
 	}
 	// Nobody predicted active: refresh the stalest knowledge.
 	best = slaves[0]
+	stalest := p.slave(best).lastPollEnd
 	for _, s := range slaves[1:] {
-		if p.slave(s).lastPollEnd < p.slave(best).lastPollEnd {
-			best = s
+		if end := p.slave(s).lastPollEnd; end < stalest {
+			best, stalest = s, end
 		}
 	}
 	p.pending = best
@@ -211,4 +223,5 @@ func (p *PFP) Observe(o Outcome) {
 	st.lastPollEnd = o.End
 	st.moreData = o.UpMoreData
 	st.servedSlots += float64(o.Slots)
+	p.served += float64(o.Slots)
 }

@@ -2,6 +2,8 @@ package poller
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -159,5 +161,60 @@ func TestPFPIdleSlaveEventuallyProbed(t *testing.T) {
 	}
 	if !polled2 {
 		t.Fatal("idle slave never probed over 5 simulated seconds")
+	}
+}
+
+// TestPFPRunningFairShare: the running served and weight totals behind
+// FairShareFraction equal a brute-force recomputation summed in
+// slave-creation order, bit for bit, under fractional weights and a random
+// outcome sequence; and two identical sequences pick identically.
+func TestPFPRunningFairShare(t *testing.T) {
+	weights := map[piconet.SlaveID]float64{1: 0.1, 2: 0.2, 3: 0.7, 4: 0.3, 5: 1.1, 6: 0.05, 7: 2.5}
+	created := []piconet.SlaveID{4, 1, 7, 3, 6, 2, 5} // first-Observe order
+	v := newMockView(1, 2, 3, 4, 5, 6, 7)
+	run := func() (picks []piconet.SlaveID, fracs []uint64) {
+		p := NewPFP(weights)
+		rng := rand.New(rand.NewSource(9))
+		now := sim.Time(0)
+		for _, s := range created {
+			now += time.Millisecond
+			p.Observe(Outcome{Slave: s, End: now, Slots: 2})
+		}
+		for i := 0; i < 3000; i++ {
+			s, ok := p.Next(now, v)
+			if !ok {
+				t.Fatal("no slave")
+			}
+			picks = append(picks, s)
+			if rng.Intn(4) == 0 {
+				s = piconet.SlaveID(1 + rng.Intn(7)) // an outcome the pick did not cause
+			}
+			now += sim.Time(1+rng.Intn(8)) * 625 * time.Microsecond
+			o := Outcome{Slave: s, End: now, Slots: 2, UpMoreData: rng.Intn(3) == 0}
+			if rng.Intn(2) == 0 {
+				o.UpBytes, o.Slots = 1+rng.Intn(339), 2+2*rng.Intn(3)
+			}
+			p.Observe(o)
+
+			var served, weightSum float64
+			for _, id := range created {
+				served += p.state[id].servedSlots
+				weightSum += weights[id]
+			}
+			for _, id := range v.slaves {
+				want := p.state[id].servedSlots / (served * weights[id] / weightSum)
+				got := p.FairShareFraction(id)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("step %d slave %d: FairShareFraction = %v, brute force %v", i, id, got, want)
+				}
+				fracs = append(fracs, math.Float64bits(got))
+			}
+		}
+		return picks, fracs
+	}
+	picks1, fracs1 := run()
+	picks2, fracs2 := run()
+	if !slices.Equal(picks1, picks2) || !slices.Equal(fracs1, fracs2) {
+		t.Fatal("identical outcome sequences gave different picks or fractions")
 	}
 }

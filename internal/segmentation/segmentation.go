@@ -177,6 +177,12 @@ func Count(p Policy, size int, allowed baseband.TypeSet) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return checkPlan(plan, size)
+}
+
+// checkPlan returns the segment count of a plan for a packet of size
+// bytes, or an error when the plan is empty or does not carry the packet.
+func checkPlan(plan Plan, size int) (int, error) {
 	if len(plan) == 0 {
 		return 0, ErrEmptySeg
 	}
@@ -184,6 +190,15 @@ func Count(p Policy, size int, allowed baseband.TypeSet) (int, error) {
 		return 0, fmt.Errorf("%w: plan carries %d of %d bytes", ErrShortPlan, plan.TotalBytes(), size)
 	}
 	return len(plan), nil
+}
+
+// segmentInto plans a packet into buf's storage when the policy is an
+// Appender, so a sweep over packet sizes reuses one plan buffer.
+func segmentInto(p Policy, buf Plan, size int, allowed baseband.TypeSet) (Plan, error) {
+	if ap, ok := p.(Appender); ok {
+		return ap.SegmentAppend(buf[:0], size, allowed)
+	}
+	return p.Segment(size, allowed)
 }
 
 // Efficiency is a poll-efficiency sample: the packet size achieving it and
@@ -210,8 +225,14 @@ func MinPollEfficiency(p Policy, minSize, maxSize int, allowed baseband.TypeSet)
 	}
 	best := Efficiency{}
 	found := false
+	var buf Plan
 	for size := minSize; size <= maxSize; size++ {
-		n, err := Count(p, size, allowed)
+		plan, err := segmentInto(p, buf, size, allowed)
+		if err != nil {
+			return Efficiency{}, err
+		}
+		buf = plan
+		n, err := checkPlan(plan, size)
 		if err != nil {
 			return Efficiency{}, err
 		}
@@ -236,11 +257,13 @@ func MaxSegmentSlots(p Policy, minSize, maxSize int, allowed baseband.TypeSet) (
 		return 0, ErrBadRange
 	}
 	maxSlots := 0
+	var buf Plan
 	for size := minSize; size <= maxSize; size++ {
-		plan, err := p.Segment(size, allowed)
+		plan, err := segmentInto(p, buf, size, allowed)
 		if err != nil {
 			return 0, err
 		}
+		buf = plan
 		for _, s := range plan {
 			if s.Type.Slots() > maxSlots {
 				maxSlots = s.Type.Slots()

@@ -1,7 +1,8 @@
 // Package benchwork defines the kernel benchmark workloads shared by the
-// in-tree BenchmarkKernel* benchmarks (internal/sim) and cmd/bench, so the
-// committed BENCH_kernel.json baseline always measures exactly the same
-// workloads as `go test -bench=BenchmarkKernel` — the two cannot drift.
+// in-tree BenchmarkKernel* benchmarks (internal/sim) and the repository
+// benchmark's sim.* layer probes (benchmark/), so both always measure
+// exactly the same workloads as `go test -bench=BenchmarkKernel` — the two
+// cannot drift.
 //
 // Each workload treats one benchmark op as one fired event and reports an
 // events/s metric; the slot-aligned paths must stay at 0 allocs/op.

@@ -8,9 +8,9 @@ import (
 )
 
 // Kernel microbenchmarks: schedule/fire/cancel churn through both routing
-// paths. The workloads live in benchwork so cmd/bench measures exactly the
-// same code for the committed BENCH_kernel.json baseline; the slot-aligned
-// paths must stay at 0 allocs/op in steady state.
+// paths. The workloads live in benchwork so the repository benchmark's
+// sim.* layer probes (benchmark/) measure exactly the same code; the
+// slot-aligned paths must stay at 0 allocs/op in steady state.
 
 // BenchmarkKernelSlotChurn is the piconet steady state: one slot-aligned
 // event in flight, each firing scheduling the next. Wheel path, 0 allocs.
