@@ -3,8 +3,10 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"net/http"
 	"os"
@@ -16,6 +18,7 @@ import (
 
 	"bluegs/internal/experiments"
 	"bluegs/internal/harness"
+	"bluegs/internal/scenario"
 	"bluegs/internal/stats"
 )
 
@@ -375,6 +378,59 @@ func TestJournalTornTail(t *testing.T) {
 	_, got, err = ReadJournal(path)
 	if err != nil || len(got) != 3 {
 		t.Fatalf("after re-append: %d records, err %v", len(got), err)
+	}
+}
+
+// TestJournalResultsSkipsOldFormat: a journal written before the entry
+// format changed holds entries framed with the old BGC1 footer.
+// JournalResults must count such a record as skipped — never misread it
+// — and still render every current-format record.
+func TestJournalResultsSkipsOldFormat(t *testing.T) {
+	cfg := harness.SweepConfig{Duration: time.Second, Seed: 1, Replications: 1}
+	grid := harness.Fig5Grid([]time.Duration{30 * time.Millisecond, 40 * time.Millisecond})
+	meta := JournalMeta{Grid: "fig5", Salt: harness.DefaultCacheSalt, Cells: grid.Cells,
+		Duration: cfg.Duration, Seed: cfg.Seed, Replications: cfg.Replications}
+	path := filepath.Join(t.TempDir(), "old.journal")
+	j, err := CreateJournal(path, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, run := range grid.Sweep(cfg).Runs {
+		res, err := scenario.Run(run.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := harness.CacheKey(meta.Salt, run.Spec)
+		entry, err := harness.EncodeResultEntry(key, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			// Same payload, old footer magic: only the format guard
+			// stands between this record and a misread.
+			payload := entry[:len(entry)-12]
+			entry = append(append([]byte(nil), payload...), "BGC1"...)
+			entry = binary.LittleEndian.AppendUint32(entry, uint32(len(payload)))
+			entry = binary.LittleEndian.AppendUint32(entry, crc32.ChecksumIEEE(payload))
+		}
+		if err := j.Append(JournalRecord{Cell: run.Cell, Rep: run.Rep, Key: key, Entry: entry}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	meta, recs, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, skipped, err := JournalResults(meta, recs, grid, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped != 1 || len(results) != 1 {
+		t.Fatalf("skipped %d, rendered %d; want 1 and 1", skipped, len(results))
+	}
+	if results[0].Run.Cell != grid.Cells[1] || results[0].Result == nil {
+		t.Fatalf("rendered %+v, want the current-format record of cell %s", results[0].Run, grid.Cells[1])
 	}
 }
 

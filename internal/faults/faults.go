@@ -196,8 +196,8 @@ type Interval struct {
 // PiconetFaults is the compiled per-piconet fault schedule: merged,
 // sorted link-down intervals per slave, plus the crash instant.
 type PiconetFaults struct {
-	slaves map[piconet.SlaveID][]Interval
-	crash  time.Duration
+	slaves   map[piconet.SlaveID][]Interval
+	crash    time.Duration
 	hasCrash bool
 }
 

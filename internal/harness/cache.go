@@ -16,8 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"bluegs/internal/admission"
-	"bluegs/internal/piconet"
 	"bluegs/internal/scenario"
 	"bluegs/internal/segmentation"
 )
@@ -44,18 +42,22 @@ import (
 // admission with duty-cycle derating, renegotiate_flow, route results) —
 // pre-bridge cached results can never replay runs the route-aware runner
 // would produce.
+//
+// The salt tracks what a result is, not how it is stored: a change to
+// the entry format alone bumps cacheFooterMagic instead, which turns
+// older entries into clean misses without re-keying any run.
 const DefaultCacheSalt = "sim-v8"
 
 // CacheBackend is the persistent half of a RunCache: a keyed store of
-// raw cache entries (gob payload plus integrity footer, the
-// EncodeResultEntry form). The RunCache owns the encoding, the footer
-// verification and the in-memory LRU; a backend only moves bytes, which
-// is what lets one implementation serve a local directory (DirBackend)
-// and another a fabric coordinator's HTTP cache endpoint
-// (internal/fabric), so workers need no shared filesystem. Backends must
-// be safe for concurrent use — including concurrent use from several
-// processes, where the content-addressed keys make racing writers of the
-// same entry harmless.
+// raw cache entries (a gob record of per-piconet results plus a BGC2
+// integrity footer, the EncodeResultEntry form). The RunCache owns the
+// encoding, the footer verification and the in-memory LRU; a backend
+// only moves bytes, which is what lets one implementation serve a local
+// directory (DirBackend) and another a fabric coordinator's HTTP cache
+// endpoint (internal/fabric), so workers need no shared filesystem.
+// Backends must be safe for concurrent use — including concurrent use
+// from several processes, where the content-addressed keys make racing
+// writers of the same entry harmless.
 type CacheBackend interface {
 	// Get returns the raw entry stored under key. A missing entry's
 	// error must satisfy errors.Is(err, fs.ErrNotExist).
@@ -152,25 +154,23 @@ type cacheEntry struct {
 	res *scenario.Result
 }
 
-// cacheRecord is the on-disk form of a result: everything scenario.Result
-// carries except the Spec, which the cache re-attaches from the request
-// on every hit (the spec contains interface-valued fields and is, by
-// construction of the key, already known to the caller).
+// cacheRecord is the on-disk form of a result. It holds each value once:
+// the per-piconet results, the admission log, the routes and the run
+// counters. The Result-level aggregates (Flows, SlaveKbps, SCOKbps, Slots,
+// the poll counters, Admitted) are not stored — decodeEntry rebuilds them
+// with scenario.Rollup, the function both collectors use, so a replayed
+// result is shaped exactly like a fresh one. The Spec is not stored
+// either: the cache re-attaches it from the request on every hit (it
+// contains interface-valued fields and is, by construction of the key,
+// already known to the caller). Delay statistics travel in the stats
+// package's flat encodings inside this gob record.
 type cacheRecord struct {
 	Key        string
 	Elapsed    time.Duration
 	Events     uint64
-	Flows      []scenario.FlowResult
-	Slaves     map[piconet.SlaveID]float64
-	SCO        map[piconet.SlaveID]float64
-	Slots      piconet.SlotAccount
-	GSPolls    uint64
-	BEPolls    uint64
-	Skipped    uint64
-	Admit      []*admission.PlannedFlow
 	Admissions []scenario.AdmissionRecord
-	// Piconets carries the per-piconet results of scatternet runs (one
-	// entry for flat single-piconet specs).
+	// Piconets carries the per-piconet results (one entry for flat
+	// single-piconet specs).
 	Piconets []scenario.PiconetResult
 	// Routes carries the end-to-end results of bridged multi-hop flows.
 	Routes []scenario.RouteResult
@@ -339,12 +339,17 @@ func (c *RunCache) insertLocked(key string, res *scenario.Result) {
 	}
 }
 
-// The on-disk entry layout is gob payload followed by a fixed integrity
-// footer: magic, payload length and payload CRC-32 (IEEE). A truncated
-// copy, a partial write that survived a crash, or bit rot all fail the
-// footer check; the entry is then deleted and the lookup degrades to a
-// miss, so the fresh result rewrites it.
-const cacheFooterMagic = "BGC1"
+// The on-disk entry layout is a gob cacheRecord payload followed by a
+// fixed integrity footer: magic, payload length and payload CRC-32
+// (IEEE). A truncated copy, a partial write that survived a crash, or bit
+// rot all fail the footer check; the entry is then deleted and the lookup
+// degrades to a miss, so the fresh result rewrites it.
+//
+// The magic names the entry format. A change to the record layout or to
+// the stats encodings inside it bumps the magic (not DefaultCacheSalt,
+// which tracks result semantics), so entries of an older format fail the
+// footer check and become clean misses.
+const cacheFooterMagic = "BGC2"
 
 const cacheFooterSize = len(cacheFooterMagic) + 8
 
@@ -376,24 +381,18 @@ func checkFooter(data []byte) ([]byte, error) {
 }
 
 // EncodeResultEntry renders a result as a raw cache entry: the gob
-// payload of its cacheRecord followed by the integrity footer. This is
-// the byte form backends store, the fabric coordinator journals, and
-// workers ship over the wire — one encoding everywhere, so any party can
-// verify any entry with the same footer check.
+// payload of its cacheRecord (per-piconet results, admission log, routes
+// and counters, with delay statistics in flat stats bytes) followed by
+// the integrity footer; DecodeResultEntry rolls the Result-level
+// aggregates back up. This is the byte form backends store, the fabric
+// coordinator journals, and workers ship over the wire — one encoding
+// everywhere, so any party can verify any entry with the same footer
+// check.
 func EncodeResultEntry(key string, res *scenario.Result) ([]byte, error) {
 	rec := cacheRecord{
-		Key:     key,
-		Elapsed: res.Elapsed,
-		Events:  res.Events,
-		Flows:   res.Flows,
-		Slaves:  res.SlaveKbps,
-		SCO:     res.SCOKbps,
-		Slots:   res.Slots,
-		GSPolls: res.GSPolls,
-		BEPolls: res.BEPolls,
-		Skipped: res.Skipped,
-		Admit:   res.Admitted,
-
+		Key:        key,
+		Elapsed:    res.Elapsed,
+		Events:     res.Events,
 		Admissions: res.Admissions,
 		Piconets:   res.Piconets,
 		Routes:     res.Routes,
@@ -420,21 +419,15 @@ func decodeEntry(key string, entry []byte) (*scenario.Result, error) {
 	if rec.Key != key {
 		return nil, fmt.Errorf("harness: cache entry %s holds key %s", key, rec.Key)
 	}
-	return &scenario.Result{
+	res := &scenario.Result{
 		Elapsed:    rec.Elapsed,
 		Events:     rec.Events,
-		Flows:      rec.Flows,
-		SlaveKbps:  rec.Slaves,
-		SCOKbps:    rec.SCO,
-		Slots:      rec.Slots,
-		GSPolls:    rec.GSPolls,
-		BEPolls:    rec.BEPolls,
-		Skipped:    rec.Skipped,
-		Admitted:   rec.Admit,
 		Admissions: rec.Admissions,
 		Piconets:   rec.Piconets,
 		Routes:     rec.Routes,
-	}, nil
+	}
+	scenario.Rollup(res)
+	return res, nil
 }
 
 // DecodeResultEntry verifies a raw cache entry (footer and key) and

@@ -323,8 +323,9 @@ func TestSupervisionTimeout(t *testing.T) {
 		t.Fatalf("second failing-since %v outside the second window", d2.since)
 	}
 }
-// stamped after the cutoff drop from the queue and the meter, packets at
-// or before it stay.
+
+// TestPruneFutureArrivals: pre-counted up-link packets stamped after the
+// cutoff drop from the queue and the meter; packets at or before it stay.
 func TestPruneFutureArrivals(t *testing.T) {
 	s := sim.New()
 	p := buildBE(t, s)

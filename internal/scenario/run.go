@@ -1164,16 +1164,18 @@ func (r *runner) collect() *Result {
 		res.Piconets = append(res.Piconets, p.collect(elapsed))
 	}
 	res.Routes = r.collectRoutes(elapsed)
-	rollup(res)
+	Rollup(res)
 	return res
 }
 
-// rollup derives the scatternet-wide aggregate fields from the
-// per-piconet results already in res. A single-piconet run's rollup is
-// its piconet's result verbatim (byte-identical to the pre-scatternet
-// runner). Shared by the single-kernel and sharded collectors so the
-// aggregation arithmetic cannot drift between them.
-func rollup(res *Result) {
+// Rollup derives the scatternet-wide aggregate fields (Flows, SlaveKbps,
+// SCOKbps, Slots, the poll counters and Admitted) from the per-piconet
+// results already in res. A single-piconet run's rollup is its piconet's
+// result verbatim (byte-identical to the pre-scatternet runner), sharing
+// its Flows. Shared by the single-kernel and sharded collectors and by
+// the run cache, which stores only Piconets and rolls up on decode, so
+// the aggregation arithmetic cannot drift between them.
+func Rollup(res *Result) {
 	if len(res.Piconets) == 1 {
 		pr := res.Piconets[0]
 		res.Flows = pr.Flows

@@ -473,4 +473,3 @@ func TestScatternetCodecRoundTrip(t *testing.T) {
 		}
 	}
 }
-

@@ -398,6 +398,6 @@ func mergeResults(spec Spec, piconets []PiconetSpec, runners []*runner, order []
 			res.Routes = append(res.Routes, rr)
 		}
 	}
-	rollup(res)
+	Rollup(res)
 	return res
 }

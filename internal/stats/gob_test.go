@@ -3,6 +3,8 @@ package stats
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/hex"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -86,4 +88,168 @@ func TestDurationStatsGobRoundTrip(t *testing.T) {
 			t.Fatalf("quantile %v drifted", q)
 		}
 	}
+}
+
+// Gob bytes of the nested-gob encodings these types used before the flat
+// format: a Welford over {1.5, 2.25, 4} and a DurationStats (capacity 4)
+// over {30ms, 1.25ms, 7ms}. Cached entries of that era must be refused,
+// never misread.
+const (
+	nestedGobWelford       = "3e7f0301010b77656c666f72645769726501ff8000010501014e01060001044d65616e01080001024d3201080001034d696e01080001034d6178010800000021ff80010301f8abaaaaaaaaaa044001f85555555555550a4001fef83f01fe104000"
+	nestedGobDurationStats = "2dff81030101116475726174696f6e53746174735769726501ff8200010201015701ff840001015301ff8600000013ff830501010757656c666f726401ff8400000012ff850501010653616d706c6501ff86000000ffecff8201603e7f0301010b77656c666f72645769726501ff8000010501014e01060001044d65616e01080001024d3201080001034d696e01080001034d6178010800000020ff80010301fc9651684101f9e034bfb74ffa4201fcd012334101fc389c7c410001ff8448ff870301010a73616d706c655769726501ff88000105010656616c75657301ff8a000106536f72746564010200010343617001040001045365656e0106000103526e64010600000017ff89020101095b5d666c6f6174363401ff8a000108000022ff880103fc389c7c41fcd0123341fcf0b35a410208010301f89e3779b97f4a7c150000"
+)
+
+func mustHex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// reencode decodes data as one accumulator type and encodes the result
+// again, per type name.
+var reencode = map[string]func(data []byte) ([]byte, error){
+	"Welford": func(data []byte) ([]byte, error) {
+		var v Welford
+		if err := v.GobDecode(data); err != nil {
+			return nil, err
+		}
+		return v.GobEncode()
+	},
+	"Sample": func(data []byte) ([]byte, error) {
+		var v Sample
+		if err := v.GobDecode(data); err != nil {
+			return nil, err
+		}
+		return v.GobEncode()
+	},
+	"DurationStats": func(data []byte) ([]byte, error) {
+		var v DurationStats
+		if err := v.GobDecode(data); err != nil {
+			return nil, err
+		}
+		return v.GobEncode()
+	},
+}
+
+// TestGobRejectsMalformed: every decoder refuses damaged, truncated,
+// padded or foreign bytes instead of misreading them.
+func TestGobRejectsMalformed(t *testing.T) {
+	d := NewDurationStats(8)
+	for _, v := range []time.Duration{3 * time.Millisecond, 17 * time.Millisecond, 40 * time.Millisecond} {
+		d.Add(v)
+	}
+	good, err := d.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ok DurationStats
+	if err := ok.GobDecode(good); err != nil {
+		t.Fatalf("valid encoding refused: %v", err)
+	}
+	welford, _ := d.w.GobEncode()
+	sample, _ := d.s.GobEncode()
+	// Header of the sample: format, sorted, cap, seen, rnd (8 bytes);
+	// then the value count.
+	countAt := 1 + 1 + 1 + 1 + 8
+	bad := map[string][]byte{
+		"empty":                nil,
+		"truncated":            good[:len(good)-1],
+		"trailing byte":        append(append([]byte(nil), good...), 0),
+		"welford as durations": welford,
+		"sample as durations":  sample,
+		"bad sorted flag":      patch(good, 1+welfordSize+1, 2),
+		"count beyond input":   patch(good, 1+welfordSize+countAt, 0x7f),
+		"non-minimal value":    append(patch(good, 1+welfordSize+countAt, 4), 0x80, 0x00),
+		"overflowing varint":   append(patch(good, 1+welfordSize+countAt, 4), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
+		"foreign inner format": patch(good, 1, fmtSample),
+	}
+	for name, b := range bad {
+		var got DurationStats
+		if err := got.GobDecode(b); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	var w Welford
+	if err := w.GobDecode(append(welford, 0)); err == nil {
+		t.Error("welford with a trailing byte accepted")
+	}
+	var s Sample
+	if err := s.GobDecode(append(sample, 0)); err == nil {
+		t.Error("sample with a trailing byte accepted")
+	}
+}
+
+// patch returns a copy of b with b[i] set to v.
+func patch(b []byte, i int, v byte) []byte {
+	out := append([]byte(nil), b...)
+	out[i] = v
+	return out
+}
+
+// TestGobBitPatternsExact: values whose bit patterns matter — signed
+// zeros, NaN payloads, infinities, subnormals — round-trip bit for bit.
+func TestGobBitPatternsExact(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000abc), math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -1e-300, 3e7}
+	var s Sample
+	for _, v := range vals {
+		s.Add(v)
+	}
+	b, err := s.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Sample
+	if err := got.GobDecode(b); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got.values {
+		if math.Float64bits(v) != math.Float64bits(vals[i]) {
+			t.Fatalf("value %d: bits %#x, want %#x", i, math.Float64bits(v), math.Float64bits(vals[i]))
+		}
+	}
+}
+
+// FuzzStatsGobDecode feeds arbitrary bytes to all three decoders: none
+// may panic, and every accepted input must re-encode byte-identically
+// (the decoders accept only canonical encodings). The nested-gob seeds
+// of the previous format are asserted rejected up front, so the check
+// runs under plain go test too.
+func FuzzStatsGobDecode(f *testing.F) {
+	for _, seed := range []string{nestedGobWelford, nestedGobDurationStats} {
+		b := mustHex(f, seed)
+		for name, rt := range reencode {
+			if _, err := rt(b); err == nil {
+				f.Fatalf("%s accepted a nested-gob encoding", name)
+			}
+		}
+		f.Add(b)
+	}
+	rng := rand.New(rand.NewSource(4))
+	d := NewDurationStats(16)
+	for i := 0; i < 40; i++ {
+		d.Add(time.Duration(rng.Int63n(int64(60 * time.Millisecond))))
+	}
+	d.Quantile(0.5) // sorted sample
+	for _, v := range []interface{ GobEncode() ([]byte, error) }{d.w, d.s, *d, Welford{}, Sample{}, DurationStats{}} {
+		b, err := v.GobEncode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for name, rt := range reencode {
+			// Decoders reject by error; a panic fails the fuzz run.
+			again, err := rt(data)
+			if err == nil && !bytes.Equal(again, data) {
+				t.Fatalf("%s: accepted %x but re-encodes as %x", name, data, again)
+			}
+		}
+	})
 }
