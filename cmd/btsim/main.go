@@ -14,7 +14,7 @@
 //	btsim -list                                  # registered scenario names
 //	btsim -scenario churn                        # a registered scenario by name
 //	btsim -scenario scatternet                   # 4 FH-coupled piconets, per-piconet report
-//	btsim -scenario file.json                    # a scenario file (v2 or legacy)
+//	btsim -scenario file.json                    # a v2 scenario file
 //	btsim -scenario churn -export churn.json     # write the resolved spec as v2 JSON
 //	btsim -target 40ms -reps 8                   # 8 seeds in parallel, mean±95% CI
 //	btsim -target 40ms -ci-target 0.05           # replicate until the CI is tight
@@ -82,7 +82,6 @@ func run() error {
 		scenarioF = flag.String("scenario", "", "scenario to run: a registered name (see -list) or a JSON file path")
 		list      = flag.Bool("list", false, "list registered scenario names and exit")
 		export    = flag.String("export", "", "write the resolved scenario as v2 JSON to this file before running")
-		config    = flag.String("config", "", "legacy alias for -scenario with a JSON file path")
 		hist      = flag.Bool("hist", false, "print per-GS-flow delay histograms")
 		traceOut  = flag.String("trace", "", "write an exchange trace CSV to this file (replication 0)")
 		ciTarget  = flag.Float64("ci-target", 0, "adaptive replication: replicate until the 95% CI half-width of -ci-metric is below this fraction of its mean (0 = fixed -reps)")
@@ -110,12 +109,8 @@ func run() error {
 
 	var spec scenario.Spec
 	switch {
-	case *scenarioF != "" || *config != "":
-		arg := *scenarioF
-		if arg == "" {
-			arg = *config
-		}
-		loaded, err := resolveScenario(arg)
+	case *scenarioF != "":
+		loaded, err := resolveScenario(*scenarioF)
 		if err != nil {
 			return err
 		}

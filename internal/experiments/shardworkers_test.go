@@ -41,8 +41,8 @@ func TestScatternetStudyDeterministicAcrossKernelWorkers(t *testing.T) {
 }
 
 // TestBridgeStudyDeterministicAcrossKernelWorkers is the E12 half:
-// bridge-chained piconets co-shard into one group (the legacy kernel
-// path), so the knob must be a byte-exact no-op on the bridge table too.
+// bridge-chained piconets co-shard into one group, so the knob must be
+// a byte-exact no-op on the bridge table too.
 func TestBridgeStudyDeterministicAcrossKernelWorkers(t *testing.T) {
 	hops := []int{2}
 	duties := []float64{0.5}

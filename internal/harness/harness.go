@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"bluegs/internal/scenario"
+	"bluegs/internal/sim"
 	"bluegs/internal/stats"
 )
 
@@ -263,7 +264,8 @@ var liveRunTimers atomic.Int64
 // runScenario executes one scenario, converting a panic anywhere inside
 // the simulation into an ErrRunPanicked error (with the stack attached)
 // so one faulty run is an inspectable per-run failure instead of a
-// crashed sweep.
+// crashed sweep. A panic in an event handler arrives as the kernel's
+// *sim.PanicError; one during setup or merge is recovered here.
 func runScenario(spec scenario.Spec, hooks scenario.Hooks) (res *scenario.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -271,7 +273,12 @@ func runScenario(spec scenario.Spec, hooks scenario.Hooks) (res *scenario.Result
 			err = fmt.Errorf("%w: %v\n%s", ErrRunPanicked, r, debug.Stack())
 		}
 	}()
-	return scenario.RunWith(spec, hooks)
+	res, err = scenario.RunWith(spec, hooks)
+	var pe *sim.PanicError
+	if errors.As(err, &pe) {
+		return nil, fmt.Errorf("%w: %v\n%s", ErrRunPanicked, pe.Value, pe.Stack)
+	}
+	return res, err
 }
 
 // simulate runs one scenario, enforcing the per-run timeout when set.

@@ -203,6 +203,37 @@ type moveV2 struct {
 	To   string `json:"to,omitempty"`
 }
 
+// packetTypesByName resolves spec names like "DH3".
+var packetTypesByName = map[string]baseband.PacketType{
+	"DM1": baseband.TypeDM1, "DH1": baseband.TypeDH1,
+	"DM3": baseband.TypeDM3, "DH3": baseband.TypeDH3,
+	"DM5": baseband.TypeDM5, "DH5": baseband.TypeDH5,
+	"HV1": baseband.TypeHV1, "HV2": baseband.TypeHV2, "HV3": baseband.TypeHV3,
+}
+
+func parseTypeSet(names []string) (baseband.TypeSet, error) {
+	var set baseband.TypeSet
+	for _, n := range names {
+		t, ok := packetTypesByName[strings.ToUpper(strings.TrimSpace(n))]
+		if !ok {
+			return 0, fmt.Errorf("%w: unknown packet type %q", ErrBadSpec, n)
+		}
+		set = set.Add(t)
+	}
+	return set, nil
+}
+
+func parseDir(s string) (piconet.Direction, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "up":
+		return piconet.Up, nil
+	case "down":
+		return piconet.Down, nil
+	default:
+		return 0, fmt.Errorf("%w: direction %q (want up or down)", ErrBadSpec, s)
+	}
+}
+
 // durString renders a duration for the file ("" for zero, so zero fields
 // stay out of the JSON).
 func durString(d time.Duration) string {
@@ -621,14 +652,23 @@ func parseRules(s string) (core.Improvements, error) {
 
 // Unmarshal parses v2 JSON bytes into a Spec.
 func Unmarshal(data []byte) (Spec, error) {
+	// The format tag is checked before the strict decode, so a file in
+	// another format fails naming the format rather than its first field
+	// v2 does not know.
+	var tag struct {
+		Format string `json:"format"`
+	}
+	if err := json.Unmarshal(data, &tag); err != nil {
+		return Spec{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	if tag.Format != FormatV2 {
+		return Spec{}, fmt.Errorf("%w: format %q (want %q)", ErrBadSpec, tag.Format, FormatV2)
+	}
 	var fs specV2
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&fs); err != nil {
 		return Spec{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	if fs.Format != FormatV2 {
-		return Spec{}, fmt.Errorf("%w: format %q (want %q)", ErrBadSpec, fs.Format, FormatV2)
 	}
 	spec := Spec{
 		Name:                fs.Name,
@@ -854,37 +894,17 @@ func Unmarshal(data []byte) (Spec, error) {
 		}
 		spec.Timeline = append(spec.Timeline, out)
 	}
-	// Validate the defaulted view (names filled, timeline targets
-	// resolved) — the same view Run and Canonical act on.
-	def := spec.WithDefaults()
-	if err := def.validateScatternet(); err != nil {
-		return Spec{}, err
-	}
-	if err := validateBridges(def); err != nil {
-		return Spec{}, err
-	}
-	if err := validateTimeline(def); err != nil {
-		return Spec{}, err
-	}
-	if err := validateFaults(def); err != nil {
+	if err := spec.WithDefaults().validate(); err != nil {
 		return Spec{}, err
 	}
 	return spec, nil
 }
 
-// LoadFile reads a scenario file, accepting both the v2 format (see
-// Marshal) and the legacy v1 FileSpec form (files without a "format"
-// tag).
+// LoadFile reads a v2 scenario file (see Marshal).
 func LoadFile(path string) (Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Spec{}, fmt.Errorf("scenario: %w", err)
 	}
-	var sniff struct {
-		Format string `json:"format"`
-	}
-	if err := json.Unmarshal(data, &sniff); err == nil && sniff.Format != "" {
-		return Unmarshal(data)
-	}
-	return ParseSpec(data)
+	return Unmarshal(data)
 }

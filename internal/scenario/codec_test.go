@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -209,8 +210,33 @@ func TestCodecErrors(t *testing.T) {
 	}
 }
 
-// TestLoadFileSniffsFormats: LoadFile must accept both the v2 format and
-// legacy v1 files.
+// TestParseSpecErrors: malformed values in an otherwise well-tagged file
+// (mode, direction, packet type names, an ACL type on an SCO link) fail
+// with ErrBadSpec, as does malformed JSON.
+func TestParseSpecErrors(t *testing.T) {
+	tests := []struct {
+		name string
+		json string
+	}{
+		{"invalid json", `{`},
+		{"unknown field", `{"format":"bluegs/scenario/v2","bogus":1}`},
+		{"bad mode", `{"format":"bluegs/scenario/v2","mode":"warp"}`},
+		{"bad direction", `{"format":"bluegs/scenario/v2","gs_flows":[
+			{"id":1,"slave":1,"dir":"sideways","interval":"20ms","size":{"kind":"uniform","min":10,"max":20}}]}`},
+		{"bad packet type", `{"format":"bluegs/scenario/v2","allowed_types":["DH9"]}`},
+		{"acl as sco", `{"format":"bluegs/scenario/v2","sco_links":[{"slave":1,"type":"DH1"}]}`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := Unmarshal([]byte(tt.json)); !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("Unmarshal(%s) err = %v, want ErrBadSpec", tt.json, err)
+			}
+		})
+	}
+}
+
+// TestLoadFileSniffsFormats: LoadFile reads v2 files and rejects a
+// legacy v1 file (no format tag) with an error naming the v2 format.
 func TestLoadFileSniffsFormats(t *testing.T) {
 	dir := t.TempDir()
 	v2, err := Marshal(Paper(40 * time.Millisecond))
@@ -234,11 +260,134 @@ func TestLoadFileSniffsFormats(t *testing.T) {
 	if err := os.WriteFile(v1Path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if spec, err = LoadFile(v1Path); err != nil {
-		t.Fatalf("LoadFile v1: %v", err)
+	if _, err = LoadFile(v1Path); !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), FormatV2) {
+		t.Fatalf("LoadFile v1 err = %v, want ErrBadSpec naming %s", err, FormatV2)
 	}
-	if spec.Name != "legacy" || len(spec.GS) != 1 {
-		t.Fatalf("v1 load: %+v", spec)
+}
+
+// legacySampleJSON is a complete v1 file: the untagged format LoadFile
+// accepted before v2 became the only scenario format.
+const legacySampleJSON = `{
+  "name": "custom",
+  "delay_target_ms": 42,
+  "duration_s": 5,
+  "seed": 9,
+  "mode": "fixed",
+  "be_poller": "fep",
+  "allowed_types": ["DH1", "DH3"],
+  "gs_flows": [
+    {"id": 1, "slave": 1, "dir": "up", "interval_ms": 20, "min_size": 144, "max_size": 176, "phase_ms": 2}
+  ],
+  "sco_links": [
+    {"slave": 3, "type": "HV3"}
+  ]
+}`
+
+// TestLoadFileLegacyForm: a full v1 file is rejected for its missing
+// format tag, with an error naming the v2 format rather than the first v1
+// field the strict decoder trips on; a missing file also fails.
+func TestLoadFileLegacyForm(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "scenario.json")
+	if err := os.WriteFile(path, []byte(legacySampleJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadFile(path)
+	if !errors.Is(err, ErrBadSpec) || !strings.Contains(err.Error(), FormatV2) ||
+		strings.Contains(err.Error(), "delay_target_ms") {
+		t.Fatalf("LoadFile v1 err = %v, want ErrBadSpec naming %s", err, FormatV2)
+	}
+	if _, err := LoadFile(filepath.Join(dir, "missing.json")); err == nil {
+		t.Fatal("missing file should fail")
+	}
+}
+
+// sampleJSON is a flat v2 file exercising the header knobs, every flow
+// kind and a per-flow type override.
+const sampleJSON = `{
+  "format": "bluegs/scenario/v2",
+  "name": "custom",
+  "delay_target": "42ms",
+  "duration": "5s",
+  "seed": 9,
+  "mode": "fixed",
+  "poller": {"kind": "fep"},
+  "allowed_types": ["DH1", "DH3"],
+  "direction_aware": true,
+  "arq": true,
+  "loss_recovery": true,
+  "radio": {"kind": "ber", "ber": 0.0001},
+  "gs_flows": [
+    {"id": 1, "slave": 1, "dir": "up", "interval": "20ms", "size": {"kind": "uniform", "min": 144, "max": 176}, "phase": "2ms"}
+  ],
+  "be_flows": [
+    {"id": 2, "slave": 2, "dir": "down", "rate_kbps": 40, "size": {"kind": "fixed", "bytes": 27}, "allowed_types": ["DH1"]}
+  ],
+  "sco_links": [
+    {"slave": 3, "type": "HV3"}
+  ]
+}`
+
+// TestParseSpec decodes sampleJSON and checks it field by field.
+func TestParseSpec(t *testing.T) {
+	spec, err := Unmarshal([]byte(sampleJSON))
+	if err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	if spec.Name != "custom" || spec.Seed != 9 {
+		t.Fatalf("header: %+v", spec)
+	}
+	if spec.DelayTarget != 42*time.Millisecond || spec.Duration != 5*time.Second {
+		t.Fatalf("durations: %v %v", spec.DelayTarget, spec.Duration)
+	}
+	if spec.Mode != core.FixedInterval {
+		t.Fatalf("mode = %v", spec.Mode)
+	}
+	if spec.BEPoller != BEFEP {
+		t.Fatalf("poller = %v", spec.BEPoller)
+	}
+	if !spec.DirectionAware || !spec.ARQ || !spec.LossRecovery {
+		t.Fatal("boolean knobs not parsed")
+	}
+	if spec.Radio.Kind != RadioBER || spec.Radio.BER != 0.0001 {
+		t.Fatalf("radio = %+v", spec.Radio)
+	}
+	if len(spec.GS) != 1 || spec.GS[0].Dir != piconet.Up || spec.GS[0].Phase != 2*time.Millisecond {
+		t.Fatalf("GS = %+v", spec.GS)
+	}
+	if len(spec.BE) != 1 || !spec.BE[0].Allowed.Contains(baseband.TypeDH1) ||
+		spec.BE[0].Allowed.Contains(baseband.TypeDH3) {
+		t.Fatalf("BE = %+v", spec.BE)
+	}
+	if len(spec.SCO) != 1 || spec.SCO[0].Type != baseband.TypeHV3 || spec.SCO[0].Slave != 3 {
+		t.Fatalf("SCO = %+v", spec.SCO)
+	}
+	if !spec.Allowed.Contains(baseband.TypeDH3) {
+		t.Fatalf("allowed = %v", spec.Allowed)
+	}
+}
+
+// TestParsedSpecRuns runs sampleJSON: every bound holds and the SCO and GS
+// flows carry their load.
+func TestParsedSpecRuns(t *testing.T) {
+	spec, err := Unmarshal([]byte(sampleJSON))
+	if err != nil {
+		t.Fatalf("Unmarshal: %v", err)
+	}
+	spec.Duration = 3 * time.Second
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if v := res.BoundViolations(); len(v) != 0 {
+		t.Fatalf("violations: %+v", v)
+	}
+	if res.SCOKbps[3] < 120 {
+		t.Fatalf("SCO throughput = %.1f, want ~128", res.SCOKbps[3])
+	}
+	gsFlow, _ := res.FlowByID(1)
+	if gsFlow.Kbps < 60 {
+		t.Fatalf("GS throughput = %.1f", gsFlow.Kbps)
 	}
 }
 

@@ -155,7 +155,7 @@ func TestRegistryFuzzSmoke(t *testing.T) {
 // workers, asserting the fingerprint-keyed result — report, admission
 // log, kernel event count — is byte-identical to the single-worker run.
 // Presets whose timeline churn forces a single shard group exercise the
-// dispatch (and its collapse to the legacy kernel) instead.
+// one-group run instead.
 func TestRegistryFuzzSmokeKernelWorkers(t *testing.T) {
 	for _, name := range Names() {
 		name := name

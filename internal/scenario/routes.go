@@ -59,9 +59,9 @@ type hopRef struct {
 
 // initRoutes derives the given static routes' hops and prepares their
 // state before any piconet is built (buildPiconet folds the hops of its
-// piconet into the admission plan and flow set). A single-kernel run
-// passes the whole spec.Routes slice; a sharded run passes each shard
-// the routes whose hops it owns.
+// piconet into the admission plan and flow set). Each shard gets the
+// routes whose hops it owns; a one-group run gets the whole
+// spec.Routes slice.
 func (r *runner) initRoutes(rts []RouteSpec) error {
 	r.routeByID = make(map[piconet.FlowID]*routeState)
 	for _, spec := range rts {

@@ -16,10 +16,10 @@ import (
 	"bluegs/internal/traffic"
 )
 
-// runner holds the live state of one scenario run: the shared kernel, the
-// scatternet medium (when interference is enabled), the piconet engines
-// in creation order, and the chronological online admission log. A flat
-// spec runs as a scatternet of one.
+// runner holds the live state of one shard group of a scenario run: the
+// group's kernel, its scatternet medium (when interference is enabled),
+// its piconet engines in creation order, and its chronological online
+// admission log. A flat spec runs as a scatternet of one.
 type runner struct {
 	spec Spec
 	s    *sim.Simulator
@@ -105,13 +105,12 @@ func Run(spec Spec) (*Result, error) { return RunWith(spec, Hooks{}) }
 
 // RunWith executes a scenario with runtime hooks attached (a live tracer
 // or a pre-built radio model instance). Hooked runs must not be served
-// from a result cache: their side effects cannot be replayed. In
-// scatternet runs a Tracer observes the first piconet only, and a live
-// Radio instance is rejected (one stateful model cannot serve N piconets).
+// from a result cache: their side effects cannot be replayed. Every run
+// goes through runShards, over the shard groups kernelShards derives; a
+// hooked run is one group. A Tracer observes the first piconet only, and
+// a live Radio instance is rejected in multi-piconet runs (one stateful
+// model cannot serve N piconets).
 func RunWith(spec Spec, hooks Hooks) (*Result, error) {
-	if err := spec.validateScatternet(); err != nil {
-		return nil, err
-	}
 	if spec.AdmissionDerate < 0 || spec.AdmissionDerate >= 1 {
 		return nil, fmt.Errorf("%w: AdmissionDerate %g outside [0,1)", ErrBadSpec, spec.AdmissionDerate)
 	}
@@ -119,13 +118,7 @@ func RunWith(spec Spec, hooks Hooks) (*Result, error) {
 		return nil, fmt.Errorf("%w: no flows", ErrBadSpec)
 	}
 	spec = spec.WithDefaults()
-	if err := validateBridges(spec); err != nil {
-		return nil, err
-	}
-	if err := validateTimeline(spec); err != nil {
-		return nil, err
-	}
-	if err := validateFaults(spec); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	piconets := spec.piconetSpecs()
@@ -138,70 +131,7 @@ func RunWith(spec Spec, hooks Hooks) (*Result, error) {
 	// must compare byte-identical across worker counts and cache replays).
 	workers := kernelWorkersFor(spec.KernelWorkers)
 	spec.KernelWorkers = 0
-	if groups := kernelShards(spec, hooks); len(groups) > 1 {
-		return runSharded(spec, piconets, groups, workers)
-	}
-
-	r := &runner{
-		spec:        spec,
-		s:           sim.New(sim.WithSeed(spec.Seed)),
-		byName:      make(map[string]*piconetRunner),
-		defaultName: spec.defaultPiconetName(),
-		fsched:      spec.Faults.Compile(),
-	}
-	if spec.Interference.Enabled {
-		r.medium = radio.NewMedium(spec.Interference.Channels, spec.Interference.Window,
-			func() time.Duration { return r.s.Now() })
-	}
-	if err := r.initRoutes(spec.Routes); err != nil {
-		return nil, err
-	}
-
-	for i, ps := range piconets {
-		// Runtime hooks attach to the first piconet only.
-		h := Hooks{}
-		if i == 0 {
-			h = hooks
-		}
-		// Run-start piconets derate against the full planned scatternet,
-		// not the few piconets attached so far: all of them will be
-		// active the moment the run begins.
-		if _, err := r.buildPiconet(ps, h, len(piconets)-1); err != nil {
-			return nil, err
-		}
-	}
-
-	// Timeline: each event applies at its simulated time; events sharing
-	// an instant apply in slice order (the kernel is FIFO per instant).
-	for _, ev := range spec.Timeline {
-		ev := ev
-		r.s.Schedule(ev.At, func() { r.applyEvent(ev) })
-	}
-	// Master crashes apply after any timeline events sharing their
-	// instant: the scenario's planned changes happen, then the fault.
-	for _, c := range spec.Faults.Crashes {
-		name := c.Piconet
-		r.s.Schedule(c.At, func() { r.applyCrash(name) })
-	}
-
-	for _, p := range r.pns {
-		if err := p.pn.Start(); err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-	}
-	if err := r.s.Run(spec.Duration); err != nil {
-		return nil, fmt.Errorf("scenario: run: %w", err)
-	}
-	for _, p := range r.pns {
-		if err := p.pn.Err(); err != nil {
-			return nil, fmt.Errorf("scenario: engine %q: %w", p.name, err)
-		}
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("scenario: timeline: %w", r.err)
-	}
-
-	return r.collect(), nil
+	return runShards(spec, piconets, kernelShards(spec, hooks), hooks, workers)
 }
 
 // timelineAddsPiconet reports whether the timeline grows the scatternet.
@@ -1149,32 +1079,13 @@ func (p *piconetRunner) admissionSlice() []AdmissionRecord {
 	return out
 }
 
-// collect assembles the run's result: per-piconet results plus the
-// scatternet-wide rollup. A single-piconet run's rollup is its piconet's
-// result verbatim (byte-identical to the pre-scatternet runner).
-func (r *runner) collect() *Result {
-	elapsed := r.s.Now()
-	res := &Result{
-		Spec:       r.spec,
-		Elapsed:    elapsed,
-		Events:     r.s.Executed(),
-		Admissions: r.admissions,
-	}
-	for _, p := range r.pns {
-		res.Piconets = append(res.Piconets, p.collect(elapsed))
-	}
-	res.Routes = r.collectRoutes(elapsed)
-	Rollup(res)
-	return res
-}
-
 // Rollup derives the scatternet-wide aggregate fields (Flows, SlaveKbps,
 // SCOKbps, Slots, the poll counters and Admitted) from the per-piconet
 // results already in res. A single-piconet run's rollup is its piconet's
 // result verbatim (byte-identical to the pre-scatternet runner), sharing
-// its Flows. Shared by the single-kernel and sharded collectors and by
-// the run cache, which stores only Piconets and rolls up on decode, so
-// the aggregation arithmetic cannot drift between them.
+// its Flows. Shared by the runner's merge and by the run cache, which
+// stores only Piconets and rolls up on decode, so the aggregation
+// arithmetic cannot drift between them.
 func Rollup(res *Result) {
 	if len(res.Piconets) == 1 {
 		pr := res.Piconets[0]

@@ -104,6 +104,22 @@ func withPiconetNames(pns []PiconetSpec) []PiconetSpec {
 	return pns
 }
 
+// validate runs the static checks Run and Unmarshal share, on the
+// defaulted spec (names filled, timeline targets resolved): the same view
+// Run and Canonical act on.
+func (s Spec) validate() error {
+	if err := s.validateScatternet(); err != nil {
+		return err
+	}
+	if err := validateBridges(s); err != nil {
+		return err
+	}
+	if err := validateTimeline(s); err != nil {
+		return err
+	}
+	return validateFaults(s)
+}
+
 // validateScatternet checks the multi-piconet form: flat flow fields must
 // stay empty, names (after positional defaulting) must be unique, and
 // every piconet's flow ids unique.

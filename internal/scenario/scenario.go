@@ -409,10 +409,13 @@ type Result struct {
 	// outcomes (empty for static specs). In scatternet runs every record
 	// names its piconet.
 	Admissions []AdmissionRecord
-	// Routes holds the end-to-end results of the spec's routes, in
-	// declaration order (empty for route-free specs). Per-hop flow rows
-	// appear in Flows/Piconets like ordinary GS flows, labelled with the
-	// route name.
+	// Routes holds the end-to-end results of the routes the run created
+	// (empty for route-free specs). A run in one shard group lists them in
+	// creation order: static routes, then add_route events in the order
+	// they fired. A multi-group run lists them in declaration order:
+	// static routes, then add_route events in timeline slice order.
+	// Per-hop flow rows appear in Flows/Piconets like ordinary GS flows,
+	// labelled with the route name.
 	Routes []RouteResult
 	// Piconets holds the per-piconet results, in creation order. Flat
 	// single-piconet specs carry one entry; the Result-level fields above

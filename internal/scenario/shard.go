@@ -64,7 +64,8 @@ func kernelWorkersFor(n int) int {
 // global machinery that reaches arbitrary piconets — the handoff
 // recovery policy, master crashes (which re-derate every survivor),
 // piconet churn, an unresolved move target, and runtime hooks — forces
-// a single group, which is also the exact legacy single-kernel path.
+// a single group. A single group is one shard run as one epoch on the
+// run seed, so every flat spec keeps its single-kernel results.
 //
 // The partition is a pure function of the (defaulted) spec: it never
 // depends on KernelWorkers, scheduling, or anything outside the spec,
@@ -215,9 +216,9 @@ func timelineShard(spec Spec, groupOf map[string]int, routeShard map[piconet.Flo
 	return 0
 }
 
-// routeOrder lists every route id the run can ever create, in creation
-// order (static routes first, then timeline add_route order) — the
-// deterministic order of the merged Result.Routes table.
+// routeOrder lists every route id the run can ever create, in
+// declaration order (static routes first, then timeline add_route slice
+// order) — the order of a multi-group run's Result.Routes table.
 func routeOrder(spec Spec) []piconet.FlowID {
 	var order []piconet.FlowID
 	seen := make(map[piconet.FlowID]bool)
@@ -238,14 +239,15 @@ func routeOrder(spec Spec) []piconet.FlowID {
 	return order
 }
 
-// runSharded executes a multi-group scenario: one runner — kernel,
-// medium, piconets, routes, admission log — per shard group, driven in
-// lockstep interference-exchange epochs by sim.ShardSet. Every input of
-// every shard (partition, seeds, epoch boundaries, event assignment) is
+// runShards executes a scenario: one runner — kernel, medium, piconets,
+// routes, admission log — per shard group, driven in lockstep
+// interference-exchange epochs by sim.ShardSet. Every input of every
+// shard (partition, seeds, epoch boundaries, event assignment) is
 // derived from the spec alone; `workers` only multiplexes shard
 // execution onto goroutines, so results are byte-identical at any
-// worker count.
-func runSharded(spec Spec, piconets []PiconetSpec, groups [][]string, workers int) (*Result, error) {
+// worker count. One group runs one epoch over the whole horizon on the
+// run seed: a plain Simulator.Run(Duration).
+func runShards(spec Spec, piconets []PiconetSpec, groups [][]string, hooks Hooks, workers int) (*Result, error) {
 	groupOf := make(map[string]int)
 	for g, members := range groups {
 		for _, n := range members {
@@ -295,20 +297,35 @@ func runSharded(spec Spec, piconets []PiconetSpec, groups [][]string, workers in
 		}
 	}
 
-	// Build piconets in spec order, each into its owning shard — the
-	// same construction (and seq-assignment) order a single-group run
-	// uses, restricted to each shard's members.
-	for _, ps := range piconets {
-		if _, err := runners[groupOf[ps.Name]].buildPiconet(ps, Hooks{}, len(piconets)-1); err != nil {
+	// Build piconets in spec order, each into its owning shard, so every
+	// shard assigns kernel seqs in the order its members are declared.
+	for i, ps := range piconets {
+		// Runtime hooks attach to the first piconet only.
+		h := Hooks{}
+		if i == 0 {
+			h = hooks
+		}
+		// Run-start piconets derate against the full planned scatternet,
+		// not the few piconets attached so far: all of them will be
+		// active the moment the run begins.
+		if _, err := runners[groupOf[ps.Name]].buildPiconet(ps, h, len(piconets)-1); err != nil {
 			return nil, err
 		}
 	}
+	// Timeline: each event applies at its simulated time; events sharing
+	// an instant apply in slice order (the kernel is FIFO per instant).
 	for _, ev := range spec.Timeline {
 		ev := ev
 		r := runners[timelineShard(spec, groupOf, routeShard, ev)]
 		r.s.Schedule(ev.At, func() { r.applyEvent(ev) })
 	}
-	// Master crashes force a single group; no crash scheduling here.
+	// Master crashes apply after any timeline events sharing their
+	// instant: the scenario's planned changes happen, then the fault.
+	for _, c := range spec.Faults.Crashes {
+		name := c.Piconet
+		r := runners[groupOf[name]]
+		r.s.Schedule(c.At, func() { r.applyCrash(name) })
+	}
 	for _, r := range runners {
 		for _, p := range r.pns {
 			if err := p.pn.Start(); err != nil {
@@ -320,7 +337,7 @@ func runSharded(spec Spec, piconets []PiconetSpec, groups [][]string, workers in
 	ss := sim.NewShardSet(sims...)
 	epoch := spec.Duration
 	var exchange func(end time.Duration)
-	if spec.Interference.Enabled {
+	if spec.Interference.Enabled && len(runners) > 1 {
 		epoch = interferenceEpoch
 		clears := make([]float64, len(runners))
 		exchange = func(end time.Duration) {
@@ -360,16 +377,16 @@ func runSharded(spec Spec, piconets []PiconetSpec, groups [][]string, workers in
 			return nil, fmt.Errorf("scenario: timeline: %w", r.err)
 		}
 	}
-	return mergeResults(spec, piconets, runners, routeOrder(spec)), nil
+	return mergeResults(spec, groups, runners), nil
 }
 
-// mergeResults assembles the sharded run's Result in spec order:
-// piconets as declared, routes in creation order, and the admission
-// logs of all shards interleaved chronologically (records sharing an
-// instant keep shard order — the merge is stable). Every ordering input
-// is spec-derived, so the merged result is byte-identical at any worker
-// count.
-func mergeResults(spec Spec, piconets []PiconetSpec, runners []*runner, order []piconet.FlowID) *Result {
+// mergeResults assembles the run's Result: the declared piconets in spec
+// order, then add_piconet arrivals in creation order; the admission logs
+// of all shards interleaved chronologically (records sharing an instant
+// keep shard order — the merge is stable); and the route table. No
+// order depends on the worker count, so the merged result is
+// byte-identical at any worker count.
+func mergeResults(spec Spec, groups [][]string, runners []*runner) *Result {
 	end := runners[0].s.Now()
 	res := &Result{Spec: spec, Elapsed: end}
 	for _, r := range runners {
@@ -379,7 +396,7 @@ func mergeResults(spec Spec, piconets []PiconetSpec, runners []*runner, order []
 	sort.SliceStable(res.Admissions, func(i, j int) bool {
 		return res.Admissions[i].At < res.Admissions[j].At
 	})
-	for _, ps := range piconets {
+	for _, ps := range spec.piconetSpecs() {
 		for _, r := range runners {
 			if p, ok := r.byName[ps.Name]; ok {
 				res.Piconets = append(res.Piconets, p.collect(end))
@@ -387,15 +404,28 @@ func mergeResults(spec Spec, piconets []PiconetSpec, runners []*runner, order []
 			}
 		}
 	}
-	byID := make(map[piconet.FlowID]RouteResult)
-	for _, r := range runners {
-		for _, rr := range r.collectRoutes(end) {
-			byID[rr.ID] = rr
+	// Each shard built its declared members first; anything after them
+	// arrived through add_piconet.
+	for g, r := range runners {
+		for _, p := range r.pns[len(groups[g]):] {
+			res.Piconets = append(res.Piconets, p.collect(end))
 		}
 	}
-	for _, id := range order {
-		if rr, ok := byID[id]; ok {
-			res.Routes = append(res.Routes, rr)
+	if len(runners) == 1 {
+		// One group lists routes in creation order, several in
+		// declaration order (routeOrder); unifying them moves results.
+		res.Routes = runners[0].collectRoutes(end)
+	} else {
+		byID := make(map[piconet.FlowID]RouteResult)
+		for _, r := range runners {
+			for _, rr := range r.collectRoutes(end) {
+				byID[rr.ID] = rr
+			}
+		}
+		for _, id := range routeOrder(spec) {
+			if rr, ok := byID[id]; ok {
+				res.Routes = append(res.Routes, rr)
+			}
 		}
 	}
 	Rollup(res)

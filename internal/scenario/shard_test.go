@@ -17,8 +17,7 @@ func (nopTracer) Trace(piconet.TraceEntry) {}
 
 // TestKernelShardsPartition pins the shard-partition rule: unbridged
 // piconets shard apart, bridge/route/move connectivity merges groups,
-// and scatternet-global machinery collapses to a single group (the
-// legacy single-kernel path).
+// and scatternet-global machinery collapses to a single group.
 func TestKernelShardsPartition(t *testing.T) {
 	scatter := func(n int) Spec {
 		return Scatternet(ScatternetConfig{Piconets: n, Duration: time.Second})
@@ -290,4 +289,96 @@ func TestShardedRaceHammer(t *testing.T) {
 			t.Fatalf("iteration %d: report diverged", i)
 		}
 	}
+}
+
+// TestResultOrder pins the order of Result.Piconets and Result.Routes. A
+// one-group run lists mid-run routes in creation order (the order the
+// timeline fired them); a multi-group run lists them in declaration
+// order; add_piconet arrivals follow the declared piconets in creation
+// order.
+func TestResultOrder(t *testing.T) {
+	route := func(id piconet.FlowID, source, bridge string) RouteSpec {
+		return RouteSpec{
+			ID: id, Source: source, Bridges: []string{bridge},
+			Interval: 100 * time.Millisecond, MinSize: 144, MaxSize: 176,
+			DelayTarget: time.Second,
+		}
+	}
+	routeIDs := func(res *Result) []piconet.FlowID {
+		var ids []piconet.FlowID
+		for _, rr := range res.Routes {
+			ids = append(ids, rr.ID)
+		}
+		return ids
+	}
+
+	t.Run("one group lists routes in creation order", func(t *testing.T) {
+		spec := Bridged(BridgedConfig{Hops: 3, Duration: 4 * time.Second})
+		spec.Routes = nil
+		spec.Timeline = []TimelineEvent{
+			AddRouteAt(3*time.Second, route(40, "pn1", "b1")),
+			AddRouteAt(1*time.Second, route(41, "pn2", "b2")),
+		}
+		if groups := kernelShards(spec.WithDefaults(), Hooks{}); len(groups) != 1 {
+			t.Fatalf("kernelShards = %v, want one group", groups)
+		}
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := routeIDs(res), []piconet.FlowID{41, 40}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Routes = %v, want %v", got, want)
+		}
+	})
+
+	t.Run("multi-group lists routes in declaration order", func(t *testing.T) {
+		spec := Bridged(BridgedConfig{Hops: 2, Duration: 4 * time.Second})
+		spec.Routes = nil
+		rename := map[string]string{"pn1": "qn1", "pn2": "qn2"}
+		for _, ps := range spec.Piconets[:2] {
+			ps.Name = rename[ps.Name]
+			spec.Piconets = append(spec.Piconets, ps)
+		}
+		twin := spec.Bridges[0]
+		twin.Name = "c1"
+		twin.Residency = append([]ResidencySpec(nil), twin.Residency...)
+		for i := range twin.Residency {
+			twin.Residency[i].Piconet = rename[twin.Residency[i].Piconet]
+		}
+		spec.Bridges = append(spec.Bridges, twin)
+		spec.Timeline = []TimelineEvent{
+			AddRouteAt(3*time.Second, route(40, "qn1", "c1")),
+			AddRouteAt(1*time.Second, route(41, "pn1", "b1")),
+		}
+		if groups := kernelShards(spec.WithDefaults(), Hooks{}); len(groups) != 2 {
+			t.Fatalf("kernelShards = %v, want two groups", groups)
+		}
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := routeIDs(res), []piconet.FlowID{40, 41}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("Routes = %v, want %v", got, want)
+		}
+	})
+
+	t.Run("add_piconet arrivals follow in creation order", func(t *testing.T) {
+		spec := Scatternet(ScatternetConfig{Piconets: 2, Duration: 3 * time.Second})
+		be := []BEFlow{{ID: 1, Slave: 1, Dir: piconet.Up, RateKbps: 10, PacketSize: 100}}
+		spec.Timeline = append(spec.Timeline,
+			AddPiconetAt(2*time.Second, PiconetSpec{Name: "late", BE: be}),
+			AddPiconetAt(1*time.Second, PiconetSpec{Name: "early", BE: be}),
+		)
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, pr := range res.Piconets {
+			names = append(names, pr.Name)
+		}
+		if want := []string{"pn1", "pn2", "early", "late"}; !reflect.DeepEqual(names, want) {
+			t.Fatalf("Piconets = %v, want %v", names, want)
+		}
+	})
 }

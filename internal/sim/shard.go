@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 )
 
@@ -37,6 +38,19 @@ type mailPost struct {
 	dst int
 	at  Time
 	fn  Handler
+}
+
+// PanicError is the error RunEpochs reports for a shard whose handler
+// panicked: the shard index, the panic value, and the panicking
+// goroutine's stack, captured before the recover unwinds it.
+type PanicError struct {
+	Shard int
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: shard %d panicked: %v", e.Shard, e.Value)
 }
 
 // NewShardSet groups the given simulators into a shard set. The slice
@@ -88,7 +102,7 @@ func (ss *ShardSet) drainMail(end Time) {
 // non-nil) single-threaded with every shard clock at the boundary.
 //
 // The returned slice holds one error per shard: ErrStopped for shards
-// that called Stop, a wrapped panic for shards whose handlers panicked.
+// that called Stop, a *PanicError for shards whose handlers panicked.
 // The first epoch in which any shard fails is the last epoch run — the
 // surviving shards still complete it (the barrier is the abort point,
 // keeping the set of fired events independent of the worker count).
@@ -107,7 +121,7 @@ func (ss *ShardSet) RunEpochs(horizon, epoch Time, workers int, exchange func(en
 	runShard := func(i int, end Time) {
 		defer func() {
 			if r := recover(); r != nil {
-				errs[i] = fmt.Errorf("sim: shard %d panicked: %v", i, r)
+				errs[i] = &PanicError{Shard: i, Value: r, Stack: debug.Stack()}
 			}
 		}()
 		if errs[i] == nil {

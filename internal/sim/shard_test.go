@@ -166,7 +166,8 @@ func TestShardSetExchangeBarrier(t *testing.T) {
 }
 
 // TestShardSetPanicContained: a panicking handler fails its own shard
-// with a wrapped error; the other shards finish the epoch normally.
+// with a *PanicError carrying the value and stack; the other shards
+// finish the epoch normally.
 func TestShardSetPanicContained(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		a, b := New(), New()
@@ -174,8 +175,12 @@ func TestShardSetPanicContained(t *testing.T) {
 		a.Schedule(10*time.Millisecond, func() { panic("boom") })
 		b.Schedule(20*time.Millisecond, func() { fired = true })
 		errs := NewShardSet(a, b).RunEpochs(50*time.Millisecond, 25*time.Millisecond, workers, nil)
-		if errs[0] == nil || !strings.Contains(errs[0].Error(), "panicked") {
+		var pe *PanicError
+		if !errors.As(errs[0], &pe) || pe.Shard != 0 || pe.Value != "boom" {
 			t.Fatalf("workers=%d: shard 0 error = %v, want contained panic", workers, errs[0])
+		}
+		if len(pe.Stack) == 0 {
+			t.Fatalf("workers=%d: contained panic lost its stack", workers)
 		}
 		if errs[1] != nil {
 			t.Fatalf("workers=%d: shard 1 error = %v, want nil", workers, errs[1])
