@@ -123,9 +123,10 @@ type Lease struct {
 }
 
 // LeaseRun is one run of a lease: its position in the coordinator's
-// current sweep and the complete scenario, marshaled with the v2 codec
-// (fingerprint-preserving, so the worker computes the identical cache
-// key — no grid registry needed on the worker side).
+// current sweep and the complete scenario, marshaled with the v2 codec.
+// The cache key is a hash of that same codec's normalized JSON, so the
+// worker derives the identical key from the decoded spec — no grid
+// registry needed on the worker side.
 type LeaseRun struct {
 	Index int             `json:"index"`
 	Cell  string          `json:"cell"`

@@ -209,7 +209,8 @@ func NewRunCache(cfg CacheConfig) (*RunCache, error) {
 }
 
 // CacheKey returns the content address of a run: the SHA-256 over the
-// cache salt and the spec's canonical rendering, hex encoded. Every
+// cache salt and the spec's canonical rendering (scenario.Spec.Canonical,
+// the normalized v2 JSON of the spec), hex encoded. Every
 // party of a distributed sweep — caches, fabric coordinator, workers —
 // derives keys through this one function, which is what makes results
 // location-independent.

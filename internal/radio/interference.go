@@ -168,21 +168,7 @@ func (a *Activity) Utilization(now time.Duration) float64 { return a.utilization
 // collisionProb is the probability that a packet of piconet self collides
 // with any concurrently transmitting co-located piconet.
 func (m *Medium) collisionProb(self *Activity, now time.Duration) float64 {
-	clear := m.foreignClear
-	c := float64(m.channels)
-	for _, a := range m.piconets {
-		if a == self || !a.active {
-			continue
-		}
-		q := a.utilization(now)
-		if a.busyUntil > now {
-			// The piconet is on air right now: it occupies exactly one
-			// (unknown) hop channel for the overlap.
-			q = 1
-		}
-		clear *= 1 - q/c
-	}
-	return 1 - clear
+	return 1 - m.clearProduct(m.foreignClear, self, now)
 }
 
 // ClearFactor returns the clear-channel product ∏ (1 − q_j/C) over this
@@ -194,14 +180,21 @@ func (m *Medium) collisionProb(self *Activity, now time.Duration) float64 {
 // fully occupying one hop channel (q = 1), exactly as a live reader at
 // that instant would see them.
 func (m *Medium) ClearFactor(now time.Duration) float64 {
-	clear := 1.0
+	return m.clearProduct(1, nil, now)
+}
+
+// clearProduct multiplies clear by (1 − q_j/C) for every active piconet
+// except skip (nil skips none), in attach order.
+func (m *Medium) clearProduct(clear float64, skip *Activity, now time.Duration) float64 {
 	c := float64(m.channels)
 	for _, a := range m.piconets {
-		if !a.active {
+		if a == skip || !a.active {
 			continue
 		}
 		q := a.utilization(now)
 		if a.busyUntil > now {
+			// The piconet is on air right now: it occupies exactly one
+			// (unknown) hop channel for the overlap.
 			q = 1
 		}
 		clear *= 1 - q/c

@@ -168,16 +168,9 @@ type routeHop struct {
 // schedules: the traversed path, each hop's flow endpoint, its share of the
 // end-to-end budget, and its residency derate. Expects the defaulted view.
 func (s Spec) routeHops(rt RouteSpec) ([]routeHop, error) {
-	src := rt.Source
-	if src == "" {
-		src = s.defaultPiconetName()
-	}
-	target := rt.DelayTarget
-	if target <= 0 {
-		target = s.DelayTarget
-	}
+	target, cur := rt.DelayTarget, rt.Source
 	if len(rt.Bridges) == 0 {
-		return []routeHop{{Piconet: src, Slave: rt.Slave, Dir: rt.Dir, Duty: 1, Target: target}}, nil
+		return []routeHop{{Piconet: cur, Slave: rt.Slave, Dir: rt.Dir, Duty: 1, Target: target}}, nil
 	}
 	n := len(rt.Bridges) + 1
 	budgets := admission.SplitBudget(target, n)
@@ -188,7 +181,6 @@ func (s Spec) routeHops(rt RouteSpec) ([]routeHop, error) {
 		}
 	}
 	hops := make([]routeHop, 0, n)
-	cur := src
 	for i, name := range rt.Bridges {
 		br, ok := s.bridgeByName(name)
 		if !ok {
@@ -345,12 +337,8 @@ func (s Spec) validateRoute(rt RouteSpec, pns map[string]bool, ids map[piconet.F
 	if ids[rt.ID] {
 		return fmt.Errorf("%w: duplicate route id %d", ErrBadSpec, rt.ID)
 	}
-	src := rt.Source
-	if src == "" {
-		src = s.defaultPiconetName()
-	}
-	if !pns[src] {
-		return fmt.Errorf("%w: route %d: unknown source piconet %q", ErrBadSpec, rt.ID, src)
+	if !pns[rt.Source] {
+		return fmt.Errorf("%w: route %d: unknown source piconet %q", ErrBadSpec, rt.ID, rt.Source)
 	}
 	if len(rt.Bridges) == 0 {
 		if rt.Slave < 1 || rt.Slave > 7 {

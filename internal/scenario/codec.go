@@ -365,6 +365,23 @@ func marshalPiconet(ps PiconetSpec) piconetV2 {
 // and round-trips: Unmarshal(Marshal(spec)) is fingerprint-identical to
 // spec.
 func Marshal(spec Spec) ([]byte, error) {
+	fs, err := toV2(spec)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(fs); err != nil {
+		return nil, fmt.Errorf("scenario: marshal: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// toV2 builds the v2 file form of a spec: the one rendering shared by
+// Marshal and Canonical, so the omit-when-absent rules (here and in the
+// omitempty tags above) are written once.
+func toV2(spec Spec) (specV2, error) {
 	fs := specV2{
 		Format:              FormatV2,
 		Name:                spec.Name,
@@ -426,7 +443,7 @@ func Marshal(spec Spec) ([]byte, error) {
 	}
 	if spec.Recovery != (RecoverySpec{}) {
 		if !spec.Recovery.Policy.Valid() {
-			return nil, fmt.Errorf("%w: recovery policy %q", ErrBadSpec, spec.Recovery.Policy)
+			return specV2{}, fmt.Errorf("%w: recovery policy %q", ErrBadSpec, spec.Recovery.Policy)
 		}
 		fs.Recovery = &recoveryV2{
 			Supervision:   spec.Recovery.Supervision,
@@ -442,7 +459,7 @@ func Marshal(spec Spec) ([]byte, error) {
 	case core.VariableInterval:
 		fs.Mode = "variable"
 	default:
-		return nil, fmt.Errorf("%w: mode %v", ErrBadSpec, spec.Mode)
+		return specV2{}, fmt.Errorf("%w: mode %v", ErrBadSpec, spec.Mode)
 	}
 	if spec.RulesSet {
 		rules := spec.Rules.String()
@@ -470,7 +487,7 @@ func Marshal(spec Spec) ([]byte, error) {
 	}
 	for i, ev := range spec.Timeline {
 		if ev.ops() != 1 {
-			return nil, fmt.Errorf("%w: timeline[%d] sets %d operations", ErrBadSpec, i, ev.ops())
+			return specV2{}, fmt.Errorf("%w: timeline[%d] sets %d operations", ErrBadSpec, i, ev.ops())
 		}
 		out := timelineEvtV2{At: ev.At.String(), Piconet: ev.Piconet}
 		switch {
@@ -505,13 +522,7 @@ func Marshal(spec Spec) ([]byte, error) {
 		}
 		fs.Timeline = append(fs.Timeline, out)
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(fs); err != nil {
-		return nil, fmt.Errorf("scenario: marshal: %w", err)
-	}
-	return buf.Bytes(), nil
+	return fs, nil
 }
 
 // unmarshalSize resolves a size distribution into its [min, max] support.

@@ -222,7 +222,7 @@ func (p *piconetRunner) applyDegrade(id piconet.FlowID, slave piconet.SlaveID) {
 			Slave:   g.Slave,
 			Dir:     g.Dir,
 			Spec:    g.Spec(),
-			Allowed: p.allowedFor(g.Allowed),
+			Allowed: p.r.spec.allowedFor(g.Allowed),
 		},
 		Target: target,
 	})
@@ -305,7 +305,7 @@ func (p *piconetRunner) applyHandoff(id piconet.FlowID, to string, suspended boo
 			Slave:   g.Slave,
 			Dir:     g.Dir,
 			Spec:    g.Spec(),
-			Allowed: q.allowedFor(g.Allowed),
+			Allowed: q.r.spec.allowedFor(g.Allowed),
 		},
 		Target: r.spec.DelayTarget,
 	})
@@ -316,7 +316,7 @@ func (p *piconetRunner) applyHandoff(id piconet.FlowID, to string, suspended boo
 	if r.err = q.addSlave(g.Slave); r.err == nil {
 		if r.err = q.pn.AddFlow(piconet.FlowConfig{
 			ID: id, Slave: g.Slave, Dir: g.Dir,
-			Class: piconet.Guaranteed, Allowed: q.allowedFor(g.Allowed),
+			Class: piconet.Guaranteed, Allowed: q.r.spec.allowedFor(g.Allowed),
 		}); r.err == nil {
 			if r.err = q.sched.Replan(q.ctrl.Flows()); r.err == nil {
 				q.noteBounds()

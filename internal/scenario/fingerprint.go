@@ -3,8 +3,8 @@ package scenario
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"bluegs/internal/baseband"
@@ -18,8 +18,9 @@ import (
 // fingerprints can never alias new ones. v2 renders the declarative radio
 // spec and the timeline; v3 adds the scatternet axis: piconet arrays,
 // interference parameters, batched traffic and piconet-addressed timeline
-// events; v4 adds the interference-aware admission knobs (derating).
-const canonicalVersion = "spec-canon/v4"
+// events; v4 adds the interference-aware admission knobs (derating); v5
+// replaces the hand-written text form with the normalized v2 codec JSON.
+const canonicalVersion = "spec-canon/v5"
 
 // WithDefaults returns the spec with every zero field replaced by the
 // default scenario.Run would apply. Run itself uses it, so a spec and its
@@ -146,130 +147,38 @@ func (s Spec) WithDefaults() Spec {
 	return s
 }
 
-// Canonical renders every semantically relevant field of the spec into a
-// deterministic text form: two specs produce the same string exactly when
-// they describe the same simulation (after defaulting). The rendering is
-// the input of Fingerprint and therefore of the harness run cache.
+// Canonical renders the spec for content addressing: the version line,
+// then the compact v2 JSON (see Marshal) of the defaulted spec with its
+// report labels — Spec.Name and route names — stripped. Two specs render
+// identically exactly when they describe the same simulation (after
+// defaulting). The rendering is the input of Fingerprint and therefore of
+// the harness run cache. Runtime hooks (tracers, live radio model
+// instances) never live on the Spec, and KernelWorkers stays outside the
+// codec, so neither enters the rendering.
 //
-// Excluded on purpose: Name, a report label. Runtime hooks (tracers, live
-// radio model instances) no longer live on the Spec at all — hooked runs
-// bypass the cache by construction. The declarative radio spec and the
-// full timeline are rendered field by field.
+// Canonical is total: a spec the codec refuses (a bad mode or recovery
+// policy, a timeline event with several operations, a NaN or infinite
+// parameter) renders the error after the version line. RunWith refuses
+// such specs, so no result is ever stored under that rendering.
 func (s Spec) Canonical() string {
-	s = s.WithDefaults()
-	var b strings.Builder
-	fmt.Fprintln(&b, canonicalVersion)
-	fmt.Fprintf(&b, "target=%d mode=%d rules=%d/%t poller=%q pfp=%g\n",
-		int64(s.DelayTarget), int(s.Mode), uint64(s.Rules), s.RulesSet,
-		string(s.BEPoller), s.PFPThreshold)
-	fmt.Fprintf(&b, "allowed=%d dur=%d seed=%d arq=%t recovery=%t nopiggy=%t diraware=%t\n",
-		uint64(s.Allowed), int64(s.Duration), s.Seed,
-		s.ARQ, s.LossRecovery, s.WithoutPiggybacking, s.DirectionAware)
-	fmt.Fprintf(&b, "radio=%s\n", s.Radio.canonical())
-	fmt.Fprintf(&b, "batch=%t interference=%t ch=%d win=%d iaa=%t derate=%g\n",
-		s.BatchTraffic, s.Interference.Enabled, s.Interference.Channels,
-		int64(s.Interference.Window), s.InterferenceAwareAdmission, s.AdmissionDerate)
-	// Fault plan and recovery render only when present, so fault-free
-	// specs keep their pre-fault fingerprints (and cache entries move only
-	// via the code-version salt).
-	for _, o := range s.Faults.Outages {
-		fmt.Fprintf(&b, "fault-outage pn=%q slave=%d start=%d end=%d\n",
-			o.Piconet, uint64(o.Slave), int64(o.Start), int64(o.End))
-	}
-	for _, d := range s.Faults.Departures {
-		fmt.Fprintf(&b, "fault-depart pn=%q slave=%d at=%d return=%d\n",
-			d.Piconet, uint64(d.Slave), int64(d.At), int64(d.ReturnAt))
-	}
-	for _, c := range s.Faults.Crashes {
-		fmt.Fprintf(&b, "fault-crash pn=%q at=%d\n", c.Piconet, int64(c.At))
-	}
-	if s.Recovery != (RecoverySpec{}) {
-		fmt.Fprintf(&b, "recovery sup=%d policy=%q degrade=%g target=%q\n",
-			s.Recovery.Supervision, string(s.Recovery.Policy),
-			s.Recovery.DegradeFactor, s.Recovery.HandoffTarget)
-	}
-	// Bridges and routes render only when present, like the fault plan, so
-	// bridge-free specs keep their pre-bridge fingerprints byte-identically.
-	for _, br := range s.Bridges {
-		fmt.Fprintf(&b, "bridge name=%q period=%d\n", br.Name, int64(br.Period))
-		for _, rs := range br.Residency {
-			fmt.Fprintf(&b, "bridge-res pn=%q slave=%d start=%d end=%d\n",
-				rs.Piconet, uint64(rs.Slave), int64(rs.Start), int64(rs.End))
+	fs, err := toV2(s.WithDefaults())
+	var data []byte
+	if err == nil {
+		fs.Name = ""
+		for i := range fs.Routes {
+			fs.Routes[i].Name = ""
 		}
-	}
-	// Route names are report labels (like Spec.Name) and stay excluded.
-	canonRoute := func(prefix string, at time.Duration, rt RouteSpec) {
-		fmt.Fprintf(&b, "%s id=%d src=%q via=%q slave=%d dir=%d ival=%d min=%d max=%d phase=%d allowed=%d target=%d naive=%t at=%d\n",
-			prefix, uint64(rt.ID), rt.Source, strings.Join(rt.Bridges, ","),
-			uint64(rt.Slave), int(rt.Dir), int64(rt.Interval), rt.MinSize, rt.MaxSize,
-			int64(rt.Phase), uint64(rt.Allowed), int64(rt.DelayTarget), rt.Naive, int64(at))
-	}
-	for _, rt := range s.Routes {
-		canonRoute("route", 0, rt)
-	}
-	canonGS := func(prefix string, at time.Duration, g GSFlow) {
-		fmt.Fprintf(&b, "%s id=%d slave=%d dir=%d ival=%d min=%d max=%d phase=%d allowed=%d at=%d\n",
-			prefix, uint64(g.ID), uint64(g.Slave), int(g.Dir), int64(g.Interval),
-			g.MinSize, g.MaxSize, int64(g.Phase), uint64(g.Allowed), int64(at))
-	}
-	canonBE := func(prefix string, at time.Duration, f BEFlow) {
-		fmt.Fprintf(&b, "%s id=%d slave=%d dir=%d rate=%g size=%d phase=%d allowed=%d at=%d\n",
-			prefix, uint64(f.ID), uint64(f.Slave), int(f.Dir), f.RateKbps,
-			f.PacketSize, int64(f.Phase), uint64(f.Allowed), int64(at))
-	}
-	canonPiconet := func(ps PiconetSpec) {
-		for _, g := range ps.GS {
-			canonGS("gs", 0, g)
+		for _, ev := range fs.Timeline {
+			if ev.AddRoute != nil {
+				ev.AddRoute.Name = ""
+			}
 		}
-		for _, f := range ps.BE {
-			canonBE("be", 0, f)
-		}
-		for _, l := range ps.SCO {
-			fmt.Fprintf(&b, "sco slave=%d type=%d\n", uint64(l.Slave), int(l.Type))
-		}
+		data, err = json.Marshal(fs)
 	}
-	if s.scatternet() {
-		for _, ps := range s.Piconets {
-			fmt.Fprintf(&b, "piconet name=%q\n", ps.Name)
-			canonPiconet(ps)
-		}
-	} else {
-		// Flat specs render without a piconet header; a one-piconet
-		// scatternet spec is the same simulation but a distinct content
-		// address (its flows are piconet-addressed in the result).
-		canonPiconet(PiconetSpec{GS: s.GS, BE: s.BE, SCO: s.SCO})
+	if err != nil {
+		return canonicalVersion + "\nerror: " + err.Error()
 	}
-	for _, ev := range s.Timeline {
-		switch {
-		case ev.AddGS != nil:
-			canonGS(fmt.Sprintf("tl-add-gs pn=%q", ev.Piconet), ev.At, *ev.AddGS)
-		case ev.AddBE != nil:
-			canonBE(fmt.Sprintf("tl-add-be pn=%q", ev.Piconet), ev.At, *ev.AddBE)
-		case ev.Remove != piconet.None:
-			fmt.Fprintf(&b, "tl-remove pn=%q id=%d at=%d\n", ev.Piconet, uint64(ev.Remove), int64(ev.At))
-		case ev.AddSCO != nil:
-			fmt.Fprintf(&b, "tl-add-sco pn=%q slave=%d type=%d at=%d\n",
-				ev.Piconet, uint64(ev.AddSCO.Slave), int(ev.AddSCO.Type), int64(ev.At))
-		case ev.DropSCO != 0:
-			fmt.Fprintf(&b, "tl-drop-sco pn=%q slave=%d at=%d\n", ev.Piconet, uint64(ev.DropSCO), int64(ev.At))
-		case ev.AddPiconet != nil:
-			fmt.Fprintf(&b, "tl-add-piconet name=%q at=%d\n", ev.AddPiconet.Name, int64(ev.At))
-			canonPiconet(*ev.AddPiconet)
-		case ev.RemovePiconet != "":
-			fmt.Fprintf(&b, "tl-remove-piconet name=%q at=%d\n", ev.RemovePiconet, int64(ev.At))
-		case ev.Move != nil:
-			fmt.Fprintf(&b, "tl-move pn=%q id=%d to=%q at=%d\n",
-				ev.Piconet, uint64(ev.Move.Flow), ev.Move.To, int64(ev.At))
-		case ev.AddRoute != nil:
-			canonRoute("tl-add-route", ev.At, *ev.AddRoute)
-		case ev.RemoveRoute != piconet.None:
-			fmt.Fprintf(&b, "tl-remove-route id=%d at=%d\n", uint64(ev.RemoveRoute), int64(ev.At))
-		case ev.Renegotiate != nil:
-			fmt.Fprintf(&b, "tl-renegotiate pn=%q id=%d target=%d at=%d\n",
-				ev.Piconet, uint64(ev.Renegotiate.Flow), int64(ev.Renegotiate.Target), int64(ev.At))
-		}
-	}
-	return b.String()
+	return canonicalVersion + "\n" + string(data)
 }
 
 // Fingerprint is the SHA-256 of the canonical rendering, hex encoded: a

@@ -65,15 +65,3 @@ func (r RadioSpec) Model() (radio.Model, error) {
 		return nil, fmt.Errorf("%w: unknown radio kind %q", ErrBadSpec, r.Kind)
 	}
 }
-
-// canonical renders the spec for fingerprinting: the kind normalised and
-// every parameter pinned, so two RadioSpecs render identically exactly
-// when they construct equivalent models.
-func (r RadioSpec) canonical() string {
-	kind := r.Kind
-	if kind == "" {
-		kind = RadioIdeal
-	}
-	return fmt.Sprintf("kind=%q ber=%g fec=%g gb=%g bg=%g gl=%g bl=%g",
-		kind, r.BER, r.FECGain, r.PGoodToBad, r.PBadToGood, r.GoodLoss, r.BadLoss)
-}

@@ -156,7 +156,7 @@ func (p *piconetRunner) hopRequest(rt *routeState, h routeHop) admission.DelayRe
 			Slave:        h.Slave,
 			Dir:          h.Dir,
 			Spec:         rt.spec.Spec(),
-			Allowed:      p.allowedFor(rt.spec.Allowed),
+			Allowed:      p.r.spec.allowedFor(rt.spec.Allowed),
 			SuccessScale: h.Scale,
 		},
 		Target: h.Target,
@@ -170,7 +170,7 @@ func (p *piconetRunner) installHop(rt *routeState, h routeHop) error {
 	}
 	if err := p.pn.AddFlow(piconet.FlowConfig{
 		ID: rt.spec.ID, Slave: h.Slave, Dir: h.Dir,
-		Class: piconet.Guaranteed, Allowed: p.allowedFor(rt.spec.Allowed),
+		Class: piconet.Guaranteed, Allowed: p.r.spec.allowedFor(rt.spec.Allowed),
 	}); err != nil {
 		return err
 	}

@@ -31,8 +31,6 @@ type runner struct {
 	// from timeline events.
 	pns    []*piconetRunner
 	byName map[string]*piconetRunner
-	// defaultName resolves timeline events with an empty Piconet field.
-	defaultName string
 	// fsched is the compiled fault plan: per-piconet link-outage oracles
 	// and master-crash instants (empty, never nil, without faults).
 	fsched *faults.Schedule
@@ -206,7 +204,7 @@ func (r *runner) buildPiconet(ps PiconetSpec, hooks Hooks, others int) (*piconet
 				Slave:   g.Slave,
 				Dir:     g.Dir,
 				Spec:    g.Spec(),
-				Allowed: p.allowedFor(g.Allowed),
+				Allowed: spec.allowedFor(g.Allowed),
 			},
 			Target: spec.DelayTarget,
 		})
@@ -289,7 +287,7 @@ func (r *runner) buildPiconet(ps PiconetSpec, hooks Hooks, others int) (*piconet
 		}
 		if err := pn.AddFlow(piconet.FlowConfig{
 			ID: g.ID, Slave: g.Slave, Dir: g.Dir,
-			Class: piconet.Guaranteed, Allowed: p.allowedFor(g.Allowed),
+			Class: piconet.Guaranteed, Allowed: spec.allowedFor(g.Allowed),
 		}); err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
@@ -306,7 +304,7 @@ func (r *runner) buildPiconet(ps PiconetSpec, hooks Hooks, others int) (*piconet
 		}
 		if err := pn.AddFlow(piconet.FlowConfig{
 			ID: b.ID, Slave: b.Slave, Dir: b.Dir,
-			Class: piconet.BestEffort, Allowed: p.allowedFor(b.Allowed),
+			Class: piconet.BestEffort, Allowed: spec.allowedFor(b.Allowed),
 		}); err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
@@ -369,11 +367,11 @@ func (r *runner) buildPiconet(ps PiconetSpec, hooks Hooks, others int) (*piconet
 }
 
 // allowedFor resolves a flow's baseband type set against the spec default.
-func (p *piconetRunner) allowedFor(override baseband.TypeSet) baseband.TypeSet {
+func (s Spec) allowedFor(override baseband.TypeSet) baseband.TypeSet {
 	if !override.Empty() {
 		return override
 	}
-	return p.r.spec.Allowed
+	return s.Allowed
 }
 
 // addSlave registers a slave once across static setup and timeline.
@@ -492,12 +490,6 @@ func (p *piconetRunner) attachBurstSource(flow piconet.FlowID, gen traffic.Burst
 // disabled the paper's conservative assumption applies: any flow's
 // exchange may carry maximal segments both ways.
 func maxExchange(spec Spec, ps PiconetSpec) time.Duration {
-	allowedFor := func(override baseband.TypeSet) baseband.TypeSet {
-		if !override.Empty() {
-			return override
-		}
-		return spec.Allowed
-	}
 	type legs struct{ down, up int }
 	perSlave := map[piconet.SlaveID]*legs{}
 	visit := func(slave piconet.SlaveID, dir piconet.Direction, allowed baseband.TypeSet, conservative bool) {
@@ -525,13 +517,13 @@ func maxExchange(spec Spec, ps PiconetSpec) time.Duration {
 		}
 	}
 	visitGS := func(g GSFlow) {
-		visit(g.Slave, g.Dir, allowedFor(g.Allowed), !spec.DirectionAware)
+		visit(g.Slave, g.Dir, spec.allowedFor(g.Allowed), !spec.DirectionAware)
 	}
 	visitBE := func(b BEFlow) {
 		// Best-effort exchanges serve whatever is queued each way, so
 		// the legs are direction-specific regardless of the admission
 		// mode.
-		visit(b.Slave, b.Dir, allowedFor(b.Allowed), false)
+		visit(b.Slave, b.Dir, spec.allowedFor(b.Allowed), false)
 	}
 	for _, g := range ps.GS {
 		visitGS(g)
@@ -547,33 +539,27 @@ func maxExchange(spec Spec, ps PiconetSpec) time.Duration {
 		}
 		for _, h := range hops {
 			if h.Piconet == ps.Name {
-				visit(h.Slave, h.Dir, allowedFor(rt.Allowed), !spec.DirectionAware)
+				visit(h.Slave, h.Dir, spec.allowedFor(rt.Allowed), !spec.DirectionAware)
 			}
 		}
 	}
 	for _, rt := range spec.Routes {
 		visitRoute(rt)
 	}
-	def := spec.defaultPiconetName()
 	for _, ev := range spec.Timeline {
 		// Timeline arrivals targeting this piconet are folded in
 		// conservatively: Xi must cover any exchange that can occur at
-		// any point of the run.
-		target := ev.Piconet
-		if target == "" {
-			target = def
-		}
-		// A move_flow whose destination is (or may be) this piconet
-		// brings the moved flow's exchange here.
-		if ev.Move != nil && target != ps.Name {
+		// any point of the run. A move_flow whose destination is (or may
+		// be) this piconet brings the moved flow's exchange here.
+		if ev.Move != nil && ev.Piconet != ps.Name {
 			if ev.Move.To == ps.Name || ev.Move.To == "" {
-				if g, ok := spec.findGS(target, ev.Move.Flow); ok {
+				if g, ok := spec.findGS(ev.Piconet, ev.Move.Flow); ok {
 					visitGS(g)
 				}
 			}
 			continue
 		}
-		if target != ps.Name {
+		if ev.Piconet != ps.Name {
 			continue
 		}
 		if ev.AddGS != nil {
@@ -633,14 +619,9 @@ func (s Spec) findGS(pnName string, id piconet.FlowID) (GSFlow, bool) {
 			}
 		}
 	}
-	def := s.defaultPiconetName()
 	for _, ev := range s.Timeline {
 		if ev.AddGS != nil {
-			target := ev.Piconet
-			if target == "" {
-				target = def
-			}
-			if target == pnName && ev.AddGS.ID == id {
+			if ev.Piconet == pnName && ev.AddGS.ID == id {
 				return *ev.AddGS, true
 			}
 		}
@@ -654,11 +635,7 @@ func (s Spec) findGS(pnName string, id piconet.FlowID) (GSFlow, bool) {
 	}
 	for _, ev := range s.Timeline {
 		if ev.Move != nil && ev.Move.Flow == id && ev.Move.To == pnName {
-			source := ev.Piconet
-			if source == "" {
-				source = def
-			}
-			if g, ok := s.findGS(source, id); ok {
+			if g, ok := s.findGS(ev.Piconet, id); ok {
 				return g, true
 			}
 		}
@@ -709,9 +686,6 @@ func (r *runner) applyEvent(ev TimelineEvent) {
 		r.applyRemoveRoute(ev.RemoveRoute)
 	default:
 		target := ev.Piconet
-		if target == "" {
-			target = r.defaultName
-		}
 		p, ok := r.byName[target]
 		switch {
 		case !ok:
@@ -861,7 +835,7 @@ func (p *piconetRunner) applyAddGS(g GSFlow) {
 			Slave:   g.Slave,
 			Dir:     g.Dir,
 			Spec:    g.Spec(),
-			Allowed: p.allowedFor(g.Allowed),
+			Allowed: p.r.spec.allowedFor(g.Allowed),
 		},
 		Target: r.spec.DelayTarget,
 	})
@@ -874,7 +848,7 @@ func (p *piconetRunner) applyAddGS(g GSFlow) {
 	}
 	if r.err = p.pn.AddFlow(piconet.FlowConfig{
 		ID: g.ID, Slave: g.Slave, Dir: g.Dir,
-		Class: piconet.Guaranteed, Allowed: p.allowedFor(g.Allowed),
+		Class: piconet.Guaranteed, Allowed: p.r.spec.allowedFor(g.Allowed),
 	}); r.err != nil {
 		return
 	}
@@ -899,7 +873,7 @@ func (p *piconetRunner) applyAddBE(b BEFlow) {
 	}
 	if r.err = p.pn.AddFlow(piconet.FlowConfig{
 		ID: b.ID, Slave: b.Slave, Dir: b.Dir,
-		Class: piconet.BestEffort, Allowed: p.allowedFor(b.Allowed),
+		Class: piconet.BestEffort, Allowed: p.r.spec.allowedFor(b.Allowed),
 	}); r.err != nil {
 		return
 	}

@@ -2,10 +2,13 @@ package scenario
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"time"
 
 	"bluegs/internal/admission"
 	"bluegs/internal/baseband"
+	"bluegs/internal/core"
 	"bluegs/internal/piconet"
 	"bluegs/internal/radio"
 )
@@ -108,6 +111,12 @@ func withPiconetNames(pns []PiconetSpec) []PiconetSpec {
 // defaulted spec (names filled, timeline targets resolved): the same view
 // Run and Canonical act on.
 func (s Spec) validate() error {
+	if s.Mode != core.FixedInterval && s.Mode != core.VariableInterval {
+		return fmt.Errorf("%w: mode %v", ErrBadSpec, s.Mode)
+	}
+	if !finite(reflect.ValueOf(s)) {
+		return fmt.Errorf("%w: NaN or infinite parameter", ErrBadSpec)
+	}
 	if err := s.validateScatternet(); err != nil {
 		return err
 	}
@@ -118,6 +127,30 @@ func (s Spec) validate() error {
 		return err
 	}
 	return validateFaults(s)
+}
+
+// finite reports whether every float in v is a number. NaN and ±Inf have
+// no JSON form, so the codec, and with it Canonical, cannot encode them.
+func finite(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Float64:
+		return !math.IsNaN(v.Float()) && !math.IsInf(v.Float(), 0)
+	case reflect.Pointer:
+		return v.IsNil() || finite(v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !finite(v.Field(i)) {
+				return false
+			}
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if !finite(v.Index(i)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // validateScatternet checks the multi-piconet form: flat flow fields must

@@ -133,7 +133,6 @@ func kernelShards(spec Spec, hooks Hooks) [][]string {
 	for _, rt := range spec.Routes {
 		routeEdges(rt)
 	}
-	def := spec.defaultPiconetName()
 	for _, ev := range spec.Timeline {
 		switch {
 		case ev.AddPiconet != nil || ev.RemovePiconet != "":
@@ -143,15 +142,11 @@ func kernelShards(spec Spec, hooks Hooks) [][]string {
 		case ev.AddRoute != nil:
 			routeEdges(*ev.AddRoute)
 		case ev.Move != nil:
-			src := ev.Piconet
-			if src == "" {
-				src = def
-			}
 			if ev.Move.To == "" {
 				// "First other live piconet" can resolve to any of them.
 				unionAll = true
 			} else {
-				union(src, ev.Move.To)
+				union(ev.Piconet, ev.Move.To)
 			}
 		}
 	}
@@ -206,11 +201,7 @@ func timelineShard(spec Spec, groupOf map[string]int, routeShard map[piconet.Flo
 		}
 		return 0
 	}
-	target := ev.Piconet
-	if target == "" {
-		target = spec.defaultPiconetName()
-	}
-	if g, ok := groupOf[target]; ok {
+	if g, ok := groupOf[ev.Piconet]; ok {
 		return g
 	}
 	return 0
@@ -258,10 +249,9 @@ func runShards(spec Spec, piconets []PiconetSpec, groups [][]string, hooks Hooks
 	sims := make([]*sim.Simulator, len(groups))
 	for g := range groups {
 		r := &runner{
-			spec:        spec,
-			s:           sim.New(sim.WithSeed(shardSeed(spec.Seed, g))),
-			byName:      make(map[string]*piconetRunner),
-			defaultName: spec.defaultPiconetName(),
+			spec:   spec,
+			s:      sim.New(sim.WithSeed(shardSeed(spec.Seed, g))),
+			byName: make(map[string]*piconetRunner),
 			// Compiled per shard (cheap, pure) so no oracle state is
 			// shared across worker goroutines.
 			fsched: spec.Faults.Compile(),

@@ -336,7 +336,6 @@ func validateTimeline(spec Spec) error {
 	// runtime question (recorded as a rejection, like a full piconet
 	// refusing a flow) — what validation rejects is a name that can
 	// never exist.
-	def := spec.defaultPiconetName()
 	known := make(map[string]map[piconet.FlowID]bool)
 	for _, ps := range spec.piconetSpecs() {
 		known[ps.Name] = ps.flowIDSet()
@@ -410,11 +409,8 @@ func validateTimeline(spec Spec) error {
 			}
 			continue
 		}
-		// Flow and SCO operations: resolve the target piconet.
+		// Flow and SCO operations: WithDefaults resolved the target.
 		target := ev.Piconet
-		if target == "" {
-			target = def
-		}
 		flows, ok := known[target]
 		if !ok {
 			return fmt.Errorf("%w: timeline[%d] targets unknown piconet %q", ErrBadSpec, i, target)
