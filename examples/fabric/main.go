@@ -51,7 +51,7 @@ func run() error {
 	fmt.Print("in-process:\n\n", local)
 
 	// Pass 2 — distributed. The coordinator shards the grid into leases
-	// and journals every completed run; two workers poll it over HTTP and
+	// and journals every completed run; two workers lease from it over HTTP and
 	// execute through their own harness.Execute.
 	dir, err := os.MkdirTemp("", "fabric-example-*")
 	if err != nil {
@@ -84,7 +84,6 @@ func run() error {
 			stats, err := fabric.RunWorker(ctx, fabric.WorkerConfig{
 				Coordinator: coord.Addr(),
 				Name:        name,
-				Poll:        20 * time.Millisecond,
 			})
 			if err != nil {
 				log.Printf("worker %s: %v", name, err)

@@ -43,7 +43,8 @@ type CoordinatorConfig struct {
 	// back to a fresh journal, so -resume is safe on first start.
 	Resume bool
 	// LeaseTTL is the heartbeat deadline before a lease's unresolved
-	// runs are re-queued (default 10s).
+	// runs are re-queued (default 10s). It also caps how long an idle
+	// /lease is held.
 	LeaseTTL time.Duration
 	// LeaseRuns caps the runs handed out per lease (default 4). Small
 	// leases spread a grid across more workers; large ones amortize
@@ -73,13 +74,17 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 // Coordinator serves a sweep to workers over HTTP and implements
 // harness.Executor, so experiment code runs distributed unchanged. One
 // coordinator serves many sweeps in sequence (a report is a dozen
-// Execute calls); workers poll across sweep boundaries.
+// Execute calls); workers wait across sweep boundaries on a held /lease.
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	salt    string
 	ln      net.Listener
 	srv     *http.Server
 	journal *Journal
+
+	// closing is closed once by Close, releasing every held /lease.
+	closing   chan struct{}
+	closeOnce sync.Once
 
 	mu        sync.Mutex
 	journaled map[string]*JournalRecord // resumed records by key
@@ -88,6 +93,9 @@ type Coordinator struct {
 	leaseSeq  uint64
 	stats     CoordinatorStats
 	workers   map[string]bool
+	// wake is closed and replaced (wakeLocked) whenever runs become
+	// leasable; held /lease requests wait on it.
+	wake chan struct{}
 }
 
 // sweepState is one Execute call's book-keeping.
@@ -114,8 +122,8 @@ type activeLease struct {
 }
 
 // NewCoordinator starts listening and serving immediately; the sweep
-// content arrives with the first Execute call (workers polling before
-// that see StatusDone).
+// content arrives with the first Execute call (workers asking before
+// that are held, and see StatusDone if their hold runs out first).
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
@@ -124,6 +132,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		journaled: make(map[string]*JournalRecord),
 		written:   make(map[string]bool),
 		workers:   make(map[string]bool),
+		wake:      make(chan struct{}),
+		closing:   make(chan struct{}),
 	}
 	if cfg.Cache != nil {
 		c.salt = cfg.Cache.Salt()
@@ -202,11 +212,12 @@ func (c *Coordinator) Stats() CoordinatorStats {
 }
 
 // Close stops serving and closes the journal. Safe after (not during) a
-// sweep: in-flight Execute calls should be interrupted first. In-flight
-// requests get a short drain — severing a worker's /complete response
-// after its results were folded in would make the worker retry and log a
-// spurious failure.
+// sweep: in-flight Execute calls should be interrupted first. Held
+// /lease requests are answered at once; other in-flight requests get a
+// short drain — severing a worker's /complete response after its results
+// were folded in would make the worker retry and log a spurious failure.
 func (c *Coordinator) Close() error {
+	c.closeOnce.Do(func() { close(c.closing) })
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	err := c.srv.Shutdown(ctx)
@@ -293,6 +304,7 @@ func (c *Coordinator) Execute(runs []harness.Run, opts harness.Options) ([]harne
 		close(st.done)
 	} else {
 		c.sweep = st
+		c.wakeLocked()
 	}
 	c.mu.Unlock()
 
@@ -440,6 +452,12 @@ func (c *Coordinator) expiryLoop(stop <-chan struct{}) {
 	}
 }
 
+// wakeLocked releases every held /lease to look for work again.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
 // expireLocked returns every expired lease's unresolved runs to the
 // ready queue.
 func (c *Coordinator) expireLocked(st *sweepState, now time.Time) {
@@ -457,6 +475,9 @@ func (c *Coordinator) expireLocked(st *sweepState, now time.Time) {
 		delete(st.leases, id)
 		c.stats.Expired++
 		c.cfg.Logf("fabric: lease %s (worker %s) expired, re-queued %d runs", id, l.worker, requeued)
+		if requeued > 0 {
+			c.wakeLocked()
+		}
 	}
 }
 
@@ -478,15 +499,55 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.workers[req.Worker] {
 		c.workers[req.Worker] = true
 		c.cfg.Logf("fabric: worker %s joined", req.Worker)
 	}
+	resp := c.leaseLocked(req.Worker)
+	if resp.Status != StatusLease && req.Wait > 0 {
+		resp = c.holdLocked(r.Context(), req.Worker, min(req.Wait, c.cfg.LeaseTTL))
+	}
+	c.mu.Unlock()
+	writeJSON(w, resp)
+}
+
+// holdLocked holds an idle /lease: it waits, with c.mu released, for a
+// wake and looks for work again, until it can pop a lease or the hold
+// runs out (the answer is then StatusWait or StatusDone, as an unheld
+// request would get). A closing coordinator or a hung-up worker ends the
+// hold with StatusDone and pops nothing. c.mu is held on return.
+func (c *Coordinator) holdLocked(ctx context.Context, worker string, hold time.Duration) LeaseResponse {
+	t := time.NewTimer(hold)
+	defer t.Stop()
+	for {
+		wake := c.wake
+		c.mu.Unlock()
+		last := false
+		select {
+		case <-wake:
+		case <-t.C:
+			last = true
+		case <-c.closing:
+			c.mu.Lock()
+			return LeaseResponse{Status: StatusDone}
+		case <-ctx.Done():
+			c.mu.Lock()
+			return LeaseResponse{Status: StatusDone}
+		}
+		c.mu.Lock()
+		if resp := c.leaseLocked(worker); resp.Status == StatusLease || last {
+			return resp
+		}
+	}
+}
+
+// leaseLocked pops up to LeaseRuns ready runs into a new lease for
+// worker, or answers StatusWait (a sweep is live but nothing is ready)
+// or StatusDone (no sweep).
+func (c *Coordinator) leaseLocked(worker string) LeaseResponse {
 	st := c.sweep
 	if st == nil {
-		writeJSON(w, LeaseResponse{Status: StatusDone})
-		return
+		return LeaseResponse{Status: StatusDone}
 	}
 	c.expireLocked(st, time.Now())
 	// Pop up to LeaseRuns indexes, skipping any that a late complete
@@ -500,13 +561,12 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(idxs) == 0 {
-		writeJSON(w, LeaseResponse{Status: StatusWait})
-		return
+		return LeaseResponse{Status: StatusWait}
 	}
 	c.leaseSeq++
 	l := &activeLease{
 		id:      fmt.Sprintf("L%d", c.leaseSeq),
-		worker:  req.Worker,
+		worker:  worker,
 		runs:    idxs,
 		expires: time.Now().Add(c.cfg.LeaseTTL),
 	}
@@ -521,7 +581,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			Spec:  json.RawMessage(st.specJSON[i]),
 		})
 	}
-	writeJSON(w, LeaseResponse{Status: StatusLease, Lease: lease})
+	return LeaseResponse{Status: StatusLease, Lease: lease}
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -583,6 +643,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 				// re-leasing rather than poisoning the sweep.
 				c.cfg.Logf("fabric: corrupt entry from worker %s for %s: %v", req.Worker, cr.Key[:12], err)
 				st.ready = append(st.ready, idx)
+				c.wakeLocked()
 				continue
 			}
 			rr.Result = res

@@ -17,7 +17,9 @@
 // A Worker (RunWorker, `sweepd -join addr` or any cmd embedding it) is a
 // thin loop: lease runs, execute them through the ordinary local
 // harness.Execute (with its worker pool and optional local or HTTP-backed
-// RunCache), ship the results back, heartbeat while working.
+// RunCache), ship the results back, heartbeat while working. It never
+// sleeps between requests: an idle /lease is held by the coordinator
+// until work exists.
 //
 // # Protocol
 //
@@ -28,7 +30,12 @@
 //	POST /lease      → LeaseResponse: a Lease of up to LeaseRuns runs
 //	                   (each carrying its scenario spec as v2 JSON), or
 //	                   status "wait" (no work right now) / "done" (the
-//	                   current sweep finished; more may follow).
+//	                   current sweep finished; more may follow). With
+//	                   a "wait" duration in the request, an idle request
+//	                   is held up to that long (capped at the lease
+//	                   TTL) and answered the moment runs become
+//	                   leasable: a sweep is submitted, a lease expires,
+//	                   or a corrupt result is re-queued.
 //	POST /complete   → worker returns a lease's results: per run the
 //	                   content-address key, the encoded result entry
 //	                   (gob + CRC footer, the cache's own byte format)
@@ -93,18 +100,22 @@ type InfoResponse struct {
 // LeaseRequest identifies the asking worker.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
+	// Wait is the longest the coordinator may hold the request while
+	// no run is leasable (capped at its LeaseTTL). Zero answers at once.
+	Wait time.Duration `json:"wait,omitempty"`
 }
 
 // Lease statuses.
 const (
 	// StatusLease: the response carries work.
 	StatusLease = "lease"
-	// StatusWait: no work right now (all runs leased out, or between
-	// sweeps) — poll again shortly.
+	// StatusWait: a sweep is active but every run is leased out, and
+	// the request's hold ran out — ask again at once; the next request
+	// is held too.
 	StatusWait = "wait"
-	// StatusDone: no sweep is active. More sweeps may follow (a report
-	// renders many tables); workers poll on at a slower cadence and exit
-	// when the coordinator goes away.
+	// StatusDone: no sweep is active and the request's hold ran out.
+	// More sweeps may follow (a report renders many tables); workers ask
+	// again at once and exit when the coordinator goes away.
 	StatusDone = "done"
 )
 

@@ -54,7 +54,6 @@ func startWorkers(t *testing.T, addr string, n int, mutate func(i int, cfg *Work
 			Coordinator: addr,
 			Name:        "w" + string(rune('1'+i)),
 			Workers:     2,
-			Poll:        20 * time.Millisecond,
 		}
 		if mutate != nil {
 			mutate(i, &cfg)
@@ -519,4 +518,232 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// testRuns is testConfig's grid as a flat run list.
+func testRuns() []harness.Run {
+	cfg, targets := testConfig()
+	return harness.Fig5Sweep(harness.SweepConfig{
+		Duration: cfg.Duration, Seed: cfg.Seed, Replications: cfg.Replications,
+	}, targets).Runs
+}
+
+// resultsText renders each run's report, so two result lists compare as
+// text (gob bytes would not: maps encode in random order).
+func resultsText(t *testing.T, results []harness.RunResult) string {
+	t.Helper()
+	var b strings.Builder
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("run %d: %v", r.Run.Index, r.Err)
+		}
+		b.WriteString(r.Run.Cell + "\n")
+		if err := r.Result.Report().WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.String()
+}
+
+// joinLogger returns a coordinator Logf that reports each worker's first
+// /lease on the returned channel. The coordinator logs the join under
+// the lock it then releases to hold the request, so once the test has
+// seen the join, the request is held (or was answered).
+func joinLogger(n int) (func(string, ...any), <-chan struct{}) {
+	joined := make(chan struct{}, n)
+	return func(format string, _ ...any) {
+		if strings.HasSuffix(format, " joined") {
+			joined <- struct{}{}
+		}
+	}, joined
+}
+
+// awaitJoin waits for one join report.
+func awaitJoin(t *testing.T, joined <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-joined:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no worker joined within 10s")
+	}
+}
+
+// TestLeaseWakesOnSubmit: a worker that asked for work before any sweep
+// existed is held on /lease and handed the runs the moment Execute
+// submits them, not when its 10 s hold runs out. The same holds at the
+// boundary between two sweeps on one coordinator.
+func TestLeaseWakesOnSubmit(t *testing.T) {
+	runs := testRuns()
+	local, err := harness.Execute(runs, harness.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultsText(t, local)
+
+	logf, joined := joinLogger(1)
+	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5", LeaseRuns: 2, Logf: logf})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer coord.Close()
+	stop := startWorkers(t, coord.Addr(), 1, func(_ int, wc *WorkerConfig) { wc.Poll = 10 * time.Second })
+	defer stop()
+	awaitJoin(t, joined)
+
+	for sweep := 1; sweep <= 2; sweep++ {
+		start := time.Now()
+		results, err := coord.Execute(runs, harness.Options{})
+		if err != nil {
+			t.Fatalf("sweep %d: %v", sweep, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Errorf("sweep %d took %v; the held worker should be woken at submission", sweep, d)
+		}
+		if got := resultsText(t, results); got != want {
+			t.Errorf("sweep %d results differ from harness.Execute:\n--- local ---\n%s--- fabric ---\n%s", sweep, want, got)
+		}
+	}
+	if st := coord.Stats(); st.FromWorkers != uint64(2*len(runs)) {
+		t.Errorf("expected all runs from the worker: %s", st)
+	}
+}
+
+// TestLeaseWakesOnExpiry: one worker takes every run in a single lease
+// and abandons it; a second worker is held on /lease meanwhile. When the
+// lease expires, the re-queued runs go to the held worker at once, not
+// when its hold runs out. The expiry is driven through expireLocked with
+// a clock past the deadline — the step the expiry loop takes on its next
+// tick — because a real TTL also caps the hold and would end it at about
+// the same moment.
+func TestLeaseWakesOnExpiry(t *testing.T) {
+	runs := testRuns()
+	logf, joined := joinLogger(2)
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Grid: "fig5", LeaseRuns: len(runs), LeaseTTL: 10 * time.Second, Logf: logf,
+	})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer coord.Close()
+
+	type outcome struct {
+		results []harness.RunResult
+		err     error
+	}
+	done := make(chan outcome, 1)
+	crashed := make(chan error, 1)
+	go func() {
+		_, err := RunWorker(context.Background(), WorkerConfig{
+			Coordinator: coord.Addr(), Name: "crasher", Poll: 10 * time.Second, abandonNth: 1,
+		})
+		crashed <- err
+	}()
+	awaitJoin(t, joined)
+	go func() {
+		results, err := coord.Execute(runs, harness.Options{})
+		done <- outcome{results, err}
+	}()
+	if err := <-crashed; err != nil { // the lease is taken and abandoned
+		t.Fatalf("crasher: %v", err)
+	}
+
+	stop := startWorkers(t, coord.Addr(), 1, func(_ int, wc *WorkerConfig) {
+		wc.Name = "held"
+		wc.Poll = 10 * time.Second
+	})
+	defer stop()
+	awaitJoin(t, joined)
+
+	start := time.Now()
+	coord.mu.Lock()
+	coord.expireLocked(coord.sweep, time.Now().Add(time.Hour))
+	coord.mu.Unlock()
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sweep not finished 10s after the expiry")
+	}
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("re-queued runs took %v to finish; the held worker should be woken by the expiry", d)
+	}
+	local, err := harness.Execute(runs, harness.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resultsText(t, out.results), resultsText(t, local); got != want {
+		t.Errorf("results after expiry differ from harness.Execute:\n--- local ---\n%s--- fabric ---\n%s", want, got)
+	}
+	if st := coord.Stats(); st.Expired != 1 || st.Leases != 2 || st.FromWorkers != uint64(len(runs)) {
+		t.Errorf("want 1 expired lease, 2 leases, %d runs from workers: %s", len(runs), st)
+	}
+}
+
+// TestLeaseHold: with no sweep, a request carrying a wait is held about
+// that long and answered "done"; a request without one is answered at
+// once (the path raw-protocol clients such as TestWorkerCrashRecovery's
+// crasher take).
+func TestLeaseHold(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5"})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer coord.Close()
+	ask := func(req LeaseRequest) (LeaseResponse, time.Duration) {
+		t.Helper()
+		body, _ := json.Marshal(req)
+		start := time.Now()
+		resp, err := http.Post("http://"+coord.Addr()+"/lease", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var lr LeaseResponse
+		if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+			t.Fatal(err)
+		}
+		return lr, time.Since(start)
+	}
+
+	const wait = 300 * time.Millisecond
+	lr, d := ask(LeaseRequest{Worker: "held", Wait: wait})
+	if lr.Status != StatusDone {
+		t.Errorf("held request answered %q, want %q", lr.Status, StatusDone)
+	}
+	if d < wait-20*time.Millisecond || d > wait+time.Second {
+		t.Errorf("held request answered after %v, want about %v", d, wait)
+	}
+	lr, d = ask(LeaseRequest{Worker: "raw"})
+	if lr.Status != StatusDone {
+		t.Errorf("raw request answered %q, want %q", lr.Status, StatusDone)
+	}
+	if d > wait/2 {
+		t.Errorf("request without wait answered after %v, want at once", d)
+	}
+}
+
+// TestCloseReleasesHeldLease: Close answers a held /lease at once rather
+// than letting the server's shutdown drain wait out the hold, and a
+// second Close is harmless.
+func TestCloseReleasesHeldLease(t *testing.T) {
+	logf, joined := joinLogger(1)
+	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5", Logf: logf})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	stop := startWorkers(t, coord.Addr(), 1, func(_ int, wc *WorkerConfig) { wc.Poll = 10 * time.Second })
+	defer stop()
+	awaitJoin(t, joined)
+
+	start := time.Now()
+	if err := coord.Close(); err != nil {
+		t.Errorf("close: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Close took %v with a worker held on /lease", d)
+	}
+	coord.Close()
 }

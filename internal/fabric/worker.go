@@ -34,8 +34,11 @@ type WorkerConfig struct {
 	// coordinator serves /cache/entry, backs the worker's cache with the
 	// coordinator over HTTP — no shared filesystem needed.
 	UseCoordinatorCache bool
-	// Poll is the idle re-poll interval while the coordinator has no
-	// work (default 300ms).
+	// Poll is the longest the coordinator holds an idle /lease request
+	// before answering "wait" or "done" (default 300ms, at most 15s; the
+	// coordinator also caps it at its lease TTL). Work that appears
+	// during the hold is handed out at once, and after an idle answer
+	// the worker asks again without sleeping.
 	Poll time.Duration
 	// Logf, when set, receives operational events.
 	Logf func(format string, args ...any)
@@ -45,6 +48,10 @@ type WorkerConfig struct {
 	// inject.
 	abandonNth int
 }
+
+// clientTimeout bounds every worker request, held /lease requests
+// included.
+const clientTimeout = 30 * time.Second
 
 // RunWorker joins a coordinator and processes leases until the context
 // is cancelled or the coordinator goes away (which, after a successful
@@ -58,6 +65,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 300 * time.Millisecond
 	}
+	// A held /lease must answer before the HTTP client gives up on it.
+	cfg.Poll = min(cfg.Poll, clientTimeout/2)
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -66,7 +75,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		base = "http://" + base
 	}
 	base = strings.TrimSuffix(base, "/")
-	client := &http.Client{Timeout: 30 * time.Second}
+	client := &http.Client{Timeout: clientTimeout}
 
 	info, err := fetchInfo(ctx, client, base)
 	if err != nil {
@@ -95,7 +104,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		default:
 		}
 		var resp LeaseResponse
-		if err := postJSON(ctx, client, base+"/lease", LeaseRequest{Worker: cfg.Name}, &resp); err != nil {
+		if err := postJSON(ctx, client, base+"/lease", LeaseRequest{Worker: cfg.Name, Wait: cfg.Poll}, &resp); err != nil {
 			if ctx.Err() != nil {
 				return stats, nil
 			}
@@ -113,11 +122,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 			}
 			executeLease(ctx, client, base, cfg, info, cache, resp.Lease, &stats)
 		case StatusWait, StatusDone:
-			select {
-			case <-ctx.Done():
-				return stats, nil
-			case <-time.After(cfg.Poll):
-			}
+			// The coordinator already held the request for up to Poll.
 		default:
 			return stats, fmt.Errorf("fabric: unknown lease status %q", resp.Status)
 		}
@@ -224,11 +229,10 @@ func executeLease(ctx context.Context, client *http.Client, base string, cfg Wor
 	for attempt := 0; attempt < 3; attempt++ {
 		if err := postJSON(ctx, client, base+"/complete", req, nil); err == nil {
 			return
-		} else if attempt == 2 || ctx.Err() != nil {
+		} else if attempt == 2 || !sleepCtx(ctx, 200*time.Millisecond) {
 			cfg.Logf("fabric: worker %s: complete %s failed: %v", cfg.Name, lease.ID, err)
 			return
 		}
-		time.Sleep(200 * time.Millisecond)
 	}
 }
 
@@ -252,7 +256,22 @@ func fetchInfo(ctx context.Context, client *http.Client, base string) (InfoRespo
 		if time.Now().After(deadline) {
 			return info, fmt.Errorf("fabric: coordinator %s unreachable: %w", base, err)
 		}
-		time.Sleep(200 * time.Millisecond)
+		if !sleepCtx(ctx, 200*time.Millisecond) {
+			return info, ctx.Err()
+		}
+	}
+}
+
+// sleepCtx waits d, or less if ctx ends first; it reports whether the
+// full wait elapsed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }
 
