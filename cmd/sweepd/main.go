@@ -57,7 +57,7 @@ func run() error {
 	var (
 		join = flag.String("join", "", "worker mode: join the coordinator at this host:port")
 		name = flag.String("name", "", "worker name in leases and logs (default hostname-pid)")
-		poll = flag.Duration("poll", 0, "worker mode: longest the coordinator holds an idle lease request before answering (default 300ms)")
+		poll = flag.Duration("poll", 0, "worker mode: shortest interval between idle lease requests (default 300ms); a coordinator that holds idle requests is asked again at once")
 
 		mode       = flag.String("mode", "fig5", "sweep to serve (fig5)")
 		addr       = flag.String("addr", "127.0.0.1:0", "coordinator listen address (use :port to accept remote workers)")

@@ -43,8 +43,8 @@ type CoordinatorConfig struct {
 	// back to a fresh journal, so -resume is safe on first start.
 	Resume bool
 	// LeaseTTL is the heartbeat deadline before a lease's unresolved
-	// runs are re-queued (default 10s). It also caps how long an idle
-	// /lease is held.
+	// runs are re-queued (default 10s). An idle /lease is held for
+	// min(LeaseTTL, maxHold).
 	LeaseTTL time.Duration
 	// LeaseRuns caps the runs handed out per lease (default 4). Small
 	// leases spread a grid across more workers; large ones amortize
@@ -504,17 +504,20 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		c.cfg.Logf("fabric: worker %s joined", req.Worker)
 	}
 	resp := c.leaseLocked(req.Worker)
-	if resp.Status != StatusLease && req.Wait > 0 {
-		resp = c.holdLocked(r.Context(), req.Worker, min(req.Wait, c.cfg.LeaseTTL))
+	if resp.Status != StatusLease {
+		resp = c.holdLocked(r.Context(), req.Worker, min(c.cfg.LeaseTTL, maxHold))
 	}
 	c.mu.Unlock()
 	writeJSON(w, resp)
 }
 
+// maxHold caps how long an idle /lease is held. It stays well under the
+// worker's HTTP client timeout (clientTimeout).
+const maxHold = 10 * time.Second
+
 // holdLocked holds an idle /lease: it waits, with c.mu released, for a
 // wake and looks for work again, until it can pop a lease or the hold
-// runs out (the answer is then StatusWait or StatusDone, as an unheld
-// request would get). A closing coordinator or a hung-up worker ends the
+// runs out (the answer is then StatusWait or StatusDone). A closing coordinator or a hung-up worker ends the
 // hold with StatusDone and pops nothing. c.mu is held on return.
 func (c *Coordinator) holdLocked(ctx context.Context, worker string, hold time.Duration) LeaseResponse {
 	t := time.NewTimer(hold)

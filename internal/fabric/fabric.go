@@ -17,9 +17,10 @@
 // A Worker (RunWorker, `sweepd -join addr` or any cmd embedding it) is a
 // thin loop: lease runs, execute them through the ordinary local
 // harness.Execute (with its worker pool and optional local or HTTP-backed
-// RunCache), ship the results back, heartbeat while working. It never
-// sleeps between requests: an idle /lease is held by the coordinator
-// until work exists.
+// RunCache), ship the results back, heartbeat while working. An idle
+// /lease is held by the coordinator until work exists, so the worker
+// asks again at once; it paces itself (WorkerConfig.Poll) only when a
+// coordinator answers without holding.
 //
 // # Protocol
 //
@@ -30,12 +31,11 @@
 //	POST /lease      → LeaseResponse: a Lease of up to LeaseRuns runs
 //	                   (each carrying its scenario spec as v2 JSON), or
 //	                   status "wait" (no work right now) / "done" (the
-//	                   current sweep finished; more may follow). With
-//	                   a "wait" duration in the request, an idle request
-//	                   is held up to that long (capped at the lease
-//	                   TTL) and answered the moment runs become
-//	                   leasable: a sweep is submitted, a lease expires,
-//	                   or a corrupt result is re-queued.
+//	                   current sweep finished; more may follow). An
+//	                   idle request is held up to min(LeaseTTL, 10s)
+//	                   and answered the moment runs become leasable: a
+//	                   sweep is submitted, a lease expires, or a
+//	                   corrupt result is re-queued.
 //	POST /complete   → worker returns a lease's results: per run the
 //	                   content-address key, the encoded result entry
 //	                   (gob + CRC footer, the cache's own byte format)
@@ -100,9 +100,6 @@ type InfoResponse struct {
 // LeaseRequest identifies the asking worker.
 type LeaseRequest struct {
 	Worker string `json:"worker"`
-	// Wait is the longest the coordinator may hold the request while
-	// no run is leasable (capped at its LeaseTTL). Zero answers at once.
-	Wait time.Duration `json:"wait,omitempty"`
 }
 
 // Lease statuses.
@@ -110,12 +107,12 @@ const (
 	// StatusLease: the response carries work.
 	StatusLease = "lease"
 	// StatusWait: a sweep is active but every run is leased out, and
-	// the request's hold ran out — ask again at once; the next request
-	// is held too.
+	// the request's hold ran out — ask again; the next request is held
+	// too.
 	StatusWait = "wait"
 	// StatusDone: no sweep is active and the request's hold ran out.
 	// More sweeps may follow (a report renders many tables); workers ask
-	// again at once and exit when the coordinator goes away.
+	// again and exit when the coordinator goes away.
 	StatusDone = "done"
 )
 

@@ -9,10 +9,12 @@ import (
 	"hash/crc32"
 	"io/fs"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -570,7 +572,7 @@ func awaitJoin(t *testing.T, joined <-chan struct{}) {
 
 // TestLeaseWakesOnSubmit: a worker that asked for work before any sweep
 // existed is held on /lease and handed the runs the moment Execute
-// submits them, not when its 10 s hold runs out. The same holds at the
+// submits them, not when the 10 s hold (the default lease TTL) runs out. The same holds at the
 // boundary between two sweeps on one coordinator.
 func TestLeaseWakesOnSubmit(t *testing.T) {
 	runs := testRuns()
@@ -586,7 +588,7 @@ func TestLeaseWakesOnSubmit(t *testing.T) {
 		t.Fatalf("coordinator: %v", err)
 	}
 	defer coord.Close()
-	stop := startWorkers(t, coord.Addr(), 1, func(_ int, wc *WorkerConfig) { wc.Poll = 10 * time.Second })
+	stop := startWorkers(t, coord.Addr(), 1, nil)
 	defer stop()
 	awaitJoin(t, joined)
 
@@ -596,7 +598,7 @@ func TestLeaseWakesOnSubmit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sweep %d: %v", sweep, err)
 		}
-		if d := time.Since(start); d > 2*time.Second {
+		if d := time.Since(start); d > 5*time.Second {
 			t.Errorf("sweep %d took %v; the held worker should be woken at submission", sweep, d)
 		}
 		if got := resultsText(t, results); got != want {
@@ -634,7 +636,7 @@ func TestLeaseWakesOnExpiry(t *testing.T) {
 	crashed := make(chan error, 1)
 	go func() {
 		_, err := RunWorker(context.Background(), WorkerConfig{
-			Coordinator: coord.Addr(), Name: "crasher", Poll: 10 * time.Second, abandonNth: 1,
+			Coordinator: coord.Addr(), Name: "crasher", abandonNth: 1,
 		})
 		crashed <- err
 	}()
@@ -647,10 +649,7 @@ func TestLeaseWakesOnExpiry(t *testing.T) {
 		t.Fatalf("crasher: %v", err)
 	}
 
-	stop := startWorkers(t, coord.Addr(), 1, func(_ int, wc *WorkerConfig) {
-		wc.Name = "held"
-		wc.Poll = 10 * time.Second
-	})
+	stop := startWorkers(t, coord.Addr(), 1, func(_ int, wc *WorkerConfig) { wc.Name = "held" })
 	defer stop()
 	awaitJoin(t, joined)
 
@@ -667,7 +666,7 @@ func TestLeaseWakesOnExpiry(t *testing.T) {
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
-	if d := time.Since(start); d > 2*time.Second {
+	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("re-queued runs took %v to finish; the held worker should be woken by the expiry", d)
 	}
 	local, err := harness.Execute(runs, harness.Options{Workers: 2})
@@ -682,46 +681,58 @@ func TestLeaseWakesOnExpiry(t *testing.T) {
 	}
 }
 
-// TestLeaseHold: with no sweep, a request carrying a wait is held about
-// that long and answered "done"; a request without one is answered at
-// once (the path raw-protocol clients such as TestWorkerCrashRecovery's
-// crasher take).
+// TestLeaseHold: with no sweep, a request is held for the hold
+// (min(LeaseTTL, 10s)) and then answered "done".
 func TestLeaseHold(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5"})
+	const ttl = 300 * time.Millisecond
+	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5", LeaseTTL: ttl})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
 	defer coord.Close()
-	ask := func(req LeaseRequest) (LeaseResponse, time.Duration) {
-		t.Helper()
-		body, _ := json.Marshal(req)
-		start := time.Now()
-		resp, err := http.Post("http://"+coord.Addr()+"/lease", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var lr LeaseResponse
-		if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-			t.Fatal(err)
-		}
-		return lr, time.Since(start)
+	start := time.Now()
+	resp, err := http.Post("http://"+coord.Addr()+"/lease", "application/json", strings.NewReader(`{"worker":"held"}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	const wait = 300 * time.Millisecond
-	lr, d := ask(LeaseRequest{Worker: "held", Wait: wait})
+	defer resp.Body.Close()
+	var lr LeaseResponse
+	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+		t.Fatal(err)
+	}
+	d := time.Since(start)
 	if lr.Status != StatusDone {
 		t.Errorf("held request answered %q, want %q", lr.Status, StatusDone)
 	}
-	if d < wait-20*time.Millisecond || d > wait+time.Second {
-		t.Errorf("held request answered after %v, want about %v", d, wait)
+	if d < ttl-20*time.Millisecond || d > ttl+time.Second {
+		t.Errorf("held request answered after %v, want about %v", d, ttl)
 	}
-	lr, d = ask(LeaseRequest{Worker: "raw"})
-	if lr.Status != StatusDone {
-		t.Errorf("raw request answered %q, want %q", lr.Status, StatusDone)
+}
+
+// TestWorkerPacesUnheldLease: against a coordinator that answers an
+// idle /lease at once instead of holding it, the worker asks at most
+// once per Poll rather than in a tight loop.
+func TestWorkerPacesUnheldLease(t *testing.T) {
+	var leases atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/info", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, InfoResponse{Grid: "fig5"})
+	})
+	mux.HandleFunc("/lease", func(w http.ResponseWriter, _ *http.Request) {
+		leases.Add(1)
+		writeJSON(w, LeaseResponse{Status: StatusDone})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	const poll, run = 50 * time.Millisecond, 500 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), run)
+	defer cancel()
+	if _, err := RunWorker(ctx, WorkerConfig{Coordinator: srv.URL, Name: "paced", Poll: poll}); err != nil {
+		t.Fatal(err)
 	}
-	if d > wait/2 {
-		t.Errorf("request without wait answered after %v, want at once", d)
+	if n := leases.Load(); n < 2 || n > 2*int64(run/poll) {
+		t.Errorf("%d /lease requests in %v at Poll %v, want about %d", n, run, poll, run/poll)
 	}
 }
 
@@ -734,7 +745,7 @@ func TestCloseReleasesHeldLease(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
-	stop := startWorkers(t, coord.Addr(), 1, func(_ int, wc *WorkerConfig) { wc.Poll = 10 * time.Second })
+	stop := startWorkers(t, coord.Addr(), 1, nil)
 	defer stop()
 	awaitJoin(t, joined)
 

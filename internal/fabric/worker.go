@@ -34,11 +34,11 @@ type WorkerConfig struct {
 	// coordinator serves /cache/entry, backs the worker's cache with the
 	// coordinator over HTTP — no shared filesystem needed.
 	UseCoordinatorCache bool
-	// Poll is the longest the coordinator holds an idle /lease request
-	// before answering "wait" or "done" (default 300ms, at most 15s; the
-	// coordinator also caps it at its lease TTL). Work that appears
-	// during the hold is handed out at once, and after an idle answer
-	// the worker asks again without sleeping.
+	// Poll is the shortest interval between two idle /lease requests
+	// (default 300ms). The coordinator holds an idle request until work
+	// exists or its hold (min(LeaseTTL, 10s)) ends, so after a held
+	// request the worker asks again at once; Poll only paces a
+	// coordinator that answers without holding.
 	Poll time.Duration
 	// Logf, when set, receives operational events.
 	Logf func(format string, args ...any)
@@ -50,7 +50,7 @@ type WorkerConfig struct {
 }
 
 // clientTimeout bounds every worker request, held /lease requests
-// included.
+// included (the coordinator holds one at most maxHold).
 const clientTimeout = 30 * time.Second
 
 // RunWorker joins a coordinator and processes leases until the context
@@ -65,8 +65,6 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 300 * time.Millisecond
 	}
-	// A held /lease must answer before the HTTP client gives up on it.
-	cfg.Poll = min(cfg.Poll, clientTimeout/2)
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -104,7 +102,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 		default:
 		}
 		var resp LeaseResponse
-		if err := postJSON(ctx, client, base+"/lease", LeaseRequest{Worker: cfg.Name, Wait: cfg.Poll}, &resp); err != nil {
+		sent := time.Now()
+		if err := postJSON(ctx, client, base+"/lease", LeaseRequest{Worker: cfg.Name}, &resp); err != nil {
 			if ctx.Err() != nil {
 				return stats, nil
 			}
@@ -122,7 +121,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 			}
 			executeLease(ctx, client, base, cfg, info, cache, resp.Lease, &stats)
 		case StatusWait, StatusDone:
-			// The coordinator already held the request for up to Poll.
+			// After a hold this sleeps nothing; it keeps a coordinator
+			// that answers at once (an older one, or one closing) from
+			// being asked in a tight loop.
+			if !sleepCtx(ctx, cfg.Poll-time.Since(sent)) {
+				return stats, nil
+			}
 		default:
 			return stats, fmt.Errorf("fabric: unknown lease status %q", resp.Status)
 		}
@@ -265,6 +269,9 @@ func fetchInfo(ctx context.Context, client *http.Client, base string) (InfoRespo
 // sleepCtx waits d, or less if ctx ends first; it reports whether the
 // full wait elapsed.
 func sleepCtx(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
