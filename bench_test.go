@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (see DESIGN.md §4 for the experiment index). Each benchmark runs the
-// corresponding experiment end to end and reports its headline quantities
-// as benchmark metrics; the rendered table is printed once per benchmark.
+// (see internal/README.md for the experiment index). Each benchmark runs
+// the corresponding experiment end to end and reports its headline
+// quantities as benchmark metrics; the rendered table is printed once per
+// benchmark.
 //
 // Experiments execute through internal/harness, so each benchmark's sweep
 // already fans out across GOMAXPROCS workers with bit-identical results;

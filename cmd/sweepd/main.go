@@ -7,12 +7,17 @@
 // Coordinator (serves the sweep, renders the table):
 //
 //	sweepd -mode fig5 -addr 127.0.0.1:9740 -duration 530s -reps 5 \
-//	       -cache-dir .runcache -serve-cache -journal fig5.journal
+//	       -cache-dir .runcache -journal fig5.journal
 //
 // Workers (any number, started before or after the coordinator):
 //
-//	sweepd -join 127.0.0.1:9740            # cache served by coordinator
-//	sweepd -join 127.0.0.1:9740 -cache-dir .runcache   # shared filesystem
+//	sweepd -join 127.0.0.1:9740                        # no worker cache
+//	sweepd -join 127.0.0.1:9740 -cache-dir .runcache   # worker-local cache
+//
+// Every result reaches the coordinator in the worker's /complete, and
+// the coordinator stores it in its own -cache-dir. A worker's -cache-dir
+// is local to that worker: it serves the runs it already holds and keeps
+// the ones the worker computes.
 //
 // Every completed run streams into -journal (append-only, CRC-framed,
 // synced per record). A killed coordinator restarts with -resume: the
@@ -59,13 +64,12 @@ func run() error {
 		name = flag.String("name", "", "worker name in leases and logs (default hostname-pid)")
 		poll = flag.Duration("poll", 0, "worker mode: shortest interval between idle lease requests (default 300ms); a coordinator that holds idle requests is asked again at once")
 
-		mode       = flag.String("mode", "fig5", "sweep to serve (fig5)")
-		addr       = flag.String("addr", "127.0.0.1:0", "coordinator listen address (use :port to accept remote workers)")
-		journal    = flag.String("journal", "", "append-only run journal: every completed run is streamed here, CRC-framed and synced")
-		resume     = flag.Bool("resume", false, "re-open an existing -journal and replay its runs instead of starting fresh")
-		serveCache = flag.Bool("serve-cache", false, "serve the run cache on /cache/entry so workers need no shared -cache-dir")
-		leaseTTL   = flag.Duration("lease-ttl", 0, "heartbeat deadline before a lease's runs are re-issued (default 10s)")
-		leaseRuns  = flag.Int("lease-runs", 0, "runs handed out per lease (default 4)")
+		mode      = flag.String("mode", "fig5", "sweep to serve (fig5)")
+		addr      = flag.String("addr", "127.0.0.1:0", "coordinator listen address (use :port to accept remote workers)")
+		journal   = flag.String("journal", "", "append-only run journal: every completed run is streamed here, CRC-framed and synced")
+		resume    = flag.Bool("resume", false, "re-open an existing -journal and replay its runs instead of starting fresh")
+		leaseTTL  = flag.Duration("lease-ttl", 0, "heartbeat deadline before a lease's runs are re-issued (default 10s)")
+		leaseRuns = flag.Int("lease-runs", 0, "runs handed out per lease (default 4)")
 
 		duration = flag.Duration("duration", 60*time.Second, "simulated time per point")
 		seed     = flag.Int64("seed", 1, "random seed")
@@ -99,7 +103,7 @@ func run() error {
 	}
 	return runCoordinator(coordinatorFlags{
 		mode: *mode, addr: *addr, journal: *journal, resume: *resume,
-		serveCache: *serveCache, leaseTTL: *leaseTTL, leaseRuns: *leaseRuns,
+		leaseTTL: *leaseTTL, leaseRuns: *leaseRuns,
 		duration: *duration, seed: *seed, reps: *reps, progress: *progress,
 		from: *from, to: *to, step: *step, csv: *csv,
 		ciTarget: *ciTarget, ciMetric: *ciMetric, maxReps: *maxReps,
@@ -154,11 +158,8 @@ func runWorker(f workerFlags) error {
 		Name:        f.name,
 		Workers:     f.workers,
 		Cache:       cache,
-		// Without a local cache dir, use the coordinator's cache when it
-		// serves one — the worker still reports hits for re-leased runs.
-		UseCoordinatorCache: f.cacheDir == "",
-		Poll:                f.poll,
-		Logf:                f.logf,
+		Poll:        f.poll,
+		Logf:        f.logf,
 	})
 	fmt.Fprintf(os.Stderr, "sweepd: worker: %s\n", stats)
 	return err
@@ -166,7 +167,7 @@ func runWorker(f workerFlags) error {
 
 type coordinatorFlags struct {
 	mode, addr, journal string
-	resume, serveCache  bool
+	resume              bool
 	leaseTTL            time.Duration
 	leaseRuns           int
 	duration            time.Duration
@@ -209,7 +210,6 @@ func runCoordinator(f coordinatorFlags) error {
 		Addr:        f.addr,
 		Grid:        f.mode,
 		Cache:       cache,
-		ServeCache:  f.serveCache,
 		JournalPath: f.journal,
 		Meta: fabric.JournalMeta{
 			Grid:         f.mode,

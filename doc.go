@@ -68,7 +68,7 @@
 //     reproduces the paper's sweeps bit-identically at any worker count
 //     and reports multi-seed 95% confidence intervals.
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// experiment index, and EXPERIMENTS.md for paper-versus-measured results.
+// See internal/README.md for the package map and the experiment index,
+// and EXPERIMENTS.md for paper-versus-measured results.
 // The benchmarks in bench_test.go regenerate every table and figure.
 package bluegs

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index). Each experiment
-// returns structured rows plus a rendered table; the cmd tools, the
-// top-level benchmarks and the tests all share these entry points.
+// evaluation (see internal/README.md for the experiment index). Each
+// experiment returns structured rows plus a rendered table; the cmd tools,
+// the top-level benchmarks and the tests all share these entry points.
 //
 // Every experiment executes its runs through internal/harness: the grid of
 // (sweep cell × seed replication) fans out across a bounded worker pool,

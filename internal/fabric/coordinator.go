@@ -28,10 +28,6 @@ type CoordinatorConfig struct {
 	// salt workers derive keys under. Without a cache the salt is
 	// harness.DefaultCacheSalt.
 	Cache *harness.RunCache
-	// ServeCache additionally serves the cache entry-at-a-time on
-	// /cache/entry, so workers without a shared filesystem can run with
-	// an HTTPBackend-backed cache.
-	ServeCache bool
 	// JournalPath, when set, streams every completed run into an
 	// append-only CRC-framed journal at this path. Meta must describe
 	// the sweep (it is compared verbatim on resume).
@@ -175,9 +171,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	mux.HandleFunc("/lease", c.handleLease)
 	mux.HandleFunc("/complete", c.handleComplete)
 	mux.HandleFunc("/heartbeat", c.handleHeartbeat)
-	if cfg.ServeCache && cfg.Cache != nil {
-		mux.HandleFunc("/cache/entry", c.handleCacheEntry)
-	}
 	c.srv = &http.Server{Handler: mux}
 	go c.srv.Serve(ln)
 	return c, nil
@@ -488,7 +481,6 @@ func (c *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
 		Grid:     c.cfg.Grid,
 		Salt:     c.salt,
 		LeaseTTL: c.cfg.LeaseTTL,
-		Cache:    c.cfg.ServeCache && c.cfg.Cache != nil,
 	})
 }
 

@@ -10,24 +10,23 @@
 // distributed without change: cmd/sweepd constructs a Coordinator and
 // hands it to internal/experiments as the executor. The coordinator
 // shards each sweep's runs into leases, serves them to workers, folds
-// completed results back in run-index order, streams every completion
-// into the journal, and answers cache lookups for workers that have no
-// shared filesystem.
+// completed results back in run-index order, stores every completion in
+// its run cache (when it has one) and streams it into the journal.
 //
 // A Worker (RunWorker, `sweepd -join addr` or any cmd embedding it) is a
 // thin loop: lease runs, execute them through the ordinary local
-// harness.Execute (with its worker pool and optional local or HTTP-backed
-// RunCache), ship the results back, heartbeat while working. An idle
-// /lease is held by the coordinator until work exists, so the worker
-// asks again at once; it paces itself (WorkerConfig.Poll) only when a
-// coordinator answers without holding.
+// harness.Execute (with its worker pool and optional local RunCache),
+// ship the results back, heartbeat while working. An idle /lease is held
+// by the coordinator until work exists, so the worker asks again at
+// once; it paces itself (WorkerConfig.Poll) only when a coordinator
+// answers without holding.
 //
 // # Protocol
 //
-// JSON over HTTP, four endpoints plus the optional cache:
+// JSON over HTTP, four endpoints:
 //
 //	GET  /info       → InfoResponse: sweep grid name, cache salt, lease
-//	                   TTL, whether /cache/entry is served.
+//	                   TTL.
 //	POST /lease      → LeaseResponse: a Lease of up to LeaseRuns runs
 //	                   (each carrying its scenario spec as v2 JSON), or
 //	                   status "wait" (no work right now) / "done" (the
@@ -42,9 +41,8 @@
 //	                   or an error string.
 //	POST /heartbeat  → extends a lease's expiry while the worker is
 //	                   still computing it.
-//	GET/HEAD/PUT/DELETE /cache/entry?key=… → the coordinator's RunCache
-//	                   served entry-at-a-time (HTTPBackend is the client
-//	                   side), so workers need no shared -cache-dir.
+//
+// /complete is the only way a result reaches the coordinator.
 //
 // # Determinism
 //
@@ -92,9 +90,6 @@ type InfoResponse struct {
 	// LeaseTTL is the heartbeat deadline: a lease not heartbeated for
 	// this long is re-issued.
 	LeaseTTL time.Duration `json:"lease_ttl"`
-	// Cache reports that the coordinator serves /cache/entry, so a
-	// worker without a shared -cache-dir can use an HTTPBackend.
-	Cache bool `json:"cache"`
 }
 
 // LeaseRequest identifies the asking worker.

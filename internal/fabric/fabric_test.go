@@ -5,9 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"hash/crc32"
-	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -454,26 +452,23 @@ func TestJournalMetaMismatch(t *testing.T) {
 	}
 }
 
-// TestHTTPCacheBackend drives a worker with no filesystem cache at all:
-// its RunCache speaks to the coordinator over /cache/entry. A second
-// identical sweep must then resolve entirely from the coordinator's
-// cache without leasing a single run.
-func TestHTTPCacheBackend(t *testing.T) {
+// TestCoordinatorCacheReplay: workers without a cache return every
+// result through /complete alone, and the coordinator stores each one
+// exactly once. A second identical sweep must then resolve entirely
+// from the coordinator's cache without leasing a single run.
+func TestCoordinatorCacheReplay(t *testing.T) {
 	cfg, targets := testConfig()
+	runs := uint64(len(targets) * cfg.Replications)
 	cache, err := harness.NewRunCache(harness.CacheConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Grid: "fig5", Cache: cache, ServeCache: true, LeaseRuns: 2,
-	})
+	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5", Cache: cache, LeaseRuns: 2})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
 	defer coord.Close()
-	stop := startWorkers(t, coord.Addr(), 2, func(i int, wc *WorkerConfig) {
-		wc.UseCoordinatorCache = true
-	})
+	stop := startWorkers(t, coord.Addr(), 2, nil)
 	defer stop()
 
 	dcfg := cfg
@@ -486,6 +481,9 @@ func TestHTTPCacheBackend(t *testing.T) {
 	if first.FromWorkers == 0 {
 		t.Fatalf("first sweep should lease work: %s", first)
 	}
+	if cs := cache.Stats(); cs.Stores != runs || cs.DupPuts != 0 {
+		t.Errorf("first sweep cache: %s, want %d stored and no duplicate puts", cs, runs)
+	}
 
 	_, secondTbl, err := experiments.Figure5(dcfg, targets)
 	if err != nil {
@@ -495,21 +493,11 @@ func TestHTTPCacheBackend(t *testing.T) {
 	if got := second.FromWorkers - first.FromWorkers; got != 0 {
 		t.Errorf("second sweep leased %d runs, want 0 (cache-resolved)", got)
 	}
-	if got := second.FromCache - first.FromCache; got != uint64(len(targets)*cfg.Replications) {
-		t.Errorf("second sweep served %d from cache, want %d", got, len(targets)*cfg.Replications)
+	if got := second.FromCache - first.FromCache; got != runs {
+		t.Errorf("second sweep served %d from cache, want %d", got, runs)
 	}
 	if a, b := tableText(t, firstTbl), tableText(t, secondTbl); a != b {
 		t.Errorf("cache replay differs:\n%s\nvs\n%s", a, b)
-	}
-
-	// The backend round trip itself.
-	b := NewHTTPBackend(coord.Addr())
-	key := strings.Repeat("a", 64)
-	if ok, err := b.Has(key); err != nil || ok {
-		t.Fatalf("Has(missing) = %v, %v", ok, err)
-	}
-	if _, err := b.Get(key); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("Get(missing) = %v, want fs.ErrNotExist", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -30,10 +31,6 @@ type WorkerConfig struct {
 	// -cache-dir). Its salt must match the coordinator's, or keys would
 	// disagree.
 	Cache *harness.RunCache
-	// UseCoordinatorCache, when no local Cache is set and the
-	// coordinator serves /cache/entry, backs the worker's cache with the
-	// coordinator over HTTP — no shared filesystem needed.
-	UseCoordinatorCache bool
 	// Poll is the shortest interval between two idle /lease requests
 	// (default 300ms). The coordinator holds an idle request until work
 	// exists or its hold (min(LeaseTTL, 10s)) ends, so after a held
@@ -79,18 +76,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	cache := cfg.Cache
-	if cache != nil && cache.Salt() != info.Salt {
-		return stats, fmt.Errorf("fabric: worker cache salt %q differs from coordinator salt %q", cache.Salt(), info.Salt)
-	}
-	if cache == nil && cfg.UseCoordinatorCache && info.Cache {
-		cache, err = harness.NewRunCache(harness.CacheConfig{
-			Backend: NewHTTPBackend(base),
-			Salt:    info.Salt,
-		})
-		if err != nil {
-			return stats, err
-		}
+	if cfg.Cache != nil && cfg.Cache.Salt() != info.Salt {
+		return stats, fmt.Errorf("fabric: worker cache salt %q differs from coordinator salt %q", cfg.Cache.Salt(), info.Salt)
 	}
 	cfg.Logf("fabric: worker %s joined %s (grid %q, salt %s)", cfg.Name, base, info.Grid, info.Salt)
 
@@ -119,7 +106,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 				cfg.Logf("fabric: worker %s abandoning lease %s (injected crash)", cfg.Name, resp.Lease.ID)
 				return stats, nil
 			}
-			executeLease(ctx, client, base, cfg, info, cache, resp.Lease, &stats)
+			executeLease(ctx, client, base, cfg, info, resp.Lease, &stats)
 		case StatusWait, StatusDone:
 			// After a hold this sleeps nothing; it keeps a coordinator
 			// that answers at once (an older one, or one closing) from
@@ -136,7 +123,7 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 // executeLease runs one lease through the local harness (heartbeating
 // while it computes) and returns the results to the coordinator.
 func executeLease(ctx context.Context, client *http.Client, base string, cfg WorkerConfig,
-	info InfoResponse, cache *harness.RunCache, lease *Lease, stats *WorkerStats) {
+	info InfoResponse, lease *Lease, stats *WorkerStats) {
 	runs := make([]harness.Run, len(lease.Runs))
 	bad := make([]string, len(lease.Runs)) // per-run unmarshal failure
 	for k, lr := range lease.Runs {
@@ -188,7 +175,7 @@ func executeLease(ctx context.Context, client *http.Client, base string, cfg Wor
 	}
 	results, _ := harness.Execute(runs, harness.Options{
 		Workers:   cfg.Workers,
-		Cache:     cache,
+		Cache:     cfg.Cache,
 		Interrupt: interrupt,
 	})
 
@@ -215,7 +202,7 @@ func executeLease(ctx context.Context, client *http.Client, base string, cfg Wor
 				cr.Entry = entry
 			}
 		}
-		if rr.Err != nil && bad[k] == "" && isInterrupted(rr.Err) {
+		if bad[k] == "" && errors.Is(rr.Err, harness.ErrInterrupted) {
 			// An interrupted run is not a completion: leave it out so
 			// the coordinator re-leases it after the TTL. (Unmarshal
 			// failures do report — they would fail identically anywhere.)
@@ -238,10 +225,6 @@ func executeLease(ctx context.Context, client *http.Client, base string, cfg Wor
 			return
 		}
 	}
-}
-
-func isInterrupted(err error) bool {
-	return err != nil && strings.Contains(err.Error(), harness.ErrInterrupted.Error())
 }
 
 // fetchInfo retries /info briefly: workers routinely start before the

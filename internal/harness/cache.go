@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
@@ -48,39 +47,15 @@ import (
 // older entries into clean misses without re-keying any run.
 const DefaultCacheSalt = "sim-v8"
 
-// CacheBackend is the persistent half of a RunCache: a keyed store of
-// raw cache entries (a gob record of per-piconet results plus a BGC2
-// integrity footer, the EncodeResultEntry form). The RunCache owns the
-// encoding, the footer verification and the in-memory LRU; a backend
-// only moves bytes, which is what lets one implementation serve a local
-// directory (DirBackend) and another a fabric coordinator's HTTP cache
-// endpoint (internal/fabric), so workers need no shared filesystem.
-// Backends must be safe for concurrent use — including concurrent use
-// from several processes, where the content-addressed keys make racing
-// writers of the same entry harmless.
-type CacheBackend interface {
-	// Get returns the raw entry stored under key. A missing entry's
-	// error must satisfy errors.Is(err, fs.ErrNotExist).
-	Get(key string) ([]byte, error)
-	// Put stores an entry atomically: a concurrent reader must observe
-	// either no entry or a complete one, never a partial write.
-	Put(key string, entry []byte) error
-	// Has reports whether an entry exists without reading it.
-	Has(key string) (bool, error)
-	// Delete removes an entry; deleting a missing entry is not an error.
-	Delete(key string) error
-}
-
 // CacheConfig tunes a RunCache.
 type CacheConfig struct {
-	// Dir, when non-empty, backs the cache with one gob file per run
+	// Dir, when non-empty, backs the cache with one entry file per run
 	// under this directory (created if missing). Entries evicted from
-	// the in-memory LRU remain readable from disk. Shorthand for
-	// Backend: NewDirBackend(Dir).
+	// the in-memory LRU remain readable from disk, and several processes
+	// may share the directory: writes go to a temp file and rename into
+	// place, so a reader sees either no entry or a complete one, and the
+	// content-addressed keys make racing writers of one entry harmless.
 	Dir string
-	// Backend, when set, is the persistent store behind the in-memory
-	// LRU and wins over Dir.
-	Backend CacheBackend
 	// MaxEntries bounds the in-memory LRU (default 4096 results).
 	MaxEntries int
 	// Salt is the code-version salt (default DefaultCacheSalt). Sweeps
@@ -140,8 +115,7 @@ func (s CacheStats) String() string {
 // statistics. Runs that carry a Tracer are never served from or written
 // to the cache (their side effects cannot be replayed).
 type RunCache struct {
-	cfg     CacheConfig
-	backend CacheBackend // nil when the cache is memory-only
+	cfg CacheConfig // cfg.Dir == "" means memory-only
 
 	mu      sync.Mutex
 	entries map[string]*list.Element
@@ -192,17 +166,13 @@ func NewRunCache(cfg CacheConfig) (*RunCache, error) {
 	if cfg.Salt == "" {
 		cfg.Salt = DefaultCacheSalt
 	}
-	backend := cfg.Backend
-	if backend == nil && cfg.Dir != "" {
-		b, err := NewDirBackend(cfg.Dir)
-		if err != nil {
-			return nil, err
+	if cfg.Dir != "" {
+		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+			return nil, fmt.Errorf("harness: cache dir: %w", err)
 		}
-		backend = b
 	}
 	return &RunCache{
 		cfg:     cfg,
-		backend: backend,
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
 	}, nil
@@ -248,11 +218,11 @@ func (c *RunCache) getByKey(key string, spec scenario.Spec) (*scenario.Result, b
 	}
 	c.mu.Unlock()
 
-	if c.backend == nil {
+	if c.cfg.Dir == "" {
 		c.miss()
 		return nil, false
 	}
-	res, err := c.readBackend(key)
+	res, err := c.readFile(key)
 	if err != nil {
 		c.miss()
 		return nil, false
@@ -266,11 +236,11 @@ func (c *RunCache) getByKey(key string, spec scenario.Spec) (*scenario.Result, b
 }
 
 // Put stores a completed result under the spec's key, in memory and — when
-// a backend is configured — persistently (directories write atomically via
-// a temp file and rename). Putting a key the cache already holds is a
-// clean no-op counted in Stats().DupPuts: content-addressed keys make the
-// incoming entry identical to the stored one, so concurrent sweeps over a
-// shared directory never rewrite each other's entries.
+// a directory is configured — on disk (atomically, via a temp file and
+// rename). Putting a key the cache already holds is a clean no-op counted
+// in Stats().DupPuts: content-addressed keys make the incoming entry
+// identical to the stored one, so concurrent sweeps over a shared
+// directory never rewrite each other's entries.
 func (c *RunCache) Put(spec scenario.Spec, res *scenario.Result) error {
 	return c.putByKey(c.Key(spec), res)
 }
@@ -284,14 +254,12 @@ func (c *RunCache) putByKey(key string, res *scenario.Result) error {
 	_, dup := c.entries[key]
 	c.insertLocked(key, res)
 	c.mu.Unlock()
-	if !dup && c.backend != nil {
+	if !dup && c.cfg.Dir != "" {
 		// Another process may have completed the identical run already;
 		// leave its (identical) entry in place. Two writers racing past
 		// this check both write — harmless, the write is atomic and the
 		// content identical.
-		if ok, err := c.backend.Has(key); err == nil && ok {
-			dup = true
-		}
+		dup = c.onDisk(key)
 	}
 	c.mu.Lock()
 	if dup {
@@ -300,10 +268,14 @@ func (c *RunCache) putByKey(key string, res *scenario.Result) error {
 		c.stats.Stores++
 	}
 	c.mu.Unlock()
-	if dup || c.backend == nil {
+	if dup || c.cfg.Dir == "" {
 		return nil
 	}
-	return c.writeBackend(key, res)
+	entry, err := EncodeResultEntry(key, res)
+	if err != nil {
+		return err
+	}
+	return c.writeFile(key, entry)
 }
 
 // Stats returns a snapshot of the effectiveness counters.
@@ -385,10 +357,10 @@ func checkFooter(data []byte) ([]byte, error) {
 // payload of its cacheRecord (per-piconet results, admission log, routes
 // and counters, with delay statistics in flat stats bytes) followed by
 // the integrity footer; DecodeResultEntry rolls the Result-level
-// aggregates back up. This is the byte form backends store, the fabric
-// coordinator journals, and workers ship over the wire — one encoding
-// everywhere, so any party can verify any entry with the same footer
-// check.
+// aggregates back up. This is the byte form the cache directory holds,
+// the fabric coordinator journals, and workers ship in /complete — one
+// encoding everywhere, so any party can verify any entry with the same
+// footer check.
 func EncodeResultEntry(key string, res *scenario.Result) ([]byte, error) {
 	rec := cacheRecord{
 		Key:        key,
@@ -441,18 +413,16 @@ func DecodeResultEntry(key string, entry []byte, spec scenario.Spec) (*scenario.
 	return withSpec(res, spec), nil
 }
 
-// dropCorrupt deletes a failed entry and books the corruption.
+// dropCorrupt deletes a failed entry file and books the corruption.
 func (c *RunCache) dropCorrupt(key string) {
-	if c.backend != nil {
-		c.backend.Delete(key)
-	}
+	os.Remove(c.path(key))
 	c.mu.Lock()
 	c.stats.Corrupt++
 	c.mu.Unlock()
 }
 
-func (c *RunCache) readBackend(key string) (*scenario.Result, error) {
-	data, err := c.backend.Get(key)
+func (c *RunCache) readFile(key string) (*scenario.Result, error) {
+	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return nil, err
 	}
@@ -468,24 +438,15 @@ func (c *RunCache) readBackend(key string) (*scenario.Result, error) {
 	return res, nil
 }
 
-func (c *RunCache) writeBackend(key string, res *scenario.Result) error {
-	entry, err := EncodeResultEntry(key, res)
-	if err != nil {
-		return err
-	}
-	return c.backend.Put(key, entry)
-}
-
 // GetEntry returns the raw entry stored under key — footer included,
-// verified — from the backend. This is the read half of the entry-level
-// API the fabric coordinator serves over /cache/entry: entries move
-// between processes as opaque verified bytes, never re-encoded. A
-// memory-only cache (no backend) reports every key missing.
+// verified — from the cache directory: the entry as it moves between
+// processes, opaque and never re-encoded. A memory-only cache (no Dir)
+// reports every key missing.
 func (c *RunCache) GetEntry(key string) ([]byte, error) {
-	if c.backend == nil {
+	if c.cfg.Dir == "" {
 		return nil, fs.ErrNotExist
 	}
-	data, err := c.backend.Get(key)
+	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return nil, err
 	}
@@ -498,23 +459,23 @@ func (c *RunCache) GetEntry(key string) ([]byte, error) {
 
 // PutEntry stores a raw entry under key after verifying its footer,
 // refusing corrupt bytes at the door. Like Put, storing a key the
-// backend already holds is a clean no-op counted in Stats().DupPuts.
-// Requires a backend: entry-level callers (the fabric) move persistent
-// bytes, which a memory-only cache cannot hold.
+// directory already holds is a clean no-op counted in Stats().DupPuts.
+// Requires a Dir: a raw entry is the on-disk form, which a memory-only
+// cache does not keep.
 func (c *RunCache) PutEntry(key string, entry []byte) error {
-	if c.backend == nil {
-		return fmt.Errorf("harness: PutEntry requires a cache backend")
+	if c.cfg.Dir == "" {
+		return fmt.Errorf("harness: PutEntry requires a cache directory")
 	}
 	if _, err := checkFooter(entry); err != nil {
 		return err
 	}
-	if ok, err := c.backend.Has(key); err == nil && ok {
+	if c.onDisk(key) {
 		c.mu.Lock()
 		c.stats.DupPuts++
 		c.mu.Unlock()
 		return nil
 	}
-	if err := c.backend.Put(key, entry); err != nil {
+	if err := c.writeFile(key, entry); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -523,59 +484,21 @@ func (c *RunCache) PutEntry(key string, entry []byte) error {
 	return nil
 }
 
-// HasEntry reports whether the backend holds an entry for key.
-func (c *RunCache) HasEntry(key string) (bool, error) {
-	if c.backend == nil {
-		return false, nil
-	}
-	return c.backend.Has(key)
+func (c *RunCache) path(key string) string {
+	return filepath.Join(c.cfg.Dir, key+".run.gob")
 }
 
-// DeleteEntry removes an entry from the backend (missing is not an
-// error) and drops any in-memory copy.
-func (c *RunCache) DeleteEntry(key string) error {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.Remove(el)
-		delete(c.entries, key)
-	}
-	c.mu.Unlock()
-	if c.backend == nil {
-		return nil
-	}
-	return c.backend.Delete(key)
+// onDisk reports whether the directory holds an entry file for key.
+func (c *RunCache) onDisk(key string) bool {
+	_, err := os.Stat(c.path(key))
+	return err == nil
 }
 
-// DirBackend stores one entry file per key under a directory — the
-// CacheBackend behind CacheConfig.Dir. Writes go to a temp file in the
-// same directory and rename into place, so concurrent readers (and
-// concurrent writers in other processes) observe only absent or complete
-// entries.
-type DirBackend struct {
-	dir string
-}
-
-// NewDirBackend creates the directory if missing so configuration errors
-// surface before a sweep starts.
-func NewDirBackend(dir string) (*DirBackend, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("harness: cache dir: %w", err)
-	}
-	return &DirBackend{dir: dir}, nil
-}
-
-func (b *DirBackend) path(key string) string {
-	return filepath.Join(b.dir, key+".run.gob")
-}
-
-// Get reads the entry file for key.
-func (b *DirBackend) Get(key string) ([]byte, error) {
-	return os.ReadFile(b.path(key))
-}
-
-// Put writes the entry atomically via temp file + rename.
-func (b *DirBackend) Put(key string, entry []byte) error {
-	tmp, err := os.CreateTemp(b.dir, key+".tmp*")
+// writeFile writes an entry file atomically via temp file + rename, so
+// concurrent readers (and writers in other processes) observe only
+// absent or complete entries.
+func (c *RunCache) writeFile(key string, entry []byte) error {
+	tmp, err := os.CreateTemp(c.cfg.Dir, key+".tmp*")
 	if err != nil {
 		return fmt.Errorf("harness: cache write: %w", err)
 	}
@@ -588,29 +511,9 @@ func (b *DirBackend) Put(key string, entry []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: cache write: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), b.path(key)); err != nil {
+	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: cache write: %w", err)
-	}
-	return nil
-}
-
-// Has stats the entry file.
-func (b *DirBackend) Has(key string) (bool, error) {
-	_, err := os.Stat(b.path(key))
-	if err == nil {
-		return true, nil
-	}
-	if errors.Is(err, fs.ErrNotExist) {
-		return false, nil
-	}
-	return false, err
-}
-
-// Delete removes the entry file; missing entries are not an error.
-func (b *DirBackend) Delete(key string) error {
-	if err := os.Remove(b.path(key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
 	}
 	return nil
 }

@@ -9,35 +9,21 @@ import (
 // ShardSet drives a fixed set of independent Simulators ("shards") to a
 // common horizon in lockstep epochs: every shard runs its own event
 // kernel up to the epoch boundary, then all shards synchronize at a
-// barrier where cross-shard mailboxes drain and the caller's exchange
-// hook runs single-threaded. This is the conservative
-// parallel-discrete-event-simulation shape: shards may interact only
-// through state swapped at barriers, so the epoch length is the
-// lookahead the coupling model must tolerate.
+// barrier where the caller's exchange hook runs single-threaded. This is
+// the conservative parallel-discrete-event-simulation shape: shards may
+// interact only through state the hook swaps at barriers (it may also
+// schedule events into any shard, at or after the boundary), so the
+// epoch length is the lookahead the coupling model must tolerate.
 //
 // Determinism is the design constraint, exactly as for a single
 // Simulator. Shards share no mutable state while an epoch runs (each
-// kernel, its RNG and its seq counter are private), mailbox posts drain
-// at the barrier in (source shard, post order) — an order fixed by the
-// shards' own deterministic execution — and the exchange hook runs on
-// one goroutine with every shard clock parked at the boundary. The
-// worker count therefore multiplexes shard execution without touching
-// any ordering input: results are byte-identical at any worker count,
-// including workers == 1.
+// kernel, its RNG and its seq counter are private), and the exchange
+// hook runs on one goroutine with every shard clock parked at the
+// boundary. The worker count therefore multiplexes shard execution
+// without touching any ordering input: results are byte-identical at any
+// worker count, including workers == 1.
 type ShardSet struct {
 	shards []*Simulator
-	// mail[src] buffers the posts shard src made during the current
-	// epoch. Only shard src's worker goroutine appends to it while an
-	// epoch runs; the barrier drains all buffers single-threaded.
-	mail [][]mailPost
-}
-
-// mailPost is one cross-shard event in flight: scheduled into the
-// destination kernel at the next barrier.
-type mailPost struct {
-	dst int
-	at  Time
-	fn  Handler
 }
 
 // PanicError is the error RunEpochs reports for a shard whose handler
@@ -54,43 +40,9 @@ func (e *PanicError) Error() string {
 }
 
 // NewShardSet groups the given simulators into a shard set. The slice
-// order fixes shard indices for Post and for barrier drain order.
+// order fixes the shard indices errors are reported under.
 func NewShardSet(shards ...*Simulator) *ShardSet {
-	return &ShardSet{shards: shards, mail: make([][]mailPost, len(shards))}
-}
-
-// Len returns the number of shards.
-func (ss *ShardSet) Len() int { return len(ss.shards) }
-
-// Shard returns the i-th shard's simulator.
-func (ss *ShardSet) Shard(i int) *Simulator { return ss.shards[i] }
-
-// Post enqueues fn for delivery into shard dst's kernel at the next
-// epoch barrier, stamped with the sending epoch: the event is scheduled
-// at max(at, barrier time), so a post can never land in a destination
-// shard's past even when the sender ran ahead of it inside the epoch.
-// Post is safe to call from shard src's goroutine while an epoch runs
-// (each source owns its own buffer) and from the exchange hook
-// (src is then ignored in favor of deterministic barrier order anyway).
-func (ss *ShardSet) Post(src, dst int, at Time, fn Handler) {
-	ss.mail[src] = append(ss.mail[src], mailPost{dst: dst, at: at, fn: fn})
-}
-
-// drainMail schedules every buffered post into its destination kernel.
-// Runs single-threaded at a barrier with all shard clocks at end;
-// source order then post order keeps destination seq assignment a pure
-// function of the shards' deterministic execution.
-func (ss *ShardSet) drainMail(end Time) {
-	for src := range ss.mail {
-		for _, p := range ss.mail[src] {
-			at := p.at
-			if at < end {
-				at = end
-			}
-			ss.shards[p.dst].Schedule(at, p.fn)
-		}
-		ss.mail[src] = ss.mail[src][:0]
-	}
+	return &ShardSet{shards: shards}
 }
 
 // RunEpochs drives every shard to horizon in lockstep epochs of the
@@ -98,8 +50,8 @@ func (ss *ShardSet) drainMail(end Time) {
 // horizon), running shard kernels on up to `workers` goroutines
 // (workers <= 1 runs them inline on the calling goroutine, with no
 // goroutines at all). After every epoch — including the final one — the
-// barrier drains cross-shard mailboxes and then calls exchange (when
-// non-nil) single-threaded with every shard clock at the boundary.
+// barrier calls exchange (when non-nil) single-threaded with every shard
+// clock at the boundary.
 //
 // The returned slice holds one error per shard: ErrStopped for shards
 // that called Stop, a *PanicError for shards whose handlers panicked.
@@ -174,7 +126,6 @@ func (ss *ShardSet) RunEpochs(horizon, epoch Time, workers int, exchange func(en
 				runShard(i, end)
 			}
 		}
-		ss.drainMail(end)
 		if exchange != nil {
 			exchange(end)
 		}

@@ -10,37 +10,45 @@ import (
 )
 
 // shardTrace runs a ShardSet of n self-rescheduling RNG-driven shards
-// that cross-post into each other's kernels, and returns a trace of
-// every fired event: the determinism witness the worker-count tests
-// compare byte for byte.
+// coupled through the exchange hook, and returns a trace of every fired
+// event: the determinism witness the worker-count tests compare byte for
+// byte. Each shard counts the events it fires in an epoch; at every
+// barrier the hook hands each count to the next shard as an event
+// scheduled at the boundary, which draws from the receiving shard's RNG
+// and so steers that shard's later draws.
 func shardTrace(t *testing.T, n, workers int, horizon, epoch Time) (string, []uint64) {
 	t.Helper()
 	shards := make([]*Simulator, n)
 	for i := range shards {
 		shards[i] = New(WithSeed(int64(1000 + i)))
 	}
-	ss := NewShardSet(shards...)
-	// One trace buffer per shard: every write happens on the owning
-	// shard's goroutine (a mailed event executes inside the destination
-	// kernel), and the buffers concatenate in shard order afterwards.
+	// One trace buffer and one epoch counter per shard: every write
+	// happens on the owning shard's goroutine while an epoch runs, or in
+	// the single-threaded hook at a barrier, and the buffers concatenate
+	// in shard order afterwards.
 	traces := make([]strings.Builder, n)
+	fired := make([]int, n)
 	for i := range shards {
 		i := i
 		s := shards[i]
 		var tick func()
 		tick = func() {
 			fmt.Fprintf(&traces[i], "s%d@%v r%d\n", i, s.Now(), s.Rand().Intn(1000))
-			// Cross-post to the next shard: lands at the next barrier.
-			dst := (i + 1) % n
-			at := s.Now()
-			ss.Post(i, dst, at, func() {
-				fmt.Fprintf(&traces[dst], "mail s%d->s%d@%v\n", i, dst, shards[dst].Now())
-			})
+			fired[i]++
 			s.After(time.Duration(1+s.Rand().Intn(7))*time.Millisecond, tick)
 		}
 		s.Schedule(0, tick)
 	}
-	errs := ss.RunEpochs(horizon, epoch, workers, nil)
+	errs := NewShardSet(shards...).RunEpochs(horizon, epoch, workers, func(end Time) {
+		for src := range shards {
+			dst, k := (src+1)%n, fired[src]
+			fired[src] = 0
+			shards[dst].Schedule(end, func() {
+				fmt.Fprintf(&traces[dst], "xchg s%d->s%d@%v k%d r%d\n",
+					src, dst, shards[dst].Now(), k, shards[dst].Rand().Intn(1000))
+			})
+		}
+	})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
@@ -60,7 +68,7 @@ func shardTrace(t *testing.T, n, workers int, horizon, epoch Time) (string, []ui
 
 // TestShardSetDeterministicAcrossWorkers is the kernel-level determinism
 // spec: the full event trace — firing order, clock stamps, RNG draws,
-// mailbox deliveries — must be byte-identical at any worker count.
+// exchange deliveries — must be byte-identical at any worker count.
 func TestShardSetDeterministicAcrossWorkers(t *testing.T) {
 	const n = 5
 	horizon, epoch := 200*time.Millisecond, 25*time.Millisecond
@@ -106,26 +114,6 @@ func TestShardSetEpochChainEquivalence(t *testing.T) {
 	if sharded.Executed() != ref.Executed() || sharded.Now() != ref.Now() {
 		t.Fatalf("epoch chain executed %d events to %v, single run %d to %v",
 			sharded.Executed(), sharded.Now(), ref.Executed(), ref.Now())
-	}
-}
-
-// TestShardSetMailClampsToBarrier: a post stamped before the barrier
-// instant must be delivered at the barrier, never silently dropped into
-// the destination's past (Schedule refuses past events).
-func TestShardSetMailClampsToBarrier(t *testing.T) {
-	a, b := New(), New()
-	ss := NewShardSet(a, b)
-	var deliveredAt Time = -1
-	a.Schedule(time.Millisecond, func() {
-		ss.Post(0, 1, time.Millisecond, func() { deliveredAt = b.Now() })
-	})
-	for _, err := range ss.RunEpochs(100*time.Millisecond, 25*time.Millisecond, 1, nil) {
-		if err != nil {
-			t.Fatalf("epochs: %v", err)
-		}
-	}
-	if deliveredAt != 25*time.Millisecond {
-		t.Fatalf("mail delivered at %v, want clamped to the 25ms barrier", deliveredAt)
 	}
 }
 
@@ -209,42 +197,49 @@ func TestShardSetStopAborts(t *testing.T) {
 }
 
 // TestShardSetRaceHammer drives many shards hot across many short epochs
-// with cross-shard mail and an exchange hook touching shared snapshot
-// state — the -race acceptance test for the epoch-exchange path.
+// with an exchange hook that reads per-shard state written during the
+// epoch and schedules events into random shards — the -race acceptance
+// test for the epoch-exchange path.
 func TestShardSetRaceHammer(t *testing.T) {
 	const n = 8
 	shards := make([]*Simulator, n)
 	for i := range shards {
 		shards[i] = New(WithSeed(int64(i + 1)))
 	}
-	ss := NewShardSet(shards...)
+	outbox := make([]int, n)
 	for i := range shards {
 		i := i
 		s := shards[i]
 		var tick func()
 		tick = func() {
 			if s.Rand().Intn(4) == 0 {
-				dst := s.Rand().Intn(n)
-				ss.Post(i, dst, s.Now(), func() {})
+				outbox[i]++
 			}
 			s.After(time.Duration(1+s.Rand().Intn(3))*time.Millisecond, tick)
 		}
 		s.Schedule(0, tick)
 	}
 	snapshot := make([]uint64, n)
-	errs := ss.RunEpochs(300*time.Millisecond, 5*time.Millisecond, runtime.GOMAXPROCS(0)+2,
+	errs := NewShardSet(shards...).RunEpochs(300*time.Millisecond, 5*time.Millisecond, runtime.GOMAXPROCS(0)+2,
 		func(end Time) {
 			for i, s := range shards {
 				snapshot[i] = s.Executed()
+				for ; outbox[i] > 0; outbox[i]-- {
+					shards[s.Rand().Intn(n)].Schedule(end, func() {})
+				}
 			}
 		})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		if snapshot[i] != shards[i].Executed() {
+	}
+	for i, s := range shards {
+		// The final barrier's deliveries land at the horizon, after the
+		// last epoch ran: they stay pending, so the snapshot is exact.
+		if snapshot[i] != s.Executed() {
 			t.Fatalf("shard %d: final exchange snapshot %d != executed %d",
-				i, snapshot[i], shards[i].Executed())
+				i, snapshot[i], s.Executed())
 		}
 	}
 }
