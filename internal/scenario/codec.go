@@ -44,15 +44,15 @@ type specV2 struct {
 	Interference        *interferenceV2 `json:"interference,omitempty"`
 	InterferenceAware   bool            `json:"interference_aware_admission,omitempty"`
 	AdmissionDerate     float64         `json:"admission_derate,omitempty"`
-	GS                  []gsV2          `json:"gs_flows,omitempty"`
-	BE                  []beV2          `json:"be_flows,omitempty"`
-	SCO                 []scoV2         `json:"sco_links,omitempty"`
-	Piconets            []piconetV2     `json:"piconets,omitempty"`
-	Bridges             []bridgeV2      `json:"bridges,omitempty"`
-	Routes              []routeV2       `json:"routes,omitempty"`
-	Faults              *faultsV2       `json:"faults,omitempty"`
-	Recovery            *recoveryV2     `json:"recovery,omitempty"`
-	Timeline            []timelineEvtV2 `json:"timeline,omitempty"`
+	// The flat spec's flows and SCO links: a piconet whose name the
+	// top-level "name" shadows.
+	piconetV2
+	Piconets []piconetV2     `json:"piconets,omitempty"`
+	Bridges  []bridgeV2      `json:"bridges,omitempty"`
+	Routes   []routeV2       `json:"routes,omitempty"`
+	Faults   *faultsV2       `json:"faults,omitempty"`
+	Recovery *recoveryV2     `json:"recovery,omitempty"`
+	Timeline []timelineEvtV2 `json:"timeline,omitempty"`
 }
 
 // faultsV2 is the declarative fault plan block.
@@ -476,15 +476,7 @@ func toV2(spec Spec) (specV2, error) {
 		radio := spec.Radio
 		fs.Radio = &radio
 	}
-	for _, g := range spec.GS {
-		fs.GS = append(fs.GS, marshalGS(g))
-	}
-	for _, b := range spec.BE {
-		fs.BE = append(fs.BE, marshalBE(b))
-	}
-	for _, l := range spec.SCO {
-		fs.SCO = append(fs.SCO, scoV2{Slave: int(l.Slave), Type: l.Type.String()})
-	}
+	fs.piconetV2 = marshalPiconet(PiconetSpec{GS: spec.GS, BE: spec.BE, SCO: spec.SCO})
 	for i, ev := range spec.Timeline {
 		if ev.ops() != 1 {
 			return specV2{}, fmt.Errorf("%w: timeline[%d] sets %d operations", ErrBadSpec, i, ev.ops())
@@ -810,27 +802,11 @@ func Unmarshal(data []byte) (Spec, error) {
 			HandoffTarget: fs.Recovery.HandoffTarget,
 		}
 	}
-	for _, g := range fs.GS {
-		flow, err := unmarshalGS(g)
-		if err != nil {
-			return Spec{}, fmt.Errorf("gs flow %d: %w", g.ID, err)
-		}
-		spec.GS = append(spec.GS, flow)
+	flat, err := unmarshalPiconet(fs.piconetV2)
+	if err != nil {
+		return Spec{}, err
 	}
-	for _, b := range fs.BE {
-		flow, err := unmarshalBE(b)
-		if err != nil {
-			return Spec{}, fmt.Errorf("be flow %d: %w", b.ID, err)
-		}
-		spec.BE = append(spec.BE, flow)
-	}
-	for _, l := range fs.SCO {
-		link, err := unmarshalSCO(l)
-		if err != nil {
-			return Spec{}, err
-		}
-		spec.SCO = append(spec.SCO, link)
-	}
+	spec.GS, spec.BE, spec.SCO = flat.GS, flat.BE, flat.SCO
 	for i, ev := range fs.Timeline {
 		at, err := parseDur("at", ev.At)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"bluegs/internal/admission"
 	"bluegs/internal/faults"
 	"bluegs/internal/piconet"
 	"bluegs/internal/sim"
@@ -117,7 +116,7 @@ func validateFaults(spec Spec) error {
 // the detection latency; then the configured recovery policy takes over.
 func (p *piconetRunner) onLinkDead(slave piconet.SlaveID, since, at sim.Time) {
 	r := p.r
-	if r.err != nil || p.removed || p.crashed {
+	if r.err != nil || !p.live() {
 		return
 	}
 	var hit []piconet.FlowID
@@ -129,12 +128,9 @@ func (p *piconetRunner) onLinkDead(slave piconet.SlaveID, since, at sim.Time) {
 		if p.routeOf[id] != nil {
 			continue // routes suspend end-to-end, below
 		}
-		src, installed := p.sources[id]
-		if !installed {
+		if !p.stopSource(id) {
 			continue // already suspended, moved or retired
 		}
-		r.s.Cancel(src.ev)
-		delete(p.sources, id)
 		if r.err = p.pn.SuspendFlow(id); r.err != nil {
 			break
 		}
@@ -152,12 +148,11 @@ func (p *piconetRunner) onLinkDead(slave piconet.SlaveID, since, at sim.Time) {
 		hit = append(hit, id)
 	}
 	if r.err == nil && len(hit) > 0 {
-		if r.err = p.sched.Replan(p.ctrl.Flows()); r.err == nil {
-			p.noteBounds()
+		if r.err = p.replan(); r.err == nil {
 			switch r.spec.Recovery.Policy {
 			case faults.PolicyDegrade:
 				for _, id := range hit {
-					p.scheduleDegrade(id, slave)
+					p.scheduleDegrade(id, slave, func() { p.applyDegrade(id, slave) })
 				}
 			case faults.PolicyHandoff:
 				for _, id := range hit {
@@ -181,24 +176,24 @@ func (p *piconetRunner) onLinkDead(slave piconet.SlaveID, since, at sim.Time) {
 }
 
 // scheduleDegrade arranges the graceful-degradation renegotiation of a
-// suspended flow: if the compiled fault plan says the link is inside a
-// declared window, the attempt waits for the window's end (a link that
-// never returns is a rejected degrade); otherwise — supervision tripped
-// on channel loss alone, or after the window — it renegotiates now.
-func (p *piconetRunner) scheduleDegrade(id piconet.FlowID, slave piconet.SlaveID) {
+// suspended flow or route (id) that lost its link at slave: if the
+// compiled fault plan says the link is inside a declared window, degrade
+// waits for the window's end (a link that never returns is a rejected
+// degrade); otherwise — supervision tripped on channel loss alone, or
+// after the window — it renegotiates now.
+func (p *piconetRunner) scheduleDegrade(id piconet.FlowID, slave piconet.SlaveID, degrade func()) {
 	r := p.r
-	now := r.s.Now()
 	if pf := r.fsched.Piconet(p.name); pf != nil {
-		if iv, down := pf.Covering(slave, now); down {
+		if iv, down := pf.Covering(slave, r.s.Now()); down {
 			if iv.End == faults.Forever {
 				p.reject(OpDegrade, id, slave, "link never returns")
 				return
 			}
-			r.s.Schedule(iv.End, func() { p.applyDegrade(id, slave) })
+			r.s.Schedule(iv.End, degrade)
 			return
 		}
 	}
-	p.applyDegrade(id, slave)
+	degrade()
 }
 
 // applyDegrade renegotiates a suspended flow at the degraded delay target
@@ -207,7 +202,7 @@ func (p *piconetRunner) scheduleDegrade(id piconet.FlowID, slave piconet.SlaveID
 // released at suspension; a refusal leaves the flow suspended.
 func (p *piconetRunner) applyDegrade(id piconet.FlowID, slave piconet.SlaveID) {
 	r := p.r
-	if r.err != nil || p.removed || p.crashed || p.fates[id] != FateSuspended {
+	if r.err != nil || !p.live() || p.fates[id] != FateSuspended {
 		return
 	}
 	g, ok := p.gsSpecs[id]
@@ -216,35 +211,25 @@ func (p *piconetRunner) applyDegrade(id piconet.FlowID, slave piconet.SlaveID) {
 		return
 	}
 	target := time.Duration(float64(r.spec.DelayTarget) * r.spec.Recovery.DegradeFactor)
-	pf, err := p.ctrl.AdmitForDelay(admission.DelayRequest{
-		Request: admission.Request{
-			ID:      id,
-			Slave:   g.Slave,
-			Dir:     g.Dir,
-			Spec:    g.Spec(),
-			Allowed: p.r.spec.allowedFor(g.Allowed),
-		},
-		Target: target,
-	})
+	pf, err := p.ctrl.AdmitForDelay(r.spec.gsRequest(g, target))
 	if err != nil {
 		p.reject(OpDegrade, id, slave, err.Error())
 		return
 	}
 	if r.err = p.pn.ResumeFlow(id); r.err == nil {
-		if r.err = p.sched.Replan(p.ctrl.Flows()); r.err == nil {
-			p.noteBounds()
-			p.fates[id] = FateDegraded
-			p.attachGSSource(g)
-			p.pn.Kick()
-			p.accept(AdmissionRecord{
-				Op: OpDegrade, Flow: id, Slave: g.Slave,
-				Bound: pf.Bound, Rate: pf.Request.Rate,
-			})
-		}
+		r.err = p.replan()
 	}
 	if r.err != nil {
 		r.s.Stop()
+		return
 	}
+	p.fates[id] = FateDegraded
+	p.attachGSSource(g)
+	p.pn.Kick()
+	p.accept(AdmissionRecord{
+		Op: OpDegrade, Flow: id, Slave: g.Slave,
+		Bound: pf.Bound, Rate: pf.Request.Rate,
+	})
 }
 
 // handoffTarget resolves where a handed-off flow goes: the explicit
@@ -263,13 +248,13 @@ func (p *piconetRunner) handoffTarget(to string) (*piconetRunner, string) {
 		if q == p {
 			return nil, "cannot move a flow to its own piconet"
 		}
-		if q.removed || q.crashed {
+		if !q.live() {
 			return nil, fmt.Sprintf("piconet %q is out of service", to)
 		}
 		return q, ""
 	}
 	for _, q := range r.pns {
-		if q != p && !q.removed && !q.crashed {
+		if q != p && q.live() {
 			return q, ""
 		}
 	}
@@ -299,61 +284,31 @@ func (p *piconetRunner) applyHandoff(id piconet.FlowID, to string, suspended boo
 		return
 	}
 	// Make: admission at the target first.
-	pf, err := q.ctrl.AdmitForDelay(admission.DelayRequest{
-		Request: admission.Request{
-			ID:      id,
-			Slave:   g.Slave,
-			Dir:     g.Dir,
-			Spec:    g.Spec(),
-			Allowed: q.r.spec.allowedFor(g.Allowed),
-		},
-		Target: r.spec.DelayTarget,
-	})
+	pf, err := q.ctrl.AdmitForDelay(r.spec.gsRequest(g, r.spec.DelayTarget))
 	if err != nil {
 		p.reject(OpHandoff, id, g.Slave, fmt.Sprintf("target %q: %v", q.name, err))
 		return
 	}
-	if r.err = q.addSlave(g.Slave); r.err == nil {
-		if r.err = q.pn.AddFlow(piconet.FlowConfig{
-			ID: id, Slave: g.Slave, Dir: g.Dir,
-			Class: piconet.Guaranteed, Allowed: q.r.spec.allowedFor(g.Allowed),
-		}); r.err == nil {
-			if r.err = q.sched.Replan(q.ctrl.Flows()); r.err == nil {
-				q.noteBounds()
-				q.gsSpecs[id] = g
-				q.attachGSSource(g)
-				q.pn.Kick()
-			}
-		}
+	r.err = q.startGS(g)
+	// Break: release at the source only once the target carries the flow
+	// (a suspended flow released its reservation at suspension).
+	if r.err == nil && !suspended {
+		p.stopSource(id)
+		r.err = p.release(id)
 	}
-	// Break: release at the source only once the target carries the flow.
 	if r.err == nil {
-		if !suspended {
-			if src, installed := p.sources[id]; installed {
-				r.s.Cancel(src.ev)
-				delete(p.sources, id)
-			}
-			if _, isGS := p.ctrl.Find(id); isGS {
-				if r.err = p.ctrl.Remove(id); r.err == nil {
-					r.err = p.sched.Replan(p.ctrl.Flows())
-				}
-			}
-		}
-		if r.err == nil {
-			p.noteBounds()
-			if r.err = p.pn.RetireFlow(id); r.err == nil {
-				p.fates[id] = FateMoved
-				q.accept(AdmissionRecord{
-					Op: OpHandoff, Flow: id, Slave: g.Slave,
-					Bound: pf.Bound, Rate: pf.Request.Rate,
-					Reason: fmt.Sprintf("from %q", p.name),
-				})
-			}
-		}
+		r.err = p.pn.RetireFlow(id)
 	}
 	if r.err != nil {
 		r.s.Stop()
+		return
 	}
+	p.fates[id] = FateMoved
+	q.accept(AdmissionRecord{
+		Op: OpHandoff, Flow: id, Slave: g.Slave,
+		Bound: pf.Bound, Rate: pf.Request.Rate,
+		Reason: fmt.Sprintf("from %q", p.name),
+	})
 }
 
 // applyMove handles the move_flow timeline event: a make-before-break
@@ -381,17 +336,9 @@ func (r *runner) applyCrash(name string) {
 	if r.err != nil {
 		return
 	}
-	p, ok := r.byName[name]
-	if !ok {
-		r.reject(name, OpCrash, 0, 0, "unknown piconet")
-		return
-	}
-	if p.removed {
-		r.reject(name, OpCrash, 0, 0, "piconet removed")
-		return
-	}
-	if p.crashed {
-		r.reject(name, OpCrash, 0, 0, "piconet crashed")
+	p, why := r.inService(name)
+	if p == nil {
+		r.reject(name, OpCrash, 0, 0, why)
 		return
 	}
 	p.pn.Stop()

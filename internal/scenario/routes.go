@@ -165,10 +165,7 @@ func (p *piconetRunner) hopRequest(rt *routeState, h routeHop) admission.DelayRe
 
 // installHop registers one admitted hop flow with the piconet engine.
 func (p *piconetRunner) installHop(rt *routeState, h routeHop) error {
-	if err := p.addSlave(h.Slave); err != nil {
-		return err
-	}
-	if err := p.pn.AddFlow(piconet.FlowConfig{
+	if err := p.installFlow(piconet.FlowConfig{
 		ID: rt.spec.ID, Slave: h.Slave, Dir: h.Dir,
 		Class: piconet.Guaranteed, Allowed: p.r.spec.allowedFor(rt.spec.Allowed),
 	}); err != nil {
@@ -232,9 +229,8 @@ func (r *runner) onHopComplete(p *piconetRunner, flow piconet.FlowID, size int, 
 		rt.delay.Add(at - origin)
 		return
 	}
-	next := rt.hops[idx+1]
-	q := r.byName[next.Piconet]
-	if q == nil || q.removed || q.crashed {
+	q, _ := r.inService(rt.hops[idx+1].Piconet)
+	if q == nil {
 		rt.lost++
 		return
 	}
@@ -265,16 +261,9 @@ func (r *runner) applyAddRoute(spec RouteSpec) {
 	}
 	prs := make([]*piconetRunner, len(rt.hops))
 	for i, h := range rt.hops {
-		p, ok := r.byName[h.Piconet]
-		switch {
-		case !ok:
-			r.reject(h.Piconet, OpAddRoute, spec.ID, h.Slave, "unknown piconet")
-			return
-		case p.removed:
-			r.reject(h.Piconet, OpAddRoute, spec.ID, h.Slave, "piconet removed")
-			return
-		case p.crashed:
-			r.reject(h.Piconet, OpAddRoute, spec.ID, h.Slave, "piconet crashed")
+		p, why := r.inService(h.Piconet)
+		if p == nil {
+			r.reject(h.Piconet, OpAddRoute, spec.ID, h.Slave, why)
 			return
 		}
 		if _, dup := p.pn.FlowConfig(spec.ID); dup {
@@ -284,40 +273,62 @@ func (r *runner) applyAddRoute(spec RouteSpec) {
 		}
 		prs[i] = p
 	}
-	admitted := make([]*admission.PlannedFlow, len(rt.hops))
-	for i, h := range rt.hops {
-		pf, err := prs[i].ctrl.AdmitForDelay(prs[i].hopRequest(rt, h))
-		if err != nil {
-			// All-or-nothing: release the hops admitted so far.
-			for j := i - 1; j >= 0; j-- {
-				_ = prs[j].ctrl.Remove(spec.ID)
-			}
-			r.admissions = append(r.admissions, AdmissionRecord{
-				At: r.s.Now(), Op: OpAddRoute, Piconet: h.Piconet,
-				Flow: spec.ID, Slave: h.Slave, Route: spec.Name, Hop: i + 1,
-				Reason: fmt.Sprintf("hop %d: %v", i+1, err),
-			})
-			return
-		}
-		admitted[i] = pf
-	}
-	for i, h := range rt.hops {
-		p := prs[i]
-		if r.err = p.installHop(rt, h); r.err != nil {
-			return
-		}
-		if r.err = p.sched.Replan(p.ctrl.Flows()); r.err != nil {
-			return
-		}
-		p.noteBounds()
-		p.accept(AdmissionRecord{
-			Op: OpAddRoute, Flow: spec.ID, Slave: h.Slave,
-			Bound: admitted[i].Bound, Rate: admitted[i].Request.Rate,
-			Route: spec.Name, Hop: i + 1,
+	admitted, i, err := admitHops(rt, rt.hops, prs)
+	if err != nil {
+		h := rt.hops[i]
+		r.admissions = append(r.admissions, AdmissionRecord{
+			At: r.s.Now(), Op: OpAddRoute, Piconet: h.Piconet,
+			Flow: spec.ID, Slave: h.Slave, Route: spec.Name, Hop: i + 1,
+			Reason: fmt.Sprintf("hop %d: %v", i+1, err),
 		})
+		return
 	}
 	r.routes = append(r.routes, rt)
 	r.routeByID[spec.ID] = rt
+	r.startRoute(rt, prs, admitted, OpAddRoute, func(p *piconetRunner, h routeHop) error {
+		return p.installHop(rt, h)
+	})
+}
+
+// admitHops runs the admission test at every hop of a route — hop i+1
+// only after hop i passed — and on a refusal releases the hops admitted
+// so far, so a route's reservations land whole or not at all. It returns
+// the admitted plans, or the refused hop's index and error.
+func admitHops(rt *routeState, hops []routeHop, prs []*piconetRunner) ([]*admission.PlannedFlow, int, error) {
+	admitted := make([]*admission.PlannedFlow, len(hops))
+	for i, h := range hops {
+		pf, err := prs[i].ctrl.AdmitForDelay(prs[i].hopRequest(rt, h))
+		if err != nil {
+			for j := i - 1; j >= 0; j-- {
+				_ = prs[j].ctrl.Remove(rt.spec.ID)
+			}
+			return nil, i, err
+		}
+		admitted[i] = pf
+	}
+	return admitted, 0, nil
+}
+
+// startRoute puts an admitted route into service: at every hop up
+// installs or resumes the hop flow, the piconet re-plans and an op
+// record logs the hop's contract; then the source starts in the first
+// hop and every hop's master is kicked.
+func (r *runner) startRoute(rt *routeState, prs []*piconetRunner, admitted []*admission.PlannedFlow,
+	op string, up func(p *piconetRunner, h routeHop) error) {
+	for i, h := range rt.hops {
+		p := prs[i]
+		if r.err = up(p, h); r.err == nil {
+			r.err = p.replan()
+		}
+		if r.err != nil {
+			return
+		}
+		p.accept(AdmissionRecord{
+			Op: op, Flow: rt.spec.ID, Slave: h.Slave,
+			Bound: admitted[i].Bound, Rate: admitted[i].Request.Rate,
+			Route: rt.spec.Name, Hop: i + 1,
+		})
+	}
 	prs[0].attachRouteSource(rt)
 	for _, p := range prs {
 		p.pn.Kick()
@@ -337,35 +348,36 @@ func (r *runner) applyRemoveRoute(id piconet.FlowID) {
 		return
 	}
 	rt.retired = true
+	r.stopRoute(rt, AdmissionRecord{Op: OpRemoveRoute}, func(p *piconetRunner) error {
+		if _, installed := p.pn.FlowConfig(id); installed {
+			return p.pn.RetireFlow(id)
+		}
+		return nil
+	})
+}
+
+// stopRoute takes a route down end to end: the source stops, and at
+// every live hop halt retires or suspends the hop flow, its reservation
+// is released and rec is logged for the hop. The in-flight origin FIFOs
+// clear.
+func (r *runner) stopRoute(rt *routeState, rec AdmissionRecord, halt func(p *piconetRunner) error) {
+	id := rt.spec.ID
 	for i, h := range rt.hops {
-		p, ok := r.byName[h.Piconet]
-		if !ok || p.removed || p.crashed {
+		p, _ := r.inService(h.Piconet)
+		if p == nil {
 			continue
 		}
 		if i == 0 {
-			if src, installed := p.sources[id]; installed {
-				r.s.Cancel(src.ev)
-				delete(p.sources, id)
-			}
+			p.stopSource(id)
 		}
-		if _, installed := p.pn.FlowConfig(id); installed {
-			if r.err = p.pn.RetireFlow(id); r.err != nil {
-				return
-			}
+		if r.err = halt(p); r.err == nil {
+			r.err = p.release(id)
 		}
-		if _, isGS := p.ctrl.Find(id); isGS {
-			if r.err = p.ctrl.Remove(id); r.err != nil {
-				return
-			}
-			if r.err = p.sched.Replan(p.ctrl.Flows()); r.err != nil {
-				return
-			}
-			p.noteBounds()
+		if r.err != nil {
+			return
 		}
-		p.accept(AdmissionRecord{
-			Op: OpRemoveRoute, Flow: id, Slave: h.Slave,
-			Route: rt.spec.Name, Hop: i + 1,
-		})
+		rec.Flow, rec.Slave, rec.Route, rec.Hop = id, h.Slave, rt.spec.Name, i+1
+		p.accept(rec)
 	}
 	for i := range rt.origins {
 		rt.origins[i] = nil
@@ -401,10 +413,9 @@ func (p *piconetRunner) applyRenegotiate(rn RenegotiateFlow) {
 		p.reject(OpRenegotiate, rn.Flow, 0, err.Error())
 		return
 	}
-	if r.err = p.sched.Replan(p.ctrl.Flows()); r.err != nil {
+	if r.err = p.replan(); r.err != nil {
 		return
 	}
-	p.noteBounds()
 	p.accept(AdmissionRecord{
 		Op: OpRenegotiate, Flow: rn.Flow, Slave: pf.Request.Slave,
 		Bound: pf.Bound, Rate: pf.Request.Rate,
@@ -422,41 +433,13 @@ func (r *runner) suspendRoute(rt *routeState, fate string, latency time.Duration
 	rt.suspended = true
 	rt.fate = fate
 	id := rt.spec.ID
-	for i, h := range rt.hops {
-		p, ok := r.byName[h.Piconet]
-		if !ok || p.removed || p.crashed {
-			continue
-		}
-		if i == 0 {
-			if src, installed := p.sources[id]; installed {
-				r.s.Cancel(src.ev)
-				delete(p.sources, id)
-			}
-		}
-		if _, installed := p.pn.FlowConfig(id); installed && !p.pn.FlowSuspended(id) {
-			if r.err = p.pn.SuspendFlow(id); r.err != nil {
-				return
-			}
-		}
-		if _, isGS := p.ctrl.Find(id); isGS {
-			if r.err = p.ctrl.Remove(id); r.err != nil {
-				return
-			}
-			if r.err = p.sched.Replan(p.ctrl.Flows()); r.err != nil {
-				return
-			}
-			p.noteBounds()
-		}
+	r.stopRoute(rt, AdmissionRecord{Op: OpSuspend, Latency: latency, Reason: reason}, func(p *piconetRunner) error {
 		p.fates[id] = fate
-		p.accept(AdmissionRecord{
-			Op: OpSuspend, Flow: id, Slave: h.Slave,
-			Route: rt.spec.Name, Hop: i + 1,
-			Latency: latency, Reason: reason,
-		})
-	}
-	for i := range rt.origins {
-		rt.origins[i] = nil
-	}
+		if _, installed := p.pn.FlowConfig(id); installed && !p.pn.FlowSuspended(id) {
+			return p.pn.SuspendFlow(id)
+		}
+		return nil
+	})
 }
 
 // onRouteLinkDead applies the recovery policy to routes severed by a
@@ -480,31 +463,12 @@ func (r *runner) onRouteLinkDead(p *piconetRunner, slave piconet.SlaveID, since,
 		}
 		switch r.spec.Recovery.Policy {
 		case faults.PolicyDegrade:
-			r.scheduleRouteDegrade(rt, p, slave)
+			p.scheduleDegrade(rt.spec.ID, slave, func() { r.applyRouteDegrade(rt) })
 		case faults.PolicyHandoff:
 			r.reject(p.name, OpHandoff, rt.spec.ID, slave,
 				"handoff of routed flows is not supported: the bridge schedule fixes their piconets")
 		}
 	}
-}
-
-// scheduleRouteDegrade arranges the end-to-end renegotiation of a severed
-// route, mirroring the per-flow scheduleDegrade: inside a declared fault
-// window the attempt waits for the window's end; a link that never returns
-// is a rejected degrade; otherwise it renegotiates now.
-func (r *runner) scheduleRouteDegrade(rt *routeState, p *piconetRunner, slave piconet.SlaveID) {
-	now := r.s.Now()
-	if pf := r.fsched.Piconet(p.name); pf != nil {
-		if iv, down := pf.Covering(slave, now); down {
-			if iv.End == faults.Forever {
-				r.reject(p.name, OpDegrade, rt.spec.ID, slave, "link never returns")
-				return
-			}
-			r.s.Schedule(iv.End, func() { r.applyRouteDegrade(rt) })
-			return
-		}
-	}
-	r.applyRouteDegrade(rt)
 }
 
 // applyRouteDegrade renegotiates a suspended route at the degraded
@@ -526,47 +490,24 @@ func (r *runner) applyRouteDegrade(rt *routeState) {
 	id := rt.spec.ID
 	prs := make([]*piconetRunner, len(hops))
 	for i, h := range hops {
-		p, ok := r.byName[h.Piconet]
-		if !ok || p.removed || p.crashed {
+		if prs[i], _ = r.inService(h.Piconet); prs[i] == nil {
 			r.reject(h.Piconet, OpDegrade, id, h.Slave, "piconet out of service")
 			return
 		}
-		prs[i] = p
 	}
-	for i, h := range hops {
-		if _, err := prs[i].ctrl.AdmitForDelay(prs[i].hopRequest(rt, h)); err != nil {
-			for j := i - 1; j >= 0; j-- {
-				_ = prs[j].ctrl.Remove(id)
-			}
-			r.reject(h.Piconet, OpDegrade, id, h.Slave, fmt.Sprintf("hop %d: %v", i+1, err))
-			return
-		}
+	admitted, i, err := admitHops(rt, hops, prs)
+	if err != nil {
+		r.reject(hops[i].Piconet, OpDegrade, id, hops[i].Slave, fmt.Sprintf("hop %d: %v", i+1, err))
+		return
 	}
 	rt.hops = hops
 	rt.spec.DelayTarget = degraded.DelayTarget
 	rt.suspended = false
 	rt.fate = FateDegraded
-	for i, h := range hops {
-		p := prs[i]
-		if r.err = p.pn.ResumeFlow(id); r.err != nil {
-			return
-		}
-		if r.err = p.sched.Replan(p.ctrl.Flows()); r.err != nil {
-			return
-		}
-		p.noteBounds()
+	r.startRoute(rt, prs, admitted, OpDegrade, func(p *piconetRunner, _ routeHop) error {
 		p.fates[id] = FateDegraded
-		pf, _ := p.ctrl.Find(id)
-		p.accept(AdmissionRecord{
-			Op: OpDegrade, Flow: id, Slave: h.Slave,
-			Bound: pf.Bound, Rate: pf.Request.Rate,
-			Route: rt.spec.Name, Hop: i + 1,
-		})
-	}
-	prs[0].attachRouteSource(rt)
-	for _, p := range prs {
-		p.pn.Kick()
-	}
+		return p.pn.ResumeFlow(id)
+	})
 }
 
 // severRoutesThrough suspends every live route traversing the named

@@ -104,10 +104,11 @@ func Run(spec Spec) (*Result, error) { return RunWith(spec, Hooks{}) }
 // RunWith executes a scenario with runtime hooks attached (a live tracer
 // or a pre-built radio model instance). Hooked runs must not be served
 // from a result cache: their side effects cannot be replayed. Every run
-// goes through runShards, over the shard groups kernelShards derives; a
-// hooked run is one group. A Tracer observes the first piconet only, and
-// a live Radio instance is rejected in multi-piconet runs (one stateful
-// model cannot serve N piconets).
+// goes through runShards, over the shard groups kernelShards derives
+// from the spec alone, so a hooked run computes the same result as an
+// unhooked one. A Tracer observes the first piconet only, and a live
+// Radio instance is rejected in multi-piconet runs (one stateful model
+// cannot serve N piconets).
 func RunWith(spec Spec, hooks Hooks) (*Result, error) {
 	if spec.AdmissionDerate < 0 || spec.AdmissionDerate >= 1 {
 		return nil, fmt.Errorf("%w: AdmissionDerate %g outside [0,1)", ErrBadSpec, spec.AdmissionDerate)
@@ -129,7 +130,7 @@ func RunWith(spec Spec, hooks Hooks) (*Result, error) {
 	// must compare byte-identical across worker counts and cache replays).
 	workers := kernelWorkersFor(spec.KernelWorkers)
 	spec.KernelWorkers = 0
-	return runShards(spec, piconets, kernelShards(spec, hooks), hooks, workers)
+	return runShards(spec, piconets, kernelShards(spec), hooks, workers)
 }
 
 // timelineAddsPiconet reports whether the timeline grows the scatternet.
@@ -198,16 +199,7 @@ func (r *runner) buildPiconet(ps PiconetSpec, hooks Hooks, others int) (*piconet
 	}
 	var delayReqs []admission.DelayRequest
 	for _, g := range ps.GS {
-		delayReqs = append(delayReqs, admission.DelayRequest{
-			Request: admission.Request{
-				ID:      g.ID,
-				Slave:   g.Slave,
-				Dir:     g.Dir,
-				Spec:    g.Spec(),
-				Allowed: spec.allowedFor(g.Allowed),
-			},
-			Target: spec.DelayTarget,
-		})
+		delayReqs = append(delayReqs, spec.gsRequest(g, spec.DelayTarget))
 	}
 	// Route hops plan like run-start GS flows, each at its share of the
 	// route's end-to-end budget and derated by its bridge's residency duty.
@@ -282,13 +274,7 @@ func (r *runner) buildPiconet(ps PiconetSpec, hooks Hooks, others int) (*piconet
 	pn := piconet.New(r.s, pnOpts...)
 	p.pn = pn
 	for _, g := range ps.GS {
-		if err := p.addSlave(g.Slave); err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		if err := pn.AddFlow(piconet.FlowConfig{
-			ID: g.ID, Slave: g.Slave, Dir: g.Dir,
-			Class: piconet.Guaranteed, Allowed: spec.allowedFor(g.Allowed),
-		}); err != nil {
+		if err := p.installFlow(spec.gsConfig(g)); err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
 		p.gsSpecs[g.ID] = g
@@ -299,13 +285,7 @@ func (r *runner) buildPiconet(ps PiconetSpec, hooks Hooks, others int) (*piconet
 		}
 	}
 	for _, b := range ps.BE {
-		if err := p.addSlave(b.Slave); err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
-		}
-		if err := pn.AddFlow(piconet.FlowConfig{
-			ID: b.ID, Slave: b.Slave, Dir: b.Dir,
-			Class: piconet.BestEffort, Allowed: spec.allowedFor(b.Allowed),
-		}); err != nil {
+		if err := p.installFlow(spec.beConfig(b)); err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
 	}
@@ -374,6 +354,27 @@ func (s Spec) allowedFor(override baseband.TypeSet) baseband.TypeSet {
 	return s.Allowed
 }
 
+// gsRequest is a GS flow's admission request at the given delay target.
+func (s Spec) gsRequest(g GSFlow, target time.Duration) admission.DelayRequest {
+	return admission.DelayRequest{
+		Request: admission.Request{
+			ID: g.ID, Slave: g.Slave, Dir: g.Dir, Spec: g.Spec(), Allowed: s.allowedFor(g.Allowed),
+		},
+		Target: target,
+	}
+}
+
+// gsConfig and beConfig are the piconet engine's view of a flow.
+func (s Spec) gsConfig(g GSFlow) piconet.FlowConfig {
+	return piconet.FlowConfig{ID: g.ID, Slave: g.Slave, Dir: g.Dir,
+		Class: piconet.Guaranteed, Allowed: s.allowedFor(g.Allowed)}
+}
+
+func (s Spec) beConfig(b BEFlow) piconet.FlowConfig {
+	return piconet.FlowConfig{ID: b.ID, Slave: b.Slave, Dir: b.Dir,
+		Class: piconet.BestEffort, Allowed: s.allowedFor(b.Allowed)}
+}
+
 // addSlave registers a slave once across static setup and timeline.
 func (p *piconetRunner) addSlave(id piconet.SlaveID) error {
 	if p.slaves[id] {
@@ -381,6 +382,67 @@ func (p *piconetRunner) addSlave(id piconet.SlaveID) error {
 	}
 	p.slaves[id] = true
 	return p.pn.AddSlave(id)
+}
+
+// installFlow registers a flow, and its slave once, with the piconet
+// engine.
+func (p *piconetRunner) installFlow(cfg piconet.FlowConfig) error {
+	if err := p.addSlave(cfg.Slave); err != nil {
+		return err
+	}
+	return p.pn.AddFlow(cfg)
+}
+
+// live reports whether the piconet's master still polls.
+func (p *piconetRunner) live() bool { return !p.removed && !p.crashed }
+
+// inService resolves a piconet an operation needs a live master in, or
+// returns nil and the reason it cannot run there.
+func (r *runner) inService(name string) (*piconetRunner, string) {
+	p, ok := r.byName[name]
+	switch {
+	case !ok:
+		return nil, "unknown piconet"
+	case p.removed:
+		return nil, "piconet removed"
+	case p.crashed:
+		return nil, "piconet crashed"
+	}
+	return p, ""
+}
+
+// replan re-plans the scheduler on the controller's current flow set and
+// folds the new plan into the exported bounds.
+func (p *piconetRunner) replan() error {
+	if err := p.sched.Replan(p.ctrl.Flows()); err != nil {
+		return err
+	}
+	p.noteBounds()
+	return nil
+}
+
+// release returns a flow's reservation to the admission controller and
+// re-plans; a flow the controller does not hold (best effort, or already
+// released) leaves the plan as it is.
+func (p *piconetRunner) release(id piconet.FlowID) error {
+	if _, isGS := p.ctrl.Find(id); !isGS {
+		return nil
+	}
+	if err := p.ctrl.Remove(id); err != nil {
+		return err
+	}
+	return p.replan()
+}
+
+// stopSource cancels a flow's traffic source, reporting whether it had
+// one.
+func (p *piconetRunner) stopSource(id piconet.FlowID) bool {
+	src, ok := p.sources[id]
+	if ok {
+		p.r.s.Cancel(src.ev)
+		delete(p.sources, id)
+	}
+	return ok
 }
 
 // noteBounds folds the controller's current plan into the exported
@@ -685,20 +747,11 @@ func (r *runner) applyEvent(ev TimelineEvent) {
 	case ev.RemoveRoute != piconet.None:
 		r.applyRemoveRoute(ev.RemoveRoute)
 	default:
-		target := ev.Piconet
-		p, ok := r.byName[target]
-		switch {
-		case !ok:
-			flow, slave := ev.subject()
-			r.reject(target, ev.Op(), flow, slave, "unknown piconet")
-		case p.removed:
-			flow, slave := ev.subject()
-			r.reject(target, ev.Op(), flow, slave, "piconet removed")
-		case p.crashed:
-			flow, slave := ev.subject()
-			r.reject(target, ev.Op(), flow, slave, "piconet crashed")
-		default:
+		if p, why := r.inService(ev.Piconet); p != nil {
 			p.applyEvent(ev)
+		} else {
+			flow, slave := ev.subject()
+			r.reject(ev.Piconet, ev.Op(), flow, slave, why)
 		}
 	}
 	if r.err != nil {
@@ -775,8 +828,7 @@ func (r *runner) applyRemovePiconet(name string) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		r.s.Cancel(p.sources[id].ev)
-		delete(p.sources, id)
+		p.stopSource(id)
 	}
 	p.pn.Stop()
 	// Batched sources pre-enqueue future arrivals; packets stamped after
@@ -817,10 +869,9 @@ func (r *runner) rederate(skip *piconetRunner) {
 			p.reject(OpRederate, 0, 0, err.Error())
 			continue
 		}
-		if r.err = p.sched.Replan(p.ctrl.Flows()); r.err != nil {
+		if r.err = p.replan(); r.err != nil {
 			return
 		}
-		p.noteBounds()
 		p.accept(AdmissionRecord{Op: OpRederate})
 	}
 }
@@ -828,53 +879,38 @@ func (r *runner) rederate(skip *piconetRunner) {
 // applyAddGS runs the paper's online admission test for a mid-run GS
 // arrival and installs the flow on success.
 func (p *piconetRunner) applyAddGS(g GSFlow) {
-	r := p.r
-	pf, err := p.ctrl.AdmitForDelay(admission.DelayRequest{
-		Request: admission.Request{
-			ID:      g.ID,
-			Slave:   g.Slave,
-			Dir:     g.Dir,
-			Spec:    g.Spec(),
-			Allowed: p.r.spec.allowedFor(g.Allowed),
-		},
-		Target: r.spec.DelayTarget,
-	})
+	pf, err := p.ctrl.AdmitForDelay(p.r.spec.gsRequest(g, p.r.spec.DelayTarget))
 	if err != nil {
 		p.reject(OpAddGS, g.ID, g.Slave, err.Error())
 		return
 	}
-	if r.err = p.addSlave(g.Slave); r.err != nil {
+	if p.r.err = p.startGS(g); p.r.err != nil {
 		return
 	}
-	if r.err = p.pn.AddFlow(piconet.FlowConfig{
-		ID: g.ID, Slave: g.Slave, Dir: g.Dir,
-		Class: piconet.Guaranteed, Allowed: p.r.spec.allowedFor(g.Allowed),
-	}); r.err != nil {
-		return
-	}
-	if r.err = p.sched.Replan(p.ctrl.Flows()); r.err != nil {
-		return
-	}
-	p.noteBounds()
-	p.gsSpecs[g.ID] = g
-	p.attachGSSource(g)
-	p.pn.Kick()
 	p.accept(AdmissionRecord{
 		Op: OpAddGS, Flow: g.ID, Slave: g.Slave,
 		Bound: pf.Bound, Rate: pf.Request.Rate,
 	})
 }
 
+// startGS puts an admitted GS flow into service: installed, re-planned,
+// its source started and the master kicked.
+func (p *piconetRunner) startGS(g GSFlow) error {
+	if err := p.installFlow(p.r.spec.gsConfig(g)); err != nil {
+		return err
+	}
+	if err := p.replan(); err != nil {
+		return err
+	}
+	p.gsSpecs[g.ID] = g
+	p.attachGSSource(g)
+	p.pn.Kick()
+	return nil
+}
+
 // applyAddBE installs a mid-run best-effort arrival (no admission test).
 func (p *piconetRunner) applyAddBE(b BEFlow) {
-	r := p.r
-	if r.err = p.addSlave(b.Slave); r.err != nil {
-		return
-	}
-	if r.err = p.pn.AddFlow(piconet.FlowConfig{
-		ID: b.ID, Slave: b.Slave, Dir: b.Dir,
-		Class: piconet.BestEffort, Allowed: p.r.spec.allowedFor(b.Allowed),
-	}); r.err != nil {
+	if p.r.err = p.installFlow(p.r.spec.beConfig(b)); p.r.err != nil {
 		return
 	}
 	p.sched.RefreshBE()
@@ -891,29 +927,20 @@ func (p *piconetRunner) applyRemove(id piconet.FlowID) {
 		p.reject(OpRemoveFlow, id, 0, "flow belongs to a route; use remove_route")
 		return
 	}
-	src, installed := p.sources[id]
-	if !installed {
+	if !p.stopSource(id) {
 		// The flow's admission was rejected (or it was already
 		// removed): the departure has nothing to retire.
 		p.reject(OpRemoveFlow, id, 0, "flow not installed")
 		return
 	}
-	r.s.Cancel(src.ev)
-	delete(p.sources, id)
 	cfg, _ := p.pn.FlowConfig(id)
 	if r.err = p.pn.RetireFlow(id); r.err != nil {
 		return
 	}
-	if _, isGS := p.ctrl.Find(id); isGS {
-		if r.err = p.ctrl.Remove(id); r.err != nil {
-			return
-		}
-		if r.err = p.sched.Replan(p.ctrl.Flows()); r.err != nil {
-			return
-		}
-		p.noteBounds()
-	} else {
+	if _, isGS := p.ctrl.Find(id); !isGS {
 		p.sched.RefreshBE()
+	} else if r.err = p.release(id); r.err != nil {
+		return
 	}
 	p.accept(AdmissionRecord{Op: OpRemoveFlow, Flow: id, Slave: cfg.Slave})
 }
@@ -945,10 +972,9 @@ func (p *piconetRunner) applyAddSCO(l SCOLinkSpec) {
 	if r.err = p.pn.AddSCOLink(l.Slave, l.Type); r.err != nil {
 		return
 	}
-	if r.err = p.sched.Replan(p.ctrl.Flows()); r.err != nil {
+	if r.err = p.replan(); r.err != nil {
 		return
 	}
-	p.noteBounds()
 	p.accept(AdmissionRecord{Op: OpAddSCO, Slave: l.Slave})
 }
 
@@ -966,10 +992,9 @@ func (p *piconetRunner) applyDropSCO(slave piconet.SlaveID) {
 		if r.err = p.ctrl.SetSCOLinks(links[:len(links)-1]); r.err != nil {
 			return
 		}
-		if r.err = p.sched.Replan(p.ctrl.Flows()); r.err != nil {
+		if r.err = p.replan(); r.err != nil {
 			return
 		}
-		p.noteBounds()
 	}
 	p.accept(AdmissionRecord{Op: OpDropSCO, Slave: slave})
 }

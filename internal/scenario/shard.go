@@ -63,14 +63,15 @@ func kernelWorkersFor(n int) int {
 // run apart, synchronized at interference-exchange epochs. Scatternet-
 // global machinery that reaches arbitrary piconets — the handoff
 // recovery policy, master crashes (which re-derate every survivor),
-// piconet churn, an unresolved move target, and runtime hooks — forces
-// a single group. A single group is one shard run as one epoch on the
-// run seed, so every flat spec keeps its single-kernel results.
+// piconet churn and an unresolved move target — forces a single group.
+// A single group is one shard run as one epoch on the run seed, so every
+// flat spec keeps its single-kernel results. Runtime hooks never enter
+// the partition, so observing a run cannot change it (see RunWith).
 //
 // The partition is a pure function of the (defaulted) spec: it never
 // depends on KernelWorkers, scheduling, or anything outside the spec,
 // which is what keeps sharded runs byte-identical at any worker count.
-func kernelShards(spec Spec, hooks Hooks) [][]string {
+func kernelShards(spec Spec) [][]string {
 	ps := spec.piconetSpecs()
 	names := make([]string, len(ps))
 	idx := make(map[string]int, len(ps))
@@ -79,7 +80,7 @@ func kernelShards(spec Spec, hooks Hooks) [][]string {
 		idx[p.Name] = i
 	}
 	single := [][]string{names}
-	if len(ps) < 2 || !hooks.Zero() {
+	if len(ps) < 2 {
 		return single
 	}
 	if spec.Recovery.Policy == faults.PolicyHandoff || len(spec.Faults.Crashes) > 0 {

@@ -10,11 +10,6 @@ import (
 	"bluegs/internal/piconet"
 )
 
-// nopTracer is the minimal Tracer for hook-forcing partition tests.
-type nopTracer struct{}
-
-func (nopTracer) Trace(piconet.TraceEntry) {}
-
 // TestKernelShardsPartition pins the shard-partition rule: unbridged
 // piconets shard apart, bridge/route/move connectivity merges groups,
 // and scatternet-global machinery collapses to a single group.
@@ -23,10 +18,9 @@ func TestKernelShardsPartition(t *testing.T) {
 		return Scatternet(ScatternetConfig{Piconets: n, Duration: time.Second})
 	}
 	cases := []struct {
-		name  string
-		spec  Spec
-		hooks Hooks
-		want  [][]string
+		name string
+		spec Spec
+		want [][]string
 	}{
 		{
 			name: "unbridged piconets shard apart",
@@ -101,20 +95,49 @@ func TestKernelShardsPartition(t *testing.T) {
 			}(),
 			want: [][]string{{"pn1", "pn2", "pn3"}},
 		},
-		{
-			name:  "runtime hooks force a single group",
-			spec:  scatter(3),
-			hooks: Hooks{Tracer: nopTracer{}},
-			want:  [][]string{{"pn1", "pn2", "pn3"}},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := kernelShards(tc.spec.WithDefaults(), tc.hooks)
+			got := kernelShards(tc.spec.WithDefaults())
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("kernelShards = %v, want %v", got, tc.want)
 			}
 		})
+	}
+}
+
+// countingTracer counts the exchanges a traced run reports.
+type countingTracer struct{ n int }
+
+func (c *countingTracer) Trace(piconet.TraceEntry) { c.n++ }
+
+// TestTracerDoesNotChangeResults: observing a run must not change it. A
+// tracer on a sharded interference scatternet sees the first piconet's
+// exchanges, and the traced run renders exactly the untraced report and
+// admission log.
+func TestTracerDoesNotChangeResults(t *testing.T) {
+	spec := Scatternet(ScatternetConfig{Piconets: 3, OnlineGS: 1, Duration: 2 * time.Second})
+	render := func(res *Result) string {
+		out := res.Report().String()
+		if adm := res.AdmissionReport(); adm != nil {
+			out += adm.String()
+		}
+		return out
+	}
+	plain, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &countingTracer{}
+	traced, err := RunWith(spec, Hooks{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.n == 0 {
+		t.Fatal("the tracer saw no exchange")
+	}
+	if got, want := render(traced), render(plain); got != want {
+		t.Fatalf("tracing changed the run:\n--- traced\n%s\n--- untraced\n%s", got, want)
 	}
 }
 
@@ -129,7 +152,7 @@ func TestKernelShardsRouteMergesHops(t *testing.T) {
 			Interval: 20 * time.Millisecond, MinSize: 144, MaxSize: 176,
 		}},
 	})
-	groups := kernelShards(spec.WithDefaults(), Hooks{})
+	groups := kernelShards(spec.WithDefaults())
 	want := [][]string{{"pn1", "pn2"}, {"pn-loose"}}
 	if !reflect.DeepEqual(groups, want) {
 		t.Fatalf("kernelShards = %v, want %v", groups, want)
@@ -319,7 +342,7 @@ func TestResultOrder(t *testing.T) {
 			AddRouteAt(3*time.Second, route(40, "pn1", "b1")),
 			AddRouteAt(1*time.Second, route(41, "pn2", "b2")),
 		}
-		if groups := kernelShards(spec.WithDefaults(), Hooks{}); len(groups) != 1 {
+		if groups := kernelShards(spec.WithDefaults()); len(groups) != 1 {
 			t.Fatalf("kernelShards = %v, want one group", groups)
 		}
 		res, err := Run(spec)
@@ -350,7 +373,7 @@ func TestResultOrder(t *testing.T) {
 			AddRouteAt(3*time.Second, route(40, "qn1", "c1")),
 			AddRouteAt(1*time.Second, route(41, "pn1", "b1")),
 		}
-		if groups := kernelShards(spec.WithDefaults(), Hooks{}); len(groups) != 2 {
+		if groups := kernelShards(spec.WithDefaults()); len(groups) != 2 {
 			t.Fatalf("kernelShards = %v, want two groups", groups)
 		}
 		res, err := Run(spec)
