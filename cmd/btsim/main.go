@@ -19,6 +19,7 @@
 //	btsim -target 40ms -reps 8                   # 8 seeds in parallel, mean±95% CI
 //	btsim -target 40ms -ci-target 0.05           # replicate until the CI is tight
 //	btsim -target 40ms -cache-dir .runcache      # replay unchanged runs instantly
+//	btsim -target 40ms -cpuprofile cpu.pprof     # CPU profile for go tool pprof
 //
 // -scenario accepts either a name from the registry (see -list) or a path
 // to a JSON scenario file; timeline scenarios additionally print the
@@ -66,7 +67,7 @@ func resolveScenario(arg string) (scenario.Spec, error) {
 	return scenario.Spec{}, fmt.Errorf("unknown scenario %q (not registered — see -list — and not a file)", arg)
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		target    = flag.Duration("target", 40*time.Millisecond, "GS delay requirement")
 		duration  = flag.Duration("duration", 60*time.Second, "simulated time")
@@ -88,8 +89,20 @@ func run() error {
 		ciMetric  = flag.String("ci-metric", "gs-delay", "adaptive stopping metric: gs-delay, violations, gs-kbps or be-kbps")
 		maxReps   = flag.Int("max-reps", 0, "adaptive replication cap (default 32)")
 		cacheDir  = flag.String("cache-dir", "", "content-addressed run cache directory: unchanged runs replay instantly across invocations")
+		profile   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 	)
 	flag.Parse()
+	if *profile != "" {
+		stop, perr := harness.StartCPUProfile(*profile)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if perr := stop(); err == nil {
+				err = perr
+			}
+		}()
+	}
 	if *list {
 		fmt.Println(strings.Join(scenario.Names(), "\n"))
 		return nil

@@ -17,6 +17,11 @@
 //
 //	fig5 -duration 530s -ci-target 0.05 -max-reps 64 -cache-dir .runcache
 //
+// Re-run over a warm cache with -cpuprofile to profile the replay path
+// alone (read the file with go tool pprof):
+//
+//	fig5 -duration 530s -cache-dir .runcache -cpuprofile replay.pprof
+//
 // Runs fan out across a worker pool (one isolated simulator per run);
 // results are bit-identical at any -workers value, with or without a
 // warm cache.
@@ -46,7 +51,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		duration = flag.Duration("duration", 60*time.Second, "simulated time per point")
 		seed     = flag.Int64("seed", 1, "random seed")
@@ -61,8 +66,20 @@ func run() error {
 		ciMetric = flag.String("ci-metric", "", "adaptive stopping metric: gs-delay, violations, gs-kbps or be-kbps (default gs-delay)")
 		maxReps  = flag.Int("max-reps", 0, "adaptive replication cap per point (default 32)")
 		cacheDir = flag.String("cache-dir", "", "content-addressed run cache directory: unchanged points replay instantly across invocations")
+		profile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 	)
 	flag.Parse()
+	if *profile != "" {
+		stop, perr := harness.StartCPUProfile(*profile)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if perr := stop(); err == nil {
+				err = perr
+			}
+		}()
+	}
 	if *step <= 0 || *to < *from {
 		return fmt.Errorf("bad sweep: from %v to %v step %v", *from, *to, *step)
 	}

@@ -6,6 +6,7 @@
 //
 //	report [-duration 530s] [-seed 1] [-reps 1] [-workers 0]
 //	       [-ci-target 0.05] [-max-reps 32] [-cache-dir DIR]
+//	       [-cpuprofile FILE]
 //
 // The default duration matches the paper's 530 s simulation runs. With
 // -reps > 1 every experiment replicates each sweep cell under
@@ -58,7 +59,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		duration = flag.Duration("duration", 530*time.Second, "simulated time per run")
 		seed     = flag.Int64("seed", 1, "random seed")
@@ -70,8 +71,20 @@ func run() error {
 		maxReps  = flag.Int("max-reps", 0, "adaptive replication cap per cell (default 32)")
 		cacheDir = flag.String("cache-dir", "", "content-addressed run cache directory shared by all experiments")
 		journal  = flag.String("journal", "", "render a table from this sweepd run journal instead of simulating")
+		profile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 	)
 	flag.Parse()
+	if *profile != "" {
+		stop, perr := harness.StartCPUProfile(*profile)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if perr := stop(); err == nil {
+				err = perr
+			}
+		}()
+	}
 	if *journal != "" {
 		return renderJournal(*journal)
 	}

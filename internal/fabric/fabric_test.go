@@ -381,12 +381,14 @@ func TestJournalTornTail(t *testing.T) {
 }
 
 // TestJournalResultsSkipsOldFormat: a journal written before the entry
-// format changed holds entries framed with the old BGC1 footer.
-// JournalResults must count such a record as skipped — never misread it
-// — and still render every current-format record.
+// format changed holds entries framed with an old footer: BGC1, or BGC2
+// from before the delta-coded delay samples. JournalResults must count
+// such a record as skipped — never misread it — and still render every
+// current-format record.
 func TestJournalResultsSkipsOldFormat(t *testing.T) {
+	oldMagics := []string{"BGC1", "BGC2"}
 	cfg := harness.SweepConfig{Duration: time.Second, Seed: 1, Replications: 1}
-	grid := harness.Fig5Grid([]time.Duration{30 * time.Millisecond, 40 * time.Millisecond})
+	grid := harness.Fig5Grid([]time.Duration{30 * time.Millisecond, 35 * time.Millisecond, 40 * time.Millisecond})
 	meta := JournalMeta{Grid: "fig5", Salt: harness.DefaultCacheSalt, Cells: grid.Cells,
 		Duration: cfg.Duration, Seed: cfg.Seed, Replications: cfg.Replications}
 	path := filepath.Join(t.TempDir(), "old.journal")
@@ -404,11 +406,11 @@ func TestJournalResultsSkipsOldFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
+		if i < len(oldMagics) {
 			// Same payload, old footer magic: only the format guard
 			// stands between this record and a misread.
 			payload := entry[:len(entry)-12]
-			entry = append(append([]byte(nil), payload...), "BGC1"...)
+			entry = append(append([]byte(nil), payload...), oldMagics[i]...)
 			entry = binary.LittleEndian.AppendUint32(entry, uint32(len(payload)))
 			entry = binary.LittleEndian.AppendUint32(entry, crc32.ChecksumIEEE(payload))
 		}
@@ -425,11 +427,11 @@ func TestJournalResultsSkipsOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if skipped != 1 || len(results) != 1 {
-		t.Fatalf("skipped %d, rendered %d; want 1 and 1", skipped, len(results))
+	if skipped != len(oldMagics) || len(results) != 1 {
+		t.Fatalf("skipped %d, rendered %d; want %d and 1", skipped, len(results), len(oldMagics))
 	}
-	if results[0].Run.Cell != grid.Cells[1] || results[0].Result == nil {
-		t.Fatalf("rendered %+v, want the current-format record of cell %s", results[0].Run, grid.Cells[1])
+	if last := grid.Cells[len(oldMagics)]; results[0].Run.Cell != last || results[0].Result == nil {
+		t.Fatalf("rendered %+v, want the current-format record of cell %s", results[0].Run, last)
 	}
 }
 

@@ -322,7 +322,7 @@ func (c *RunCache) insertLocked(key string, res *scenario.Result) {
 // the stats encodings inside it bumps the magic (not DefaultCacheSalt,
 // which tracks result semantics), so entries of an older format fail the
 // footer check and become clean misses.
-const cacheFooterMagic = "BGC2"
+const cacheFooterMagic = "BGC3"
 
 const cacheFooterSize = len(cacheFooterMagic) + 8
 

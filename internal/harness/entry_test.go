@@ -87,11 +87,17 @@ func reframe(entry []byte, magic string) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
 }
 
-// TestRunCacheDropsOldFormat: an entry framed with the previous format's
-// BGC1 footer — here over a payload that would otherwise decode — fails
-// the footer check, is dropped as corrupt, recomputed and re-stored in
-// the current format.
+// TestRunCacheDropsOldFormat: an entry framed with an older format's
+// footer — BGC1, or BGC2 from before the delta-coded delay samples — here
+// over a payload that would otherwise decode, fails the footer check, is
+// dropped as corrupt, recomputed and re-stored in the current format.
 func TestRunCacheDropsOldFormat(t *testing.T) {
+	for _, magic := range []string{"BGC1", "BGC2"} {
+		t.Run(magic, func(t *testing.T) { testRunCacheDropsOldFormat(t, magic) })
+	}
+}
+
+func testRunCacheDropsOldFormat(t *testing.T, magic string) {
 	dir := t.TempDir()
 	spec := scenario.Paper(40 * time.Millisecond)
 	spec.Duration = time.Second
@@ -108,7 +114,7 @@ func TestRunCacheDropsOldFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(files[0], reframe(entry, "BGC1"), 0o644); err != nil {
+	if err := os.WriteFile(files[0], reframe(entry, magic), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,6 +143,40 @@ func TestRunCacheDropsOldFormat(t *testing.T) {
 	}
 	if !again[0].CacheHit {
 		t.Fatal("re-stored entry was not replayed")
+	}
+}
+
+// TestEntryBytesPerDelayValue: a cached delay value costs under 3.5
+// bytes of entry on the paper spec at 10 s (about 2.6 with the delta
+// layout, 6.2 without it). A collector that stops sorting its samples,
+// or a value that is no longer an integral nanosecond, silently falls
+// back to the raw layout and fails this guard.
+func TestEntryBytesPerDelayValue(t *testing.T) {
+	spec := scenario.Paper(40 * time.Millisecond)
+	spec.Duration = 10 * time.Second
+	res, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, err := harness.EncodeResultEntry(harness.CacheKey(harness.DefaultCacheSalt, spec), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Delay samples are unbounded: every counted value is retained and
+	// travels in the entry.
+	var values uint64
+	for _, pr := range res.Piconets {
+		for _, f := range pr.Flows {
+			values += f.Delay.Count()
+		}
+	}
+	if values == 0 {
+		t.Fatal("no delay values retained")
+	}
+	perValue := float64(len(entry)) / float64(values)
+	t.Logf("%d bytes for %d delay values: %.2f bytes a value", len(entry), values, perValue)
+	if perValue >= 3.5 {
+		t.Fatalf("%.2f bytes a delay value, want under 3.5", perValue)
 	}
 }
 

@@ -3,6 +3,8 @@ package harness_test
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -289,5 +291,28 @@ func TestExecutePanicIsolated(t *testing.T) {
 				t.Fatalf("timeout=%v: healthy run %d infected: %+v", timeout, i, results[i].Err)
 			}
 		}
+	}
+}
+
+// TestStartCPUProfile: the -cpuprofile helper writes a non-empty gzip
+// profile once stopped, and an unwritable path is an error, not a panic.
+func TestStartCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	stop, err := harness.StartCPUProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Fatalf("profile is not gzip data: % x", b[:min(len(b), 8)])
+	}
+	if _, err := harness.StartCPUProfile(filepath.Join(t.TempDir(), "missing", "cpu.pprof")); err == nil {
+		t.Fatal("profile into a missing directory accepted")
 	}
 }

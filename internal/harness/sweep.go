@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -147,6 +148,28 @@ func StderrProgress(label string) func(done, total int) {
 			fmt.Fprintln(os.Stderr)
 		}
 	}
+}
+
+// StartCPUProfile writes a CPU profile of the process to path until the
+// returned stop is called, which flushes the profile and closes the
+// file — the shared implementation behind the cmd tools' -cpuprofile
+// flags.
+func StartCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("harness: cpu profile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("harness: cpu profile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("harness: cpu profile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // ExtensionGrid is the retransmission-study grid (experiment E5, the

@@ -2,9 +2,11 @@ package stats
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -151,20 +153,44 @@ func TestGobRejectsMalformed(t *testing.T) {
 	}
 	welford, _ := d.w.GobEncode()
 	sample, _ := d.s.GobEncode()
-	// Header of the sample: format, sorted, cap, seen, rnd (8 bytes);
+	// Header of the sample: format, layout, cap, seen, rnd (8 bytes);
 	// then the value count.
 	countAt := 1 + 1 + 1 + 1 + 8
+	// withSample is good with its sample replaced by a hand-built one.
+	withSample := func(layout byte, values ...uint64) []byte {
+		return append(append([]byte(nil), good[:1+welfordSize]...), sampleBytes(layout, values...)...)
+	}
+	half := math.Float64bits(0.5)
+	oneDelta := withSample(layoutDelta, 1)
 	bad := map[string][]byte{
 		"empty":                nil,
 		"truncated":            good[:len(good)-1],
 		"trailing byte":        append(append([]byte(nil), good...), 0),
 		"welford as durations": welford,
 		"sample as durations":  sample,
-		"bad sorted flag":      patch(good, 1+welfordSize+1, 2),
+		"undefined layout":     patch(good, 1+welfordSize+1, 3),
 		"count beyond input":   patch(good, 1+welfordSize+countAt, 0x7f),
 		"non-minimal value":    append(patch(good, 1+welfordSize+countAt, 4), 0x80, 0x00),
 		"overflowing varint":   append(patch(good, 1+welfordSize+countAt, 4), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
 		"foreign inner format": patch(good, 1, fmtSample),
+		"delta sum past 2^53":  withSample(layoutDelta, 1<<52, 1<<52),
+		"non-minimal delta":    append(oneDelta[:len(oneDelta)-1], 0x81, 0x00),
+		"raw sorted integers":  withSample(layoutSorted, rawBits(1), rawBits(2)),
+		"raw sorted empty":     withSample(layoutSorted),
+		// Accepted, this would make Quantile(0) return 3.5.
+		"sorted out of order": withSample(layoutSorted, rawBits(3.5), half),
+	}
+	// The hand-built rows are refused for the reason named, not for
+	// their framing: the nearest valid neighbour of each is accepted.
+	for name, b := range map[string][]byte{
+		"delta sum below 2^53": withSample(layoutDelta, 1<<52, 1<<52-1),
+		"raw sorted":           withSample(layoutSorted, half, rawBits(3.5)),
+		"raw unsorted":         withSample(layoutUnsorted, rawBits(3.5), half),
+	} {
+		var got DurationStats
+		if err := got.GobDecode(b); err != nil {
+			t.Errorf("%s: refused: %v", name, err)
+		}
 	}
 	for name, b := range bad {
 		var got DurationStats
@@ -179,6 +205,76 @@ func TestGobRejectsMalformed(t *testing.T) {
 	var s Sample
 	if err := s.GobDecode(append(sample, 0)); err == nil {
 		t.Error("sample with a trailing byte accepted")
+	}
+}
+
+// rawBits is x in the raw layouts' value form, for sampleBytes.
+func rawBits(x float64) uint64 { return bits.ReverseBytes64(math.Float64bits(x)) }
+
+// sampleBytes hand-builds a Sample encoding (capacity 0, seen = count)
+// with the given layout byte and uvarint-coded values, valid or not.
+func sampleBytes(layout byte, values ...uint64) []byte {
+	b := []byte{fmtSample, layout}
+	b = binary.AppendVarint(b, 0)
+	b = binary.AppendUvarint(b, uint64(len(values)))
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	b = binary.AppendUvarint(b, uint64(len(values)))
+	for _, v := range values {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// TestSampleLayoutBoundary: the encoder writes the delta layout exactly
+// when the sample is sorted and every value is a non-negative integer
+// below 2^53 with the sign bit clear, and every layout round-trips the
+// float64 bits and re-encodes byte for byte.
+func TestSampleLayoutBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		values []float64
+		sorted bool
+		layout byte
+	}{
+		{"zero", []float64{0}, true, layoutDelta},
+		{"2^53-1", []float64{1<<53 - 1}, true, layoutDelta},
+		{"integers with repeats", []float64{0, 7, 7, 1e9}, true, layoutDelta},
+		{"empty sorted", nil, true, layoutDelta},
+		{"2^53", []float64{1 << 53}, true, layoutSorted},
+		{"-0", []float64{math.Copysign(0, -1)}, true, layoutSorted},
+		{"0.5", []float64{0.5}, true, layoutSorted},
+		{"-1", []float64{-1, 2}, true, layoutSorted},
+		{"NaN", []float64{math.NaN(), 1}, true, layoutSorted},
+		{"+Inf", []float64{1, math.Inf(1)}, true, layoutSorted},
+		{"descending pair", []float64{2, 1}, false, layoutUnsorted},
+		{"unsorted integers", []float64{1, 2}, false, layoutUnsorted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := Sample{values: tc.values, sorted: tc.sorted}
+			b, err := in.GobEncode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b[1] != tc.layout {
+				t.Fatalf("layout %d, want %d", b[1], tc.layout)
+			}
+			var got Sample
+			if err := got.GobDecode(b); err != nil {
+				t.Fatal(err)
+			}
+			if got.sorted != tc.sorted || len(got.values) != len(tc.values) {
+				t.Fatalf("decoded sorted=%v with %d values, want %v and %d", got.sorted, len(got.values), tc.sorted, len(tc.values))
+			}
+			for i, v := range got.values {
+				if math.Float64bits(v) != math.Float64bits(tc.values[i]) {
+					t.Fatalf("value %d: bits %#x, want %#x", i, math.Float64bits(v), math.Float64bits(tc.values[i]))
+				}
+			}
+			again, _ := got.GobEncode()
+			if !bytes.Equal(again, b) {
+				t.Fatalf("re-encodes as %x, want %x", again, b)
+			}
+		})
 	}
 }
 
@@ -234,13 +330,26 @@ func FuzzStatsGobDecode(f *testing.F) {
 	for i := 0; i < 40; i++ {
 		d.Add(time.Duration(rng.Int63n(int64(60 * time.Millisecond))))
 	}
-	d.Quantile(0.5) // sorted sample
-	for _, v := range []interface{ GobEncode() ([]byte, error) }{d.w, d.s, *d, Welford{}, Sample{}, DurationStats{}} {
+	d.Quantile(0.5) // sorted integral sample: the delta layout
+	frac := NewSample(0)
+	for i := 0; i < 8; i++ {
+		frac.Add(rng.Float64() * 1e6)
+	}
+	frac.Quantile(0.5) // sorted non-integral sample: the sorted raw layout
+	for _, v := range []interface{ GobEncode() ([]byte, error) }{d.w, d.s, *d, *frac, Welford{}, Sample{}, DurationStats{}} {
 		b, err := v.GobEncode()
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
+	}
+	for _, want := range []struct {
+		s      Sample
+		layout byte
+	}{{d.s, layoutDelta}, {*frac, layoutSorted}} {
+		if b, _ := want.s.GobEncode(); b[1] != want.layout {
+			f.Fatalf("seed layout %d, want %d", b[1], want.layout)
+		}
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -252,4 +361,42 @@ func FuzzStatsGobDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// delaySample returns a sample of n integral nanosecond delays below
+// 40 ms, sorted when sorted is set: the shape of a cached delay sample.
+func delaySample(n int, sorted bool) *DurationStats {
+	rng := rand.New(rand.NewSource(5))
+	d := NewDurationStats(0)
+	for i := 0; i < n; i++ {
+		d.Add(time.Duration(rng.Int63n(int64(40 * time.Millisecond))))
+	}
+	if sorted {
+		d.Quantile(0.99)
+	}
+	return d
+}
+
+// BenchmarkDurationStatsGobDecode prices decoding a 20,000-value delay
+// sample in the sorted-integral delta layout and in the unsorted raw one.
+func BenchmarkDurationStatsGobDecode(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		sorted bool
+	}{{"delta", true}, {"raw", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			data, err := delaySample(20000, bc.sorted).GobEncode()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			var got DurationStats
+			for b.Loop() {
+				if err := got.GobDecode(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
