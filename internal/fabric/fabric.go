@@ -37,7 +37,8 @@
 //	                   corrupt result is re-queued.
 //	POST /complete   → worker returns a lease's results: per run the
 //	                   content-address key, the encoded result entry
-//	                   (gob + CRC footer, the cache's own byte format)
+//	                   (flat record + CRC footer, the cache's own byte
+//	                   format)
 //	                   or an error string.
 //	POST /heartbeat  → extends a lease's expiry while the worker is
 //	                   still computing it.
@@ -146,8 +147,9 @@ type CompleteRequest struct {
 
 // CompletedRun is one finished run: the content-address key the worker
 // derived and either the encoded result entry (harness.EncodeResultEntry
-// bytes: gob payload + CRC footer — the cache's own on-disk format, so
-// the coordinator verifies and stores it unchanged) or the run's error.
+// bytes: flat record payload + CRC footer — the cache's own on-disk
+// format, so the coordinator verifies and stores it unchanged) or the
+// run's error.
 type CompletedRun struct {
 	Index int    `json:"index"`
 	Cell  string `json:"cell"`

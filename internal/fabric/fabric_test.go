@@ -381,14 +381,16 @@ func TestJournalTornTail(t *testing.T) {
 }
 
 // TestJournalResultsSkipsOldFormat: a journal written before the entry
-// format changed holds entries framed with an old footer: BGC1, or BGC2
-// from before the delta-coded delay samples. JournalResults must count
-// such a record as skipped — never misread it — and still render every
-// current-format record.
+// format changed holds entries framed with an old footer: BGC1, BGC2 from
+// before the delta-coded delay samples, or BGC3 from before the
+// hand-written record codec. JournalResults must count such a record as
+// skipped — never misread it — and still render every current-format
+// record.
 func TestJournalResultsSkipsOldFormat(t *testing.T) {
-	oldMagics := []string{"BGC1", "BGC2"}
+	oldMagics := []string{"BGC1", "BGC2", "BGC3"}
 	cfg := harness.SweepConfig{Duration: time.Second, Seed: 1, Replications: 1}
-	grid := harness.Fig5Grid([]time.Duration{30 * time.Millisecond, 35 * time.Millisecond, 40 * time.Millisecond})
+	grid := harness.Fig5Grid([]time.Duration{30 * time.Millisecond, 35 * time.Millisecond,
+		40 * time.Millisecond, 45 * time.Millisecond})
 	meta := JournalMeta{Grid: "fig5", Salt: harness.DefaultCacheSalt, Cells: grid.Cells,
 		Duration: cfg.Duration, Seed: cfg.Seed, Replications: cfg.Replications}
 	path := filepath.Join(t.TempDir(), "old.journal")

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
@@ -16,7 +14,6 @@ import (
 	"time"
 
 	"bluegs/internal/scenario"
-	"bluegs/internal/segmentation"
 )
 
 // DefaultCacheSalt is the code-version salt folded into every run
@@ -76,8 +73,9 @@ type CacheStats struct {
 	// Stores counts Put calls accepted.
 	Stores uint64
 	// DupPuts counts Put calls for a key the cache already held — a
-	// clean no-op, because content-addressed keys make the incoming
-	// entry identical to the stored one. Under a shared directory two
+	// clean no-op, because a content-addressed key names one result and
+	// an entry is a pure function of its result, so the incoming entry
+	// is byte for byte the stored one. Under a shared directory two
 	// processes completing the same cell book the second write here
 	// instead of rewriting (or corrupting) the entry.
 	DupPuts uint64
@@ -106,7 +104,7 @@ func (s CacheStats) String() string {
 // RunCache is a content-addressed store of completed simulation results,
 // keyed by the SHA-256 fingerprint of (scenario spec incl. seed and
 // horizon, code-version salt). A fixed-size in-memory LRU fronts an
-// optional on-disk gob store, so re-running a sweep after changing one
+// optional on-disk entry store, so re-running a sweep after changing one
 // cell — or re-rendering reports — replays the unchanged cells instantly,
 // across processes when a directory is configured.
 //
@@ -136,8 +134,11 @@ type cacheEntry struct {
 // result is shaped exactly like a fresh one. The Spec is not stored
 // either: the cache re-attaches it from the request on every hit (it
 // contains interface-valued fields and is, by construction of the key,
-// already known to the caller). Delay statistics travel in the stats
-// package's flat encodings inside this gob record.
+// already known to the caller). entry.go writes the record field by
+// field in a flat, hand-written layout, with delay statistics in the
+// stats package's flat encodings; a field added to any type the record
+// reaches must be added there too (TestEntryCodecCoversEveryField fails
+// until it is).
 type cacheRecord struct {
 	Key        string
 	Elapsed    time.Duration
@@ -148,13 +149,6 @@ type cacheRecord struct {
 	Piconets []scenario.PiconetResult
 	// Routes carries the end-to-end results of bridged multi-hop flows.
 	Routes []scenario.RouteResult
-}
-
-func init() {
-	// Concrete segmentation policies may travel inside
-	// admission.Request.Policy interface fields.
-	gob.Register(segmentation.BestFit{})
-	gob.Register(segmentation.GreedyLargest{})
 }
 
 // NewRunCache creates a cache; when cfg.Dir is set the directory is
@@ -238,9 +232,10 @@ func (c *RunCache) getByKey(key string, spec scenario.Spec) (*scenario.Result, b
 // Put stores a completed result under the spec's key, in memory and — when
 // a directory is configured — on disk (atomically, via a temp file and
 // rename). Putting a key the cache already holds is a clean no-op counted
-// in Stats().DupPuts: content-addressed keys make the incoming entry
-// identical to the stored one, so concurrent sweeps over a shared
-// directory never rewrite each other's entries.
+// in Stats().DupPuts: a content-addressed key names one result, and an
+// entry is a pure function of its result, so the incoming entry is byte
+// for byte the stored one and concurrent sweeps over a shared directory
+// never rewrite each other's entries.
 func (c *RunCache) Put(spec scenario.Spec, res *scenario.Result) error {
 	return c.putByKey(c.Key(spec), res)
 }
@@ -256,9 +251,9 @@ func (c *RunCache) putByKey(key string, res *scenario.Result) error {
 	c.mu.Unlock()
 	if !dup && c.cfg.Dir != "" {
 		// Another process may have completed the identical run already;
-		// leave its (identical) entry in place. Two writers racing past
-		// this check both write — harmless, the write is atomic and the
-		// content identical.
+		// leave its (byte-identical) entry in place. Two writers racing
+		// past this check both write — harmless, the write is atomic and
+		// the bytes identical.
 		dup = c.onDisk(key)
 	}
 	c.mu.Lock()
@@ -312,8 +307,8 @@ func (c *RunCache) insertLocked(key string, res *scenario.Result) {
 	}
 }
 
-// The on-disk entry layout is a gob cacheRecord payload followed by a
-// fixed integrity footer: magic, payload length and payload CRC-32
+// The on-disk entry layout is a cacheRecord payload (entry.go) followed
+// by a fixed integrity footer: magic, payload length and payload CRC-32
 // (IEEE). A truncated copy, a partial write that survived a crash, or bit
 // rot all fail the footer check; the entry is then deleted and the lookup
 // degrades to a miss, so the fresh result rewrites it.
@@ -322,20 +317,19 @@ func (c *RunCache) insertLocked(key string, res *scenario.Result) {
 // the stats encodings inside it bumps the magic (not DefaultCacheSalt,
 // which tracks result semantics), so entries of an older format fail the
 // footer check and become clean misses.
-const cacheFooterMagic = "BGC3"
+const cacheFooterMagic = "BGC4"
 
 const cacheFooterSize = len(cacheFooterMagic) + 8
 
-// cacheFooter renders the footer for a payload.
-func cacheFooter(payload []byte) []byte {
-	f := make([]byte, cacheFooterSize)
-	copy(f, cacheFooterMagic)
-	binary.LittleEndian.PutUint32(f[len(cacheFooterMagic):], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(f[len(cacheFooterMagic)+4:], crc32.ChecksumIEEE(payload))
-	return f
+// appendFooter appends the footer of payload to it.
+func appendFooter(payload []byte) []byte {
+	n, sum := uint32(len(payload)), crc32.ChecksumIEEE(payload)
+	b := append(payload, cacheFooterMagic...)
+	b = binary.LittleEndian.AppendUint32(b, n)
+	return binary.LittleEndian.AppendUint32(b, sum)
 }
 
-// checkFooter verifies a raw entry and returns its gob payload.
+// checkFooter verifies a raw entry and returns its record payload.
 func checkFooter(data []byte) ([]byte, error) {
 	if len(data) < cacheFooterSize {
 		return nil, fmt.Errorf("harness: cache entry truncated (%d bytes)", len(data))
@@ -353,14 +347,17 @@ func checkFooter(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// EncodeResultEntry renders a result as a raw cache entry: the gob
+// EncodeResultEntry renders a result as a raw cache entry: the flat
 // payload of its cacheRecord (per-piconet results, admission log, routes
-// and counters, with delay statistics in flat stats bytes) followed by
-// the integrity footer; DecodeResultEntry rolls the Result-level
-// aggregates back up. This is the byte form the cache directory holds,
+// and counters, with delay statistics in flat stats bytes; see entry.go)
+// followed by the integrity footer; DecodeResultEntry rolls the
+// Result-level aggregates back up. The bytes are a pure function of the
+// key and the result. This is the byte form the cache directory holds,
 // the fabric coordinator journals, and workers ship in /complete — one
 // encoding everywhere, so any party can verify any entry with the same
-// footer check.
+// footer check. A result the layout cannot carry (an admitted flow with
+// a segmentation policy other than BestFit or GreedyLargest) is an
+// error.
 func EncodeResultEntry(key string, res *scenario.Result) ([]byte, error) {
 	rec := cacheRecord{
 		Key:        key,
@@ -370,12 +367,11 @@ func EncodeResultEntry(key string, res *scenario.Result) ([]byte, error) {
 		Piconets:   res.Piconets,
 		Routes:     res.Routes,
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+	payload, err := appendRecord(make([]byte, 0, rec.sizeHint()+cacheFooterSize), &rec)
+	if err != nil {
 		return nil, fmt.Errorf("harness: cache encode %s: %w", key, err)
 	}
-	buf.Write(cacheFooter(buf.Bytes()))
-	return buf.Bytes(), nil
+	return appendFooter(payload), nil
 }
 
 // decodeEntry verifies and decodes a raw cache entry into a spec-less
@@ -385,8 +381,8 @@ func decodeEntry(key string, entry []byte) (*scenario.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rec cacheRecord
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
+	rec, err := decodeRecord(payload)
+	if err != nil {
 		return nil, fmt.Errorf("harness: cache decode %s: %w", key, err)
 	}
 	if rec.Key != key {
@@ -484,6 +480,8 @@ func (c *RunCache) PutEntry(key string, entry []byte) error {
 	return nil
 }
 
+// path names an entry file. The ".run.gob" suffix predates the flat
+// record codec; it stays because existing globs and scripts match it.
 func (c *RunCache) path(key string) string {
 	return filepath.Join(c.cfg.Dir, key+".run.gob")
 }

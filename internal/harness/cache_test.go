@@ -56,7 +56,7 @@ func TestRunCacheMemoryRoundTrip(t *testing.T) {
 
 // TestRunCacheDiskRoundTrip: a fresh cache over the same directory (a new
 // process, in effect) replays the sweep from disk with every statistic —
-// including delay quantiles backed by the gob-serialized samples — exact.
+// including delay quantiles backed by the serialized samples — exact.
 func TestRunCacheDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	sw := shortSweep(t)

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -10,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"bluegs/internal/admission"
 	"bluegs/internal/harness"
 	"bluegs/internal/scenario"
+	"bluegs/internal/segmentation"
 )
 
 // reportText renders the result's report and admission log, the text a
@@ -88,11 +91,12 @@ func reframe(entry []byte, magic string) []byte {
 }
 
 // TestRunCacheDropsOldFormat: an entry framed with an older format's
-// footer — BGC1, or BGC2 from before the delta-coded delay samples — here
-// over a payload that would otherwise decode, fails the footer check, is
-// dropped as corrupt, recomputed and re-stored in the current format.
+// footer — BGC1, BGC2 from before the delta-coded delay samples, or BGC3
+// from before the hand-written record codec — here over a payload that
+// would otherwise decode, fails the footer check, is dropped as corrupt,
+// recomputed and re-stored in the current format.
 func TestRunCacheDropsOldFormat(t *testing.T) {
-	for _, magic := range []string{"BGC1", "BGC2"} {
+	for _, magic := range []string{"BGC1", "BGC2", "BGC3"} {
 		t.Run(magic, func(t *testing.T) { testRunCacheDropsOldFormat(t, magic) })
 	}
 }
@@ -180,6 +184,85 @@ func TestEntryBytesPerDelayValue(t *testing.T) {
 	}
 }
 
+// TestEntryBytesDeterministic: an entry is a pure function of its
+// result. Fifty encodings of one paper result and of one scatternet
+// result are byte-identical; the per-slave throughput maps in particular
+// are written in key order, not map iteration order.
+func TestEntryBytesDeterministic(t *testing.T) {
+	paper := scenario.Paper(40 * time.Millisecond)
+	paper.Duration = time.Second
+	scatter, _ := scenario.Lookup("scatternet")
+	scatter.Duration = time.Second
+	for _, spec := range []scenario.Spec{paper, scatter} {
+		res, err := scenario.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := harness.CacheKey(harness.DefaultCacheSalt, spec)
+		first, err := harness.EncodeResultEntry(key, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		differ := 0
+		for i := 1; i < 50; i++ {
+			again, err := harness.EncodeResultEntry(key, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, first) {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("%s: %d of 49 re-encodings differ from the first", spec.Name, differ)
+		}
+	}
+}
+
+// customPolicy is a segmentation policy the entry layout has no tag for.
+type customPolicy struct{ segmentation.BestFit }
+
+func (customPolicy) Name() string { return "custom" }
+
+// TestEncodeUnknownPolicyFails: an admitted flow whose segmentation policy
+// the entry layout cannot name makes EncodeResultEntry fail — never
+// silently store the flow under another policy — and a RunCache refuses
+// the Put without leaving any file in its directory.
+func TestEncodeUnknownPolicyFails(t *testing.T) {
+	spec := scenario.Paper(40 * time.Millisecond)
+	spec.Duration = 200 * time.Millisecond
+	fresh, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Swap the policy on copies: the fresh result stays as the run left it.
+	res := *fresh
+	res.Piconets = append([]scenario.PiconetResult(nil), fresh.Piconets...)
+	pr := &res.Piconets[0]
+	if len(pr.Admitted) == 0 {
+		t.Fatal("paper spec admitted no flow")
+	}
+	pr.Admitted = append([]*admission.PlannedFlow(nil), pr.Admitted...)
+	custom := *pr.Admitted[0]
+	custom.Request.Policy = customPolicy{}
+	pr.Admitted[0] = &custom
+
+	key := harness.CacheKey(harness.DefaultCacheSalt, spec)
+	if _, err := harness.EncodeResultEntry(key, &res); err == nil || !strings.Contains(err.Error(), "policy") {
+		t.Fatalf("EncodeResultEntry error = %v, want an unsupported-policy error", err)
+	}
+	dir := t.TempDir()
+	if err := newCache(t, harness.CacheConfig{Dir: dir}).Put(spec, &res); err == nil {
+		t.Fatal("Put stored a result its entry cannot encode")
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("cache directory holds %v (%v), want nothing", files, err)
+	}
+	if _, err := harness.EncodeResultEntry(key, fresh); err != nil {
+		t.Fatalf("the unmodified result does not encode: %v", err)
+	}
+}
+
 // fig5Entry runs one 60 s Fig. 5 point and encodes it as a cache entry.
 func fig5Entry(b *testing.B) (string, *scenario.Result, []byte) {
 	b.Helper()
@@ -198,7 +281,7 @@ func fig5Entry(b *testing.B) (string, *scenario.Result, []byte) {
 }
 
 // BenchmarkEncodeResultEntry prices the cache fill of one 60 s Fig. 5
-// result: the gob record, the flat delay samples and the footer.
+// result: the flat record, its delay samples and the footer.
 func BenchmarkEncodeResultEntry(b *testing.B) {
 	key, res, entry := fig5Entry(b)
 	b.SetBytes(int64(len(entry)))
@@ -212,7 +295,7 @@ func BenchmarkEncodeResultEntry(b *testing.B) {
 }
 
 // BenchmarkDecodeResultEntry prices one replay of a 60 s Fig. 5 result:
-// footer check, gob record, flat delay samples and the rollup.
+// footer check, flat record, delay samples and the rollup.
 func BenchmarkDecodeResultEntry(b *testing.B) {
 	key, res, entry := fig5Entry(b)
 	b.SetBytes(int64(len(entry)))

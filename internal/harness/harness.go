@@ -37,7 +37,7 @@
 // Options.Cache plugs in a RunCache: a content-addressed result store
 // keyed by the SHA-256 fingerprint of (scenario.Spec canonical rendering
 // — which includes seed and horizon — plus a code-version salt, see
-// DefaultCacheSalt). An in-memory LRU fronts an optional on-disk gob
+// DefaultCacheSalt). An in-memory LRU fronts an optional on-disk entry
 // directory, so re-running a sweep after changing one cell, re-anchoring
 // goldens, or re-rendering reports replays every unchanged run without
 // executing the simulator — across processes, with results that are

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -246,9 +247,14 @@ func readDeltas(b []byte, values []float64) ([]byte, error) {
 }
 
 // GobEncode implements gob.GobEncoder.
-func (d DurationStats) GobEncode() ([]byte, error) {
+func (d DurationStats) GobEncode() ([]byte, error) { return d.AppendBinary(nil) }
+
+// AppendBinary implements encoding.BinaryAppender: it appends the bytes
+// GobEncode returns to b, so an enclosing encoding can write them in
+// place, growing b at most once.
+func (d DurationStats) AppendBinary(b []byte) ([]byte, error) {
 	layout := d.s.layout()
-	b := make([]byte, 0, 1+welfordSize+sampleCap(layout, len(d.s.values)))
+	b = slices.Grow(b, 1+welfordSize+sampleCap(layout, len(d.s.values)))
 	b = append(b, fmtDurationStats)
 	b = d.w.appendBinary(b)
 	return d.s.appendBinary(b, layout), nil

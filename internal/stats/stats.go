@@ -175,6 +175,9 @@ func (d *DurationStats) Add(v time.Duration) {
 // Count returns the number of observations.
 func (d *DurationStats) Count() uint64 { return d.w.Count() }
 
+// Retained returns how many observations the sample holds.
+func (d *DurationStats) Retained() int { return d.s.Retained() }
+
 // Mean returns the mean duration.
 func (d *DurationStats) Mean() time.Duration { return time.Duration(d.w.Mean()) }
 
