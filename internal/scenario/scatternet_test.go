@@ -384,81 +384,89 @@ func TestBatchTrafficDeterministicAndClose(t *testing.T) {
 	}
 }
 
+// randomScatternetSpec draws one randomized scatternet spec — piconet
+// arrays, interference parameters, piconet-addressed timelines with
+// piconet churn — for the codec property test and the fingerprint golden.
+// round only labels late-added piconets.
+func randomScatternetSpec(rng *rand.Rand, round int) Spec {
+	dirs := []piconet.Direction{piconet.Up, piconet.Down}
+	nPN := 1 + rng.Intn(4)
+	var names []string
+	spec := Spec{
+		Name:        "fuzz-scatternet",
+		Duration:    time.Duration(1+rng.Intn(20)) * time.Second,
+		Seed:        rng.Int63n(1 << 30),
+		DelayTarget: time.Duration(20+rng.Intn(40)) * time.Millisecond,
+		ARQ:         rng.Intn(2) == 0,
+	}
+	if rng.Intn(2) == 0 {
+		spec.Interference = InterferenceSpec{
+			Enabled:  true,
+			Channels: 20 + rng.Intn(100),
+		}
+	}
+	spec.BatchTraffic = rng.Intn(2) == 0
+	for i := 0; i < nPN; i++ {
+		ps := PiconetSpec{Name: string(rune('a' + i))}
+		names = append(names, ps.Name)
+		id := piconet.FlowID(1)
+		for k := 0; k <= rng.Intn(3); k++ {
+			ps.GS = append(ps.GS, GSFlow{
+				ID: id, Slave: piconet.SlaveID(1 + k), Dir: dirs[rng.Intn(2)],
+				Interval: time.Duration(10+rng.Intn(30)) * time.Millisecond,
+				MinSize:  100 + rng.Intn(50), MaxSize: 150 + rng.Intn(50),
+				Phase: time.Duration(rng.Intn(10)) * time.Millisecond,
+			})
+			id++
+		}
+		for k := 0; k <= rng.Intn(2); k++ {
+			ps.BE = append(ps.BE, BEFlow{
+				ID: id, Slave: piconet.SlaveID(5 + k), Dir: dirs[rng.Intn(2)],
+				RateKbps: 10 + 50*rng.Float64(), PacketSize: 100 + rng.Intn(100),
+			})
+			id++
+		}
+		spec.Piconets = append(spec.Piconets, ps)
+	}
+	nextID := piconet.FlowID(100)
+	for e := 0; e < rng.Intn(4); e++ {
+		at := time.Duration(rng.Int63n(int64(spec.Duration)))
+		target := names[rng.Intn(len(names))]
+		switch rng.Intn(4) {
+		case 0:
+			spec.Timeline = append(spec.Timeline, AddGSAt(at, GSFlow{
+				ID: nextID, Slave: 7, Dir: dirs[rng.Intn(2)],
+				Interval: 20 * time.Millisecond, MinSize: 144, MaxSize: 176,
+			}).For(target))
+			nextID++
+		case 1:
+			spec.Timeline = append(spec.Timeline, AddBEAt(at, BEFlow{
+				ID: nextID, Slave: 6, Dir: dirs[rng.Intn(2)],
+				RateKbps: 20, PacketSize: 176,
+			}).For(target))
+			nextID++
+		case 2:
+			late := fmt.Sprintf("late-%d-%d", round, e)
+			spec.Timeline = append(spec.Timeline, AddPiconetAt(at, PiconetSpec{
+				Name: late,
+				BE:   []BEFlow{{ID: 1, Slave: 1, Dir: piconet.Up, RateKbps: 15, PacketSize: 176}},
+			}))
+			names = append(names, late)
+		case 3:
+			spec.Timeline = append(spec.Timeline, RemovePiconetAt(at, names[rng.Intn(len(names))]))
+		}
+	}
+	return spec
+}
+
 // TestScatternetCodecRoundTrip is the multi-piconet codec property test:
 // randomized scatternet specs — piconet arrays, interference parameters,
 // piconet-addressed timelines with piconet churn — must round-trip
 // through Marshal/Unmarshal fingerprint-identically.
 func TestScatternetCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	dirs := []piconet.Direction{piconet.Up, piconet.Down}
 	for round := 0; round < 100; round++ {
-		nPN := 1 + rng.Intn(4)
-		var names []string
-		spec := Spec{
-			Name:        "fuzz-scatternet",
-			Duration:    time.Duration(1+rng.Intn(20)) * time.Second,
-			Seed:        rng.Int63n(1 << 30),
-			DelayTarget: time.Duration(20+rng.Intn(40)) * time.Millisecond,
-			ARQ:         rng.Intn(2) == 0,
-		}
-		if rng.Intn(2) == 0 {
-			spec.Interference = InterferenceSpec{
-				Enabled:  true,
-				Channels: 20 + rng.Intn(100),
-			}
-		}
-		spec.BatchTraffic = rng.Intn(2) == 0
-		for i := 0; i < nPN; i++ {
-			ps := PiconetSpec{Name: string(rune('a' + i))}
-			names = append(names, ps.Name)
-			id := piconet.FlowID(1)
-			for k := 0; k <= rng.Intn(3); k++ {
-				ps.GS = append(ps.GS, GSFlow{
-					ID: id, Slave: piconet.SlaveID(1 + k), Dir: dirs[rng.Intn(2)],
-					Interval: time.Duration(10+rng.Intn(30)) * time.Millisecond,
-					MinSize:  100 + rng.Intn(50), MaxSize: 150 + rng.Intn(50),
-					Phase: time.Duration(rng.Intn(10)) * time.Millisecond,
-				})
-				id++
-			}
-			for k := 0; k <= rng.Intn(2); k++ {
-				ps.BE = append(ps.BE, BEFlow{
-					ID: id, Slave: piconet.SlaveID(5 + k), Dir: dirs[rng.Intn(2)],
-					RateKbps: 10 + 50*rng.Float64(), PacketSize: 100 + rng.Intn(100),
-				})
-				id++
-			}
-			spec.Piconets = append(spec.Piconets, ps)
-		}
-		nextID := piconet.FlowID(100)
-		for e := 0; e < rng.Intn(4); e++ {
-			at := time.Duration(rng.Int63n(int64(spec.Duration)))
-			target := names[rng.Intn(len(names))]
-			switch rng.Intn(4) {
-			case 0:
-				spec.Timeline = append(spec.Timeline, AddGSAt(at, GSFlow{
-					ID: nextID, Slave: 7, Dir: dirs[rng.Intn(2)],
-					Interval: 20 * time.Millisecond, MinSize: 144, MaxSize: 176,
-				}).For(target))
-				nextID++
-			case 1:
-				spec.Timeline = append(spec.Timeline, AddBEAt(at, BEFlow{
-					ID: nextID, Slave: 6, Dir: dirs[rng.Intn(2)],
-					RateKbps: 20, PacketSize: 176,
-				}).For(target))
-				nextID++
-			case 2:
-				late := fmt.Sprintf("late-%d-%d", round, e)
-				spec.Timeline = append(spec.Timeline, AddPiconetAt(at, PiconetSpec{
-					Name: late,
-					BE:   []BEFlow{{ID: 1, Slave: 1, Dir: piconet.Up, RateKbps: 15, PacketSize: 176}},
-				}))
-				names = append(names, late)
-			case 3:
-				spec.Timeline = append(spec.Timeline, RemovePiconetAt(at, names[rng.Intn(len(names))]))
-			}
-		}
-
+		spec := randomScatternetSpec(rng, round)
 		data, err := Marshal(spec)
 		if err != nil {
 			t.Fatalf("round %d: Marshal: %v\nspec: %+v", round, err, spec)
