@@ -469,6 +469,12 @@ func (r *Result) RouteReport() *stats.Table {
 // gives the registered "bridge-pair" preset: two piconets joined by one
 // bridge, a two-hop route under a 110ms end-to-end budget at a 50% duty
 // cycle, one background voice flow per piconet.
+//
+// Every preset shares the rest: a 100ms residency period (long enough
+// that packets queue at a closed bridge, which is what separates
+// residency-aware admission from the naive baseline), a 30ms route
+// source under a 55ms budget per hop, and a 40ms bound on the
+// background flows.
 type BridgedConfig struct {
 	// Hops is the number of piconets the route traverses (1..3, default
 	// 2). One hop degenerates to a flat GS flow; three hops chain two
@@ -478,55 +484,28 @@ type BridgedConfig struct {
 	// bridge spends d of its period in the piconet it forwards from
 	// (up-flow hops) and 1-d in the piconet it receives in.
 	Duty float64
-	// Period is the residency schedule period (default 100ms: long
-	// enough that packets queue at a closed bridge, which is what
-	// separates residency-aware admission from the naive baseline).
-	Period time.Duration
 	// GSPerPiconet is the background voice load (flows per piconet at
 	// slaves 1.., default 1, max 4).
 	GSPerPiconet int
-	// RouteTarget is the end-to-end budget (default 55ms per hop, so
-	// 110ms for the two-hop pair); Interval the route source's packet
-	// spacing (default 30ms).
-	RouteTarget time.Duration
-	Interval    time.Duration
-	// DelayTarget is the background flows' bound (default 40ms); Duration
-	// the horizon (default 30s).
-	DelayTarget time.Duration
-	Duration    time.Duration
+	// Duration is the horizon (default 30s).
+	Duration time.Duration
 	// Naive switches the route to the uncoordinated baseline (full budget
 	// per hop, no residency derate).
 	Naive bool
 }
 
+// bridgePeriod is the presets' residency schedule period.
+const bridgePeriod = 100 * time.Millisecond
+
 func (c BridgedConfig) withDefaults() BridgedConfig {
 	if c.Hops < 1 {
 		c.Hops = 2
 	}
-	if c.Hops > 3 {
-		c.Hops = 3
-	}
+	c.Hops = min(c.Hops, 3)
 	if c.Duty <= 0 || c.Duty >= 1 {
 		c.Duty = 0.5
 	}
-	if c.Period <= 0 {
-		c.Period = 100 * time.Millisecond
-	}
-	if c.GSPerPiconet < 1 {
-		c.GSPerPiconet = 1
-	}
-	if c.GSPerPiconet > 4 {
-		c.GSPerPiconet = 4
-	}
-	if c.RouteTarget <= 0 {
-		c.RouteTarget = time.Duration(c.Hops) * 55 * time.Millisecond
-	}
-	if c.Interval <= 0 {
-		c.Interval = 30 * time.Millisecond
-	}
-	if c.DelayTarget <= 0 {
-		c.DelayTarget = 40 * time.Millisecond
-	}
+	c.GSPerPiconet = min(max(c.GSPerPiconet, 1), 4)
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
 	}
@@ -543,31 +522,18 @@ func Bridged(cfg BridgedConfig) Spec {
 	cfg = cfg.withDefaults()
 	var pns []PiconetSpec
 	for i := 0; i < cfg.Hops; i++ {
-		ps := PiconetSpec{Name: fmt.Sprintf("pn%d", i+1)}
-		for k := 0; k < cfg.GSPerPiconet; k++ {
-			dir := piconet.Up
-			if k%2 == 1 {
-				dir = piconet.Down
-			}
-			ps.GS = append(ps.GS, GSFlow{
-				ID:       piconet.FlowID(k + 1),
-				Slave:    piconet.SlaveID(k + 1),
-				Dir:      dir,
-				Interval: 20 * time.Millisecond,
-				MinSize:  144,
-				MaxSize:  176,
-				Phase:    time.Duration(k)*5*time.Millisecond + time.Duration(i)*time.Millisecond,
-			})
-		}
-		pns = append(pns, ps)
+		pns = append(pns, PiconetSpec{
+			Name: fmt.Sprintf("pn%d", i+1),
+			GS:   voiceFlows(cfg.GSPerPiconet, time.Duration(i)*time.Millisecond),
+		})
 	}
 	route := RouteSpec{
 		ID:          30,
 		Source:      "pn1",
-		Interval:    cfg.Interval,
+		Interval:    30 * time.Millisecond,
 		MinSize:     144,
 		MaxSize:     176,
-		DelayTarget: cfg.RouteTarget,
+		DelayTarget: time.Duration(cfg.Hops) * 55 * time.Millisecond,
 		Naive:       cfg.Naive,
 	}
 	var bridges []BridgeSpec
@@ -576,7 +542,7 @@ func Bridged(cfg BridgedConfig) Spec {
 		route.Slave = 6
 		route.Dir = piconet.Up
 	} else {
-		split := time.Duration(float64(cfg.Period) * (1 - cfg.Duty))
+		split := time.Duration(float64(bridgePeriod) * (1 - cfg.Duty))
 		for i := 0; i < cfg.Hops-1; i++ {
 			name := fmt.Sprintf("b%d", i+1)
 			recvSlave := piconet.SlaveID(6)
@@ -587,10 +553,10 @@ func Bridged(cfg BridgedConfig) Spec {
 			}
 			bridges = append(bridges, BridgeSpec{
 				Name:   name,
-				Period: cfg.Period,
+				Period: bridgePeriod,
 				Residency: []ResidencySpec{
 					{Piconet: fmt.Sprintf("pn%d", i+1), Slave: recvSlave, Start: 0, End: split},
-					{Piconet: fmt.Sprintf("pn%d", i+2), Slave: 6, Start: split, End: cfg.Period},
+					{Piconet: fmt.Sprintf("pn%d", i+2), Slave: 6, Start: split, End: bridgePeriod},
 				},
 			})
 			route.Bridges = append(route.Bridges, name)
@@ -605,7 +571,7 @@ func Bridged(cfg BridgedConfig) Spec {
 		Piconets:    pns,
 		Bridges:     bridges,
 		Routes:      []RouteSpec{route},
-		DelayTarget: cfg.DelayTarget,
+		DelayTarget: 40 * time.Millisecond,
 		Allowed:     baseband.PaperTypes,
 		Duration:    cfg.Duration,
 		Seed:        1,

@@ -142,7 +142,8 @@ func TestBridgedPresetDelivers(t *testing.T) {
 // expressed as a plain GS flow — the route plumbing (delivery hook,
 // origin stamps, per-hop admission) must be observationally free.
 func TestOneHopRouteMatchesFlatFlow(t *testing.T) {
-	routed := Bridged(BridgedConfig{Hops: 1, RouteTarget: 40 * time.Millisecond})
+	routed := Bridged(BridgedConfig{Hops: 1})
+	routed.Routes[0].DelayTarget = 40 * time.Millisecond
 	routed.Duration = 10 * time.Second
 
 	flat := Spec{

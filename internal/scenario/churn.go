@@ -11,28 +11,14 @@ import (
 
 // ChurnConfig parameterises the churn workload generator. The zero value
 // gives the registered "churn" preset: Poisson GS arrivals every ~4 s
-// holding for ~10 s, over a 60 kbps-per-direction best-effort floor, for
-// 60 simulated seconds.
+// holding for ~10 s at slaves 1..5 under a 40 ms target, over a 60
+// kbps-per-direction best-effort floor at slaves 6 and 7, for 60
+// simulated seconds.
 type ChurnConfig struct {
-	// Seed drives the arrival process placement (default 1). It is
-	// independent of Spec.Seed: the generated timeline is fixed data,
-	// while Spec.Seed varies the packet-level randomness per replication.
-	Seed int64
 	// Duration is the simulated horizon (default 60 s).
 	Duration time.Duration
 	// MeanArrival is the mean GS inter-arrival time (default 4 s).
 	MeanArrival time.Duration
-	// MeanHold is the mean GS session length (default 10 s).
-	MeanHold time.Duration
-	// DelayTarget is the bound every arriving flow requests (default
-	// 40 ms).
-	DelayTarget time.Duration
-	// BEFloorKbps is the per-direction best-effort load at slaves 6 and
-	// 7 (default 60).
-	BEFloorKbps float64
-	// Slaves is how many slaves (1..Slaves) the GS arrivals cycle over
-	// (default 5, keeping 6 and 7 for the BE floor).
-	Slaves int
 	// Poller selects the best-effort discipline competing with the
 	// churning GS set (default PFP). The churn-<poller> presets exercise
 	// every kind: whether a poller's state survives flow churn is part
@@ -40,27 +26,16 @@ type ChurnConfig struct {
 	Poller BEPollerKind
 }
 
+// churnSlaves is how many slaves (1..churnSlaves) the GS arrivals cycle
+// over, keeping 6 and 7 for the best-effort floor.
+const churnSlaves = 5
+
 func (c ChurnConfig) withDefaults() ChurnConfig {
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	if c.Duration <= 0 {
 		c.Duration = 60 * time.Second
 	}
 	if c.MeanArrival <= 0 {
 		c.MeanArrival = 4 * time.Second
-	}
-	if c.MeanHold <= 0 {
-		c.MeanHold = 10 * time.Second
-	}
-	if c.DelayTarget <= 0 {
-		c.DelayTarget = 40 * time.Millisecond
-	}
-	if c.BEFloorKbps <= 0 {
-		c.BEFloorKbps = 60
-	}
-	if c.Slaves < 1 || c.Slaves > 5 {
-		c.Slaves = 5
 	}
 	return c
 }
@@ -75,7 +50,7 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 // while Spec.Seed varies the packet-level randomness.
 func Churn(cfg ChurnConfig) Spec {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(1))
 	expDur := func(mean time.Duration) time.Duration {
 		d := time.Duration(rng.ExpFloat64() * float64(mean))
 		if d <= 0 {
@@ -85,14 +60,7 @@ func Churn(cfg ChurnConfig) Spec {
 	}
 
 	// The best-effort floor: both directions at the last two slaves.
-	var be []BEFlow
-	for i, slave := range []piconet.SlaveID{6, 7} {
-		id := piconet.FlowID(1 + 2*i)
-		be = append(be,
-			BEFlow{ID: id, Slave: slave, Dir: piconet.Down, RateKbps: cfg.BEFloorKbps, PacketSize: 176},
-			BEFlow{ID: id + 1, Slave: slave, Dir: piconet.Up, RateKbps: cfg.BEFloorKbps, PacketSize: 176},
-		)
-	}
+	be := append(bePair(1, 6, 60, 0), bePair(3, 7, 60, 0)...)
 
 	// GS arrivals: walk the Poisson process chronologically, releasing
 	// (slave, direction) endpoints as their sessions end, and voice each
@@ -124,7 +92,7 @@ func Churn(cfg ChurnConfig) Spec {
 		pending = kept
 		var ep endpoint
 		found := false
-		for s := piconet.SlaveID(1); !found && int(s) <= cfg.Slaves; s++ {
+		for s := piconet.SlaveID(1); !found && int(s) <= churnSlaves; s++ {
 			for _, dir := range []piconet.Direction{piconet.Up, piconet.Down} {
 				if !busy[endpoint{s, dir}] {
 					ep = endpoint{s, dir}
@@ -137,15 +105,8 @@ func Churn(cfg ChurnConfig) Spec {
 			continue
 		}
 		busy[ep] = true
-		events = append(events, AddGSAt(at, GSFlow{
-			ID:       id,
-			Slave:    ep.slave,
-			Dir:      ep.dir,
-			Interval: 20 * time.Millisecond,
-			MinSize:  144,
-			MaxSize:  176,
-		}))
-		if depart := at + expDur(cfg.MeanHold); depart < cfg.Duration {
+		events = append(events, AddGSAt(at, voice(id, ep.slave, ep.dir, 0)))
+		if depart := at + expDur(10*time.Second); depart < cfg.Duration {
 			events = append(events, RemoveAt(depart, id))
 			pending = append(pending, departure{at: depart, ep: ep})
 		}
@@ -161,7 +122,7 @@ func Churn(cfg ChurnConfig) Spec {
 		Name:        name,
 		BE:          be,
 		BEPoller:    cfg.Poller,
-		DelayTarget: cfg.DelayTarget,
+		DelayTarget: 40 * time.Millisecond,
 		Duration:    cfg.Duration,
 		Timeline:    events,
 		Seed:        1,

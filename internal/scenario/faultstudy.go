@@ -14,14 +14,16 @@ import (
 // piconet whose links fail on a declared schedule, a standby piconet with
 // spare capacity, and a recovery policy deciding what happens to the
 // guarantees.
+//
+// The faulty piconet carries two GS voice flows at slaves 1 and 2 (a
+// piconet carries at most three voice flows at token rate, so the
+// handoff target can absorb them) and a 30 kbps best-effort pair at
+// slave 6. Every flow requests a 100ms bound: just above the ~91ms
+// token-rate minimum of one voice flow, so targets are met exactly at
+// near-token rates and the piconets keep admission headroom for
+// recoveries (tighter targets are clamped best-effort and saturate every
+// piconet).
 type FaultScenarioConfig struct {
-	// GSFlows is the number of GS voice flows on the faulty piconet,
-	// placed at slaves 1.. with alternating directions (default 2,
-	// max 4 — slave 5 carries the standby piconet's own flow and slave 6
-	// the best-effort pair). A piconet carries at most three voice flows
-	// at token rate, so beyond two the handoff target cannot absorb the
-	// whole population.
-	GSFlows int
 	// Outages is the number of link-outage windows injected on the
 	// faulty piconet, cycling over its GS slaves (default 2).
 	Outages int
@@ -34,45 +36,24 @@ type FaultScenarioConfig struct {
 	// suspended) but nothing retrieves the contracts — the no-recovery
 	// baseline of the study.
 	Policy faults.Policy
-	// DelayTarget is the bound every GS flow requests (default 100ms —
-	// just above the ~91ms token-rate minimum of one voice flow, so
-	// targets are met exactly at near-token rates and the piconets keep
-	// admission headroom for recoveries; tighter targets are clamped
-	// best-effort and saturate every piconet).
-	DelayTarget time.Duration
 	// Duration is the simulated horizon (default 12s). The outage
 	// schedule is derived from it, so experiment sweeps must pass their
 	// horizon here rather than overriding Spec.Duration afterwards.
 	Duration time.Duration
-	// BEKbps is the per-direction best-effort load at the faulty
-	// piconet's slave 6 (default 30; negative disables the pair).
-	BEKbps float64
 }
 
+// faultGSFlows is the number of voice flows on the faulty piconet.
+const faultGSFlows = 2
+
 func (c FaultScenarioConfig) withDefaults() FaultScenarioConfig {
-	if c.GSFlows < 1 {
-		c.GSFlows = 2
-	}
-	if c.GSFlows > 4 {
-		c.GSFlows = 4
-	}
-	if c.Outages < 0 {
-		c.Outages = 0
-	}
-	if c.Outages == 0 {
+	if c.Outages <= 0 {
 		c.Outages = 2
 	}
 	if c.OutageDuration <= 0 {
 		c.OutageDuration = 400 * time.Millisecond
 	}
-	if c.DelayTarget <= 0 {
-		c.DelayTarget = 100 * time.Millisecond
-	}
 	if c.Duration <= 0 {
 		c.Duration = 12 * time.Second
-	}
-	if c.BEKbps == 0 {
-		c.BEKbps = 30
 	}
 	return c
 }
@@ -83,12 +64,8 @@ func (c FaultScenarioConfig) withDefaults() FaultScenarioConfig {
 // eventually hit. The last window always closes at least a second before
 // the horizon so degraded renegotiations have time to deliver.
 func (c FaultScenarioConfig) outagePlan(pn string) []faults.LinkOutage {
-	const lead = 2 * time.Second
-	tail := time.Second
-	usable := c.Duration - lead - tail - c.OutageDuration
-	if usable < 0 {
-		usable = 0
-	}
+	const lead, tail = 2 * time.Second, time.Second
+	usable := max(c.Duration-lead-tail-c.OutageDuration, 0)
 	spacing := usable
 	if c.Outages > 1 {
 		spacing = usable / time.Duration(c.Outages-1)
@@ -96,15 +73,13 @@ func (c FaultScenarioConfig) outagePlan(pn string) []faults.LinkOutage {
 	// Never overlap two windows: supervision suspends the slave's flows
 	// once per episode, and the study wants each window to be a distinct
 	// episode.
-	if min := c.OutageDuration + 500*time.Millisecond; spacing < min {
-		spacing = min
-	}
+	spacing = max(spacing, c.OutageDuration+500*time.Millisecond)
 	out := make([]faults.LinkOutage, 0, c.Outages)
 	for j := 0; j < c.Outages; j++ {
 		start := lead + time.Duration(j)*spacing
 		out = append(out, faults.LinkOutage{
 			Piconet: pn,
-			Slave:   piconet.SlaveID(j%c.GSFlows + 1),
+			Slave:   piconet.SlaveID(j%faultGSFlows + 1),
 			Start:   start,
 			End:     start + c.OutageDuration,
 		})
@@ -121,41 +96,12 @@ func (c FaultScenarioConfig) outagePlan(pn string) []faults.LinkOutage {
 // (PolicyDegrade), or a make-before-break move to pn2 (PolicyHandoff).
 func FaultScenario(cfg FaultScenarioConfig) Spec {
 	cfg = cfg.withDefaults()
-	faulty := PiconetSpec{Name: "pn1"}
-	for k := 0; k < cfg.GSFlows; k++ {
-		dir := piconet.Up
-		if k%2 == 1 {
-			dir = piconet.Down
-		}
-		faulty.GS = append(faulty.GS, GSFlow{
-			ID:       piconet.FlowID(k + 1),
-			Slave:    piconet.SlaveID(k + 1),
-			Dir:      dir,
-			Interval: 20 * time.Millisecond,
-			MinSize:  144,
-			MaxSize:  176,
-			Phase:    time.Duration(k) * 5 * time.Millisecond,
-		})
-	}
-	if cfg.BEKbps > 0 {
-		faulty.BE = append(faulty.BE,
-			BEFlow{ID: 100, Slave: 6, Dir: piconet.Down, RateKbps: cfg.BEKbps, PacketSize: 176},
-			BEFlow{ID: 101, Slave: 6, Dir: piconet.Up, RateKbps: cfg.BEKbps, PacketSize: 176},
-		)
-	}
+	faulty := PiconetSpec{Name: "pn1", GS: voiceFlows(faultGSFlows, 0), BE: bePair(100, 6, 30, 0)}
 	// The standby piconet carries one flow of its own — it must be a
 	// live, polled piconet, not an empty shell — at slave 5 / id 50, clear
-	// of the movable set (ids 1..4 at slaves 1..4), so every handoff
+	// of the movable set (ids 1..2 at slaves 1..2), so every handoff
 	// admits without an identity clash.
-	standby := PiconetSpec{Name: "pn2", GS: []GSFlow{{
-		ID:       50,
-		Slave:    5,
-		Dir:      piconet.Up,
-		Interval: 20 * time.Millisecond,
-		MinSize:  144,
-		MaxSize:  176,
-		Phase:    3 * time.Millisecond,
-	}}}
+	standby := PiconetSpec{Name: "pn2", GS: []GSFlow{voice(50, 5, piconet.Up, 3*time.Millisecond)}}
 	policy := string(cfg.Policy)
 	if policy == "" {
 		policy = "none"
@@ -163,7 +109,7 @@ func FaultScenario(cfg FaultScenarioConfig) Spec {
 	return Spec{
 		Name:                       fmt.Sprintf("faults-%s", policy),
 		Piconets:                   []PiconetSpec{faulty, standby},
-		DelayTarget:                cfg.DelayTarget,
+		DelayTarget:                100 * time.Millisecond,
 		Allowed:                    baseband.PaperTypes,
 		Duration:                   cfg.Duration,
 		Seed:                       1,

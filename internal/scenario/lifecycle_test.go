@@ -59,9 +59,9 @@ func lifecycleSpecs() map[string]scenario.Spec {
 
 	churn := scenario.Scatternet(scenario.ScatternetConfig{
 		Piconets: 2, BEKbps: 30, Duration: 4 * time.Second, InterferenceAware: true,
-		DelayTarget: 100 * time.Millisecond,
 	})
 	churn.Name = "flow-churn"
+	churn.DelayTarget = 100 * time.Millisecond
 	churn.Timeline = []scenario.TimelineEvent{
 		scenario.AddGSAt(500*time.Millisecond, voice(10, 3, piconet.Up)).For("pn1"),
 		scenario.AddBEAt(600*time.Millisecond, scenario.BEFlow{

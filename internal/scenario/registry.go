@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"bluegs/internal/faults"
@@ -14,79 +13,41 @@ var AllBEPollers = []BEPollerKind{
 	BEPFP, BERoundRobin, BEExhaustive, BEFEP, BEEDC, BEDemand, BEHOL,
 }
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]func() Spec)
-)
-
-// Register adds a named scenario builder to the process-wide registry
-// (used by `btsim -scenario <name>` and `-list`). The builder must be
-// deterministic: it is invoked once per Lookup. Registering an empty or
-// already-taken name is an error.
-func Register(name string, build func() Spec) error {
-	if name == "" || build == nil {
-		return fmt.Errorf("%w: registry needs a name and a builder", ErrBadSpec)
+// registry is the preset catalogue behind `btsim -scenario <name>` and
+// `-list`. Every builder is deterministic: it runs once per Lookup.
+var registry = func() map[string]func() Spec {
+	r := map[string]func() Spec{
+		"paper-fig4":      func() Spec { return Paper(40 * time.Millisecond) },
+		"churn":           func() Spec { return Churn(ChurnConfig{}) },
+		"scatternet":      func() Spec { return Scatternet(ScatternetConfig{}) },
+		"scatternet-pair": func() Spec { return Scatternet(ScatternetConfig{Piconets: 2}) },
+		"faults-degrade":  func() Spec { return FaultScenario(FaultScenarioConfig{Policy: faults.PolicyDegrade}) },
+		"faults-handoff":  func() Spec { return FaultScenario(FaultScenarioConfig{Policy: faults.PolicyHandoff}) },
+		"bridge-pair":     func() Spec { return Bridged(BridgedConfig{Hops: 2}) },
+		"bridge-chain":    func() Spec { return Bridged(BridgedConfig{Hops: 3}) },
 	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("%w: scenario %q already registered", ErrBadSpec, name)
+	for _, kind := range AllBEPollers {
+		r[fmt.Sprintf("baseline-%s", kind)] = func() Spec { return Baseline(kind) }
+		r[fmt.Sprintf("churn-%s", kind)] = func() Spec { return Churn(ChurnConfig{Poller: kind}) }
 	}
-	registry[name] = build
-	return nil
-}
+	return r
+}()
 
-// MustRegister is Register for init-time presets; it panics on error.
-func MustRegister(name string, build func() Spec) {
-	if err := Register(name, build); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup builds the named scenario, reporting whether the name is
-// registered.
+// Lookup builds the named preset, reporting whether the name exists.
 func Lookup(name string) (Spec, bool) {
-	registryMu.RLock()
 	build, ok := registry[name]
-	registryMu.RUnlock()
 	if !ok {
 		return Spec{}, false
 	}
 	return build(), true
 }
 
-// Names returns the registered scenario names, sorted.
+// Names returns the preset names, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	out := make([]string, 0, len(registry))
 	for name := range registry {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// The presets register themselves so every tool sees one catalogue.
-func init() {
-	MustRegister("paper-fig4", func() Spec { return Paper(40 * time.Millisecond) })
-	for _, kind := range AllBEPollers {
-		kind := kind
-		MustRegister(fmt.Sprintf("baseline-%s", kind), func() Spec { return Baseline(kind) })
-	}
-	MustRegister("churn", func() Spec { return Churn(ChurnConfig{}) })
-	for _, kind := range AllBEPollers {
-		kind := kind
-		MustRegister(fmt.Sprintf("churn-%s", kind), func() Spec { return Churn(ChurnConfig{Poller: kind}) })
-	}
-	MustRegister("scatternet", func() Spec { return Scatternet(ScatternetConfig{}) })
-	MustRegister("scatternet-pair", func() Spec { return Scatternet(ScatternetConfig{Piconets: 2}) })
-	MustRegister("faults-degrade", func() Spec {
-		return FaultScenario(FaultScenarioConfig{Policy: faults.PolicyDegrade})
-	})
-	MustRegister("faults-handoff", func() Spec {
-		return FaultScenario(FaultScenarioConfig{Policy: faults.PolicyHandoff})
-	})
-	MustRegister("bridge-pair", func() Spec { return Bridged(BridgedConfig{Hops: 2}) })
-	MustRegister("bridge-chain", func() Spec { return Bridged(BridgedConfig{Hops: 3}) })
 }

@@ -1,26 +1,24 @@
 package scenario
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
 
+// TestRegistryPresets pins the catalogue: CI's registry smoke runs every
+// name `btsim -list` prints, so a dropped entry must fail here.
 func TestRegistryPresets(t *testing.T) {
-	names := Names()
-	want := []string{"churn", "paper-fig4", "baseline-pfp", "baseline-round-robin"}
-	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
+	want := []string{
+		"baseline-demand", "baseline-edc", "baseline-exhaustive-rr", "baseline-fep",
+		"baseline-hol-priority", "baseline-pfp", "baseline-round-robin",
+		"bridge-chain", "bridge-pair",
+		"churn", "churn-demand", "churn-edc", "churn-exhaustive-rr", "churn-fep",
+		"churn-hol-priority", "churn-pfp", "churn-round-robin",
+		"faults-degrade", "faults-handoff", "paper-fig4", "scatternet", "scatternet-pair",
 	}
-	for _, n := range want {
-		if !have[n] {
-			t.Fatalf("registry misses %q (have %v)", n, names)
-		}
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Names not sorted: %v", names)
-		}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %q\nwant %q", got, want)
 	}
 	if _, ok := Lookup("no-such-scenario"); ok {
 		t.Fatal("Lookup invented a scenario")
@@ -53,20 +51,5 @@ func TestRegistryScenariosRun(t *testing.T) {
 				t.Fatalf("violations: %+v", v)
 			}
 		})
-	}
-}
-
-func TestRegisterValidation(t *testing.T) {
-	if err := Register("", func() Spec { return Spec{} }); err == nil {
-		t.Fatal("empty name accepted")
-	}
-	if err := Register("paper-fig4", func() Spec { return Spec{} }); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if err := Register("test-once", func() Spec { return Paper(time.Millisecond * 40) }); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := Lookup("test-once"); !ok {
-		t.Fatal("registered scenario not found")
 	}
 }

@@ -270,84 +270,45 @@ func (p *PiconetResult) BoundViolations() []FlowResult {
 
 // ScatternetConfig parameterises the scatternet preset generator. The
 // zero value gives the registered "scatternet" preset: four co-located
-// piconets, each with two 64 kbps GS voice flows and a 60 kbps
-// best-effort pair, ARQ on, FH co-channel interference enabled.
+// piconets, each with two 64 kbps GS voice flows under a 40ms target and
+// a 60 kbps best-effort pair, ARQ on, FH co-channel interference enabled.
 type ScatternetConfig struct {
 	// Piconets is the piconet count (default 4).
 	Piconets int
-	// GSPerPiconet is the number of GS voice flows per piconet, placed
-	// at slaves 1.. with alternating directions (default 2, max 5).
-	GSPerPiconet int
 	// BEKbps is the per-direction best-effort load at each piconet's
 	// slave 6 (default 60; negative disables the BE pair).
 	BEKbps float64
-	// DelayTarget is the bound every GS flow requests (default 40ms).
-	DelayTarget time.Duration
 	// Duration is the simulated horizon (default 30s).
 	Duration time.Duration
-	// NoInterference runs the piconets uncoupled (shared clock only),
-	// the control case of the interference study.
-	NoInterference bool
-	// NoARQ disables retransmission: collisions then surface as losses
-	// instead of delay (the study wants delay erosion, so ARQ defaults
-	// on).
-	NoARQ bool
 	// InterferenceAware switches the interference-aware admission
 	// derating on (Spec.InterferenceAwareAdmission): bounds are promised
 	// against the derated service rate instead of the ideal channel.
 	InterferenceAware bool
-	// Derate statically overrides the derating estimator
-	// (Spec.AdmissionDerate); zero uses the medium estimate.
-	Derate float64
 	// OnlineGS adds this many extra GS voice flows per piconet arriving
 	// through the paper's online admission test (timeline add-gs events,
-	// staggered from 1s at the free slaves above the static set). They
-	// are the accept-ratio probe of the E10 admission study: an ideal
-	// admission accepts them and erodes everyone's bounds; a derated one
-	// refuses what the scatternet cannot carry. Clamped to the free
-	// non-BE slaves (at most 5 − GSPerPiconet + 1, using slave 7).
+	// staggered from 1s at the free slaves 3, 4, 5 and 7). They are the
+	// accept-ratio probe of the E10 admission study: an ideal admission
+	// accepts them and erodes everyone's bounds; a derated one refuses
+	// what the scatternet cannot carry. Clamped to 0..4.
 	OnlineGS int
 }
+
+// onlineSlaves are the slaves free for online GS arrivals: above the two
+// static voice flows, skipping the BE pair's slave 6.
+var onlineSlaves = []piconet.SlaveID{3, 4, 5, 7}
 
 func (c ScatternetConfig) withDefaults() ScatternetConfig {
 	if c.Piconets < 1 {
 		c.Piconets = 4
 	}
-	if c.GSPerPiconet < 1 {
-		c.GSPerPiconet = 2
-	}
-	if c.GSPerPiconet > 5 {
-		c.GSPerPiconet = 5
-	}
 	if c.BEKbps == 0 {
 		c.BEKbps = 60
-	}
-	if c.DelayTarget <= 0 {
-		c.DelayTarget = 40 * time.Millisecond
 	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
 	}
-	if c.OnlineGS > len(c.onlineSlaves()) {
-		c.OnlineGS = len(c.onlineSlaves())
-	}
-	if c.OnlineGS < 0 {
-		c.OnlineGS = 0
-	}
+	c.OnlineGS = min(max(c.OnlineGS, 0), len(onlineSlaves))
 	return c
-}
-
-// onlineSlaves lists the slaves free for online GS arrivals: above the
-// static GS set, skipping the BE pair's slave 6, up to slave 7.
-func (c ScatternetConfig) onlineSlaves() []piconet.SlaveID {
-	var out []piconet.SlaveID
-	for s := c.GSPerPiconet + 1; s <= 7; s++ {
-		if s == 6 {
-			continue
-		}
-		out = append(out, piconet.SlaveID(s))
-	}
-	return out
 }
 
 // Scatternet builds N co-located identical piconets named "pn1".."pnN",
@@ -361,54 +322,22 @@ func Scatternet(cfg ScatternetConfig) Spec {
 	cfg = cfg.withDefaults()
 	var pns []PiconetSpec
 	for i := 0; i < cfg.Piconets; i++ {
-		ps := PiconetSpec{Name: fmt.Sprintf("pn%d", i+1)}
-		for k := 0; k < cfg.GSPerPiconet; k++ {
-			dir := piconet.Up
-			if k%2 == 1 {
-				dir = piconet.Down
-			}
-			ps.GS = append(ps.GS, GSFlow{
-				ID:       piconet.FlowID(k + 1),
-				Slave:    piconet.SlaveID(k + 1),
-				Dir:      dir,
-				Interval: 20 * time.Millisecond,
-				MinSize:  144,
-				MaxSize:  176,
-				// Stagger sources within and across piconets so the
-				// scatternet does not transmit in lockstep.
-				Phase: time.Duration(k)*5*time.Millisecond + time.Duration(i)*time.Millisecond,
-			})
-		}
+		// Stagger sources across piconets too, so the scatternet does
+		// not transmit in lockstep.
+		ps := PiconetSpec{Name: fmt.Sprintf("pn%d", i+1), GS: voiceFlows(2, time.Duration(i)*time.Millisecond)}
 		if cfg.BEKbps > 0 {
-			base := piconet.FlowID(100)
-			ps.BE = append(ps.BE,
-				BEFlow{ID: base, Slave: 6, Dir: piconet.Down, RateKbps: cfg.BEKbps, PacketSize: 176},
-				BEFlow{ID: base + 1, Slave: 6, Dir: piconet.Up, RateKbps: cfg.BEKbps, PacketSize: 176},
-			)
+			ps.BE = bePair(100, 6, cfg.BEKbps, 0)
 		}
 		pns = append(pns, ps)
 	}
 	// Online arrivals: OnlineGS extra voice flows per piconet negotiate
 	// admission mid-run, staggered so no two arrivals share an instant.
 	var timeline []TimelineEvent
-	if cfg.OnlineGS > 0 {
-		slaves := cfg.onlineSlaves()
-		for k := 0; k < cfg.OnlineGS; k++ {
-			dir := piconet.Up
-			if k%2 == 1 {
-				dir = piconet.Down
-			}
-			for i := 0; i < cfg.Piconets; i++ {
-				at := time.Second + time.Duration(k*cfg.Piconets+i)*100*time.Millisecond
-				timeline = append(timeline, AddGSAt(at, GSFlow{
-					ID:       piconet.FlowID(10 + k),
-					Slave:    slaves[k],
-					Dir:      dir,
-					Interval: 20 * time.Millisecond,
-					MinSize:  144,
-					MaxSize:  176,
-				}).For(fmt.Sprintf("pn%d", i+1)))
-			}
+	for k := 0; k < cfg.OnlineGS; k++ {
+		for i := 0; i < cfg.Piconets; i++ {
+			at := time.Second + time.Duration(k*cfg.Piconets+i)*100*time.Millisecond
+			flow := voice(piconet.FlowID(10+k), onlineSlaves[k], alternating(k), 0)
+			timeline = append(timeline, AddGSAt(at, flow).For(fmt.Sprintf("pn%d", i+1)))
 		}
 	}
 	name := fmt.Sprintf("scatternet-%dpn", cfg.Piconets)
@@ -418,14 +347,13 @@ func Scatternet(cfg ScatternetConfig) Spec {
 	return Spec{
 		Name:                       name,
 		Piconets:                   pns,
-		DelayTarget:                cfg.DelayTarget,
+		DelayTarget:                40 * time.Millisecond,
 		Allowed:                    baseband.PaperTypes,
 		Duration:                   cfg.Duration,
 		Seed:                       1,
-		ARQ:                        !cfg.NoARQ,
-		Interference:               InterferenceSpec{Enabled: !cfg.NoInterference},
+		ARQ:                        true,
+		Interference:               InterferenceSpec{Enabled: true},
 		InterferenceAwareAdmission: cfg.InterferenceAware,
-		AdmissionDerate:            cfg.Derate,
 		Timeline:                   timeline,
 	}
 }

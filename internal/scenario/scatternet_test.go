@@ -280,12 +280,9 @@ func TestScatternetPiconetChurn(t *testing.T) {
 // enabled must match the uncoupled run exactly (no spurious RNG draws).
 func TestScatternetInterferenceCouples(t *testing.T) {
 	build := func(n int, interference bool) Spec {
-		return Scatternet(ScatternetConfig{
-			Piconets:       n,
-			BEKbps:         60,
-			Duration:       5 * time.Second,
-			NoInterference: !interference,
-		})
+		spec := Scatternet(ScatternetConfig{Piconets: n, BEKbps: 60, Duration: 5 * time.Second})
+		spec.Interference.Enabled = interference
+		return spec
 	}
 	quiet, err := Run(build(2, false))
 	if err != nil {

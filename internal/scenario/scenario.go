@@ -270,22 +270,14 @@ func Paper(delayTarget time.Duration) Spec {
 	// Oppositely-directed pair sources share a phase so their packets can
 	// ride one exchange (the premise of the paper's piggybacking).
 	gs := []GSFlow{
-		{ID: 1, Slave: 1, Dir: piconet.Up, Interval: 20 * time.Millisecond, MinSize: 144, MaxSize: 176},
-		{ID: 2, Slave: 2, Dir: piconet.Down, Interval: 20 * time.Millisecond, MinSize: 144, MaxSize: 176, Phase: 5 * time.Millisecond},
-		{ID: 3, Slave: 2, Dir: piconet.Up, Interval: 20 * time.Millisecond, MinSize: 144, MaxSize: 176, Phase: 5 * time.Millisecond},
-		{ID: 4, Slave: 3, Dir: piconet.Up, Interval: 20 * time.Millisecond, MinSize: 144, MaxSize: 176, Phase: 10 * time.Millisecond},
+		voice(1, 1, piconet.Up, 0),
+		voice(2, 2, piconet.Down, 5*time.Millisecond),
+		voice(3, 2, piconet.Up, 5*time.Millisecond),
+		voice(4, 3, piconet.Up, 10*time.Millisecond),
 	}
-	rates := []float64{41.6, 47.2, 52.8, 58.4}
 	var be []BEFlow
-	id := piconet.FlowID(5)
-	for i, rate := range rates {
-		slave := piconet.SlaveID(4 + i)
-		phase := time.Duration(i) * 5 * time.Millisecond
-		be = append(be,
-			BEFlow{ID: id, Slave: slave, Dir: piconet.Down, RateKbps: rate, PacketSize: 176, Phase: phase},
-			BEFlow{ID: id + 1, Slave: slave, Dir: piconet.Up, RateKbps: rate, PacketSize: 176, Phase: phase},
-		)
-		id += 2
+	for i, rate := range []float64{41.6, 47.2, 52.8, 58.4} {
+		be = append(be, bePair(piconet.FlowID(5+2*i), piconet.SlaveID(4+i), rate, time.Duration(i)*5*time.Millisecond)...)
 	}
 	return Spec{
 		Name:        "paper-fig4",
@@ -304,27 +296,54 @@ func Paper(delayTarget time.Duration) Spec {
 // penalise non-adaptive pollers. kind selects the poller under test.
 func Baseline(kind BEPollerKind) Spec {
 	var be []BEFlow
-	id := piconet.FlowID(1)
 	for i, rate := range []float64{60, 70, 80, 90} {
-		slave := piconet.SlaveID(4 + i)
-		be = append(be,
-			BEFlow{ID: id, Slave: slave, Dir: piconet.Down, RateKbps: rate, PacketSize: 176},
-			BEFlow{ID: id + 1, Slave: slave, Dir: piconet.Up, RateKbps: rate, PacketSize: 176},
-		)
-		id += 2
+		be = append(be, bePair(piconet.FlowID(1+2*i), piconet.SlaveID(4+i), rate, 0)...)
 	}
 	// Idle slaves: registered with negligible-rate flows so the pollers
 	// must discover they are uninteresting.
 	for s := piconet.SlaveID(1); s <= 3; s++ {
 		be = append(be, BEFlow{
-			ID: id, Slave: s, Dir: piconet.Up, RateKbps: 0.5, PacketSize: 176,
+			ID: piconet.FlowID(8 + s), Slave: s, Dir: piconet.Up, RateKbps: 0.5, PacketSize: 176,
 		})
-		id++
 	}
 	return Spec{
 		Name:     fmt.Sprintf("baseline-%s", kind),
 		BE:       be,
 		BEPoller: kind,
+	}
+}
+
+// voice is the paper's 64 kbps voice source: a 20ms CBR GS flow of
+// 144–176 B packets.
+func voice(id piconet.FlowID, slave piconet.SlaveID, dir piconet.Direction, phase time.Duration) GSFlow {
+	return GSFlow{ID: id, Slave: slave, Dir: dir, Interval: 20 * time.Millisecond, MinSize: 144, MaxSize: 176, Phase: phase}
+}
+
+// voiceFlows is the presets' static voice set: n flows with ids and
+// slaves 1..n, alternating up and down, phases staggered 5ms apart from
+// offset.
+func voiceFlows(n int, offset time.Duration) []GSFlow {
+	var out []GSFlow
+	for k := 0; k < n; k++ {
+		out = append(out, voice(piconet.FlowID(k+1), piconet.SlaveID(k+1), alternating(k), time.Duration(k)*5*time.Millisecond+offset))
+	}
+	return out
+}
+
+// alternating is the k-th direction of an up, down, up, ... sequence.
+func alternating(k int) piconet.Direction {
+	if k%2 == 1 {
+		return piconet.Down
+	}
+	return piconet.Up
+}
+
+// bePair is a best-effort load of kbps per direction at one slave, 176 B
+// packets: the down flow is id, the up flow id+1.
+func bePair(id piconet.FlowID, slave piconet.SlaveID, kbps float64, phase time.Duration) []BEFlow {
+	return []BEFlow{
+		{ID: id, Slave: slave, Dir: piconet.Down, RateKbps: kbps, PacketSize: 176, Phase: phase},
+		{ID: id + 1, Slave: slave, Dir: piconet.Up, RateKbps: kbps, PacketSize: 176, Phase: phase},
 	}
 }
 

@@ -27,11 +27,6 @@ var updateFingerprints = flag.Bool("update-fingerprints", false, "rewrite spec_f
 
 const fingerprintGolden = "testdata/spec_fingerprints.golden"
 
-// registryAtInit snapshots the preset names before any test runs.
-var registryAtInit []string
-
-func init() { registryAtInit = Names() }
-
 // specFingerprintCases returns one fingerprint per named case: every
 // registry preset, each preset constructor at every config the E8–E12
 // studies build at their default axes and 60 s horizon, the benchmark's
@@ -40,7 +35,7 @@ func init() { registryAtInit = Names() }
 func specFingerprintCases() map[string]string {
 	out := make(map[string]string)
 	add := func(name string, spec Spec) { out[name] = spec.Fingerprint() }
-	for _, name := range registryAtInit {
+	for _, name := range Names() {
 		spec, _ := Lookup(name)
 		add("registry/"+name, spec)
 	}
@@ -98,7 +93,7 @@ func specFingerprintCases() map[string]string {
 	for round := 0; round < 100; round++ {
 		marshal(fmt.Sprintf("codec/%03d", round), randomScatternetSpec(rng, round))
 	}
-	for _, name := range registryAtInit {
+	for _, name := range Names() {
 		spec, _ := Lookup(name)
 		marshal("marshal/"+name, spec)
 	}
