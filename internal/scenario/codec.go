@@ -3,8 +3,10 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -24,17 +26,20 @@ import (
 // files are unchanged byte for byte.
 const FormatV2 = "bluegs/scenario/v2"
 
-// specV2 is the v2 on-disk form of a Spec.
+// specV2 is the v2 on-disk form of a Spec. The mirror structs below carry
+// durations, directions and packet-type sets as wire types that spell
+// themselves (durV2, blankDurV2, dirV2, typesV2), so converting to and
+// from a Spec is a field copy.
 type specV2 struct {
 	Format              string          `json:"format"`
 	Name                string          `json:"name,omitempty"`
-	DelayTarget         string          `json:"delay_target,omitempty"`
-	Duration            string          `json:"duration,omitempty"`
+	DelayTarget         durV2           `json:"delay_target,omitempty"`
+	Duration            durV2           `json:"duration,omitempty"`
 	Seed                int64           `json:"seed,omitempty"`
 	Mode                string          `json:"mode,omitempty"`
 	Rules               *string         `json:"rules,omitempty"`
 	Poller              *pollerV2       `json:"poller,omitempty"`
-	Allowed             []string        `json:"allowed_types,omitempty"`
+	Allowed             typesV2         `json:"allowed_types,omitzero"`
 	DirectionAware      bool            `json:"direction_aware,omitempty"`
 	WithoutPiggybacking bool            `json:"without_piggybacking,omitempty"`
 	ARQ                 bool            `json:"arq,omitempty"`
@@ -63,22 +68,22 @@ type faultsV2 struct {
 }
 
 type outageV2 struct {
-	Piconet string `json:"piconet,omitempty"`
-	Slave   int    `json:"slave"`
-	Start   string `json:"start"`
-	End     string `json:"end"`
+	Piconet string          `json:"piconet,omitempty"`
+	Slave   piconet.SlaveID `json:"slave"`
+	Start   durV2           `json:"start"`
+	End     durV2           `json:"end"`
 }
 
 type departureV2 struct {
-	Piconet  string `json:"piconet,omitempty"`
-	Slave    int    `json:"slave"`
-	At       string `json:"at"`
-	ReturnAt string `json:"return_at,omitempty"`
+	Piconet  string          `json:"piconet,omitempty"`
+	Slave    piconet.SlaveID `json:"slave"`
+	At       durV2           `json:"at"`
+	ReturnAt durV2           `json:"return_at,omitempty"`
 }
 
 type crashV2 struct {
 	Piconet string `json:"piconet,omitempty"`
-	At      string `json:"at"`
+	At      durV2  `json:"at"`
 }
 
 // recoveryV2 is the self-healing configuration block.
@@ -92,37 +97,37 @@ type recoveryV2 struct {
 // bridgeV2 is one bridge node's residency schedule.
 type bridgeV2 struct {
 	Name      string        `json:"name"`
-	Period    string        `json:"period"`
+	Period    durV2         `json:"period"`
 	Residency []residencyV2 `json:"residency"`
 }
 
 type residencyV2 struct {
-	Piconet string `json:"piconet,omitempty"`
-	Slave   int    `json:"slave"`
-	Start   string `json:"start,omitempty"`
-	End     string `json:"end"`
+	Piconet string          `json:"piconet,omitempty"`
+	Slave   piconet.SlaveID `json:"slave"`
+	Start   durV2           `json:"start,omitempty"`
+	End     durV2           `json:"end"`
 }
 
 // routeV2 is one end-to-end route.
 type routeV2 struct {
-	ID          int      `json:"id"`
-	Name        string   `json:"name,omitempty"`
-	Source      string   `json:"source,omitempty"`
-	Bridges     []string `json:"bridges,omitempty"`
-	Slave       int      `json:"slave,omitempty"`
-	Dir         string   `json:"dir,omitempty"`
-	Interval    string   `json:"interval"`
-	Size        sizeV2   `json:"size"`
-	Phase       string   `json:"phase,omitempty"`
-	Allowed     []string `json:"allowed_types,omitempty"`
-	DelayTarget string   `json:"delay_target,omitempty"`
-	Naive       bool     `json:"naive,omitempty"`
+	ID          piconet.FlowID  `json:"id"`
+	Name        string          `json:"name,omitempty"`
+	Source      string          `json:"source,omitempty"`
+	Bridges     []string        `json:"bridges,omitempty"`
+	Slave       piconet.SlaveID `json:"slave,omitempty"`
+	Dir         dirV2           `json:"dir,omitempty"`
+	Interval    blankDurV2      `json:"interval"`
+	Size        sizeV2          `json:"size"`
+	Phase       durV2           `json:"phase,omitempty"`
+	Allowed     typesV2         `json:"allowed_types,omitzero"`
+	DelayTarget durV2           `json:"delay_target,omitempty"`
+	Naive       bool            `json:"naive,omitempty"`
 }
 
 // renegotiateV2 is the mid-run delay-target renegotiation operation.
 type renegotiateV2 struct {
-	Flow   int    `json:"flow"`
-	Target string `json:"target"`
+	Flow   piconet.FlowID `json:"flow"`
+	Target durV2          `json:"target"`
 }
 
 // piconetV2 is one piconet of a scatternet spec.
@@ -135,9 +140,9 @@ type piconetV2 struct {
 
 // interferenceV2 is the FH co-channel coupling block.
 type interferenceV2 struct {
-	Enabled  bool   `json:"enabled"`
-	Channels int    `json:"channels,omitempty"`
-	Window   string `json:"window,omitempty"`
+	Enabled  bool  `json:"enabled"`
+	Channels int   `json:"channels,omitempty"`
+	Window   durV2 `json:"window,omitempty"`
 }
 
 // pollerV2 names the best-effort poller plus its parameters.
@@ -155,52 +160,136 @@ type sizeV2 struct {
 }
 
 type gsV2 struct {
-	ID       int      `json:"id"`
-	Slave    int      `json:"slave"`
-	Dir      string   `json:"dir"`
-	Interval string   `json:"interval"`
-	Size     sizeV2   `json:"size"`
-	Phase    string   `json:"phase,omitempty"`
-	Allowed  []string `json:"allowed_types,omitempty"`
+	ID       piconet.FlowID  `json:"id"`
+	Slave    piconet.SlaveID `json:"slave"`
+	Dir      dirV2           `json:"dir"`
+	Interval blankDurV2      `json:"interval"`
+	Size     sizeV2          `json:"size"`
+	Phase    durV2           `json:"phase,omitempty"`
+	Allowed  typesV2         `json:"allowed_types,omitzero"`
 }
 
 type beV2 struct {
-	ID       int      `json:"id"`
-	Slave    int      `json:"slave"`
-	Dir      string   `json:"dir"`
-	RateKbps float64  `json:"rate_kbps"`
-	Size     sizeV2   `json:"size"`
-	Phase    string   `json:"phase,omitempty"`
-	Allowed  []string `json:"allowed_types,omitempty"`
+	ID       piconet.FlowID  `json:"id"`
+	Slave    piconet.SlaveID `json:"slave"`
+	Dir      dirV2           `json:"dir"`
+	RateKbps float64         `json:"rate_kbps"`
+	Size     sizeV2          `json:"size"`
+	Phase    durV2           `json:"phase,omitempty"`
+	Allowed  typesV2         `json:"allowed_types,omitzero"`
 }
 
 type scoV2 struct {
-	Slave int    `json:"slave"`
-	Type  string `json:"type"`
+	Slave piconet.SlaveID `json:"slave"`
+	Type  string          `json:"type"`
 }
 
 type timelineEvtV2 struct {
-	At string `json:"at"`
+	At durV2 `json:"at"`
 	// Piconet addresses the target piconet of a flow/SCO operation in
 	// scatternet specs ("" targets the first piconet).
-	Piconet       string         `json:"piconet,omitempty"`
-	AddGS         *gsV2          `json:"add_gs,omitempty"`
-	AddBE         *beV2          `json:"add_be,omitempty"`
-	Remove        int            `json:"remove_flow,omitempty"`
-	AddSCO        *scoV2         `json:"add_sco,omitempty"`
-	DropSCO       int            `json:"drop_sco,omitempty"`
-	AddPiconet    *piconetV2     `json:"add_piconet,omitempty"`
-	RemovePiconet string         `json:"remove_piconet,omitempty"`
-	Move          *moveV2        `json:"move_flow,omitempty"`
-	AddRoute      *routeV2       `json:"add_route,omitempty"`
-	RemoveRoute   int            `json:"remove_route,omitempty"`
-	Renegotiate   *renegotiateV2 `json:"renegotiate_flow,omitempty"`
+	Piconet       string          `json:"piconet,omitempty"`
+	AddGS         *gsV2           `json:"add_gs,omitempty"`
+	AddBE         *beV2           `json:"add_be,omitempty"`
+	Remove        piconet.FlowID  `json:"remove_flow,omitempty"`
+	AddSCO        *scoV2          `json:"add_sco,omitempty"`
+	DropSCO       piconet.SlaveID `json:"drop_sco,omitempty"`
+	AddPiconet    *piconetV2      `json:"add_piconet,omitempty"`
+	RemovePiconet string          `json:"remove_piconet,omitempty"`
+	Move          *moveV2         `json:"move_flow,omitempty"`
+	AddRoute      *routeV2        `json:"add_route,omitempty"`
+	RemoveRoute   piconet.FlowID  `json:"remove_route,omitempty"`
+	Renegotiate   *renegotiateV2  `json:"renegotiate_flow,omitempty"`
 }
 
-// moveV2 is the make-before-break flow handoff operation.
+// moveV2 is the make-before-break flow handoff operation (MoveFlow's
+// fields, so the two convert into each other).
 type moveV2 struct {
-	Flow int    `json:"flow"`
-	To   string `json:"to,omitempty"`
+	Flow piconet.FlowID `json:"flow"`
+	To   string         `json:"to,omitempty"`
+}
+
+// durV2 is a duration on the wire: a Go duration string ("20ms", "0s" for
+// zero), so values round-trip exactly. "" decodes as zero.
+type durV2 time.Duration
+
+func (d durV2) MarshalText() ([]byte, error) { return []byte(time.Duration(d).String()), nil }
+
+func (d *durV2) UnmarshalText(b []byte) error {
+	if len(b) == 0 {
+		*d = 0
+		return nil
+	}
+	v, err := time.ParseDuration(string(b))
+	*d = durV2(v)
+	return err
+}
+
+// blankDurV2 is a durV2 that renders zero as "": the flows' and routes'
+// interval, which the file always carries.
+type blankDurV2 time.Duration
+
+func (d blankDurV2) MarshalText() ([]byte, error) {
+	if d == 0 {
+		return nil, nil
+	}
+	return durV2(d).MarshalText()
+}
+
+func (d *blankDurV2) UnmarshalText(b []byte) error { return (*durV2)(d).UnmarshalText(b) }
+
+// dirV2 is a flow direction on the wire: "up" or "down" (any case). ""
+// decodes as unset, which validation refuses for flows.
+type dirV2 piconet.Direction
+
+func (d dirV2) MarshalText() ([]byte, error) { return []byte(piconet.Direction(d).String()), nil }
+
+func (d *dirV2) UnmarshalText(b []byte) error {
+	switch strings.ToLower(strings.TrimSpace(string(b))) {
+	case "":
+		*d = 0
+	case "up":
+		*d = dirV2(piconet.Up)
+	case "down":
+		*d = dirV2(piconet.Down)
+	default:
+		return fmt.Errorf("direction %q (want up or down)", b)
+	}
+	return nil
+}
+
+// typesV2 is a packet-type set on the wire: its names in the canonical
+// packet-type order ("DH1", any case on input), omitted when it names none.
+type typesV2 baseband.TypeSet
+
+func (s typesV2) IsZero() bool { return len(baseband.TypeSet(s).Types()) == 0 }
+
+func (s typesV2) MarshalJSON() ([]byte, error) {
+	b := []byte{'['}
+	for i, t := range baseband.TypeSet(s).Types() {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(b, t.String())
+	}
+	return append(b, ']'), nil
+}
+
+func (s *typesV2) UnmarshalJSON(b []byte) error {
+	var names []string
+	if err := json.Unmarshal(b, &names); err != nil {
+		return err
+	}
+	var set baseband.TypeSet
+	for _, n := range names {
+		t, ok := packetTypesByName[strings.ToUpper(strings.TrimSpace(n))]
+		if !ok {
+			return fmt.Errorf("unknown packet type %q", n)
+		}
+		set = set.Add(t)
+	}
+	*s = typesV2(set)
+	return nil
 }
 
 // packetTypesByName resolves spec names like "DH3".
@@ -211,139 +300,45 @@ var packetTypesByName = map[string]baseband.PacketType{
 	"HV1": baseband.TypeHV1, "HV2": baseband.TypeHV2, "HV3": baseband.TypeHV3,
 }
 
-func parseTypeSet(names []string) (baseband.TypeSet, error) {
-	var set baseband.TypeSet
-	for _, n := range names {
-		t, ok := packetTypesByName[strings.ToUpper(strings.TrimSpace(n))]
-		if !ok {
-			return 0, fmt.Errorf("%w: unknown packet type %q", ErrBadSpec, n)
-		}
-		set = set.Add(t)
-	}
-	return set, nil
-}
-
-func parseDir(s string) (piconet.Direction, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "up":
-		return piconet.Up, nil
-	case "down":
-		return piconet.Down, nil
-	default:
-		return 0, fmt.Errorf("%w: direction %q (want up or down)", ErrBadSpec, s)
-	}
-}
-
-// durString renders a duration for the file ("" for zero, so zero fields
-// stay out of the JSON).
-func durString(d time.Duration) string {
-	if d == 0 {
-		return ""
-	}
-	return d.String()
-}
-
-// parseDur parses a duration field ("" means zero).
-func parseDur(field, s string) (time.Duration, error) {
-	if s == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %s: %v", ErrBadSpec, field, err)
-	}
-	return d, nil
-}
-
-// typeSetNames renders a type set as names in the canonical packet-type
-// order (nil for the empty set).
-func typeSetNames(set baseband.TypeSet) []string {
-	var out []string
-	for _, t := range set.Types() {
-		out = append(out, t.String())
-	}
-	return out
-}
-
 // marshalGS converts a GS flow to its file form.
 func marshalGS(g GSFlow) gsV2 {
 	return gsV2{
-		ID:       int(g.ID),
-		Slave:    int(g.Slave),
-		Dir:      g.Dir.String(),
-		Interval: durString(g.Interval),
-		Size:     sizeV2{Kind: "uniform", Min: g.MinSize, Max: g.MaxSize},
-		Phase:    durString(g.Phase),
-		Allowed:  typeSetNames(g.Allowed),
+		ID: g.ID, Slave: g.Slave, Dir: dirV2(g.Dir), Interval: blankDurV2(g.Interval),
+		Size:  sizeV2{Kind: "uniform", Min: g.MinSize, Max: g.MaxSize},
+		Phase: durV2(g.Phase), Allowed: typesV2(g.Allowed),
 	}
 }
 
 // marshalBE converts a BE flow to its file form.
 func marshalBE(b BEFlow) beV2 {
 	return beV2{
-		ID:       int(b.ID),
-		Slave:    int(b.Slave),
-		Dir:      b.Dir.String(),
-		RateKbps: b.RateKbps,
-		Size:     sizeV2{Kind: "fixed", Bytes: b.PacketSize},
-		Phase:    durString(b.Phase),
-		Allowed:  typeSetNames(b.Allowed),
+		ID: b.ID, Slave: b.Slave, Dir: dirV2(b.Dir), RateKbps: b.RateKbps,
+		Size:  sizeV2{Kind: "fixed", Bytes: b.PacketSize},
+		Phase: durV2(b.Phase), Allowed: typesV2(b.Allowed),
 	}
 }
 
 // marshalRoute converts a route to its file form.
 func marshalRoute(rt RouteSpec) routeV2 {
-	out := routeV2{
-		ID:          int(rt.ID),
-		Name:        rt.Name,
-		Source:      rt.Source,
-		Bridges:     rt.Bridges,
-		Slave:       int(rt.Slave),
-		Interval:    durString(rt.Interval),
-		Size:        sizeV2{Kind: "uniform", Min: rt.MinSize, Max: rt.MaxSize},
-		Phase:       durString(rt.Phase),
-		Allowed:     typeSetNames(rt.Allowed),
-		DelayTarget: durString(rt.DelayTarget),
-		Naive:       rt.Naive,
+	return routeV2{
+		ID: rt.ID, Name: rt.Name, Source: rt.Source, Bridges: rt.Bridges,
+		Slave: rt.Slave, Dir: dirV2(rt.Dir), Interval: blankDurV2(rt.Interval),
+		Size:  sizeV2{Kind: "uniform", Min: rt.MinSize, Max: rt.MaxSize},
+		Phase: durV2(rt.Phase), Allowed: typesV2(rt.Allowed),
+		DelayTarget: durV2(rt.DelayTarget), Naive: rt.Naive,
 	}
-	if rt.Dir != 0 {
-		out.Dir = rt.Dir.String()
-	}
-	return out
 }
 
 // unmarshalRoute converts a file route back.
 func unmarshalRoute(r routeV2) (RouteSpec, error) {
-	rt := RouteSpec{
-		ID:      piconet.FlowID(r.ID),
-		Name:    r.Name,
-		Source:  r.Source,
-		Bridges: r.Bridges,
-		Slave:   piconet.SlaveID(r.Slave),
-		Naive:   r.Naive,
-	}
-	var err error
-	if r.Dir != "" {
-		if rt.Dir, err = parseDir(r.Dir); err != nil {
-			return RouteSpec{}, err
-		}
-	}
-	if rt.Interval, err = parseDur("interval", r.Interval); err != nil {
-		return RouteSpec{}, err
-	}
-	if rt.MinSize, rt.MaxSize, err = unmarshalSize(r.Size); err != nil {
-		return RouteSpec{}, err
-	}
-	if rt.Phase, err = parseDur("phase", r.Phase); err != nil {
-		return RouteSpec{}, err
-	}
-	if rt.Allowed, err = parseTypeSet(r.Allowed); err != nil {
-		return RouteSpec{}, err
-	}
-	if rt.DelayTarget, err = parseDur("delay_target", r.DelayTarget); err != nil {
-		return RouteSpec{}, err
-	}
-	return rt, nil
+	minSize, maxSize, err := unmarshalSize(r.Size)
+	return RouteSpec{
+		ID: r.ID, Name: r.Name, Source: r.Source, Bridges: r.Bridges,
+		Slave: r.Slave, Dir: piconet.Direction(r.Dir), Interval: time.Duration(r.Interval),
+		MinSize: minSize, MaxSize: maxSize,
+		Phase: time.Duration(r.Phase), Allowed: baseband.TypeSet(r.Allowed),
+		DelayTarget: time.Duration(r.DelayTarget), Naive: r.Naive,
+	}, err
 }
 
 // marshalPiconet converts one scatternet piconet to its file form.
@@ -356,7 +351,7 @@ func marshalPiconet(ps PiconetSpec) piconetV2 {
 		out.BE = append(out.BE, marshalBE(b))
 	}
 	for _, l := range ps.SCO {
-		out.SCO = append(out.SCO, scoV2{Slave: int(l.Slave), Type: l.Type.String()})
+		out.SCO = append(out.SCO, scoV2{Slave: l.Slave, Type: l.Type.String()})
 	}
 	return out
 }
@@ -385,10 +380,10 @@ func toV2(spec Spec) (specV2, error) {
 	fs := specV2{
 		Format:              FormatV2,
 		Name:                spec.Name,
-		DelayTarget:         durString(spec.DelayTarget),
-		Duration:            durString(spec.Duration),
+		DelayTarget:         durV2(spec.DelayTarget),
+		Duration:            durV2(spec.Duration),
 		Seed:                spec.Seed,
-		Allowed:             typeSetNames(spec.Allowed),
+		Allowed:             typesV2(spec.Allowed),
 		DirectionAware:      spec.DirectionAware,
 		WithoutPiggybacking: spec.WithoutPiggybacking,
 		ARQ:                 spec.ARQ,
@@ -401,7 +396,7 @@ func toV2(spec Spec) (specV2, error) {
 		fs.Interference = &interferenceV2{
 			Enabled:  true,
 			Channels: spec.Interference.Channels,
-			Window:   durString(spec.Interference.Window),
+			Window:   durV2(spec.Interference.Window),
 		}
 	}
 	// Names are emitted defaulted, so an unnamed piconet reads back as
@@ -410,11 +405,10 @@ func toV2(spec Spec) (specV2, error) {
 		fs.Piconets = append(fs.Piconets, marshalPiconet(ps))
 	}
 	for _, b := range spec.Bridges {
-		out := bridgeV2{Name: b.Name, Period: b.Period.String()}
+		out := bridgeV2{Name: b.Name, Period: durV2(b.Period)}
 		for _, rs := range b.Residency {
 			out.Residency = append(out.Residency, residencyV2{
-				Piconet: rs.Piconet, Slave: int(rs.Slave),
-				Start: durString(rs.Start), End: rs.End.String(),
+				Piconet: rs.Piconet, Slave: rs.Slave, Start: durV2(rs.Start), End: durV2(rs.End),
 			})
 		}
 		fs.Bridges = append(fs.Bridges, out)
@@ -426,18 +420,16 @@ func toV2(spec Spec) (specV2, error) {
 		fp := &faultsV2{}
 		for _, o := range spec.Faults.Outages {
 			fp.Outages = append(fp.Outages, outageV2{
-				Piconet: o.Piconet, Slave: int(o.Slave),
-				Start: o.Start.String(), End: o.End.String(),
+				Piconet: o.Piconet, Slave: o.Slave, Start: durV2(o.Start), End: durV2(o.End),
 			})
 		}
 		for _, d := range spec.Faults.Departures {
 			fp.Departures = append(fp.Departures, departureV2{
-				Piconet: d.Piconet, Slave: int(d.Slave),
-				At: d.At.String(), ReturnAt: durString(d.ReturnAt),
+				Piconet: d.Piconet, Slave: d.Slave, At: durV2(d.At), ReturnAt: durV2(d.ReturnAt),
 			})
 		}
 		for _, c := range spec.Faults.Crashes {
-			fp.Crashes = append(fp.Crashes, crashV2{Piconet: c.Piconet, At: c.At.String()})
+			fp.Crashes = append(fp.Crashes, crashV2{Piconet: c.Piconet, At: durV2(c.At)})
 		}
 		fs.Faults = fp
 	}
@@ -481,7 +473,10 @@ func toV2(spec Spec) (specV2, error) {
 		if ev.ops() != 1 {
 			return specV2{}, fmt.Errorf("%w: timeline[%d] sets %d operations", ErrBadSpec, i, ev.ops())
 		}
-		out := timelineEvtV2{At: ev.At.String(), Piconet: ev.Piconet}
+		out := timelineEvtV2{
+			At: durV2(ev.At), Piconet: ev.Piconet, Remove: ev.Remove, DropSCO: ev.DropSCO,
+			RemovePiconet: ev.RemovePiconet, Move: (*moveV2)(ev.Move), RemoveRoute: ev.RemoveRoute,
+		}
 		switch {
 		case ev.AddGS != nil:
 			g := marshalGS(*ev.AddGS)
@@ -489,28 +484,16 @@ func toV2(spec Spec) (specV2, error) {
 		case ev.AddBE != nil:
 			b := marshalBE(*ev.AddBE)
 			out.AddBE = &b
-		case ev.Remove != piconet.None:
-			out.Remove = int(ev.Remove)
 		case ev.AddSCO != nil:
-			out.AddSCO = &scoV2{Slave: int(ev.AddSCO.Slave), Type: ev.AddSCO.Type.String()}
-		case ev.DropSCO != 0:
-			out.DropSCO = int(ev.DropSCO)
+			out.AddSCO = &scoV2{Slave: ev.AddSCO.Slave, Type: ev.AddSCO.Type.String()}
 		case ev.AddPiconet != nil:
 			ps := marshalPiconet(*ev.AddPiconet)
 			out.AddPiconet = &ps
-		case ev.RemovePiconet != "":
-			out.RemovePiconet = ev.RemovePiconet
-		case ev.Move != nil:
-			out.Move = &moveV2{Flow: int(ev.Move.Flow), To: ev.Move.To}
 		case ev.AddRoute != nil:
 			rt := marshalRoute(*ev.AddRoute)
 			out.AddRoute = &rt
-		case ev.RemoveRoute != piconet.None:
-			out.RemoveRoute = int(ev.RemoveRoute)
 		case ev.Renegotiate != nil:
-			out.Renegotiate = &renegotiateV2{
-				Flow: int(ev.Renegotiate.Flow), Target: ev.Renegotiate.Target.String(),
-			}
+			out.Renegotiate = &renegotiateV2{Flow: ev.Renegotiate.Flow, Target: durV2(ev.Renegotiate.Target)}
 		}
 		fs.Timeline = append(fs.Timeline, out)
 	}
@@ -531,68 +514,23 @@ func unmarshalSize(s sizeV2) (minSize, maxSize int, err error) {
 
 // unmarshalGS converts a file GS flow back.
 func unmarshalGS(g gsV2) (GSFlow, error) {
-	dir, err := parseDir(g.Dir)
-	if err != nil {
-		return GSFlow{}, err
-	}
-	interval, err := parseDur("interval", g.Interval)
-	if err != nil {
-		return GSFlow{}, err
-	}
-	phase, err := parseDur("phase", g.Phase)
-	if err != nil {
-		return GSFlow{}, err
-	}
 	minSize, maxSize, err := unmarshalSize(g.Size)
-	if err != nil {
-		return GSFlow{}, err
-	}
-	allowed, err := parseTypeSet(g.Allowed)
-	if err != nil {
-		return GSFlow{}, err
-	}
 	return GSFlow{
-		ID:       piconet.FlowID(g.ID),
-		Slave:    piconet.SlaveID(g.Slave),
-		Dir:      dir,
-		Interval: interval,
-		MinSize:  minSize,
-		MaxSize:  maxSize,
-		Phase:    phase,
-		Allowed:  allowed,
-	}, nil
+		ID: g.ID, Slave: g.Slave, Dir: piconet.Direction(g.Dir), Interval: time.Duration(g.Interval),
+		MinSize: minSize, MaxSize: maxSize, Phase: time.Duration(g.Phase), Allowed: baseband.TypeSet(g.Allowed),
+	}, err
 }
 
 // unmarshalBE converts a file BE flow back.
 func unmarshalBE(b beV2) (BEFlow, error) {
-	dir, err := parseDir(b.Dir)
-	if err != nil {
-		return BEFlow{}, err
-	}
-	phase, err := parseDur("phase", b.Phase)
-	if err != nil {
-		return BEFlow{}, err
-	}
 	minSize, maxSize, err := unmarshalSize(b.Size)
-	if err != nil {
-		return BEFlow{}, err
-	}
-	if minSize != maxSize {
-		return BEFlow{}, fmt.Errorf("%w: best-effort flows use fixed packet sizes", ErrBadSpec)
-	}
-	allowed, err := parseTypeSet(b.Allowed)
-	if err != nil {
-		return BEFlow{}, err
+	if err == nil && minSize != maxSize {
+		err = fmt.Errorf("%w: best-effort flows use fixed packet sizes", ErrBadSpec)
 	}
 	return BEFlow{
-		ID:         piconet.FlowID(b.ID),
-		Slave:      piconet.SlaveID(b.Slave),
-		Dir:        dir,
-		RateKbps:   b.RateKbps,
-		PacketSize: minSize,
-		Phase:      phase,
-		Allowed:    allowed,
-	}, nil
+		ID: b.ID, Slave: b.Slave, Dir: piconet.Direction(b.Dir), RateKbps: b.RateKbps,
+		PacketSize: minSize, Phase: time.Duration(b.Phase), Allowed: baseband.TypeSet(b.Allowed),
+	}, err
 }
 
 // unmarshalSCO converts a file SCO link back.
@@ -601,7 +539,7 @@ func unmarshalSCO(l scoV2) (SCOLinkSpec, error) {
 	if !ok || !t.IsSCO() {
 		return SCOLinkSpec{}, fmt.Errorf("%w: SCO type %q", ErrBadSpec, l.Type)
 	}
-	return SCOLinkSpec{Slave: piconet.SlaveID(l.Slave), Type: t}, nil
+	return SCOLinkSpec{Slave: l.Slave, Type: t}, nil
 }
 
 // unmarshalPiconet converts a file piconet back.
@@ -674,20 +612,20 @@ func Unmarshal(data []byte) (Spec, error) {
 		return Spec{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	spec := Spec{
-		Name:                fs.Name,
-		Seed:                fs.Seed,
-		DirectionAware:      fs.DirectionAware,
-		WithoutPiggybacking: fs.WithoutPiggybacking,
-		ARQ:                 fs.ARQ,
-		LossRecovery:        fs.LossRecovery,
+		Name:                       fs.Name,
+		DelayTarget:                time.Duration(fs.DelayTarget),
+		Duration:                   time.Duration(fs.Duration),
+		Seed:                       fs.Seed,
+		Allowed:                    baseband.TypeSet(fs.Allowed),
+		DirectionAware:             fs.DirectionAware,
+		WithoutPiggybacking:        fs.WithoutPiggybacking,
+		ARQ:                        fs.ARQ,
+		LossRecovery:               fs.LossRecovery,
+		BatchTraffic:               fs.BatchTraffic,
+		InterferenceAwareAdmission: fs.InterferenceAware,
+		AdmissionDerate:            fs.AdmissionDerate,
 	}
 	var err error
-	if spec.DelayTarget, err = parseDur("delay_target", fs.DelayTarget); err != nil {
-		return Spec{}, err
-	}
-	if spec.Duration, err = parseDur("duration", fs.Duration); err != nil {
-		return Spec{}, err
-	}
 	switch strings.ToLower(fs.Mode) {
 	case "":
 	case "variable":
@@ -710,28 +648,20 @@ func Unmarshal(data []byte) (Spec, error) {
 			return Spec{}, err
 		}
 	}
-	if spec.Allowed, err = parseTypeSet(fs.Allowed); err != nil {
-		return Spec{}, err
-	}
 	if fs.Radio != nil {
 		spec.Radio = *fs.Radio
 		if _, err := spec.Radio.Model(); err != nil {
 			return Spec{}, err
 		}
 	}
-	spec.BatchTraffic = fs.BatchTraffic
-	spec.InterferenceAwareAdmission = fs.InterferenceAware
 	if fs.AdmissionDerate < 0 || fs.AdmissionDerate >= 1 {
 		return Spec{}, fmt.Errorf("%w: admission_derate %g outside [0,1)", ErrBadSpec, fs.AdmissionDerate)
 	}
-	spec.AdmissionDerate = fs.AdmissionDerate
 	if fs.Interference != nil {
 		spec.Interference = InterferenceSpec{
 			Enabled:  fs.Interference.Enabled,
 			Channels: fs.Interference.Channels,
-		}
-		if spec.Interference.Window, err = parseDur("interference window", fs.Interference.Window); err != nil {
-			return Spec{}, err
+			Window:   time.Duration(fs.Interference.Window),
 		}
 	}
 	for _, p := range fs.Piconets {
@@ -742,19 +672,11 @@ func Unmarshal(data []byte) (Spec, error) {
 		spec.Piconets = append(spec.Piconets, ps)
 	}
 	for _, b := range fs.Bridges {
-		out := BridgeSpec{Name: b.Name}
-		if out.Period, err = parseDur("period", b.Period); err != nil {
-			return Spec{}, fmt.Errorf("bridge %q: %w", b.Name, err)
-		}
+		out := BridgeSpec{Name: b.Name, Period: time.Duration(b.Period)}
 		for _, rs := range b.Residency {
-			res := ResidencySpec{Piconet: rs.Piconet, Slave: piconet.SlaveID(rs.Slave)}
-			if res.Start, err = parseDur("start", rs.Start); err != nil {
-				return Spec{}, fmt.Errorf("bridge %q: %w", b.Name, err)
-			}
-			if res.End, err = parseDur("end", rs.End); err != nil {
-				return Spec{}, fmt.Errorf("bridge %q: %w", b.Name, err)
-			}
-			out.Residency = append(out.Residency, res)
+			out.Residency = append(out.Residency, ResidencySpec{
+				Piconet: rs.Piconet, Slave: rs.Slave, Start: time.Duration(rs.Start), End: time.Duration(rs.End),
+			})
 		}
 		spec.Bridges = append(spec.Bridges, out)
 	}
@@ -766,32 +688,18 @@ func Unmarshal(data []byte) (Spec, error) {
 		spec.Routes = append(spec.Routes, rt)
 	}
 	if fs.Faults != nil {
-		for i, o := range fs.Faults.Outages {
-			out := faults.LinkOutage{Piconet: o.Piconet, Slave: piconet.SlaveID(o.Slave)}
-			if out.Start, err = parseDur("start", o.Start); err != nil {
-				return Spec{}, fmt.Errorf("faults.outages[%d]: %w", i, err)
-			}
-			if out.End, err = parseDur("end", o.End); err != nil {
-				return Spec{}, fmt.Errorf("faults.outages[%d]: %w", i, err)
-			}
-			spec.Faults.Outages = append(spec.Faults.Outages, out)
+		for _, o := range fs.Faults.Outages {
+			spec.Faults.Outages = append(spec.Faults.Outages, faults.LinkOutage{
+				Piconet: o.Piconet, Slave: o.Slave, Start: time.Duration(o.Start), End: time.Duration(o.End),
+			})
 		}
-		for i, d := range fs.Faults.Departures {
-			dep := faults.SlaveDeparture{Piconet: d.Piconet, Slave: piconet.SlaveID(d.Slave)}
-			if dep.At, err = parseDur("at", d.At); err != nil {
-				return Spec{}, fmt.Errorf("faults.departures[%d]: %w", i, err)
-			}
-			if dep.ReturnAt, err = parseDur("return_at", d.ReturnAt); err != nil {
-				return Spec{}, fmt.Errorf("faults.departures[%d]: %w", i, err)
-			}
-			spec.Faults.Departures = append(spec.Faults.Departures, dep)
+		for _, d := range fs.Faults.Departures {
+			spec.Faults.Departures = append(spec.Faults.Departures, faults.SlaveDeparture{
+				Piconet: d.Piconet, Slave: d.Slave, At: time.Duration(d.At), ReturnAt: time.Duration(d.ReturnAt),
+			})
 		}
-		for i, c := range fs.Faults.Crashes {
-			cr := faults.MasterCrash{Piconet: c.Piconet}
-			if cr.At, err = parseDur("at", c.At); err != nil {
-				return Spec{}, fmt.Errorf("faults.crashes[%d]: %w", i, err)
-			}
-			spec.Faults.Crashes = append(spec.Faults.Crashes, cr)
+		for _, c := range fs.Faults.Crashes {
+			spec.Faults.Crashes = append(spec.Faults.Crashes, faults.MasterCrash{Piconet: c.Piconet, At: time.Duration(c.At)})
 		}
 	}
 	if fs.Recovery != nil {
@@ -808,76 +716,41 @@ func Unmarshal(data []byte) (Spec, error) {
 	}
 	spec.GS, spec.BE, spec.SCO = flat.GS, flat.BE, flat.SCO
 	for i, ev := range fs.Timeline {
-		at, err := parseDur("at", ev.At)
-		if err != nil {
+		// Every set field converts; an event must then carry exactly one
+		// operation.
+		out := TimelineEvent{
+			At: time.Duration(ev.At), Piconet: ev.Piconet, Remove: ev.Remove, DropSCO: ev.DropSCO,
+			RemovePiconet: ev.RemovePiconet, Move: (*MoveFlow)(ev.Move), RemoveRoute: ev.RemoveRoute,
+		}
+		var errs []error
+		if ev.AddGS != nil {
+			flow, err := unmarshalGS(*ev.AddGS)
+			out.AddGS, errs = &flow, append(errs, err)
+		}
+		if ev.AddBE != nil {
+			flow, err := unmarshalBE(*ev.AddBE)
+			out.AddBE, errs = &flow, append(errs, err)
+		}
+		if ev.AddSCO != nil {
+			link, err := unmarshalSCO(*ev.AddSCO)
+			out.AddSCO, errs = &link, append(errs, err)
+		}
+		if ev.AddPiconet != nil {
+			ps, err := unmarshalPiconet(*ev.AddPiconet)
+			out.AddPiconet, errs = &ps, append(errs, err)
+		}
+		if ev.AddRoute != nil {
+			rt, err := unmarshalRoute(*ev.AddRoute)
+			out.AddRoute, errs = &rt, append(errs, err)
+		}
+		if ev.Renegotiate != nil {
+			out.Renegotiate = &RenegotiateFlow{Flow: ev.Renegotiate.Flow, Target: time.Duration(ev.Renegotiate.Target)}
+		}
+		if err := errors.Join(errs...); err != nil {
 			return Spec{}, fmt.Errorf("timeline[%d]: %w", i, err)
 		}
-		// Count the set operation fields on the raw file event: the
-		// switch below would silently take the first one, and the
-		// later validateTimeline pass could no longer see the others.
-		ops := 0
-		for _, set := range []bool{ev.AddGS != nil, ev.AddBE != nil,
-			ev.Remove != 0, ev.AddSCO != nil, ev.DropSCO != 0,
-			ev.AddPiconet != nil, ev.RemovePiconet != "", ev.Move != nil,
-			ev.AddRoute != nil, ev.RemoveRoute != 0, ev.Renegotiate != nil} {
-			if set {
-				ops++
-			}
-		}
-		if ops > 1 {
-			return Spec{}, fmt.Errorf("%w: timeline[%d] sets %d operations (want exactly 1)",
-				ErrBadSpec, i, ops)
-		}
-		out := TimelineEvent{At: at, Piconet: ev.Piconet}
-		switch {
-		case ev.AddGS != nil:
-			flow, err := unmarshalGS(*ev.AddGS)
-			if err != nil {
-				return Spec{}, fmt.Errorf("timeline[%d]: %w", i, err)
-			}
-			out.AddGS = &flow
-		case ev.AddBE != nil:
-			flow, err := unmarshalBE(*ev.AddBE)
-			if err != nil {
-				return Spec{}, fmt.Errorf("timeline[%d]: %w", i, err)
-			}
-			out.AddBE = &flow
-		case ev.Remove != 0:
-			out.Remove = piconet.FlowID(ev.Remove)
-		case ev.AddSCO != nil:
-			link, err := unmarshalSCO(*ev.AddSCO)
-			if err != nil {
-				return Spec{}, fmt.Errorf("timeline[%d]: %w", i, err)
-			}
-			out.AddSCO = &link
-		case ev.DropSCO != 0:
-			out.DropSCO = piconet.SlaveID(ev.DropSCO)
-		case ev.AddPiconet != nil:
-			ps, err := unmarshalPiconet(*ev.AddPiconet)
-			if err != nil {
-				return Spec{}, fmt.Errorf("timeline[%d]: %w", i, err)
-			}
-			out.AddPiconet = &ps
-		case ev.RemovePiconet != "":
-			out.RemovePiconet = ev.RemovePiconet
-		case ev.Move != nil:
-			out.Move = &MoveFlow{Flow: piconet.FlowID(ev.Move.Flow), To: ev.Move.To}
-		case ev.AddRoute != nil:
-			rt, err := unmarshalRoute(*ev.AddRoute)
-			if err != nil {
-				return Spec{}, fmt.Errorf("timeline[%d]: %w", i, err)
-			}
-			out.AddRoute = &rt
-		case ev.RemoveRoute != 0:
-			out.RemoveRoute = piconet.FlowID(ev.RemoveRoute)
-		case ev.Renegotiate != nil:
-			rn := RenegotiateFlow{Flow: piconet.FlowID(ev.Renegotiate.Flow)}
-			if rn.Target, err = parseDur("target", ev.Renegotiate.Target); err != nil {
-				return Spec{}, fmt.Errorf("timeline[%d]: %w", i, err)
-			}
-			out.Renegotiate = &rn
-		default:
-			return Spec{}, fmt.Errorf("%w: timeline[%d] sets no operation", ErrBadSpec, i)
+		if n := out.ops(); n != 1 {
+			return Spec{}, fmt.Errorf("%w: timeline[%d] sets %d operations (want exactly 1)", ErrBadSpec, i, n)
 		}
 		spec.Timeline = append(spec.Timeline, out)
 	}

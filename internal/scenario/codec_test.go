@@ -211,7 +211,8 @@ func TestCodecErrors(t *testing.T) {
 }
 
 // TestParseSpecErrors: malformed values in an otherwise well-tagged file
-// (mode, direction, packet type names, an ACL type on an SCO link) fail
+// (mode, a bad or missing direction, packet type names, an ACL type on an
+// SCO link) fail
 // with ErrBadSpec, as does malformed JSON.
 func TestParseSpecErrors(t *testing.T) {
 	tests := []struct {
@@ -223,6 +224,10 @@ func TestParseSpecErrors(t *testing.T) {
 		{"bad mode", `{"format":"bluegs/scenario/v2","mode":"warp"}`},
 		{"bad direction", `{"format":"bluegs/scenario/v2","gs_flows":[
 			{"id":1,"slave":1,"dir":"sideways","interval":"20ms","size":{"kind":"uniform","min":10,"max":20}}]}`},
+		{"missing direction", `{"format":"bluegs/scenario/v2","gs_flows":[
+			{"id":1,"slave":1,"interval":"20ms","size":{"kind":"uniform","min":10,"max":20}}]}`},
+		{"empty direction", `{"format":"bluegs/scenario/v2","be_flows":[
+			{"id":1,"slave":1,"dir":"","rate_kbps":10,"size":{"kind":"fixed","bytes":100}}]}`},
 		{"bad packet type", `{"format":"bluegs/scenario/v2","allowed_types":["DH9"]}`},
 		{"acl as sco", `{"format":"bluegs/scenario/v2","sco_links":[{"slave":1,"type":"DH1"}]}`},
 	}
@@ -364,6 +369,21 @@ func TestParseSpec(t *testing.T) {
 	}
 	if !spec.Allowed.Contains(baseband.TypeDH3) {
 		t.Fatalf("allowed = %v", spec.Allowed)
+	}
+}
+
+// TestParseSpecLenientSpellings: "" decodes as a zero duration, and
+// directions and packet-type names take any case and surrounding space.
+func TestParseSpecLenientSpellings(t *testing.T) {
+	spec, err := Unmarshal([]byte(`{"format":"bluegs/scenario/v2","duration":"","gs_flows":[
+		{"id":1,"slave":1,"dir":" UP ","interval":"","phase":"","size":{"kind":"uniform","min":144,"max":176},
+		"allowed_types":[" dh1 "]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := spec.GS[0]
+	if spec.Duration != 0 || g.Interval != 0 || g.Phase != 0 || g.Dir != piconet.Up || g.Allowed != baseband.TypeSet(0).Add(baseband.TypeDH1) {
+		t.Fatalf("spec = %+v", spec)
 	}
 }
 

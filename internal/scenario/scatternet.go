@@ -153,12 +153,12 @@ func finite(v reflect.Value) bool {
 	return true
 }
 
-// validateScatternet checks the multi-piconet form: flat flow fields must
-// stay empty, names (after positional defaulting) must be unique, and
-// every piconet's flow ids unique.
+// validateScatternet checks the piconets' flow sets (see validateFlows)
+// and the multi-piconet form: flat flow fields must stay empty and names
+// (after positional defaulting) must be unique.
 func (s Spec) validateScatternet() error {
 	if !s.scatternet() {
-		return nil
+		return PiconetSpec{GS: s.GS, BE: s.BE}.validateFlows()
 	}
 	if len(s.GS)+len(s.BE)+len(s.SCO) > 0 {
 		return fmt.Errorf("%w: flat GS/BE/SCO fields must be empty when Piconets is set", ErrBadSpec)
@@ -177,11 +177,11 @@ func (s Spec) validateScatternet() error {
 	return nil
 }
 
-// validateFlows checks flow-id uniqueness within one piconet's static
-// sets.
+// validateFlows checks one piconet's static sets: flow ids unique, every
+// flow directed.
 func (ps PiconetSpec) validateFlows() error {
 	seen := make(map[piconet.FlowID]bool, len(ps.GS)+len(ps.BE))
-	check := func(id piconet.FlowID) error {
+	check := func(id piconet.FlowID, dir piconet.Direction) error {
 		if id == piconet.None {
 			return fmt.Errorf("%w: zero flow id", ErrBadSpec)
 		}
@@ -189,17 +189,25 @@ func (ps PiconetSpec) validateFlows() error {
 			return fmt.Errorf("%w: duplicate flow id %d", ErrBadSpec, id)
 		}
 		seen[id] = true
-		return nil
+		return validDir(id, dir)
 	}
 	for _, g := range ps.GS {
-		if err := check(g.ID); err != nil {
+		if err := check(g.ID, g.Dir); err != nil {
 			return err
 		}
 	}
 	for _, b := range ps.BE {
-		if err := check(b.ID); err != nil {
+		if err := check(b.ID, b.Dir); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// validDir refuses a flow with no direction (or a stray value).
+func validDir(id piconet.FlowID, dir piconet.Direction) error {
+	if dir != piconet.Up && dir != piconet.Down {
+		return fmt.Errorf("%w: flow %d: direction %v (want up or down)", ErrBadSpec, id, dir)
 	}
 	return nil
 }

@@ -423,6 +423,9 @@ func validateTimeline(spec Spec) error {
 			if flows[ev.AddGS.ID] {
 				return fmt.Errorf("%w: timeline[%d] duplicate flow id %d", ErrBadSpec, i, ev.AddGS.ID)
 			}
+			if err := validDir(ev.AddGS.ID, ev.AddGS.Dir); err != nil {
+				return fmt.Errorf("timeline[%d]: %w", i, err)
+			}
 			flows[ev.AddGS.ID] = true
 		case ev.AddBE != nil:
 			if ev.AddBE.ID == piconet.None {
@@ -430,6 +433,9 @@ func validateTimeline(spec Spec) error {
 			}
 			if flows[ev.AddBE.ID] {
 				return fmt.Errorf("%w: timeline[%d] duplicate flow id %d", ErrBadSpec, i, ev.AddBE.ID)
+			}
+			if err := validDir(ev.AddBE.ID, ev.AddBE.Dir); err != nil {
+				return fmt.Errorf("timeline[%d]: %w", i, err)
 			}
 			flows[ev.AddBE.ID] = true
 		case ev.Remove != piconet.None:
