@@ -213,7 +213,15 @@ type moveV2 struct {
 // zero), so values round-trip exactly. "" decodes as zero.
 type durV2 time.Duration
 
-func (d durV2) MarshalText() ([]byte, error) { return []byte(time.Duration(d).String()), nil }
+func (d *durV2) MarshalText() ([]byte, error) {
+	v := time.Duration(*d)
+	if v > 0 && v < time.Second && v%time.Millisecond == 0 {
+		// Most spec values: Duration.String's "20ms" without its
+		// intermediate string.
+		return append(strconv.AppendInt(make([]byte, 0, 5), int64(v/time.Millisecond), 10), "ms"...), nil
+	}
+	return []byte(v.String()), nil
+}
 
 func (d *durV2) UnmarshalText(b []byte) error {
 	if len(b) == 0 {
@@ -229,11 +237,11 @@ func (d *durV2) UnmarshalText(b []byte) error {
 // interval, which the file always carries.
 type blankDurV2 time.Duration
 
-func (d blankDurV2) MarshalText() ([]byte, error) {
-	if d == 0 {
+func (d *blankDurV2) MarshalText() ([]byte, error) {
+	if *d == 0 {
 		return nil, nil
 	}
-	return durV2(d).MarshalText()
+	return (*durV2)(d).MarshalText()
 }
 
 func (d *blankDurV2) UnmarshalText(b []byte) error { return (*durV2)(d).UnmarshalText(b) }
@@ -242,7 +250,19 @@ func (d *blankDurV2) UnmarshalText(b []byte) error { return (*durV2)(d).Unmarsha
 // decodes as unset, which validation refuses for flows.
 type dirV2 piconet.Direction
 
-func (d dirV2) MarshalText() ([]byte, error) { return []byte(piconet.Direction(d).String()), nil }
+func (d *dirV2) MarshalText() ([]byte, error) {
+	switch piconet.Direction(*d) {
+	case piconet.Up:
+		return upText, nil
+	case piconet.Down:
+		return downText, nil
+	}
+	return []byte(piconet.Direction(*d).String()), nil
+}
+
+// upText and downText are the shared spellings dirV2 renders; the
+// encoder only reads them.
+var upText, downText = []byte("up"), []byte("down")
 
 func (d *dirV2) UnmarshalText(b []byte) error {
 	switch strings.ToLower(strings.TrimSpace(string(b))) {
@@ -262,11 +282,21 @@ func (d *dirV2) UnmarshalText(b []byte) error {
 // packet-type order ("DH1", any case on input), omitted when it names none.
 type typesV2 baseband.TypeSet
 
-func (s typesV2) IsZero() bool { return len(baseband.TypeSet(s).Types()) == 0 }
+func (s *typesV2) IsZero() bool {
+	if *s == 0 {
+		return true
+	}
+	for t := baseband.TypeNULL; t.Valid(); t++ {
+		if baseband.TypeSet(*s).Contains(t) {
+			return false
+		}
+	}
+	return true
+}
 
-func (s typesV2) MarshalJSON() ([]byte, error) {
-	b := []byte{'['}
-	for i, t := range baseband.TypeSet(s).Types() {
+func (s *typesV2) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 32), '[')
+	for i, t := range baseband.TypeSet(*s).Types() {
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -343,12 +373,12 @@ func unmarshalRoute(r routeV2) (RouteSpec, error) {
 
 // marshalPiconet converts one scatternet piconet to its file form.
 func marshalPiconet(ps PiconetSpec) piconetV2 {
-	out := piconetV2{Name: ps.Name}
-	for _, g := range ps.GS {
-		out.GS = append(out.GS, marshalGS(g))
+	out := piconetV2{Name: ps.Name, GS: make([]gsV2, len(ps.GS)), BE: make([]beV2, len(ps.BE))}
+	for i, g := range ps.GS {
+		out.GS[i] = marshalGS(g)
 	}
-	for _, b := range ps.BE {
-		out.BE = append(out.BE, marshalBE(b))
+	for i, b := range ps.BE {
+		out.BE[i] = marshalBE(b)
 	}
 	for _, l := range ps.SCO {
 		out.SCO = append(out.SCO, scoV2{Slave: l.Slave, Type: l.Type.String()})
@@ -367,7 +397,7 @@ func Marshal(spec Spec) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(fs); err != nil {
+	if err := enc.Encode(&fs); err != nil {
 		return nil, fmt.Errorf("scenario: marshal: %w", err)
 	}
 	return buf.Bytes(), nil

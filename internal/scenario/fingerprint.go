@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"bluegs/internal/baseband"
@@ -162,7 +163,8 @@ func (s Spec) WithDefaults() Spec {
 // such specs, so no result is ever stored under that rendering.
 func (s Spec) Canonical() string {
 	fs, err := toV2(s.WithDefaults())
-	var data []byte
+	var b strings.Builder
+	b.WriteString(canonicalVersion + "\n")
 	if err == nil {
 		fs.Name = ""
 		for i := range fs.Routes {
@@ -173,12 +175,15 @@ func (s Spec) Canonical() string {
 				ev.AddRoute.Name = ""
 			}
 		}
-		data, err = json.Marshal(fs)
+		// A pointer, so the wire types' pointer-receiver methods apply.
+		// Encode is Marshal plus a trailing newline, dropped below; it
+		// writes the JSON straight behind the version line.
+		err = json.NewEncoder(&b).Encode(&fs)
 	}
 	if err != nil {
 		return canonicalVersion + "\nerror: " + err.Error()
 	}
-	return canonicalVersion + "\n" + string(data)
+	return strings.TrimSuffix(b.String(), "\n")
 }
 
 // Fingerprint is the SHA-256 of the canonical rendering, hex encoded: a
