@@ -247,28 +247,35 @@ func (c *RunCache) putByKey(key string, res *scenario.Result) error {
 	}
 	c.mu.Lock()
 	_, dup := c.entries[key]
-	c.insertLocked(key, res)
 	c.mu.Unlock()
+	var entry []byte
 	if !dup && c.cfg.Dir != "" {
 		// Another process may have completed the identical run already;
 		// leave its (byte-identical) entry in place. Two writers racing
 		// past this check both write — harmless, the write is atomic and
-		// the bytes identical.
-		dup = c.onDisk(key)
+		// the bytes identical. Otherwise encode before booking anything:
+		// a result its entry cannot carry is neither counted nor served.
+		if dup = c.onDisk(key); !dup {
+			var err error
+			if entry, err = EncodeResultEntry(key, res); err != nil {
+				return err
+			}
+		}
 	}
 	c.mu.Lock()
+	if _, raced := c.entries[key]; raced {
+		// A concurrent Put of the same key booked it first.
+		dup, entry = true, nil
+	}
+	c.insertLocked(key, res)
 	if dup {
 		c.stats.DupPuts++
 	} else {
 		c.stats.Stores++
 	}
 	c.mu.Unlock()
-	if dup || c.cfg.Dir == "" {
+	if entry == nil {
 		return nil
-	}
-	entry, err := EncodeResultEntry(key, res)
-	if err != nil {
-		return err
 	}
 	return c.writeFile(key, entry)
 }

@@ -252,11 +252,19 @@ func TestEncodeUnknownPolicyFails(t *testing.T) {
 		t.Fatalf("EncodeResultEntry error = %v, want an unsupported-policy error", err)
 	}
 	dir := t.TempDir()
-	if err := newCache(t, harness.CacheConfig{Dir: dir}).Put(spec, &res); err == nil {
+	cache := newCache(t, harness.CacheConfig{Dir: dir})
+	if err := cache.Put(spec, &res); err == nil {
 		t.Fatal("Put stored a result its entry cannot encode")
 	}
 	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
 		t.Fatalf("cache directory holds %v (%v), want nothing", files, err)
+	}
+	// The failed Put books nothing: no store, and no copy in memory.
+	if st := cache.Stats(); st.Stores != 0 || st.DupPuts != 0 {
+		t.Fatalf("stats after a failed Put: %+v, want nothing stored", st)
+	}
+	if _, ok := cache.Get(spec); ok {
+		t.Fatal("Get served the result of a failed Put")
 	}
 	if _, err := harness.EncodeResultEntry(key, fresh); err != nil {
 		t.Fatalf("the unmodified result does not encode: %v", err)
