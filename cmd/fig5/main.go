@@ -32,8 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"bluegs/internal/experiments"
@@ -110,17 +108,7 @@ func run() (err error) {
 
 	// First SIGINT checkpoints: in-flight runs finish (and land in the
 	// cache), the completed points print below. A second exits immediately.
-	interrupt := make(chan struct{})
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "fig5: interrupt — checkpointing (again to exit immediately)")
-		close(interrupt)
-		<-sig
-		os.Exit(1)
-	}()
-	cfg.Interrupt = interrupt
+	cfg.Interrupt = harness.InterruptOnSignal("fig5")
 
 	rows, tbl, err := experiments.Figure5(cfg, targets)
 	if err != nil && (tbl == nil || !errors.Is(err, harness.ErrInterrupted)) {

@@ -38,8 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"bluegs/internal/experiments"
@@ -114,17 +112,7 @@ func run() (err error) {
 	// First SIGINT checkpoints: the running experiment finishes its
 	// in-flight runs, prints its completed cells, and run returns
 	// ErrInterrupted. A second SIGINT exits immediately.
-	interrupt := make(chan struct{})
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "report: interrupt — checkpointing (again to exit immediately)")
-		close(interrupt)
-		<-sig
-		os.Exit(1)
-	}()
-	cfg.Interrupt = interrupt
+	cfg.Interrupt = harness.InterruptOnSignal("report")
 
 	// print renders the table (an interrupted experiment still prints the
 	// cells it completed) and passes the error through.

@@ -38,8 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"bluegs/internal/experiments"
@@ -111,23 +109,6 @@ func run() error {
 	})
 }
 
-// interruptChannel turns the first SIGINT/SIGTERM into a closed channel
-// (the harness checkpoints and returns partial results); a second signal
-// exits immediately.
-func interruptChannel() <-chan struct{} {
-	interrupt := make(chan struct{})
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "sweepd: interrupt — checkpointing (again to exit immediately)")
-		close(interrupt)
-		<-sig
-		os.Exit(1)
-	}()
-	return interrupt
-}
-
 type workerFlags struct {
 	coordinator, name string
 	workers           int
@@ -140,7 +121,7 @@ func runWorker(f workerFlags) error {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		<-interruptChannel()
+		<-harness.InterruptOnSignal("sweepd")
 		cancel()
 	}()
 
@@ -243,7 +224,7 @@ func runCoordinator(f coordinatorFlags) error {
 		MaxReps:      f.maxReps,
 		Cache:        cache,
 		Executor:     coord,
-		Interrupt:    interruptChannel(),
+		Interrupt:    harness.InterruptOnSignal("sweepd"),
 	}
 	if f.progress {
 		cfg.Progress = harness.StderrProgress("sweepd")

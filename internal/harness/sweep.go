@@ -3,8 +3,10 @@ package harness
 import (
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime/pprof"
 	"strconv"
+	"syscall"
 	"time"
 
 	"bluegs/internal/scenario"
@@ -170,6 +172,26 @@ func StartCPUProfile(path string) (stop func() error, err error) {
 		}
 		return nil
 	}, nil
+}
+
+// InterruptOnSignal returns a channel the first SIGINT or SIGTERM closes,
+// after "label: interrupt — checkpointing (again to exit immediately)" on
+// stderr: a sweep given it as Options.Interrupt finishes its in-flight
+// runs and returns what completed. A second signal exits the process with
+// status 1 at once — the shared implementation behind the cmd tools'
+// checkpointing.
+func InterruptOnSignal(label string) <-chan struct{} {
+	interrupt := make(chan struct{})
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sig
+		fmt.Fprintf(os.Stderr, "%s: interrupt — checkpointing (again to exit immediately)\n", label)
+		close(interrupt)
+		<-sig
+		os.Exit(1)
+	}()
+	return interrupt
 }
 
 // ExtensionGrid is the retransmission-study grid (experiment E5, the
