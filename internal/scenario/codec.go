@@ -29,7 +29,9 @@ const FormatV2 = "bluegs/scenario/v2"
 // specV2 is the v2 on-disk form of a Spec. The mirror structs below carry
 // durations, directions and packet-type sets as wire types that spell
 // themselves (durV2, blankDurV2, dirV2, typesV2), so converting to and
-// from a Spec is a field copy.
+// from a Spec is a field copy. Their methods take pointer receivers, so
+// encoding boxes no value; they apply only to addressable fields, which
+// is why Marshal and Canonical encode a *specV2.
 type specV2 struct {
 	Format              string          `json:"format"`
 	Name                string          `json:"name,omitempty"`

@@ -387,6 +387,25 @@ func TestParseSpecLenientSpellings(t *testing.T) {
 	}
 }
 
+// TestDurationSpelling: the wire duration renders exactly as
+// Duration.String, including the whole-millisecond shortcut.
+func TestDurationSpelling(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Millisecond, time.Nanosecond, time.Microsecond,
+		time.Millisecond, 999 * time.Millisecond, 1500 * time.Microsecond, time.Second, 90 * time.Second} {
+		v := durV2(d)
+		if got, _ := v.MarshalText(); string(got) != d.String() {
+			t.Errorf("%v renders %q", d, got)
+		}
+	}
+	for ms := 1; ms < 1000; ms++ {
+		d := time.Duration(ms) * time.Millisecond
+		v := durV2(d)
+		if got, _ := v.MarshalText(); string(got) != d.String() {
+			t.Fatalf("%v renders %q", d, got)
+		}
+	}
+}
+
 // TestParsedSpecRuns runs sampleJSON: every bound holds and the SCO and GS
 // flows carry their load.
 func TestParsedSpecRuns(t *testing.T) {

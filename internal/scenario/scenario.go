@@ -1,15 +1,14 @@
 // Package scenario wires complete simulation scenarios: flow sets, traffic
 // sources, admission, scheduler and measurement. It provides the paper's
 // §4.1 evaluation setup (Fig. 4) as a preset and a generic runner used by
-// the experiment harness, the command-line tools and the examples.
+// the experiment harness and the command-line tools.
 //
 // A Spec is pure data: every field — flows, poller and radio selection
 // (by name plus parameters), SCO links and the Timeline of mid-run
 // changes — is serializable (see Marshal/Unmarshal) and enters the spec's
 // canonical fingerprint. Runtime-only attachments (a live Tracer, a
 // pre-seeded radio model instance) travel separately through Hooks and
-// RunWith. Named specs register into a process-wide registry (Register/
-// Lookup/Names) that the presets populate.
+// RunWith. The named presets form a static table (Lookup/Names).
 //
 // Scatternet specs may additionally declare Bridges — devices
 // time-sharing several piconets on a periodic residency schedule — and
