@@ -29,9 +29,8 @@ const FormatV2 = "bluegs/scenario/v2"
 // specV2 is the v2 on-disk form of a Spec. The mirror structs below carry
 // durations, directions and packet-type sets as wire types that spell
 // themselves (durV2, blankDurV2, dirV2, typesV2), so converting to and
-// from a Spec is a field copy. Their methods take pointer receivers, so
-// encoding boxes no value; they apply only to addressable fields, which
-// is why Marshal and Canonical encode a *specV2.
+// from a Spec is a field copy. Their marshal methods take value
+// receivers, so a specV2 encodes the same by value or by pointer.
 type specV2 struct {
 	Format              string          `json:"format"`
 	Name                string          `json:"name,omitempty"`
@@ -215,15 +214,7 @@ type moveV2 struct {
 // zero), so values round-trip exactly. "" decodes as zero.
 type durV2 time.Duration
 
-func (d *durV2) MarshalText() ([]byte, error) {
-	v := time.Duration(*d)
-	if v > 0 && v < time.Second && v%time.Millisecond == 0 {
-		// Most spec values: Duration.String's "20ms" without its
-		// intermediate string.
-		return append(strconv.AppendInt(make([]byte, 0, 5), int64(v/time.Millisecond), 10), "ms"...), nil
-	}
-	return []byte(v.String()), nil
-}
+func (d durV2) MarshalText() ([]byte, error) { return []byte(time.Duration(d).String()), nil }
 
 func (d *durV2) UnmarshalText(b []byte) error {
 	if len(b) == 0 {
@@ -239,11 +230,11 @@ func (d *durV2) UnmarshalText(b []byte) error {
 // interval, which the file always carries.
 type blankDurV2 time.Duration
 
-func (d *blankDurV2) MarshalText() ([]byte, error) {
-	if *d == 0 {
+func (d blankDurV2) MarshalText() ([]byte, error) {
+	if d == 0 {
 		return nil, nil
 	}
-	return (*durV2)(d).MarshalText()
+	return durV2(d).MarshalText()
 }
 
 func (d *blankDurV2) UnmarshalText(b []byte) error { return (*durV2)(d).UnmarshalText(b) }
@@ -252,19 +243,7 @@ func (d *blankDurV2) UnmarshalText(b []byte) error { return (*durV2)(d).Unmarsha
 // decodes as unset, which validation refuses for flows.
 type dirV2 piconet.Direction
 
-func (d *dirV2) MarshalText() ([]byte, error) {
-	switch piconet.Direction(*d) {
-	case piconet.Up:
-		return upText, nil
-	case piconet.Down:
-		return downText, nil
-	}
-	return []byte(piconet.Direction(*d).String()), nil
-}
-
-// upText and downText are the shared spellings dirV2 renders; the
-// encoder only reads them.
-var upText, downText = []byte("up"), []byte("down")
+func (d dirV2) MarshalText() ([]byte, error) { return []byte(piconet.Direction(d).String()), nil }
 
 func (d *dirV2) UnmarshalText(b []byte) error {
 	switch strings.ToLower(strings.TrimSpace(string(b))) {
@@ -284,21 +263,11 @@ func (d *dirV2) UnmarshalText(b []byte) error {
 // packet-type order ("DH1", any case on input), omitted when it names none.
 type typesV2 baseband.TypeSet
 
-func (s *typesV2) IsZero() bool {
-	if *s == 0 {
-		return true
-	}
-	for t := baseband.TypeNULL; t.Valid(); t++ {
-		if baseband.TypeSet(*s).Contains(t) {
-			return false
-		}
-	}
-	return true
-}
+func (s typesV2) IsZero() bool { return len(baseband.TypeSet(s).Types()) == 0 }
 
-func (s *typesV2) MarshalJSON() ([]byte, error) {
-	b := append(make([]byte, 0, 32), '[')
-	for i, t := range baseband.TypeSet(*s).Types() {
+func (s typesV2) MarshalJSON() ([]byte, error) {
+	b := []byte{'['}
+	for i, t := range baseband.TypeSet(s).Types() {
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -335,29 +304,44 @@ var packetTypesByName = map[string]baseband.PacketType{
 // marshalGS converts a GS flow to its file form.
 func marshalGS(g GSFlow) gsV2 {
 	return gsV2{
-		ID: g.ID, Slave: g.Slave, Dir: dirV2(g.Dir), Interval: blankDurV2(g.Interval),
-		Size:  sizeV2{Kind: "uniform", Min: g.MinSize, Max: g.MaxSize},
-		Phase: durV2(g.Phase), Allowed: typesV2(g.Allowed),
+		ID:       g.ID,
+		Slave:    g.Slave,
+		Dir:      dirV2(g.Dir),
+		Interval: blankDurV2(g.Interval),
+		Size:     sizeV2{Kind: "uniform", Min: g.MinSize, Max: g.MaxSize},
+		Phase:    durV2(g.Phase),
+		Allowed:  typesV2(g.Allowed),
 	}
 }
 
 // marshalBE converts a BE flow to its file form.
 func marshalBE(b BEFlow) beV2 {
 	return beV2{
-		ID: b.ID, Slave: b.Slave, Dir: dirV2(b.Dir), RateKbps: b.RateKbps,
-		Size:  sizeV2{Kind: "fixed", Bytes: b.PacketSize},
-		Phase: durV2(b.Phase), Allowed: typesV2(b.Allowed),
+		ID:       b.ID,
+		Slave:    b.Slave,
+		Dir:      dirV2(b.Dir),
+		RateKbps: b.RateKbps,
+		Size:     sizeV2{Kind: "fixed", Bytes: b.PacketSize},
+		Phase:    durV2(b.Phase),
+		Allowed:  typesV2(b.Allowed),
 	}
 }
 
 // marshalRoute converts a route to its file form.
 func marshalRoute(rt RouteSpec) routeV2 {
 	return routeV2{
-		ID: rt.ID, Name: rt.Name, Source: rt.Source, Bridges: rt.Bridges,
-		Slave: rt.Slave, Dir: dirV2(rt.Dir), Interval: blankDurV2(rt.Interval),
-		Size:  sizeV2{Kind: "uniform", Min: rt.MinSize, Max: rt.MaxSize},
-		Phase: durV2(rt.Phase), Allowed: typesV2(rt.Allowed),
-		DelayTarget: durV2(rt.DelayTarget), Naive: rt.Naive,
+		ID:          rt.ID,
+		Name:        rt.Name,
+		Source:      rt.Source,
+		Bridges:     rt.Bridges,
+		Slave:       rt.Slave,
+		Dir:         dirV2(rt.Dir),
+		Interval:    blankDurV2(rt.Interval),
+		Size:        sizeV2{Kind: "uniform", Min: rt.MinSize, Max: rt.MaxSize},
+		Phase:       durV2(rt.Phase),
+		Allowed:     typesV2(rt.Allowed),
+		DelayTarget: durV2(rt.DelayTarget),
+		Naive:       rt.Naive,
 	}
 }
 
@@ -365,22 +349,30 @@ func marshalRoute(rt RouteSpec) routeV2 {
 func unmarshalRoute(r routeV2) (RouteSpec, error) {
 	minSize, maxSize, err := unmarshalSize(r.Size)
 	return RouteSpec{
-		ID: r.ID, Name: r.Name, Source: r.Source, Bridges: r.Bridges,
-		Slave: r.Slave, Dir: piconet.Direction(r.Dir), Interval: time.Duration(r.Interval),
-		MinSize: minSize, MaxSize: maxSize,
-		Phase: time.Duration(r.Phase), Allowed: baseband.TypeSet(r.Allowed),
-		DelayTarget: time.Duration(r.DelayTarget), Naive: r.Naive,
+		ID:          r.ID,
+		Name:        r.Name,
+		Source:      r.Source,
+		Bridges:     r.Bridges,
+		Slave:       r.Slave,
+		Dir:         piconet.Direction(r.Dir),
+		Interval:    time.Duration(r.Interval),
+		MinSize:     minSize,
+		MaxSize:     maxSize,
+		Phase:       time.Duration(r.Phase),
+		Allowed:     baseband.TypeSet(r.Allowed),
+		DelayTarget: time.Duration(r.DelayTarget),
+		Naive:       r.Naive,
 	}, err
 }
 
 // marshalPiconet converts one scatternet piconet to its file form.
 func marshalPiconet(ps PiconetSpec) piconetV2 {
-	out := piconetV2{Name: ps.Name, GS: make([]gsV2, len(ps.GS)), BE: make([]beV2, len(ps.BE))}
-	for i, g := range ps.GS {
-		out.GS[i] = marshalGS(g)
+	out := piconetV2{Name: ps.Name}
+	for _, g := range ps.GS {
+		out.GS = append(out.GS, marshalGS(g))
 	}
-	for i, b := range ps.BE {
-		out.BE[i] = marshalBE(b)
+	for _, b := range ps.BE {
+		out.BE = append(out.BE, marshalBE(b))
 	}
 	for _, l := range ps.SCO {
 		out.SCO = append(out.SCO, scoV2{Slave: l.Slave, Type: l.Type.String()})
@@ -399,7 +391,7 @@ func Marshal(spec Spec) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(&fs); err != nil {
+	if err := enc.Encode(fs); err != nil {
 		return nil, fmt.Errorf("scenario: marshal: %w", err)
 	}
 	return buf.Bytes(), nil
@@ -440,7 +432,8 @@ func toV2(spec Spec) (specV2, error) {
 		out := bridgeV2{Name: b.Name, Period: durV2(b.Period)}
 		for _, rs := range b.Residency {
 			out.Residency = append(out.Residency, residencyV2{
-				Piconet: rs.Piconet, Slave: rs.Slave, Start: durV2(rs.Start), End: durV2(rs.End),
+				Piconet: rs.Piconet, Slave: rs.Slave,
+				Start: durV2(rs.Start), End: durV2(rs.End),
 			})
 		}
 		fs.Bridges = append(fs.Bridges, out)
@@ -452,12 +445,14 @@ func toV2(spec Spec) (specV2, error) {
 		fp := &faultsV2{}
 		for _, o := range spec.Faults.Outages {
 			fp.Outages = append(fp.Outages, outageV2{
-				Piconet: o.Piconet, Slave: o.Slave, Start: durV2(o.Start), End: durV2(o.End),
+				Piconet: o.Piconet, Slave: o.Slave,
+				Start: durV2(o.Start), End: durV2(o.End),
 			})
 		}
 		for _, d := range spec.Faults.Departures {
 			fp.Departures = append(fp.Departures, departureV2{
-				Piconet: d.Piconet, Slave: d.Slave, At: durV2(d.At), ReturnAt: durV2(d.ReturnAt),
+				Piconet: d.Piconet, Slave: d.Slave,
+				At: durV2(d.At), ReturnAt: durV2(d.ReturnAt),
 			})
 		}
 		for _, c := range spec.Faults.Crashes {
@@ -506,8 +501,13 @@ func toV2(spec Spec) (specV2, error) {
 			return specV2{}, fmt.Errorf("%w: timeline[%d] sets %d operations", ErrBadSpec, i, ev.ops())
 		}
 		out := timelineEvtV2{
-			At: durV2(ev.At), Piconet: ev.Piconet, Remove: ev.Remove, DropSCO: ev.DropSCO,
-			RemovePiconet: ev.RemovePiconet, Move: (*moveV2)(ev.Move), RemoveRoute: ev.RemoveRoute,
+			At:            durV2(ev.At),
+			Piconet:       ev.Piconet,
+			Remove:        ev.Remove,
+			DropSCO:       ev.DropSCO,
+			RemovePiconet: ev.RemovePiconet,
+			Move:          (*moveV2)(ev.Move),
+			RemoveRoute:   ev.RemoveRoute,
 		}
 		switch {
 		case ev.AddGS != nil:
@@ -548,8 +548,14 @@ func unmarshalSize(s sizeV2) (minSize, maxSize int, err error) {
 func unmarshalGS(g gsV2) (GSFlow, error) {
 	minSize, maxSize, err := unmarshalSize(g.Size)
 	return GSFlow{
-		ID: g.ID, Slave: g.Slave, Dir: piconet.Direction(g.Dir), Interval: time.Duration(g.Interval),
-		MinSize: minSize, MaxSize: maxSize, Phase: time.Duration(g.Phase), Allowed: baseband.TypeSet(g.Allowed),
+		ID:       g.ID,
+		Slave:    g.Slave,
+		Dir:      piconet.Direction(g.Dir),
+		Interval: time.Duration(g.Interval),
+		MinSize:  minSize,
+		MaxSize:  maxSize,
+		Phase:    time.Duration(g.Phase),
+		Allowed:  baseband.TypeSet(g.Allowed),
 	}, err
 }
 
@@ -560,8 +566,13 @@ func unmarshalBE(b beV2) (BEFlow, error) {
 		err = fmt.Errorf("%w: best-effort flows use fixed packet sizes", ErrBadSpec)
 	}
 	return BEFlow{
-		ID: b.ID, Slave: b.Slave, Dir: piconet.Direction(b.Dir), RateKbps: b.RateKbps,
-		PacketSize: minSize, Phase: time.Duration(b.Phase), Allowed: baseband.TypeSet(b.Allowed),
+		ID:         b.ID,
+		Slave:      b.Slave,
+		Dir:        piconet.Direction(b.Dir),
+		RateKbps:   b.RateKbps,
+		PacketSize: minSize,
+		Phase:      time.Duration(b.Phase),
+		Allowed:    baseband.TypeSet(b.Allowed),
 	}, err
 }
 
@@ -707,7 +718,8 @@ func Unmarshal(data []byte) (Spec, error) {
 		out := BridgeSpec{Name: b.Name, Period: time.Duration(b.Period)}
 		for _, rs := range b.Residency {
 			out.Residency = append(out.Residency, ResidencySpec{
-				Piconet: rs.Piconet, Slave: rs.Slave, Start: time.Duration(rs.Start), End: time.Duration(rs.End),
+				Piconet: rs.Piconet, Slave: rs.Slave,
+				Start: time.Duration(rs.Start), End: time.Duration(rs.End),
 			})
 		}
 		spec.Bridges = append(spec.Bridges, out)
@@ -722,12 +734,14 @@ func Unmarshal(data []byte) (Spec, error) {
 	if fs.Faults != nil {
 		for _, o := range fs.Faults.Outages {
 			spec.Faults.Outages = append(spec.Faults.Outages, faults.LinkOutage{
-				Piconet: o.Piconet, Slave: o.Slave, Start: time.Duration(o.Start), End: time.Duration(o.End),
+				Piconet: o.Piconet, Slave: o.Slave,
+				Start: time.Duration(o.Start), End: time.Duration(o.End),
 			})
 		}
 		for _, d := range fs.Faults.Departures {
 			spec.Faults.Departures = append(spec.Faults.Departures, faults.SlaveDeparture{
-				Piconet: d.Piconet, Slave: d.Slave, At: time.Duration(d.At), ReturnAt: time.Duration(d.ReturnAt),
+				Piconet: d.Piconet, Slave: d.Slave,
+				At: time.Duration(d.At), ReturnAt: time.Duration(d.ReturnAt),
 			})
 		}
 		for _, c := range fs.Faults.Crashes {
@@ -751,8 +765,13 @@ func Unmarshal(data []byte) (Spec, error) {
 		// Every set field converts; an event must then carry exactly one
 		// operation.
 		out := TimelineEvent{
-			At: time.Duration(ev.At), Piconet: ev.Piconet, Remove: ev.Remove, DropSCO: ev.DropSCO,
-			RemovePiconet: ev.RemovePiconet, Move: (*MoveFlow)(ev.Move), RemoveRoute: ev.RemoveRoute,
+			At:            time.Duration(ev.At),
+			Piconet:       ev.Piconet,
+			Remove:        ev.Remove,
+			DropSCO:       ev.DropSCO,
+			RemovePiconet: ev.RemovePiconet,
+			Move:          (*MoveFlow)(ev.Move),
+			RemoveRoute:   ev.RemoveRoute,
 		}
 		var errs []error
 		if ev.AddGS != nil {

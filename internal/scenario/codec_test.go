@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
@@ -387,21 +389,24 @@ func TestParseSpecLenientSpellings(t *testing.T) {
 	}
 }
 
-// TestDurationSpelling: the wire duration renders exactly as
-// Duration.String, including the whole-millisecond shortcut.
-func TestDurationSpelling(t *testing.T) {
-	for _, d := range []time.Duration{0, -time.Millisecond, time.Nanosecond, time.Microsecond,
-		time.Millisecond, 999 * time.Millisecond, 1500 * time.Microsecond, time.Second, 90 * time.Second} {
-		v := durV2(d)
-		if got, _ := v.MarshalText(); string(got) != d.String() {
-			t.Errorf("%v renders %q", d, got)
-		}
+// TestWireTypesEncodeByValue: a specV2 encodes the same by value as by
+// pointer, so every encode site spells durations, directions and
+// packet-type sets through the wire types, never as integers.
+func TestWireTypesEncodeByValue(t *testing.T) {
+	specs := []Spec{edgeSpec()}
+	rng := rand.New(rand.NewSource(99))
+	for round := 0; round < 20; round++ {
+		specs = append(specs, randomScatternetSpec(rng, round))
 	}
-	for ms := 1; ms < 1000; ms++ {
-		d := time.Duration(ms) * time.Millisecond
-		v := durV2(d)
-		if got, _ := v.MarshalText(); string(got) != d.String() {
-			t.Fatalf("%v renders %q", d, got)
+	for i, spec := range specs {
+		fs, err := toV2(spec)
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		byValue, err1 := json.Marshal(fs)
+		byPointer, err2 := json.Marshal(&fs)
+		if err1 != nil || err2 != nil || !bytes.Equal(byValue, byPointer) {
+			t.Fatalf("spec %d: by value (%v)\n%s\nby pointer (%v)\n%s", i, err1, byValue, err2, byPointer)
 		}
 	}
 }

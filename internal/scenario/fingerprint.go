@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"bluegs/internal/baseband"
@@ -163,8 +162,7 @@ func (s Spec) WithDefaults() Spec {
 // such specs, so no result is ever stored under that rendering.
 func (s Spec) Canonical() string {
 	fs, err := toV2(s.WithDefaults())
-	var b strings.Builder
-	b.WriteString(canonicalVersion + "\n")
+	var data []byte
 	if err == nil {
 		fs.Name = ""
 		for i := range fs.Routes {
@@ -175,15 +173,12 @@ func (s Spec) Canonical() string {
 				ev.AddRoute.Name = ""
 			}
 		}
-		// A pointer, so the wire types' pointer-receiver methods apply.
-		// Encode is Marshal plus a trailing newline, dropped below; it
-		// writes the JSON straight behind the version line.
-		err = json.NewEncoder(&b).Encode(&fs)
+		data, err = json.Marshal(fs)
 	}
 	if err != nil {
 		return canonicalVersion + "\nerror: " + err.Error()
 	}
-	return strings.TrimSuffix(b.String(), "\n")
+	return canonicalVersion + "\n" + string(data)
 }
 
 // Fingerprint is the SHA-256 of the canonical rendering, hex encoded: a
