@@ -501,11 +501,18 @@ func (c BridgedConfig) withDefaults() BridgedConfig {
 	if c.Hops < 1 {
 		c.Hops = 2
 	}
-	c.Hops = min(c.Hops, 3)
+	if c.Hops > 3 {
+		c.Hops = 3
+	}
 	if c.Duty <= 0 || c.Duty >= 1 {
 		c.Duty = 0.5
 	}
-	c.GSPerPiconet = min(max(c.GSPerPiconet, 1), 4)
+	if c.GSPerPiconet < 1 {
+		c.GSPerPiconet = 1
+	}
+	if c.GSPerPiconet > 4 {
+		c.GSPerPiconet = 4
+	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
 	}

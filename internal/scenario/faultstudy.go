@@ -64,8 +64,12 @@ func (c FaultScenarioConfig) withDefaults() FaultScenarioConfig {
 // eventually hit. The last window always closes at least a second before
 // the horizon so degraded renegotiations have time to deliver.
 func (c FaultScenarioConfig) outagePlan(pn string) []faults.LinkOutage {
-	const lead, tail = 2 * time.Second, time.Second
-	usable := max(c.Duration-lead-tail-c.OutageDuration, 0)
+	const lead = 2 * time.Second
+	tail := time.Second
+	usable := c.Duration - lead - tail - c.OutageDuration
+	if usable < 0 {
+		usable = 0
+	}
 	spacing := usable
 	if c.Outages > 1 {
 		spacing = usable / time.Duration(c.Outages-1)
@@ -73,7 +77,9 @@ func (c FaultScenarioConfig) outagePlan(pn string) []faults.LinkOutage {
 	// Never overlap two windows: supervision suspends the slave's flows
 	// once per episode, and the study wants each window to be a distinct
 	// episode.
-	spacing = max(spacing, c.OutageDuration+500*time.Millisecond)
+	if min := c.OutageDuration + 500*time.Millisecond; spacing < min {
+		spacing = min
+	}
 	out := make([]faults.LinkOutage, 0, c.Outages)
 	for j := 0; j < c.Outages; j++ {
 		start := lead + time.Duration(j)*spacing

@@ -315,7 +315,12 @@ func (c ScatternetConfig) withDefaults() ScatternetConfig {
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
 	}
-	c.OnlineGS = min(max(c.OnlineGS, 0), len(onlineSlaves))
+	if c.OnlineGS > len(onlineSlaves) {
+		c.OnlineGS = len(onlineSlaves)
+	}
+	if c.OnlineGS < 0 {
+		c.OnlineGS = 0
+	}
 	return c
 }
 

@@ -315,7 +315,15 @@ func Baseline(kind BEPollerKind) Spec {
 // voice is the paper's 64 kbps voice source: a 20ms CBR GS flow of
 // 144–176 B packets.
 func voice(id piconet.FlowID, slave piconet.SlaveID, dir piconet.Direction, phase time.Duration) GSFlow {
-	return GSFlow{ID: id, Slave: slave, Dir: dir, Interval: 20 * time.Millisecond, MinSize: 144, MaxSize: 176, Phase: phase}
+	return GSFlow{
+		ID:       id,
+		Slave:    slave,
+		Dir:      dir,
+		Interval: 20 * time.Millisecond,
+		MinSize:  144,
+		MaxSize:  176,
+		Phase:    phase,
+	}
 }
 
 // voiceFlows is the presets' static voice set: n flows with ids and
