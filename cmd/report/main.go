@@ -20,13 +20,10 @@
 // -cache-dir backs every experiment with a content-addressed run cache,
 // so re-rendering the report — or iterating on a single experiment —
 // replays unchanged cells instantly; Fig. 5, T2 and T3 share grid cells
-// and hit each other's entries even within one invocation.
-//
-// -journal FILE renders a table from a sweepd run journal instead of
-// simulating: every CRC-intact record is decoded and aggregated, so a
-// partial journal (interrupted or still-running sweep) renders the
-// completed cells. No other flag applies; the sweep configuration comes
-// from the journal's own meta block.
+// and hit each other's entries even within one invocation. A sweepd
+// coordinator's -cache-dir is the same kind of directory, so pointing
+// -cache-dir at it replays a distributed sweep's runs without
+// simulating them.
 //
 // SIGINT checkpoints instead of killing: in-flight runs finish (and land
 // in the cache), the interrupted experiment's completed cells print, and
@@ -41,7 +38,6 @@ import (
 	"time"
 
 	"bluegs/internal/experiments"
-	"bluegs/internal/fabric"
 	"bluegs/internal/harness"
 	"bluegs/internal/stats"
 )
@@ -68,7 +64,6 @@ func run() (err error) {
 		ciMetric = flag.String("ci-metric", "", "adaptive stopping metric: gs-delay, violations, gs-kbps or be-kbps (default: per experiment)")
 		maxReps  = flag.Int("max-reps", 0, "adaptive replication cap per cell (default 32)")
 		cacheDir = flag.String("cache-dir", "", "content-addressed run cache directory shared by all experiments")
-		journal  = flag.String("journal", "", "render a table from this sweepd run journal instead of simulating")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
 	)
 	flag.Parse()
@@ -82,9 +77,6 @@ func run() (err error) {
 				err = perr
 			}
 		}()
-	}
-	if *journal != "" {
-		return renderJournal(*journal)
 	}
 	cfg := experiments.Config{
 		Duration:     *duration,
@@ -190,47 +182,5 @@ func run() (err error) {
 	if err := print(e12, err); err != nil {
 		return fmt.Errorf("E12: %w", err)
 	}
-	return nil
-}
-
-// renderJournal rebuilds a table from a sweepd run journal: the meta
-// block names the grid and sweep knobs, every CRC-intact record is
-// key-verified and decoded, and the completed cells render exactly as
-// the live sweep would have rendered them.
-func renderJournal(path string) error {
-	meta, recs, err := fabric.ReadJournal(path)
-	if err != nil {
-		return err
-	}
-	if meta.Grid != "fig5" {
-		return fmt.Errorf("journal %s: grid %q not renderable (supported: fig5)", path, meta.Grid)
-	}
-	targets := make([]time.Duration, 0, len(meta.Cells))
-	for _, cell := range meta.Cells {
-		t, err := time.ParseDuration(cell)
-		if err != nil {
-			return fmt.Errorf("journal %s: cell %q is not a delay target: %w", path, cell, err)
-		}
-		targets = append(targets, t)
-	}
-	cfg := harness.SweepConfig{
-		Duration:     meta.Duration,
-		Seed:         meta.Seed,
-		Replications: meta.Replications,
-	}
-	results, skipped, err := fabric.JournalResults(meta, recs, harness.Fig5Grid(targets), cfg)
-	if err != nil {
-		return err
-	}
-	_, tbl := experiments.Figure5FromResults(experiments.Config{
-		Duration:     meta.Duration,
-		Seed:         meta.Seed,
-		Replications: meta.Replications,
-	}, targets, results)
-	if err := tbl.WriteText(os.Stdout); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "report: journal %s: %d records rendered, %d skipped\n",
-		path, len(results), skipped)
 	return nil
 }

@@ -4,10 +4,9 @@
 // harness, and the rendered table is byte-identical to the
 // single-process run at any worker count.
 //
-// Coordinator (serves the sweep, renders the table):
+// Coordinator (serves the Fig. 5 sweep, renders the table):
 //
-//	sweepd -mode fig5 -addr 127.0.0.1:9740 -duration 530s -reps 5 \
-//	       -cache-dir .runcache -journal fig5.journal
+//	sweepd -addr 127.0.0.1:9740 -duration 530s -reps 5 -cache-dir .runcache
 //
 // Workers (any number, started before or after the coordinator):
 //
@@ -19,17 +18,18 @@
 // is local to that worker: it serves the runs it already holds and keeps
 // the ones the worker computes.
 //
-// Every completed run streams into -journal (append-only, CRC-framed,
-// synced per record). A killed coordinator restarts with -resume: the
-// journal replays every completed run and only the remainder is leased
-// out again. SIGINT checkpoints instead of killing: the journal and
-// cache keep everything already computed, the partial table prints, and
-// the process exits 130 (a second SIGINT exits immediately).
+// The coordinator's -cache-dir is the sweep's durable record: each
+// entry is synced to disk as it lands. A killed coordinator restarts
+// with the same flags and -cache-dir: every stored run resolves from
+// the cache and only the remainder is leased out again. SIGINT
+// checkpoints instead of killing: the cache keeps everything already
+// computed, the partial table prints, and the process exits 130 (a
+// second SIGINT exits immediately).
 //
 // On exit the coordinator prints one accounting line on stderr —
-// "sweepd: fabric: N runs: J from journal, C from cache, W from workers
-// (…)" — which is what the CI fabric smoke job greps to assert a resumed
-// sweep re-executed nothing.
+// "sweepd: fabric: N runs: C from cache, W from workers (…)" — which is
+// what the CI fabric smoke job greps to assert a restarted sweep
+// re-executed nothing.
 package main
 
 import (
@@ -48,7 +48,7 @@ import (
 func main() {
 	if err := run(); err != nil {
 		if errors.Is(err, harness.ErrInterrupted) {
-			fmt.Fprintln(os.Stderr, "sweepd: interrupted — progress checkpointed; restart with -resume")
+			fmt.Fprintln(os.Stderr, "sweepd: interrupted — progress checkpointed; restart with the same -cache-dir to resume")
 			os.Exit(130)
 		}
 		fmt.Fprintln(os.Stderr, "sweepd:", err)
@@ -62,10 +62,7 @@ func run() error {
 		name = flag.String("name", "", "worker name in leases and logs (default hostname-pid)")
 		poll = flag.Duration("poll", 0, "worker mode: shortest interval between idle lease requests (default 300ms); a coordinator that holds idle requests is asked again at once")
 
-		mode      = flag.String("mode", "fig5", "sweep to serve (fig5)")
 		addr      = flag.String("addr", "127.0.0.1:0", "coordinator listen address (use :port to accept remote workers)")
-		journal   = flag.String("journal", "", "append-only run journal: every completed run is streamed here, CRC-framed and synced")
-		resume    = flag.Bool("resume", false, "re-open an existing -journal and replay its runs instead of starting fresh")
 		leaseTTL  = flag.Duration("lease-ttl", 0, "heartbeat deadline before a lease's runs are re-issued (default 10s)")
 		leaseRuns = flag.Int("lease-runs", 0, "runs handed out per lease (default 4)")
 
@@ -74,7 +71,7 @@ func run() error {
 		reps     = flag.Int("reps", 1, "independently seeded replications per point")
 		workers  = flag.Int("workers", 0, "local simulation workers (worker mode; 0 = GOMAXPROCS)")
 		progress = flag.Bool("progress", false, "report sweep progress on stderr")
-		verbose  = flag.Bool("v", false, "log fabric events (worker joins, lease expiries, resume counts) on stderr")
+		verbose  = flag.Bool("v", false, "log fabric events (worker joins, lease expiries, failed stores) on stderr")
 		from     = flag.Duration("from", 28*time.Millisecond, "first delay requirement")
 		to       = flag.Duration("to", 46*time.Millisecond, "last delay requirement")
 		step     = flag.Duration("step", 2*time.Millisecond, "sweep step")
@@ -82,7 +79,7 @@ func run() error {
 		ciTarget = flag.Float64("ci-target", 0, "adaptive replication: replicate each point until the 95% CI half-width of -ci-metric is below this fraction of its mean (0 = fixed -reps)")
 		ciMetric = flag.String("ci-metric", "", "adaptive stopping metric: gs-delay, violations, gs-kbps or be-kbps (default gs-delay)")
 		maxReps  = flag.Int("max-reps", 0, "adaptive replication cap per point (default 32)")
-		cacheDir = flag.String("cache-dir", "", "content-addressed run cache directory")
+		cacheDir = flag.String("cache-dir", "", "content-addressed run cache directory; a coordinator restarted over it resumes its sweep")
 	)
 	flag.Parse()
 
@@ -100,7 +97,7 @@ func run() error {
 		})
 	}
 	return runCoordinator(coordinatorFlags{
-		mode: *mode, addr: *addr, journal: *journal, resume: *resume,
+		addr:     *addr,
 		leaseTTL: *leaseTTL, leaseRuns: *leaseRuns,
 		duration: *duration, seed: *seed, reps: *reps, progress: *progress,
 		from: *from, to: *to, step: *step, csv: *csv,
@@ -147,34 +144,28 @@ func runWorker(f workerFlags) error {
 }
 
 type coordinatorFlags struct {
-	mode, addr, journal string
-	resume              bool
-	leaseTTL            time.Duration
-	leaseRuns           int
-	duration            time.Duration
-	seed                int64
-	reps                int
-	progress, csv       bool
-	from, to, step      time.Duration
-	ciTarget            float64
-	ciMetric            string
-	maxReps             int
-	cacheDir            string
-	logf                func(string, ...any)
+	addr           string
+	leaseTTL       time.Duration
+	leaseRuns      int
+	duration       time.Duration
+	seed           int64
+	reps           int
+	progress, csv  bool
+	from, to, step time.Duration
+	ciTarget       float64
+	ciMetric       string
+	maxReps        int
+	cacheDir       string
+	logf           func(string, ...any)
 }
 
 func runCoordinator(f coordinatorFlags) error {
-	if f.mode != "fig5" {
-		return fmt.Errorf("unknown -mode %q (supported: fig5)", f.mode)
-	}
 	if f.step <= 0 || f.to < f.from {
 		return fmt.Errorf("bad sweep: from %v to %v step %v", f.from, f.to, f.step)
 	}
 	var targets []time.Duration
-	cells := []string{}
 	for t := f.from; t <= f.to; t += f.step {
 		targets = append(targets, t)
-		cells = append(cells, t.String())
 	}
 
 	var cache *harness.RunCache
@@ -188,21 +179,9 @@ func runCoordinator(f coordinatorFlags) error {
 	}
 
 	coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		Addr:        f.addr,
-		Grid:        f.mode,
-		Cache:       cache,
-		JournalPath: f.journal,
-		Meta: fabric.JournalMeta{
-			Grid:         f.mode,
-			Cells:        cells,
-			Duration:     f.duration,
-			Seed:         f.seed,
-			Replications: f.reps,
-			CITarget:     f.ciTarget,
-			CIMetric:     f.ciMetric,
-			MaxReps:      f.maxReps,
-		},
-		Resume:    f.resume,
+		Addr:      f.addr,
+		Grid:      "fig5",
+		Cache:     cache,
 		LeaseTTL:  f.leaseTTL,
 		LeaseRuns: f.leaseRuns,
 		Logf:      f.logf,
@@ -212,8 +191,8 @@ func runCoordinator(f coordinatorFlags) error {
 	}
 	defer coord.Close()
 	defer func() { fmt.Fprintf(os.Stderr, "sweepd: fabric: %s\n", coord.Stats()) }()
-	fmt.Fprintf(os.Stderr, "sweepd: serving %s on %s (join with: sweepd -join %s)\n",
-		f.mode, coord.Addr(), coord.Addr())
+	fmt.Fprintf(os.Stderr, "sweepd: serving fig5 on %s (join with: sweepd -join %s)\n",
+		coord.Addr(), coord.Addr())
 
 	cfg := experiments.Config{
 		Duration:     f.duration,

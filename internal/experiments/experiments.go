@@ -351,23 +351,6 @@ func Figure5(cfg Config, targets []time.Duration) ([]Fig5Row, *stats.Table, erro
 	return rows, tbl, nil
 }
 
-// Figure5FromResults renders the Fig. 5 rows and table from
-// already-executed run results — cmd/report's -journal mode feeds
-// fabric.JournalResults output here. Cells with no successful
-// replication are omitted, so a partial journal renders a partial
-// table. Adaptive columns are dropped: convergence state is not part of
-// a result set.
-func Figure5FromResults(cfg Config, targets []time.Duration, results []harness.RunResult) ([]Fig5Row, *stats.Table) {
-	cfg = cfg.withDefaults()
-	cfg.CITarget, cfg.CIAbsTol = 0, 0
-	if len(targets) == 0 {
-		targets = DefaultFig5Targets()
-	}
-	targets = uniqueTargets(targets)
-	order, byCell := harness.Cells(successful(results))
-	return fig5Table(cfg, targets, order, byCell, nil)
-}
-
 // fig5Table aggregates per-cell results into the Fig. 5 rows and table.
 func fig5Table(cfg Config, targets []time.Duration, order []string,
 	byCell map[string][]harness.RunResult, outcomes map[string]harness.CellOutcome) ([]Fig5Row, *stats.Table) {

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"net"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -21,23 +19,15 @@ type CoordinatorConfig struct {
 	// Addr is the listen address (default "127.0.0.1:0" — loopback on a
 	// free port; use ":port" to accept workers from other machines).
 	Addr string
-	// Grid names the sweep in /info and the journal meta.
+	// Grid names the sweep in /info.
 	Grid string
 	// Cache, when set, resolves runs the coordinator already holds
 	// without leasing them, stores every worker result, and supplies the
 	// salt workers derive keys under. Without a cache the salt is
-	// harness.DefaultCacheSalt.
+	// harness.DefaultCacheSalt. A disk cache is the sweep's durable
+	// record: a coordinator restarted over the same directory resolves
+	// every stored run from it and leases only the remainder.
 	Cache *harness.RunCache
-	// JournalPath, when set, streams every completed run into an
-	// append-only CRC-framed journal at this path. Meta must describe
-	// the sweep (it is compared verbatim on resume).
-	JournalPath string
-	Meta        JournalMeta
-	// Resume re-opens an existing journal instead of truncating it:
-	// every intact record resolves its run without leasing, a torn tail
-	// is dropped, and a meta mismatch is an error. A missing file falls
-	// back to a fresh journal, so -resume is safe on first start.
-	Resume bool
 	// LeaseTTL is the heartbeat deadline before a lease's unresolved
 	// runs are re-queued (default 10s). An idle /lease is held for
 	// min(LeaseTTL, maxHold).
@@ -47,7 +37,7 @@ type CoordinatorConfig struct {
 	// round trips.
 	LeaseRuns int
 	// Logf, when set, receives operational events (worker joins, lease
-	// expiries, resume counts).
+	// expiries, failed stores).
 	Logf func(format string, args ...any)
 }
 
@@ -72,23 +62,20 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 // coordinator serves many sweeps in sequence (a report is a dozen
 // Execute calls); workers wait across sweep boundaries on a held /lease.
 type Coordinator struct {
-	cfg     CoordinatorConfig
-	salt    string
-	ln      net.Listener
-	srv     *http.Server
-	journal *Journal
+	cfg  CoordinatorConfig
+	salt string
+	ln   net.Listener
+	srv  *http.Server
 
 	// closing is closed once by Close, releasing every held /lease.
 	closing   chan struct{}
 	closeOnce sync.Once
 
-	mu        sync.Mutex
-	journaled map[string]*JournalRecord // resumed records by key
-	written   map[string]bool           // keys already appended this life
-	sweep     *sweepState
-	leaseSeq  uint64
-	stats     CoordinatorStats
-	workers   map[string]bool
+	mu       sync.Mutex
+	sweep    *sweepState
+	leaseSeq uint64
+	stats    CoordinatorStats
+	workers  map[string]bool
 	// wake is closed and replaced (wakeLocked) whenever runs become
 	// leasable; held /lease requests wait on it.
 	wake chan struct{}
@@ -123,46 +110,17 @@ type activeLease struct {
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
-		cfg:       cfg,
-		salt:      harness.DefaultCacheSalt,
-		journaled: make(map[string]*JournalRecord),
-		written:   make(map[string]bool),
-		workers:   make(map[string]bool),
-		wake:      make(chan struct{}),
-		closing:   make(chan struct{}),
+		cfg:     cfg,
+		salt:    harness.DefaultCacheSalt,
+		workers: make(map[string]bool),
+		wake:    make(chan struct{}),
+		closing: make(chan struct{}),
 	}
 	if cfg.Cache != nil {
 		c.salt = cfg.Cache.Salt()
 	}
-	if cfg.JournalPath != "" {
-		meta := cfg.Meta
-		if meta.Salt == "" {
-			meta.Salt = c.salt
-		}
-		if meta.Salt != c.salt {
-			return nil, fmt.Errorf("fabric: journal meta salt %q differs from cache salt %q", meta.Salt, c.salt)
-		}
-		if meta.Grid == "" {
-			meta.Grid = cfg.Grid
-		}
-		j, recs, err := openOrCreateJournal(cfg.JournalPath, meta, cfg.Resume)
-		if err != nil {
-			return nil, err
-		}
-		c.journal = j
-		for i := range recs {
-			c.journaled[recs[i].Key] = &recs[i]
-			c.written[recs[i].Key] = true
-		}
-		if len(recs) > 0 {
-			cfg.Logf("fabric: resumed %d journaled runs from %s", len(recs), cfg.JournalPath)
-		}
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		if c.journal != nil {
-			c.journal.Close()
-		}
 		return nil, fmt.Errorf("fabric: listen %s: %w", cfg.Addr, err)
 	}
 	c.ln = ln
@@ -174,21 +132,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.srv = &http.Server{Handler: mux}
 	go c.srv.Serve(ln)
 	return c, nil
-}
-
-// openOrCreateJournal resolves the resume semantics: resume an existing
-// file (meta must match), otherwise start fresh — so -resume is safe on
-// a first start too.
-func openOrCreateJournal(path string, meta JournalMeta, resume bool) (*Journal, []JournalRecord, error) {
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			return OpenJournal(path, meta)
-		} else if !errors.Is(err, fs.ErrNotExist) {
-			return nil, nil, fmt.Errorf("fabric: open journal: %w", err)
-		}
-	}
-	j, err := CreateJournal(path, meta)
-	return j, nil, err
 }
 
 // Addr returns the coordinator's listen address ("host:port").
@@ -204,31 +147,25 @@ func (c *Coordinator) Stats() CoordinatorStats {
 	return c.stats
 }
 
-// Close stops serving and closes the journal. Safe after (not during) a
-// sweep: in-flight Execute calls should be interrupted first. Held
-// /lease requests are answered at once; other in-flight requests get a
-// short drain — severing a worker's /complete response after its results
-// were folded in would make the worker retry and log a spurious failure.
+// Close stops serving. Safe after (not during) a sweep: in-flight
+// Execute calls should be interrupted first. Held /lease requests are
+// answered at once; other in-flight requests get a short drain —
+// severing a worker's /complete response after its results were folded
+// in would make the worker retry and log a spurious failure.
 func (c *Coordinator) Close() error {
 	c.closeOnce.Do(func() { close(c.closing) })
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	err := c.srv.Shutdown(ctx)
-	if err != nil {
-		err = c.srv.Close()
+	if err := c.srv.Shutdown(ctx); err != nil {
+		return c.srv.Close()
 	}
-	if c.journal != nil {
-		if jerr := c.journal.Close(); err == nil {
-			err = jerr
-		}
-	}
-	return err
+	return nil
 }
 
-// Execute implements harness.Executor: resolve what the journal and
-// cache already hold, lease the remainder to workers, and return results
-// in run-index order — the same contract, and therefore the same bytes,
-// as the in-process harness.Execute.
+// Execute implements harness.Executor: resolve what the cache already
+// holds, lease the remainder to workers, and return results in
+// run-index order — the same contract, and therefore the same bytes, as
+// the in-process harness.Execute.
 func (c *Coordinator) Execute(runs []harness.Run, opts harness.Options) ([]harness.RunResult, error) {
 	results := make([]harness.RunResult, len(runs))
 	if len(runs) == 0 {
@@ -276,8 +213,8 @@ func (c *Coordinator) Execute(runs []harness.Run, opts harness.Options) ([]harne
 		}
 	}
 
-	// Resolve the rest: journal first, then the coordinator's own cache;
-	// what's left is leased out.
+	// Resolve the rest from the coordinator's own cache; what's left is
+	// leased out.
 	c.mu.Lock()
 	for i := range runs {
 		if runs[i].Hooks.Zero() {
@@ -344,39 +281,12 @@ func (c *Coordinator) ExecuteAdaptive(g harness.Grid, cfg harness.SweepConfig, o
 	return harness.ExecuteAdaptiveWith(c.Execute, g, cfg, opts)
 }
 
-// prefillLocked resolves run i from the journal or the cache when
-// possible, otherwise queues it for leasing.
+// prefillLocked resolves run i from the cache when possible, otherwise
+// queues it for leasing.
 func (c *Coordinator) prefillLocked(st *sweepState, i int) {
-	key := st.keys[i]
-	if rec, ok := c.journaled[key]; ok {
-		rr := harness.RunResult{Run: st.runs[i], CacheHit: true}
-		if rec.Err != "" {
-			rr.Err = errors.New(rec.Err)
-		} else {
-			res, err := harness.DecodeResultEntry(key, rec.Entry, st.runs[i].Spec)
-			if err != nil {
-				// A journaled record that fails its footer re-check
-				// cannot be replayed; fall through to the cache or a
-				// fresh lease.
-				delete(c.journaled, key)
-				c.cfg.Logf("fabric: journaled entry for %s corrupt, re-running: %v", key[:12], err)
-				c.prefillLocked(st, i)
-				return
-			}
-			rr.Result = res
-			if c.cfg.Cache != nil {
-				// Warm the cache from the journal so later sweeps (and
-				// served workers) hit it directly.
-				_ = c.cfg.Cache.Put(st.runs[i].Spec, res)
-			}
-		}
-		c.resolveLocked(st, i, rr, &c.stats.FromJournal)
-		return
-	}
 	if c.cfg.Cache != nil {
 		if res, ok := c.cfg.Cache.Get(st.runs[i].Spec); ok {
 			rr := harness.RunResult{Run: st.runs[i], Result: res, CacheHit: true}
-			c.journalLocked(st, i, rr)
 			c.resolveLocked(st, i, rr, &c.stats.FromCache)
 			return
 		}
@@ -402,29 +312,6 @@ func (c *Coordinator) resolveLocked(st *sweepState, i int, rr harness.RunResult,
 			close(st.done)
 		}
 	}
-}
-
-// journalLocked appends run i's result to the journal (once per key).
-func (c *Coordinator) journalLocked(st *sweepState, i int, rr harness.RunResult) {
-	if c.journal == nil || c.written[st.keys[i]] {
-		return
-	}
-	rec := JournalRecord{Cell: st.runs[i].Cell, Rep: st.runs[i].Rep, Key: st.keys[i]}
-	if rr.Err != nil {
-		rec.Err = rr.Err.Error()
-	} else {
-		entry, err := harness.EncodeResultEntry(st.keys[i], rr.Result)
-		if err != nil {
-			c.cfg.Logf("fabric: journal encode %s: %v", st.keys[i][:12], err)
-			return
-		}
-		rec.Entry = entry
-	}
-	if err := c.journal.Append(rec); err != nil {
-		c.cfg.Logf("fabric: journal append: %v", err)
-		return
-	}
-	c.written[st.keys[i]] = true
 }
 
 // expiryLoop re-queues expired leases while a sweep is live.
@@ -643,10 +530,13 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			}
 			rr.Result = res
 			if c.cfg.Cache != nil {
-				_ = c.cfg.Cache.Put(st.runs[idx].Spec, res)
+				// The sweep still resolves; the run just re-executes
+				// after a restart.
+				if err := c.cfg.Cache.Put(st.runs[idx].Spec, res); err != nil {
+					c.cfg.Logf("fabric: store %s: %v", cr.Key[:12], err)
+				}
 			}
 		}
-		c.journalLocked(st, idx, rr)
 		c.resolveLocked(st, idx, rr, &c.stats.FromWorkers)
 	}
 	if leased {

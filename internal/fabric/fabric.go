@@ -1,7 +1,6 @@
 // Package fabric is the distributed sweep runner: a coordinator that
 // partitions a harness sweep across worker processes (and machines) over
-// a small HTTP protocol, backed by the content-addressed run cache and a
-// resumable on-disk journal.
+// a small HTTP protocol, backed by the content-addressed run cache.
 //
 // # Roles
 //
@@ -10,8 +9,8 @@
 // distributed without change: cmd/sweepd constructs a Coordinator and
 // hands it to internal/experiments as the executor. The coordinator
 // shards each sweep's runs into leases, serves them to workers, folds
-// completed results back in run-index order, stores every completion in
-// its run cache (when it has one) and streams it into the journal.
+// completed results back in run-index order, and stores every completion
+// in its run cache (when it has one).
 //
 // A Worker (RunWorker, `sweepd -join addr` or any cmd embedding it) is a
 // thin loop: lease runs, execute them through the ordinary local
@@ -70,9 +69,12 @@
 // expires and its unresolved runs return to the ready queue for the next
 // /lease (late /completes from a slow-but-alive worker still land if the
 // run is still pending; anything else is a counted no-op — keys make
-// duplicates harmless). A coordinator that dies is restarted with
-// -resume: the journal replays every completed run (CRC-checked, torn
-// tail truncated), and only the remainder is leased out again.
+// duplicates harmless). A coordinator that dies is restarted over the
+// same cache directory: every stored run resolves from the cache before
+// any leasing, and only the remainder is leased out again. An entry is
+// synced to disk before it becomes visible under its key, and one torn
+// by a crash fails its CRC footer and re-runs; a run that failed is
+// never stored, so it re-runs too.
 package fabric
 
 import (
@@ -175,11 +177,9 @@ type HeartbeatRequest struct {
 type CoordinatorStats struct {
 	// Runs counts every run resolved.
 	Runs uint64
-	// FromJournal counts runs replayed from the resumed journal,
-	// FromCache those served by the coordinator's own cache, and
+	// FromCache counts runs served by the coordinator's own cache, and
 	// FromWorkers those computed by (or served from the local cache of)
 	// a worker.
-	FromJournal uint64
 	FromCache   uint64
 	FromWorkers uint64
 	// Leases counts leases issued; Expired those that timed out and were
@@ -192,11 +192,11 @@ type CoordinatorStats struct {
 	DupCompletes  uint64
 }
 
-// String renders the counters: "N runs: J from journal, C from cache, W
-// from workers (L leases, E expired, D duplicate completes)".
+// String renders the counters: "N runs: C from cache, W from workers (L
+// leases, E expired, D duplicate completes)".
 func (s CoordinatorStats) String() string {
-	out := fmt.Sprintf("%d runs: %d from journal, %d from cache, %d from workers (%d leases",
-		s.Runs, s.FromJournal, s.FromCache, s.FromWorkers, s.Leases)
+	out := fmt.Sprintf("%d runs: %d from cache, %d from workers (%d leases",
+		s.Runs, s.FromCache, s.FromWorkers, s.Leases)
 	if s.Expired > 0 {
 		out += fmt.Sprintf(", %d expired", s.Expired)
 	}

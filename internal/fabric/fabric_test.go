@@ -3,9 +3,7 @@ package fabric
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,7 +16,6 @@ import (
 
 	"bluegs/internal/experiments"
 	"bluegs/internal/harness"
-	"bluegs/internal/scenario"
 	"bluegs/internal/stats"
 )
 
@@ -204,19 +201,18 @@ func TestWorkerCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestJournalResume kills the coordinator after a completed sweep and
-// resumes from the journal with no workers at all: every run must replay
-// from the journal, byte-identically.
-func TestJournalResume(t *testing.T) {
+// TestCacheResume restarts the coordinator after a completed sweep over
+// a fresh RunCache on the first coordinator's directory, with no workers
+// at all: every run must resolve from the cache, byte-identically,
+// without a single lease.
+func TestCacheResume(t *testing.T) {
 	cfg, targets := testConfig()
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	meta := JournalMeta{
-		Grid: "fig5", Duration: cfg.Duration, Seed: cfg.Seed,
-		Replications: cfg.Replications,
-		Cells:        []string{"30ms", "38ms", "46ms"},
+	dir := t.TempDir()
+	cache, err := harness.NewRunCache(harness.CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5", JournalPath: path, Meta: meta, LeaseRuns: 2})
+	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5", Cache: cache, LeaseRuns: 2})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
@@ -230,12 +226,14 @@ func TestJournalResume(t *testing.T) {
 	stop()
 	coord.Close()
 
-	// Restart from the journal. No workers join: if anything failed to
-	// journal, the sweep would hang — guard with a timeout via the
-	// harness interrupt.
-	resumed, err := NewCoordinator(CoordinatorConfig{
-		Grid: "fig5", JournalPath: path, Meta: meta, Resume: true, LeaseRuns: 2,
-	})
+	// Restart over the same directory. No workers join: if anything
+	// failed to reach the disk, the sweep would hang — guard with a
+	// timeout via the harness interrupt.
+	cache2, err := harness.NewRunCache(harness.CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := NewCoordinator(CoordinatorConfig{Grid: "fig5", Cache: cache2, LeaseRuns: 2})
 	if err != nil {
 		t.Fatalf("resume coordinator: %v", err)
 	}
@@ -254,35 +252,35 @@ func TestJournalResume(t *testing.T) {
 		t.Errorf("resumed table differs:\n--- first ---\n%s--- resumed ---\n%s", want, got)
 	}
 	st := resumed.Stats()
-	if st.FromJournal != st.Runs || st.Runs == 0 {
-		t.Errorf("resume should serve every run from the journal: %s", st)
+	if want := uint64(len(targets) * cfg.Replications); st.Runs != want || st.FromCache != want {
+		t.Errorf("resume should serve all %d runs from the cache: %s", want, st)
 	}
-	if st.FromWorkers != 0 {
+	if st.Leases != 0 || st.FromWorkers != 0 {
 		t.Errorf("resume should lease nothing: %s", st)
 	}
 }
 
-// TestJournalMidSweepResume interrupts a sweep partway (only some runs
-// journaled), then resumes: journaled runs replay, the rest execute, and
-// the final table is byte-identical to an uninterrupted local run.
-func TestJournalMidSweepResume(t *testing.T) {
+// TestCacheMidSweepResume interrupts a sweep partway (only some runs
+// stored), tears one stored entry as a crash mid-write could, then
+// restarts over a fresh RunCache on the same directory: intact entries
+// resolve from the cache, the torn one and the rest execute, and the
+// final table is byte-identical to an uninterrupted local run.
+func TestCacheMidSweepResume(t *testing.T) {
 	cfg, targets := testConfig()
 	_, localTbl, err := experiments.Figure5(cfg, targets)
 	if err != nil {
 		t.Fatalf("local figure5: %v", err)
 	}
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	meta := JournalMeta{
-		Grid: "fig5", Duration: cfg.Duration, Seed: cfg.Seed,
-		Replications: cfg.Replications,
-		Cells:        []string{"30ms", "38ms", "46ms"},
+	dir := t.TempDir()
+	cache, err := harness.NewRunCache(harness.CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// First life: one worker, interrupted after the first completions
-	// arrive.
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Grid: "fig5", JournalPath: path, Meta: meta, LeaseRuns: 1,
-	})
+	// arrive. A run is stored before it counts as done, so at least two
+	// entries are on disk.
+	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5", Cache: cache, LeaseRuns: 1})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
@@ -301,13 +299,26 @@ func TestJournalMidSweepResume(t *testing.T) {
 	stop()
 	coord.Close()
 	if err == nil {
-		t.Logf("sweep completed before the interrupt landed; resume still exercises the journal")
+		t.Logf("sweep completed before the interrupt landed; the restart still resolves from the cache")
 	}
 
-	meta2 := meta
-	resumed, err := NewCoordinator(CoordinatorConfig{
-		Grid: "fig5", JournalPath: path, Meta: meta2, Resume: true, LeaseRuns: 2,
-	})
+	entries, err := filepath.Glob(filepath.Join(dir, "*.run.gob"))
+	if err != nil || len(entries) < 2 {
+		t.Fatalf("%d entries stored before the interrupt (err %v), want at least 2", len(entries), err)
+	}
+	torn, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entries[0], torn[:len(torn)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cache2, err := harness.NewRunCache(harness.CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := NewCoordinator(CoordinatorConfig{Grid: "fig5", Cache: cache2, LeaseRuns: 2})
 	if err != nil {
 		t.Fatalf("resume coordinator: %v", err)
 	}
@@ -323,136 +334,12 @@ func TestJournalMidSweepResume(t *testing.T) {
 	if got, want := tableText(t, resumedTbl), tableText(t, localTbl); got != want {
 		t.Errorf("mid-sweep resumed table differs from local:\n--- local ---\n%s--- resumed ---\n%s", want, got)
 	}
-}
-
-// TestJournalTornTail corrupts the journal's tail (a torn write from a
-// killed coordinator) and asserts resume drops exactly the tail.
-func TestJournalTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.journal")
-	meta := JournalMeta{Grid: "g", Salt: "s", Cells: []string{"a"}}
-	j, err := CreateJournal(path, meta)
-	if err != nil {
-		t.Fatalf("create: %v", err)
+	st := resumed.Stats()
+	if want := uint64(len(entries) - 1); st.FromCache != want {
+		t.Errorf("%d runs from cache, want the %d intact entries: %s", st.FromCache, want, st)
 	}
-	recs := []JournalRecord{
-		{Cell: "a", Rep: 0, Key: strings.Repeat("0", 64), Entry: []byte("e0")},
-		{Cell: "a", Rep: 1, Key: strings.Repeat("1", 64), Entry: []byte("e1")},
-	}
-	for _, r := range recs {
-		if err := j.Append(r); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	j.Close()
-
-	// Simulate the torn write: half a record of garbage.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Write([]byte{0x10, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3})
-	f.Close()
-	tornSize := fileSize(t, path)
-
-	j2, got, err := OpenJournal(path, meta)
-	if err != nil {
-		t.Fatalf("open torn journal: %v", err)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("recovered %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i].Key != recs[i].Key || string(got[i].Entry) != string(recs[i].Entry) {
-			t.Errorf("record %d mismatch: %+v", i, got[i])
-		}
-	}
-	// The tail must be gone, and appending must still work.
-	if s := fileSize(t, path); s >= tornSize {
-		t.Errorf("torn tail not truncated: %d >= %d", s, tornSize)
-	}
-	if err := j2.Append(JournalRecord{Cell: "a", Rep: 2, Key: strings.Repeat("2", 64), Entry: []byte("e2")}); err != nil {
-		t.Fatalf("append after truncate: %v", err)
-	}
-	j2.Close()
-	_, got, err = ReadJournal(path)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("after re-append: %d records, err %v", len(got), err)
-	}
-}
-
-// TestJournalResultsSkipsOldFormat: a journal written before the entry
-// format changed holds entries framed with an old footer: BGC1, BGC2 from
-// before the delta-coded delay samples, or BGC3 from before the
-// hand-written record codec. JournalResults must count such a record as
-// skipped — never misread it — and still render every current-format
-// record.
-func TestJournalResultsSkipsOldFormat(t *testing.T) {
-	oldMagics := []string{"BGC1", "BGC2", "BGC3"}
-	cfg := harness.SweepConfig{Duration: time.Second, Seed: 1, Replications: 1}
-	grid := harness.Fig5Grid([]time.Duration{30 * time.Millisecond, 35 * time.Millisecond,
-		40 * time.Millisecond, 45 * time.Millisecond})
-	meta := JournalMeta{Grid: "fig5", Salt: harness.DefaultCacheSalt, Cells: grid.Cells,
-		Duration: cfg.Duration, Seed: cfg.Seed, Replications: cfg.Replications}
-	path := filepath.Join(t.TempDir(), "old.journal")
-	j, err := CreateJournal(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, run := range grid.Sweep(cfg).Runs {
-		res, err := scenario.Run(run.Spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := harness.CacheKey(meta.Salt, run.Spec)
-		entry, err := harness.EncodeResultEntry(key, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i < len(oldMagics) {
-			// Same payload, old footer magic: only the format guard
-			// stands between this record and a misread.
-			payload := entry[:len(entry)-12]
-			entry = append(append([]byte(nil), payload...), oldMagics[i]...)
-			entry = binary.LittleEndian.AppendUint32(entry, uint32(len(payload)))
-			entry = binary.LittleEndian.AppendUint32(entry, crc32.ChecksumIEEE(payload))
-		}
-		if err := j.Append(JournalRecord{Cell: run.Cell, Rep: run.Rep, Key: key, Entry: entry}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
-	meta, recs, err := ReadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, skipped, err := JournalResults(meta, recs, grid, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != len(oldMagics) || len(results) != 1 {
-		t.Fatalf("skipped %d, rendered %d; want %d and 1", skipped, len(results), len(oldMagics))
-	}
-	if last := grid.Cells[len(oldMagics)]; results[0].Run.Cell != last || results[0].Result == nil {
-		t.Fatalf("rendered %+v, want the current-format record of cell %s", results[0].Run, last)
-	}
-}
-
-// TestJournalMetaMismatch: resuming a journal written under different
-// sweep knobs must fail loudly, not replay wrong results.
-func TestJournalMetaMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "meta.journal")
-	meta := JournalMeta{Grid: "g", Salt: "s", Seed: 1, Cells: []string{"a"}}
-	j, err := CreateJournal(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	other := meta
-	other.Seed = 2
-	if _, _, err := OpenJournal(path, other); err == nil {
-		t.Fatal("expected meta mismatch error, got nil")
-	} else if !strings.Contains(err.Error(), "different sweep configuration") {
-		t.Fatalf("unexpected error: %v", err)
+	if cs := cache2.Stats(); cs.Corrupt != 1 {
+		t.Errorf("restart cache: %s, want the torn entry dropped", cs)
 	}
 }
 
@@ -503,15 +390,6 @@ func TestCoordinatorCacheReplay(t *testing.T) {
 	if a, b := tableText(t, firstTbl), tableText(t, secondTbl); a != b {
 		t.Errorf("cache replay differs:\n%s\nvs\n%s", a, b)
 	}
-}
-
-func fileSize(t *testing.T, path string) int64 {
-	t.Helper()
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fi.Size()
 }
 
 // testRuns is testConfig's grid as a flat run list.

@@ -359,12 +359,11 @@ func checkFooter(data []byte) ([]byte, error) {
 // and counters, with delay statistics in flat stats bytes; see entry.go)
 // followed by the integrity footer; DecodeResultEntry rolls the
 // Result-level aggregates back up. The bytes are a pure function of the
-// key and the result. This is the byte form the cache directory holds,
-// the fabric coordinator journals, and workers ship in /complete — one
-// encoding everywhere, so any party can verify any entry with the same
-// footer check. A result the layout cannot carry (an admitted flow with
-// a segmentation policy other than BestFit or GreedyLargest) is an
-// error.
+// key and the result. This is the byte form the cache directory holds
+// and fabric workers ship in /complete — one encoding everywhere, so
+// any party can verify any entry with the same footer check. A result
+// the layout cannot carry (an admitted flow with a segmentation policy
+// other than BestFit or GreedyLargest) is an error.
 func EncodeResultEntry(key string, res *scenario.Result) ([]byte, error) {
 	rec := cacheRecord{
 		Key:        key,
@@ -501,24 +500,37 @@ func (c *RunCache) onDisk(key string) bool {
 
 // writeFile writes an entry file atomically via temp file + rename, so
 // concurrent readers (and writers in other processes) observe only
-// absent or complete entries.
+// absent or complete entries. The temp file is synced before the rename
+// and the directory after it, so a stored entry survives a host crash;
+// one torn anyway fails its footer on read and re-runs.
 func (c *RunCache) writeFile(key string, entry []byte) error {
 	tmp, err := os.CreateTemp(c.cfg.Dir, key+".tmp*")
 	if err != nil {
 		return fmt.Errorf("harness: cache write: %w", err)
 	}
-	if _, err := tmp.Write(entry); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(entry)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), c.path(key))
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: cache write: %w", err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache write: %w", err)
+	dir, err := os.Open(c.cfg.Dir)
+	if err == nil {
+		err = dir.Sync()
+		if cerr := dir.Close(); err == nil {
+			err = cerr
+		}
 	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: cache write: %w", err)
+	if err != nil {
+		return fmt.Errorf("harness: cache sync: %w", err)
 	}
 	return nil
 }

@@ -194,30 +194,6 @@ func TestRunCacheEviction(t *testing.T) {
 	}
 }
 
-// TestExecuteTimedRunsReleaseTimers is the time.After leak regression: a
-// large sweep under a generous timeout must not leave per-run timeout
-// timers alive once it completes.
-func TestExecuteTimedRunsReleaseTimers(t *testing.T) {
-	spec := scenario.Spec{
-		BE:       []scenario.BEFlow{{ID: 1, Slave: 1, Dir: piconet.Up, RateKbps: 10, PacketSize: 27}},
-		Duration: time.Millisecond,
-	}
-	n := 10000
-	if testing.Short() {
-		n = 1000
-	}
-	runs := make([]harness.Run, n)
-	for i := range runs {
-		runs[i] = harness.Run{Index: i, Cell: "tiny", Rep: i, Spec: spec}
-	}
-	if _, err := harness.Execute(runs, harness.Options{Workers: 4, Timeout: time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	if got := harness.LiveRunTimers(); got != 0 {
-		t.Fatalf("%d per-run timeout timers still alive after the sweep", got)
-	}
-}
-
 // TestRunCacheCorruptionResilience: a truncated or garbled on-disk entry
 // fails its integrity footer, is deleted, degrades to a miss — and the
 // fresh execution rewrites it, so a later pass replays everything again.

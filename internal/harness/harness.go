@@ -51,17 +51,12 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bluegs/internal/scenario"
 	"bluegs/internal/sim"
 	"bluegs/internal/stats"
 )
-
-// ErrTimeout is wrapped into a RunResult's Err when a run exceeds the
-// per-run timeout.
-var ErrTimeout = errors.New("harness: run timed out")
 
 // ErrRunPanicked is wrapped into a RunResult's Err when a run's
 // simulation panicked. The panic is contained to that run: the worker
@@ -100,7 +95,8 @@ type RunResult struct {
 	Run Run
 	// Result is the completed simulation (nil when Err is set).
 	Result *scenario.Result
-	// Err is the run's failure, if any (simulation error or ErrTimeout).
+	// Err is the run's failure, if any (simulation error or
+	// ErrRunPanicked).
 	Err error
 	// Wall is the wall-clock time the run took.
 	Wall time.Duration
@@ -113,10 +109,6 @@ type RunResult struct {
 type Options struct {
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS.
 	Workers int
-	// Timeout aborts any single run that exceeds it (0 means no limit).
-	// A timed-out run's goroutine cannot be killed — its result is
-	// discarded and its RunResult.Err wraps ErrTimeout.
-	Timeout time.Duration
 	// OnProgress, when set, is called after every completed run with the
 	// number of finished runs, the total, and the run's result. Calls
 	// are serialized but completion order is scheduling-dependent; do
@@ -247,7 +239,9 @@ func execute(run Run, opts Options) RunResult {
 			return RunResult{Run: run, Result: res, Wall: time.Since(start), CacheHit: true}
 		}
 	}
-	rr := simulate(run, opts.Timeout)
+	start := time.Now()
+	res, err := runScenario(run.Spec, run.Hooks)
+	rr := RunResult{Run: run, Result: res, Err: err, Wall: time.Since(start)}
 	if cacheable && rr.Err == nil {
 		// A store failure (full disk, bad permissions) must not fail
 		// the sweep; the run simply stays uncached.
@@ -255,11 +249,6 @@ func execute(run Run, opts Options) RunResult {
 	}
 	return rr
 }
-
-// liveRunTimers counts per-run timeout timers currently alive. The
-// regression test for the time.After leak (every timed run used to pin a
-// timer until it fired) asserts this returns to zero after a sweep.
-var liveRunTimers atomic.Int64
 
 // runScenario executes one scenario, converting a panic anywhere inside
 // the simulation into an ErrRunPanicked error (with the stack attached)
@@ -279,40 +268,6 @@ func runScenario(spec scenario.Spec, hooks scenario.Hooks) (res *scenario.Result
 		return nil, fmt.Errorf("%w: %v\n%s", ErrRunPanicked, pe.Value, pe.Stack)
 	}
 	return res, err
-}
-
-// simulate runs one scenario, enforcing the per-run timeout when set.
-func simulate(run Run, timeout time.Duration) RunResult {
-	start := time.Now()
-	if timeout <= 0 {
-		res, err := runScenario(run.Spec, run.Hooks)
-		return RunResult{Run: run, Result: res, Err: err, Wall: time.Since(start)}
-	}
-	type outcome struct {
-		res *scenario.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := runScenario(run.Spec, run.Hooks)
-		ch <- outcome{res, err}
-	}()
-	timer := time.NewTimer(timeout)
-	liveRunTimers.Add(1)
-	defer func() {
-		timer.Stop()
-		liveRunTimers.Add(-1)
-	}()
-	select {
-	case o := <-ch:
-		return RunResult{Run: run, Result: o.res, Err: o.err, Wall: time.Since(start)}
-	case <-timer.C:
-		return RunResult{
-			Run:  run,
-			Err:  fmt.Errorf("%w after %v", ErrTimeout, timeout),
-			Wall: time.Since(start),
-		}
-	}
 }
 
 // ReplicationSeed derives the RNG seed of replication rep from a sweep's

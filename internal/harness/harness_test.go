@@ -94,22 +94,6 @@ func TestReplicationSeed(t *testing.T) {
 	}
 }
 
-func TestExecuteTimeout(t *testing.T) {
-	spec := scenario.Paper(40 * time.Millisecond)
-	spec.Duration = 530 * time.Second
-	runs := []harness.Run{{Index: 0, Cell: "slow", Spec: spec}}
-	results, err := harness.Execute(runs, harness.Options{Workers: 1, Timeout: time.Millisecond})
-	if err == nil || !errors.Is(err, harness.ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if !strings.Contains(err.Error(), `cell "slow"`) {
-		t.Fatalf("error %q does not name the cell", err)
-	}
-	if results[0].Result != nil {
-		t.Fatal("timed-out run must not carry a result")
-	}
-}
-
 func TestExecuteProgress(t *testing.T) {
 	sw := shortSweep(t)
 	var dones []int
@@ -262,34 +246,34 @@ func (panicTracer) Trace(piconet.TraceEntry) { panic("tracer exploded") }
 
 // TestExecutePanicIsolated: a run that panics mid-simulation becomes that
 // run's Err — the worker survives, the sweep's other runs complete, and
-// the sweep error names the faulty run. Both simulate paths (with and
-// without a per-run timeout) must contain the panic.
+// the sweep error names the faulty run.
 func TestExecutePanicIsolated(t *testing.T) {
-	for _, timeout := range []time.Duration{0, time.Hour} {
-		spec := scenario.Paper(40 * time.Millisecond)
-		spec.Duration = time.Second
-		runs := []harness.Run{
-			{Index: 0, Cell: "ok", Spec: spec},
-			{Index: 1, Cell: "boom", Spec: spec, Hooks: scenario.Hooks{Tracer: panicTracer{}}},
-			{Index: 2, Cell: "ok", Rep: 1, Spec: spec},
-		}
-		results, err := harness.Execute(runs, harness.Options{Workers: 2, Timeout: timeout})
-		if err == nil {
-			t.Fatalf("timeout=%v: sweep error missing", timeout)
-		}
-		if !errors.Is(err, harness.ErrRunPanicked) {
-			t.Fatalf("timeout=%v: sweep error = %v, want ErrRunPanicked", timeout, err)
-		}
-		if !errors.Is(results[1].Err, harness.ErrRunPanicked) {
-			t.Fatalf("timeout=%v: run 1 err = %v", timeout, results[1].Err)
-		}
-		if !strings.Contains(results[1].Err.Error(), "tracer exploded") {
-			t.Fatalf("timeout=%v: panic value lost: %v", timeout, results[1].Err)
-		}
-		for _, i := range []int{0, 2} {
-			if results[i].Err != nil || results[i].Result == nil {
-				t.Fatalf("timeout=%v: healthy run %d infected: %+v", timeout, i, results[i].Err)
-			}
+	spec := scenario.Paper(40 * time.Millisecond)
+	spec.Duration = time.Second
+	runs := []harness.Run{
+		{Index: 0, Cell: "ok", Spec: spec},
+		{Index: 1, Cell: "boom", Spec: spec, Hooks: scenario.Hooks{Tracer: panicTracer{}}},
+		{Index: 2, Cell: "ok", Rep: 1, Spec: spec},
+	}
+	results, err := harness.Execute(runs, harness.Options{Workers: 2})
+	if err == nil {
+		t.Fatal("sweep error missing")
+	}
+	if !errors.Is(err, harness.ErrRunPanicked) {
+		t.Fatalf("sweep error = %v, want ErrRunPanicked", err)
+	}
+	if !strings.Contains(err.Error(), `cell "boom"`) {
+		t.Fatalf("sweep error %q does not name the cell", err)
+	}
+	if !errors.Is(results[1].Err, harness.ErrRunPanicked) {
+		t.Fatalf("run 1 err = %v", results[1].Err)
+	}
+	if !strings.Contains(results[1].Err.Error(), "tracer exploded") {
+		t.Fatalf("panic value lost: %v", results[1].Err)
+	}
+	for _, i := range []int{0, 2} {
+		if results[i].Err != nil || results[i].Result == nil {
+			t.Fatalf("healthy run %d infected: %+v", i, results[i].Err)
 		}
 	}
 }

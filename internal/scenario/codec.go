@@ -283,8 +283,8 @@ func (s *typesV2) UnmarshalJSON(b []byte) error {
 	}
 	var set baseband.TypeSet
 	for _, n := range names {
-		t, ok := packetTypesByName[strings.ToUpper(strings.TrimSpace(n))]
-		if !ok {
+		t := packetTypeByName(n)
+		if !t.Valid() {
 			return fmt.Errorf("unknown packet type %q", n)
 		}
 		set = set.Add(t)
@@ -293,12 +293,16 @@ func (s *typesV2) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// packetTypesByName resolves spec names like "DH3".
-var packetTypesByName = map[string]baseband.PacketType{
-	"DM1": baseband.TypeDM1, "DH1": baseband.TypeDH1,
-	"DM3": baseband.TypeDM3, "DH3": baseband.TypeDH3,
-	"DM5": baseband.TypeDM5, "DH5": baseband.TypeDH5,
-	"HV1": baseband.TypeHV1, "HV2": baseband.TypeHV2, "HV3": baseband.TypeHV3,
+// packetTypeByName resolves a spec name like "DH3" (any case) to the
+// valid packet type whose String it is, or to the invalid zero type.
+func packetTypeByName(name string) baseband.PacketType {
+	name = strings.TrimSpace(name)
+	for t := baseband.TypeNULL; t.Valid(); t++ {
+		if strings.EqualFold(t.String(), name) {
+			return t
+		}
+	}
+	return 0
 }
 
 // marshalGS converts a GS flow to its file form.
@@ -578,8 +582,8 @@ func unmarshalBE(b beV2) (BEFlow, error) {
 
 // unmarshalSCO converts a file SCO link back.
 func unmarshalSCO(l scoV2) (SCOLinkSpec, error) {
-	t, ok := packetTypesByName[strings.ToUpper(strings.TrimSpace(l.Type))]
-	if !ok || !t.IsSCO() {
+	t := packetTypeByName(l.Type)
+	if !t.IsSCO() {
 		return SCOLinkSpec{}, fmt.Errorf("%w: SCO type %q", ErrBadSpec, l.Type)
 	}
 	return SCOLinkSpec{Slave: l.Slave, Type: t}, nil

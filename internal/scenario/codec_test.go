@@ -389,6 +389,30 @@ func TestParseSpecLenientSpellings(t *testing.T) {
 	}
 }
 
+// TestCodecReadsEveryTypeName: Marshal writes every packet type in an
+// Allowed set by name, NULL and POLL included, so Unmarshal must read each
+// name back to the same spec.
+func TestCodecReadsEveryTypeName(t *testing.T) {
+	spec := Paper(40 * time.Millisecond)
+	spec.BE[0].Allowed = baseband.TypeSet(0).Add(baseband.TypeNULL).Add(baseband.TypeDH1)
+	data, err := Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Unmarshal(data)
+	if err != nil {
+		t.Fatalf("Unmarshal of Marshal output: %v\n%s", err, data)
+	}
+	if back.Fingerprint() != spec.Fingerprint() {
+		t.Fatalf("fingerprint changed across the round trip:\n%s", data)
+	}
+	for typ := baseband.TypeNULL; typ.Valid(); typ++ {
+		if got := packetTypeByName(" " + strings.ToLower(typ.String()) + " "); got != typ {
+			t.Errorf("packetTypeByName(%q) = %v", typ, got)
+		}
+	}
+}
+
 // TestWireTypesEncodeByValue: a specV2 encodes the same by value as by
 // pointer, so every encode site spells durations, directions and
 // packet-type sets through the wire types, never as integers.
