@@ -21,7 +21,7 @@
 //   - internal/poller — best-effort pollers: RR, ERR, FEP, EDC,
 //     demand-based, HOL priority, and the Predictive Fair Poller;
 //   - internal/gs, internal/tspec, internal/segmentation — RFC 2212 delay
-//     bound math, token buckets, and segmentation policies;
+//     bound math, the token-bucket TSpec, and best-fit segmentation;
 //   - internal/scenario — the declarative scenario API: a pure-data,
 //     JSON-serializable Spec (radio/poller/size distributions by name
 //     plus parameters) with a Timeline of mid-run changes — GS flows

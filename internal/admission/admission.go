@@ -44,8 +44,6 @@ type Request struct {
 	Rate float64
 	// Allowed is the set of baseband packet types the flow may use.
 	Allowed baseband.TypeSet
-	// Policy is the segmentation policy (defaults to best-fit).
-	Policy segmentation.Policy
 	// SuccessScale scales the controller's configured success probability
 	// for this flow alone: its effective per-exchange success probability
 	// becomes s·SuccessScale. Routed flows polled through a part-time
@@ -147,15 +145,11 @@ func DeriveParams(req Request, cfg Config) (Params, error) {
 	if err := req.validate(); err != nil {
 		return Params{}, err
 	}
-	policy := req.Policy
-	if policy == nil {
-		policy = segmentation.BestFit{}
-	}
-	eff, err := segmentation.MinPollEfficiency(policy, req.Spec.MinPolicedUnit, req.Spec.MaxTransferUnit, req.Allowed)
+	eff, err := segmentation.MinPollEfficiency(req.Spec.MinPolicedUnit, req.Spec.MaxTransferUnit, req.Allowed)
 	if err != nil {
 		return Params{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	maxSeg, err := segmentation.MaxSegmentSlots(policy, req.Spec.MinPolicedUnit, req.Spec.MaxTransferUnit, req.Allowed)
+	maxSeg, err := segmentation.MaxSegmentSlots(req.Spec.MinPolicedUnit, req.Spec.MaxTransferUnit, req.Allowed)
 	if err != nil {
 		return Params{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}

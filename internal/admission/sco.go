@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bluegs/internal/baseband"
-	"bluegs/internal/sco"
 )
 
 // SCO-related admission errors.
@@ -62,17 +61,4 @@ func (c Config) checkSCOWindow(exchange time.Duration) error {
 		return fmt.Errorf("%w: exchange %v, window %d slots", ErrSCOWindow, exchange, window)
 	}
 	return nil
-}
-
-// SCOChannels is a convenience constructor for Config.SCOLinks.
-func SCOChannels(types ...baseband.PacketType) ([]sco.Channel, error) {
-	out := make([]sco.Channel, 0, len(types))
-	for _, t := range types {
-		ch, err := sco.NewChannel(t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ch)
-	}
-	return out, nil
 }

@@ -7,30 +7,29 @@ import (
 
 	"bluegs/internal/baseband"
 	"bluegs/internal/piconet"
+	"bluegs/internal/sco"
 )
 
-func TestSCOChannelsHelper(t *testing.T) {
-	chs, err := SCOChannels(baseband.TypeHV3, baseband.TypeHV3)
-	if err != nil {
-		t.Fatalf("SCOChannels: %v", err)
+// scoLinks builds the Config.SCOLinks of the given HV types.
+func scoLinks(t *testing.T, types ...baseband.PacketType) []sco.Channel {
+	t.Helper()
+	out := make([]sco.Channel, 0, len(types))
+	for _, typ := range types {
+		ch, err := sco.NewChannel(typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ch)
 	}
-	if len(chs) != 2 {
-		t.Fatalf("len = %d", len(chs))
-	}
-	if _, err := SCOChannels(baseband.TypeDH1); err == nil {
-		t.Fatal("ACL type accepted as SCO channel")
-	}
+	return out
 }
 
 func TestSCOWindowRejectsWideExchanges(t *testing.T) {
 	// With an HV3 link the free window is 4 slots; the conservative
 	// (both-legs-DH3) exchange of 6 slots can never be scheduled.
-	chs, err := SCOChannels(baseband.TypeHV3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chs := scoLinks(t, baseband.TypeHV3)
 	c := NewController(Config{MaxExchange: 2500 * time.Microsecond, SCOLinks: chs})
-	_, err = c.Admit(paperRequest(1, 1, piconet.Up, 8800))
+	_, err := c.Admit(paperRequest(1, 1, piconet.Up, 8800))
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("conservative exchange through HV3 window: err = %v", err)
 	}
@@ -43,10 +42,7 @@ func TestSCOAsHighestPriorityStream(t *testing.T) {
 	// Direction-aware mode: the single up flow's exchange is 4 slots and
 	// fits the HV3 window; its x absorbs the SCO reservations as an
 	// implicit highest-priority stream (hand fixed point: 15 ms).
-	chs, err := SCOChannels(baseband.TypeHV3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chs := scoLinks(t, baseband.TypeHV3)
 	cfg := Config{
 		MaxExchange:    2500 * time.Microsecond, // POLL+DH3 worst ongoing ACL
 		DirectionAware: true,
@@ -75,10 +71,7 @@ func TestSCOAsHighestPriorityStream(t *testing.T) {
 }
 
 func TestSCOMixedTypesRejected(t *testing.T) {
-	chs, err := SCOChannels(baseband.TypeHV3, baseband.TypeHV2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	chs := scoLinks(t, baseband.TypeHV3, baseband.TypeHV2)
 	c := NewController(Config{MaxExchange: 2500 * time.Microsecond, DirectionAware: true, SCOLinks: chs})
 	if _, err := c.Admit(paperRequest(1, 1, piconet.Up, 8800)); !errors.Is(err, ErrSCOMixedTypes) {
 		t.Fatalf("mixed SCO types: err = %v", err)

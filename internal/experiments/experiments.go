@@ -56,13 +56,9 @@ type Config struct {
 	// (Figure5, BaselinePollers) to adaptive replication: each sweep
 	// cell keeps receiving further independently seeded replications
 	// until the 95% CI half-width of the stopping metric drops below
-	// CITarget×|mean| (CIAbsTol is the absolute variant; either
-	// suffices), overriding Replications. Results stay bit-identical at
-	// any worker count.
+	// CITarget×|mean|, overriding Replications. Results stay
+	// bit-identical at any worker count.
 	CITarget float64
-	// CIAbsTol is the absolute CI half-width target, in the units of the
-	// stopping metric.
-	CIAbsTol float64
 	// CIMetric names the stopping metric (see harness.MetricByName;
 	// empty uses the experiment's natural metric: GS delay for Figure5,
 	// BE throughput for BaselinePollers).
@@ -137,7 +133,7 @@ func (c Config) execute(runs []harness.Run) ([]harness.RunResult, error) {
 }
 
 // adaptive reports whether confidence-driven replication is requested.
-func (c Config) adaptive() bool { return c.CITarget > 0 || c.CIAbsTol > 0 }
+func (c Config) adaptive() bool { return c.CITarget > 0 }
 
 // adaptiveOptions assembles the harness stopping rule, resolving the
 // metric name against the experiment's natural default.
@@ -154,7 +150,6 @@ func (c Config) adaptiveOptions(def harness.Metric) (harness.AdaptiveOptions, er
 		Options: c.options(),
 		Metric:  metric,
 		RelTol:  c.CITarget,
-		AbsTol:  c.CIAbsTol,
 		MaxReps: c.MaxReps,
 	}, nil
 }
@@ -227,10 +222,7 @@ func (c Config) repNote() string {
 		if cap <= 0 {
 			cap = harness.DefaultMaxReps
 		}
-		if c.CITarget > 0 {
-			return fmt.Sprintf(", adaptive reps ≤%d to CI≤%.3g·mean", cap, c.CITarget)
-		}
-		return fmt.Sprintf(", adaptive reps ≤%d to CI≤%.3g", cap, c.CIAbsTol)
+		return fmt.Sprintf(", adaptive reps ≤%d to CI≤%.3g·mean", cap, c.CITarget)
 	}
 	if c.Replications <= 1 {
 		return ""

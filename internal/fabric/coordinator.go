@@ -22,11 +22,11 @@ type CoordinatorConfig struct {
 	// Grid names the sweep in /info.
 	Grid string
 	// Cache, when set, resolves runs the coordinator already holds
-	// without leasing them, stores every worker result, and supplies the
-	// salt workers derive keys under. Without a cache the salt is
-	// harness.DefaultCacheSalt. A disk cache is the sweep's durable
-	// record: a coordinator restarted over the same directory resolves
-	// every stored run from it and leases only the remainder.
+	// without leasing them and stores every worker result. Workers
+	// derive keys under harness.DefaultCacheSalt, which /info announces.
+	// A disk cache is the sweep's durable record: a coordinator
+	// restarted over the same directory resolves every stored run from
+	// it and leases only the remainder.
 	Cache *harness.RunCache
 	// LeaseTTL is the heartbeat deadline before a lease's unresolved
 	// runs are re-queued (default 10s). An idle /lease is held for
@@ -62,10 +62,9 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 // coordinator serves many sweeps in sequence (a report is a dozen
 // Execute calls); workers wait across sweep boundaries on a held /lease.
 type Coordinator struct {
-	cfg  CoordinatorConfig
-	salt string
-	ln   net.Listener
-	srv  *http.Server
+	cfg CoordinatorConfig
+	ln  net.Listener
+	srv *http.Server
 
 	// closing is closed once by Close, releasing every held /lease.
 	closing   chan struct{}
@@ -111,13 +110,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:     cfg,
-		salt:    harness.DefaultCacheSalt,
 		workers: make(map[string]bool),
 		wake:    make(chan struct{}),
 		closing: make(chan struct{}),
-	}
-	if cfg.Cache != nil {
-		c.salt = cfg.Cache.Salt()
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -136,9 +131,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 
 // Addr returns the coordinator's listen address ("host:port").
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
-
-// Salt returns the cache salt workers must derive keys under.
-func (c *Coordinator) Salt() string { return c.salt }
 
 // Stats returns the accumulated resolution counters.
 func (c *Coordinator) Stats() CoordinatorStats {
@@ -197,7 +189,7 @@ func (c *Coordinator) Execute(runs []harness.Run, opts harness.Options) ([]harne
 			return results, fmt.Errorf("fabric: marshal run %d (cell %q rep %d): %w", run.Index, run.Cell, run.Rep, err)
 		}
 		st.specJSON[i] = data
-		st.keys[i] = harness.CacheKey(c.salt, run.Spec)
+		st.keys[i] = harness.CacheKey(harness.DefaultCacheSalt, run.Spec)
 		st.byKey[st.keys[i]] = append(st.byKey[st.keys[i]], i)
 	}
 	if len(hooked) > 0 {
@@ -366,7 +358,7 @@ func (c *Coordinator) expireLocked(st *sweepState, now time.Time) {
 func (c *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, InfoResponse{
 		Grid:     c.cfg.Grid,
-		Salt:     c.salt,
+		Salt:     harness.DefaultCacheSalt,
 		LeaseTTL: c.cfg.LeaseTTL,
 	})
 }
@@ -530,9 +522,11 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			}
 			rr.Result = res
 			if c.cfg.Cache != nil {
-				// The sweep still resolves; the run just re-executes
-				// after a restart.
-				if err := c.cfg.Cache.Put(st.runs[idx].Spec, res); err != nil {
+				// Store the footer-verified bytes as they arrived. On
+				// failure the sweep still resolves; the run just
+				// re-executes after a restart.
+				if err := c.cfg.Cache.PutEntry(cr.Key, cr.Entry); err != nil {
+					c.stats.StoreErrors++
 					c.cfg.Logf("fabric: store %s: %v", cr.Key[:12], err)
 				}
 			}

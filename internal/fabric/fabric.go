@@ -190,10 +190,16 @@ type CoordinatorStats struct {
 	Expired       uint64
 	LateCompletes uint64
 	DupCompletes  uint64
+	// StoreErrors counts worker results the coordinator's cache failed
+	// to store: each still resolves its run, but a restart over the same
+	// cache re-executes it.
+	StoreErrors uint64
 }
 
 // String renders the counters: "N runs: C from cache, W from workers (L
-// leases, E expired, D duplicate completes)".
+// leases, E expired, D duplicate completes, K stores failed)". The
+// counts after the leases appear only when non-zero, keeping the
+// healthy line byte-stable for log greps.
 func (s CoordinatorStats) String() string {
 	out := fmt.Sprintf("%d runs: %d from cache, %d from workers (%d leases",
 		s.Runs, s.FromCache, s.FromWorkers, s.Leases)
@@ -205,6 +211,9 @@ func (s CoordinatorStats) String() string {
 	}
 	if s.DupCompletes > 0 {
 		out += fmt.Sprintf(", %d duplicate completes", s.DupCompletes)
+	}
+	if s.StoreErrors > 0 {
+		out += fmt.Sprintf(", %d stores failed", s.StoreErrors)
 	}
 	return out + ")"
 }

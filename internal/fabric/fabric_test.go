@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -389,6 +390,49 @@ func TestCoordinatorCacheReplay(t *testing.T) {
 	}
 	if a, b := tableText(t, firstTbl), tableText(t, secondTbl); a != b {
 		t.Errorf("cache replay differs:\n%s\nvs\n%s", a, b)
+	}
+	if first.StoreErrors != 0 || strings.Contains(first.String(), "stores failed") {
+		t.Errorf("healthy coordinator reports failed stores: %s", first)
+	}
+}
+
+// TestCoordinatorCountsFailedStores: a coordinator whose cache cannot
+// store worker results — its directory was removed — still resolves the
+// sweep, and its stats line says how many stores failed even without a
+// Logf, since the cache is the sweep's only durable record.
+func TestCoordinatorCountsFailedStores(t *testing.T) {
+	cfg, targets := testConfig()
+	runs := uint64(len(targets) * cfg.Replications)
+	dir := filepath.Join(t.TempDir(), "cache")
+	cache, err := harness.NewRunCache(harness.CacheConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5", Cache: cache})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer coord.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	stop := startWorkers(t, coord.Addr(), 1, nil)
+	defer stop()
+
+	dcfg := cfg
+	dcfg.Executor = coord
+	if _, _, err := experiments.Figure5(dcfg, targets); err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	st := coord.Stats()
+	if st.FromWorkers != runs || st.StoreErrors != runs {
+		t.Fatalf("stats %+v, want %d runs from workers and %d failed stores", st, runs, runs)
+	}
+	if want := fmt.Sprintf(", %d stores failed)", runs); !strings.HasSuffix(st.String(), want) {
+		t.Fatalf("stats line %q does not end in %q", st, want)
+	}
+	if cs := cache.Stats(); cs.Stores != 0 {
+		t.Fatalf("cache stats %s, want 0 stored", cs)
 	}
 }
 

@@ -35,9 +35,9 @@ func ExampleRequiredRate() {
 	// Output: 11130.4 bytes/s
 }
 
-func ExampleErrorTerms_Add() {
-	hop1 := gs.ErrorTerms{C: 144, D: 3750 * time.Microsecond}
-	hop2 := gs.ErrorTerms{C: 144, D: 7500 * time.Microsecond}
-	fmt.Println(hop1.Add(hop2))
-	// Output: (C=288.0B, D=11.25ms)
+// The error terms the paper's poller exports for its lowest-priority
+// flow: C = eta_min bytes, D = x_i.
+func ExampleErrorTerms() {
+	fmt.Println(gs.ErrorTerms{C: 144, D: 11250 * time.Microsecond})
+	// Output: (C=144.0B, D=11.25ms)
 }

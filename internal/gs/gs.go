@@ -42,35 +42,9 @@ type ErrorTerms struct {
 	D time.Duration
 }
 
-// Add returns the element-wise sum of the terms, i.e. the accumulated
-// (Ctot, Dtot) after traversing both elements.
-func (e ErrorTerms) Add(other ErrorTerms) ErrorTerms {
-	return ErrorTerms{C: e.C + other.C, D: e.D + other.D}
-}
-
 // String renders the terms.
 func (e ErrorTerms) String() string {
 	return fmt.Sprintf("(C=%.1fB, D=%v)", e.C, e.D)
-}
-
-// Sum accumulates error terms along a path.
-func Sum(terms ...ErrorTerms) ErrorTerms {
-	var tot ErrorTerms
-	for _, t := range terms {
-		tot = tot.Add(t)
-	}
-	return tot
-}
-
-// RSpec is a Guaranteed Service reservation: a fluid service rate and a
-// slack term (RFC 2212 §8). The slack term is the difference between the
-// delay bound obtained with Rate and the application's actual requirement;
-// intermediate elements may consume it to reduce their reservation.
-type RSpec struct {
-	// Rate is the reserved fluid service rate in bytes per second.
-	Rate float64
-	// Slack is the slack term S.
-	Slack time.Duration
 }
 
 // DelayBound returns the RFC 2212 end-to-end queueing delay bound for a flow

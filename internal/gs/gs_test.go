@@ -22,21 +22,6 @@ func paperTerms(x time.Duration) ErrorTerms {
 	return ErrorTerms{C: 144, D: x}
 }
 
-func TestErrorTermsAddAndSum(t *testing.T) {
-	a := ErrorTerms{C: 100, D: 2 * time.Millisecond}
-	b := ErrorTerms{C: 44, D: 9250 * time.Microsecond}
-	got := a.Add(b)
-	if got.C != 144 || got.D != 11250*time.Microsecond {
-		t.Fatalf("Add = %v", got)
-	}
-	if s := Sum(a, b, ErrorTerms{}); s != got {
-		t.Fatalf("Sum = %v, want %v", s, got)
-	}
-	if s := Sum(); s.C != 0 || s.D != 0 {
-		t.Fatalf("empty Sum = %v, want zero", s)
-	}
-}
-
 func TestDelayBoundHighRateRegime(t *testing.T) {
 	// R >= p: bound = (M + C)/R + D. Paper numbers: M=176, C=144,
 	// x_4 = 11.25 ms, R = 12.8 kB/s -> 320/12800 s + 11.25 ms = 36.25 ms.

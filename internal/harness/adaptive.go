@@ -13,7 +13,7 @@ import (
 // Errors returned by the adaptive executor.
 var (
 	ErrNoMetric    = errors.New("harness: adaptive execution needs a metric")
-	ErrNoTolerance = errors.New("harness: adaptive execution needs a relative or absolute CI tolerance")
+	ErrNoTolerance = errors.New("harness: adaptive execution needs a positive relative CI tolerance")
 )
 
 // DefaultMaxReps is the adaptive replication cap applied when
@@ -94,49 +94,24 @@ type AdaptiveOptions struct {
 	// Metric is the per-run scalar the stopping rule watches (required).
 	Metric Metric
 	// RelTol stops a cell once the 95% CI half-width of the metric mean
-	// is at most RelTol*|mean|. AbsTol is the absolute variant (in
-	// metric units); either alone suffices, and whichever is met first
-	// stops the cell. At least one must be positive.
+	// is at most RelTol*|mean| (required positive).
 	RelTol float64
-	AbsTol float64
-	// MinReps is the least number of replications per cell before the
-	// rule may stop it (default 3; at least 2 are needed for any CI).
-	MinReps int
-	// MaxReps caps the replications per cell (default DefaultMaxReps).
-	// A cell that reaches the cap stops with Converged=false.
+	// MaxReps caps the replications per cell (default DefaultMaxReps,
+	// at least minReps). A cell that reaches the cap stops with
+	// Converged=false.
 	MaxReps int
-	// Batch is the number of further replications scheduled per round
-	// for every unconverged cell (default 4). It is deliberately
-	// independent of Workers: batch composition — and therefore the
-	// per-cell replication count — depends only on simulation results,
-	// which is what keeps adaptive sweeps bit-identical at any worker
-	// count.
-	Batch int
-	// OnRound, when set, is called after every completed round with the
-	// round number, the number of still-unconverged cells and the total
-	// runs executed so far.
-	OnRound func(round, activeCells, totalRuns int)
 }
 
-// WithDefaults returns the options with the documented defaults filled
-// in (MinReps 3, MaxReps DefaultMaxReps, Batch 4). Exported because the
-// fabric coordinator mirrors ExecuteAdaptive's checkpoint schedule and
-// must resolve the identical effective knobs.
-func (o AdaptiveOptions) WithDefaults() AdaptiveOptions {
-	if o.MinReps < 2 {
-		o.MinReps = 3
-	}
-	if o.MaxReps <= 0 {
-		o.MaxReps = DefaultMaxReps
-	}
-	if o.MaxReps < o.MinReps {
-		o.MaxReps = o.MinReps
-	}
-	if o.Batch <= 0 {
-		o.Batch = 4
-	}
-	return o
-}
+// The adaptive schedule: every cell first receives minReps replications
+// (at least 2 are needed for any CI), then batchReps more per round
+// until it converges or reaches MaxReps. The batch size is deliberately
+// independent of Workers: batch composition — and therefore the per-cell
+// replication count — depends only on simulation results, which is what
+// keeps adaptive sweeps bit-identical at any worker count.
+const (
+	minReps   = 3
+	batchReps = 4
+)
 
 // CellOutcome is the adaptive result of one grid cell.
 type CellOutcome struct {
@@ -166,9 +141,6 @@ func (o CellOutcome) Reps() int { return len(o.Runs) }
 func (o AdaptiveOptions) ConvergedAt(s stats.Summary) bool {
 	if s.N < 2 {
 		return false
-	}
-	if o.AbsTol > 0 && s.CI95 <= o.AbsTol {
-		return true
 	}
 	return o.RelTol > 0 && s.CI95 <= o.RelTol*math.Abs(s.Mean)
 }
@@ -206,11 +178,14 @@ func ExecuteAdaptiveWith(execute func([]Run, Options) ([]RunResult, error),
 	if opts.Metric.Eval == nil {
 		return nil, ErrNoMetric
 	}
-	if opts.RelTol <= 0 && opts.AbsTol <= 0 {
+	if opts.RelTol <= 0 {
 		return nil, ErrNoTolerance
 	}
 	cfg = cfg.WithDefaults()
-	opts = opts.WithDefaults()
+	if opts.MaxReps <= 0 {
+		opts.MaxReps = DefaultMaxReps
+	}
+	opts.MaxReps = max(opts.MaxReps, minReps)
 
 	outcomes := make([]CellOutcome, len(g.Cells))
 	active := make([]int, 0, len(g.Cells))
@@ -218,19 +193,18 @@ func ExecuteAdaptiveWith(execute func([]Run, Options) ([]RunResult, error),
 		outcomes[i].Cell = cell
 		active = append(active, i)
 	}
-	totalRuns := 0
-	for round := 0; len(active) > 0; round++ {
+	for len(active) > 0 {
 		// Schedule one batch of further replications per active cell.
 		var runs []Run
 		counts := make([]int, 0, len(active))
 		for _, ci := range active {
 			done := len(outcomes[ci].Runs)
-			n := opts.Batch
-			if done < opts.MinReps {
-				// The first round reaches exactly MinReps, so a cell
+			n := batchReps
+			if done < minReps {
+				// The first round reaches exactly minReps, so a cell
 				// whose metric is already tight stops as early as the
 				// rule allows.
-				n = opts.MinReps - done
+				n = minReps - done
 			}
 			if done+n > opts.MaxReps {
 				n = opts.MaxReps - done
@@ -241,7 +215,6 @@ func ExecuteAdaptiveWith(execute func([]Run, Options) ([]RunResult, error),
 			}
 		}
 		results, err := execute(runs, opts.Options)
-		totalRuns += len(runs)
 
 		// Fold the batch into the outcomes and re-evaluate the rule.
 		idx := 0
@@ -261,7 +234,7 @@ func ExecuteAdaptiveWith(execute func([]Run, Options) ([]RunResult, error),
 				}
 			}
 			o.Metric = w.Summary()
-			o.Converged = len(o.Runs) >= opts.MinReps && opts.ConvergedAt(o.Metric)
+			o.Converged = len(o.Runs) >= minReps && opts.ConvergedAt(o.Metric)
 			if !o.Converged && len(o.Runs) < opts.MaxReps {
 				next = append(next, ci)
 			}
@@ -270,9 +243,6 @@ func ExecuteAdaptiveWith(execute func([]Run, Options) ([]RunResult, error),
 			return outcomes, err
 		}
 		active = next
-		if opts.OnRound != nil {
-			opts.OnRound(round, len(active), totalRuns)
-		}
 	}
 	return outcomes, nil
 }

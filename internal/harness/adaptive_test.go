@@ -145,7 +145,7 @@ func TestExecuteAdaptiveRepCap(t *testing.T) {
 }
 
 // TestExecuteAdaptiveConstantMetricConverges: a zero-variance metric (the
-// violation fraction of a correct scheduler) stops at MinReps.
+// violation fraction of a correct scheduler) stops at the minimum of 3 reps.
 func TestExecuteAdaptiveConstantMetricConverges(t *testing.T) {
 	g, cfg, opts := adaptiveFixture()
 	opts.Metric = harness.ViolationFraction
@@ -155,7 +155,7 @@ func TestExecuteAdaptiveConstantMetricConverges(t *testing.T) {
 	}
 	for _, o := range outcomes {
 		if !o.Converged || o.Reps() != 3 {
-			t.Fatalf("cell %s: converged=%t after %d reps, want MinReps=3", o.Cell, o.Converged, o.Reps())
+			t.Fatalf("cell %s: converged=%t after %d reps, want the minimum 3", o.Cell, o.Converged, o.Reps())
 		}
 		if o.Metric.Mean != 0 {
 			t.Fatalf("cell %s violated bounds: %v", o.Cell, o.Metric.Mean)
@@ -171,7 +171,7 @@ func TestExecuteAdaptiveValidation(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoMetric", err)
 	}
 	bad = opts
-	bad.RelTol, bad.AbsTol = 0, 0
+	bad.RelTol = 0
 	if _, err := harness.ExecuteAdaptive(g, cfg, bad); !errors.Is(err, harness.ErrNoTolerance) {
 		t.Fatalf("err = %v, want ErrNoTolerance", err)
 	}

@@ -44,7 +44,10 @@ import (
 // older entries into clean misses without re-keying any run.
 const DefaultCacheSalt = "sim-v8"
 
-// CacheConfig tunes a RunCache.
+// maxMemEntries bounds a RunCache's in-memory LRU.
+const maxMemEntries = 4096
+
+// CacheConfig configures a RunCache.
 type CacheConfig struct {
 	// Dir, when non-empty, backs the cache with one entry file per run
 	// under this directory (created if missing). Entries evicted from
@@ -53,11 +56,6 @@ type CacheConfig struct {
 	// place, so a reader sees either no entry or a complete one, and the
 	// content-addressed keys make racing writers of one entry harmless.
 	Dir string
-	// MaxEntries bounds the in-memory LRU (default 4096 results).
-	MaxEntries int
-	// Salt is the code-version salt (default DefaultCacheSalt). Sweeps
-	// that want isolated namespaces in a shared directory may extend it.
-	Salt string
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness counters.
@@ -103,7 +101,7 @@ func (s CacheStats) String() string {
 
 // RunCache is a content-addressed store of completed simulation results,
 // keyed by the SHA-256 fingerprint of (scenario spec incl. seed and
-// horizon, code-version salt). A fixed-size in-memory LRU fronts an
+// horizon, DefaultCacheSalt). A fixed-size in-memory LRU fronts an
 // optional on-disk entry store, so re-running a sweep after changing one
 // cell — or re-rendering reports — replays the unchanged cells instantly,
 // across processes when a directory is configured.
@@ -154,12 +152,6 @@ type cacheRecord struct {
 // NewRunCache creates a cache; when cfg.Dir is set the directory is
 // created eagerly so configuration errors surface before a sweep starts.
 func NewRunCache(cfg CacheConfig) (*RunCache, error) {
-	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = 4096
-	}
-	if cfg.Salt == "" {
-		cfg.Salt = DefaultCacheSalt
-	}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("harness: cache dir: %w", err)
@@ -184,13 +176,10 @@ func CacheKey(salt string, spec scenario.Spec) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Key returns the content address of a run under this cache's salt.
+// Key returns the content address of a run under DefaultCacheSalt.
 func (c *RunCache) Key(spec scenario.Spec) string {
-	return CacheKey(c.cfg.Salt, spec)
+	return CacheKey(DefaultCacheSalt, spec)
 }
-
-// Salt returns the cache's code-version salt.
-func (c *RunCache) Salt() string { return c.cfg.Salt }
 
 // Get returns the cached result of the spec, if present, with the spec
 // re-attached. The in-memory LRU is consulted first, then the directory.
@@ -240,7 +229,9 @@ func (c *RunCache) Put(spec scenario.Spec, res *scenario.Result) error {
 	return c.putByKey(c.Key(spec), res)
 }
 
-// putByKey is Put with a precomputed key (see getByKey).
+// putByKey is Put with a precomputed key (see getByKey). It encodes,
+// then writes, then inserts and books: a result its entry cannot carry,
+// or whose file cannot be written, is neither counted nor served.
 func (c *RunCache) putByKey(key string, res *scenario.Result) error {
 	if res == nil {
 		return nil
@@ -248,16 +239,17 @@ func (c *RunCache) putByKey(key string, res *scenario.Result) error {
 	c.mu.Lock()
 	_, dup := c.entries[key]
 	c.mu.Unlock()
-	var entry []byte
 	if !dup && c.cfg.Dir != "" {
 		// Another process may have completed the identical run already;
 		// leave its (byte-identical) entry in place. Two writers racing
 		// past this check both write — harmless, the write is atomic and
-		// the bytes identical. Otherwise encode before booking anything:
-		// a result its entry cannot carry is neither counted nor served.
+		// the bytes identical.
 		if dup = c.onDisk(key); !dup {
-			var err error
-			if entry, err = EncodeResultEntry(key, res); err != nil {
+			entry, err := EncodeResultEntry(key, res)
+			if err != nil {
+				return err
+			}
+			if err := c.writeFile(key, entry); err != nil {
 				return err
 			}
 		}
@@ -265,7 +257,7 @@ func (c *RunCache) putByKey(key string, res *scenario.Result) error {
 	c.mu.Lock()
 	if _, raced := c.entries[key]; raced {
 		// A concurrent Put of the same key booked it first.
-		dup, entry = true, nil
+		dup = true
 	}
 	c.insertLocked(key, res)
 	if dup {
@@ -274,10 +266,7 @@ func (c *RunCache) putByKey(key string, res *scenario.Result) error {
 		c.stats.Stores++
 	}
 	c.mu.Unlock()
-	if entry == nil {
-		return nil
-	}
-	return c.writeFile(key, entry)
+	return nil
 }
 
 // Stats returns a snapshot of the effectiveness counters.
@@ -307,7 +296,7 @@ func (c *RunCache) insertLocked(key string, res *scenario.Result) {
 		return
 	}
 	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, res: res})
-	for c.lru.Len() > c.cfg.MaxEntries {
+	for c.lru.Len() > maxMemEntries {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
@@ -324,7 +313,7 @@ func (c *RunCache) insertLocked(key string, res *scenario.Result) {
 // the stats encodings inside it bumps the magic (not DefaultCacheSalt,
 // which tracks result semantics), so entries of an older format fail the
 // footer check and become clean misses.
-const cacheFooterMagic = "BGC4"
+const cacheFooterMagic = "BGC5"
 
 const cacheFooterSize = len(cacheFooterMagic) + 8
 
@@ -362,8 +351,7 @@ func checkFooter(data []byte) ([]byte, error) {
 // key and the result. This is the byte form the cache directory holds
 // and fabric workers ship in /complete — one encoding everywhere, so
 // any party can verify any entry with the same footer check. A result
-// the layout cannot carry (an admitted flow with a segmentation policy
-// other than BestFit or GreedyLargest) is an error.
+// the layout cannot carry (a nil admitted flow) is an error.
 func EncodeResultEntry(key string, res *scenario.Result) ([]byte, error) {
 	rec := cacheRecord{
 		Key:        key,
@@ -462,11 +450,15 @@ func (c *RunCache) GetEntry(key string) ([]byte, error) {
 // PutEntry stores a raw entry under key after verifying its footer,
 // refusing corrupt bytes at the door. Like Put, storing a key the
 // directory already holds is a clean no-op counted in Stats().DupPuts.
-// Requires a Dir: a raw entry is the on-disk form, which a memory-only
-// cache does not keep.
+// A memory-only cache (no Dir) keeps results, not entries: it decodes
+// the entry, checking its key too, and holds the result as Put would.
 func (c *RunCache) PutEntry(key string, entry []byte) error {
 	if c.cfg.Dir == "" {
-		return fmt.Errorf("harness: PutEntry requires a cache directory")
+		res, err := decodeEntry(key, entry)
+		if err != nil {
+			return err
+		}
+		return c.putByKey(key, res)
 	}
 	if _, err := checkFooter(entry); err != nil {
 		return err

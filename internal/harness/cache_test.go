@@ -141,18 +141,26 @@ func TestRunCacheTracerBypass(t *testing.T) {
 }
 
 // TestRunCacheSaltInvalidates: changing the code-version salt must miss on
-// a directory full of old results.
+// a directory full of old results: an entry stored under another salt's
+// key is never replayed.
 func TestRunCacheSaltInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	spec := scenario.Paper(40 * time.Millisecond)
 	spec.Duration = time.Second
-	runs := []harness.Run{{Index: 0, Cell: "c", Spec: spec}}
-	if _, err := harness.Execute(runs, harness.Options{
-		Cache: newCache(t, harness.CacheConfig{Dir: dir, Salt: "sim-vA"}),
-	}); err != nil {
+	res, err := scenario.Run(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	stale := newCache(t, harness.CacheConfig{Dir: dir, Salt: "sim-vB"})
+	oldKey := harness.CacheKey("sim-vA", spec)
+	entry, err := harness.EncodeResultEntry(oldKey, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := newCache(t, harness.CacheConfig{Dir: dir}).PutEntry(oldKey, entry); err != nil {
+		t.Fatal(err)
+	}
+	runs := []harness.Run{{Index: 0, Cell: "c", Spec: spec}}
+	stale := newCache(t, harness.CacheConfig{Dir: dir})
 	results, err := harness.Execute(runs, harness.Options{Cache: stale})
 	if err != nil {
 		t.Fatal(err)
@@ -165,32 +173,63 @@ func TestRunCacheSaltInvalidates(t *testing.T) {
 	}
 }
 
-// TestRunCacheEviction: the in-memory LRU stays bounded and evicts the
-// least recently used entry first.
+// TestRunCacheEviction: the in-memory LRU stays bounded at 4,096 results
+// and evicts the least recently used entry first.
 func TestRunCacheEviction(t *testing.T) {
-	cache := newCache(t, harness.CacheConfig{MaxEntries: 2})
-	specs := make([]scenario.Spec, 3)
+	const bound = 4096
+	cache := newCache(t, harness.CacheConfig{})
+	base := scenario.Paper(40 * time.Millisecond)
+	base.Duration = 100 * time.Millisecond
+	res, err := scenario.Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One result under bound+1 keys: a memory-only Put encodes nothing.
+	specs := make([]scenario.Spec, bound+1)
 	for i := range specs {
-		specs[i] = scenario.Paper(time.Duration(30+2*i) * time.Millisecond)
-		specs[i].Duration = time.Second
-		res, err := scenario.Run(specs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
+		specs[i] = base
+		specs[i].Seed = int64(i + 1)
 		if err := cache.Put(specs[i], res); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("Len = %d, want bound 2", cache.Len())
+	if cache.Len() != bound {
+		t.Fatalf("Len = %d, want bound %d", cache.Len(), bound)
 	}
 	if _, ok := cache.Get(specs[0]); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
-	for i := 1; i < 3; i++ {
+	for _, i := range []int{1, bound / 2, bound} {
 		if _, ok := cache.Get(specs[i]); !ok {
 			t.Fatalf("recent entry %d evicted", i)
 		}
+	}
+}
+
+// TestRunCacheFailedWriteBooksNothing: a Put whose entry file cannot be
+// written returns the error and neither counts a store nor serves the
+// result from memory, so the stats line never claims a store a restart
+// will not find.
+func TestRunCacheFailedWriteBooksNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	cache := newCache(t, harness.CacheConfig{Dir: dir})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	spec := scenario.Paper(40 * time.Millisecond)
+	spec.Duration = 200 * time.Millisecond
+	res, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(spec, res); err == nil {
+		t.Fatal("Put into a removed directory succeeded")
+	}
+	if st := cache.Stats(); st.Stores != 0 || st.DupPuts != 0 {
+		t.Fatalf("stats after a failed Put: %s, want 0 stored", st)
+	}
+	if _, ok := cache.Get(spec); ok {
+		t.Fatal("Get served the result of a failed Put")
 	}
 }
 

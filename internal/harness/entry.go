@@ -3,7 +3,6 @@ package harness
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -14,7 +13,6 @@ import (
 	"bluegs/internal/gs"
 	"bluegs/internal/piconet"
 	"bluegs/internal/scenario"
-	"bluegs/internal/segmentation"
 	"bluegs/internal/stats"
 	"bluegs/internal/tspec"
 )
@@ -35,25 +33,16 @@ import (
 //	                       strictly ascending
 //	[]*PlannedFlow         a slice of the pointed-to values; a nil element
 //	                       is an encode error
-//	Request.Policy         tag byte: 0 nil, 1 BestFit, 2 GreedyLargest;
-//	                       any other policy is an encode error
 //	*stats.DurationStats   presence byte, then a uvarint length and the
 //	                       stats package's flat encoding
 //
 // Sorted map keys make an entry a pure function of the result: encoding
 // one result twice gives the same bytes. The decoder accepts only what
 // the encoder writes — it refuses trailing bytes, non-minimal varints,
-// bool, presence and tag bytes out of range, and map keys out of order —
+// bool and presence bytes out of range, and map keys out of order —
 // so every accepted payload re-encodes to itself. It checks each count
 // against the bytes that remain before it allocates: entries also
 // arrive off the network in /complete.
-
-// Request.Policy tags.
-const (
-	policyNone byte = iota
-	policyBestFit
-	policyGreedyLargest
-)
 
 var (
 	errEntryTruncated = errors.New("truncated record")
@@ -133,7 +122,7 @@ func (rec *cacheRecord) sizeHint() int {
 	delay := func(d *stats.DurationStats) {
 		n += 64
 		if d != nil {
-			n += 3 * d.Retained()
+			n += 3 * int(d.Count())
 		}
 	}
 	for i := range rec.Piconets {
@@ -312,16 +301,6 @@ func (w *entryWriter) planned(p *admission.PlannedFlow) {
 	w.int(q.Spec.MaxTransferUnit)
 	w.float(q.Rate)
 	w.uvarint(uint64(q.Allowed))
-	switch q.Policy.(type) {
-	case nil:
-		w.b = append(w.b, policyNone)
-	case segmentation.BestFit:
-		w.b = append(w.b, policyBestFit)
-	case segmentation.GreedyLargest:
-		w.b = append(w.b, policyGreedyLargest)
-	default:
-		w.fail(fmt.Errorf("unsupported segmentation policy %T", q.Policy))
-	}
 	w.float(q.SuccessScale)
 	w.float(p.Params.EtaMin)
 	w.int(p.Params.WorstSize)
@@ -637,15 +616,6 @@ func (r *entryReader) planned(p *admission.PlannedFlow) {
 	if allowed := r.uvarint(); allowed <= math.MaxUint32 {
 		req.Allowed = baseband.TypeSet(allowed)
 	} else {
-		r.fail(errEntryMalformed)
-	}
-	switch r.byte() {
-	case policyNone:
-	case policyBestFit:
-		req.Policy = segmentation.BestFit{}
-	case policyGreedyLargest:
-		req.Policy = segmentation.GreedyLargest{}
-	default:
 		r.fail(errEntryMalformed)
 	}
 	req.SuccessScale = r.float()

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bluegs/internal/scenario"
-	"bluegs/internal/segmentation"
 	"bluegs/internal/stats"
 )
 
@@ -20,10 +19,7 @@ type recordFiller struct {
 	n int
 }
 
-var (
-	durationStatsType = reflect.TypeOf((*stats.DurationStats)(nil))
-	policyType        = reflect.TypeOf((*segmentation.Policy)(nil)).Elem()
-)
+var durationStatsType = reflect.TypeOf((*stats.DurationStats)(nil))
 
 func (f *recordFiller) next() int {
 	f.n++
@@ -31,23 +27,14 @@ func (f *recordFiller) next() int {
 }
 
 func (f *recordFiller) fill(v reflect.Value, path string) {
-	switch v.Type() {
-	case durationStatsType:
+	if v.Type() == durationStatsType {
 		// The flat stats types keep their state unexported: build one
 		// through its own API.
-		d := stats.NewDurationStats(f.next())
+		d := new(stats.DurationStats)
 		for i := 0; i < 3; i++ {
 			d.Add(time.Duration(f.next()))
 		}
 		v.Set(reflect.ValueOf(d))
-		return
-	case policyType:
-		// Alternate the two tags that name a policy.
-		var p segmentation.Policy = segmentation.BestFit{}
-		if f.next()%2 == 0 {
-			p = segmentation.GreedyLargest{}
-		}
-		v.Set(reflect.ValueOf(&p).Elem())
 		return
 	}
 	switch v.Kind() {

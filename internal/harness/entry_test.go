@@ -14,7 +14,6 @@ import (
 	"bluegs/internal/admission"
 	"bluegs/internal/harness"
 	"bluegs/internal/scenario"
-	"bluegs/internal/segmentation"
 )
 
 // reportText renders the result's report and admission log, the text a
@@ -96,7 +95,7 @@ func reframe(entry []byte, magic string) []byte {
 // would otherwise decode, fails the footer check, is dropped as corrupt,
 // recomputed and re-stored in the current format.
 func TestRunCacheDropsOldFormat(t *testing.T) {
-	for _, magic := range []string{"BGC1", "BGC2", "BGC3"} {
+	for _, magic := range []string{"BGC1", "BGC2", "BGC3", "BGC4"} {
 		t.Run(magic, func(t *testing.T) { testRunCacheDropsOldFormat(t, magic) })
 	}
 }
@@ -219,23 +218,18 @@ func TestEntryBytesDeterministic(t *testing.T) {
 	}
 }
 
-// customPolicy is a segmentation policy the entry layout has no tag for.
-type customPolicy struct{ segmentation.BestFit }
-
-func (customPolicy) Name() string { return "custom" }
-
-// TestEncodeUnknownPolicyFails: an admitted flow whose segmentation policy
-// the entry layout cannot name makes EncodeResultEntry fail — never
-// silently store the flow under another policy — and a RunCache refuses
-// the Put without leaving any file in its directory.
-func TestEncodeUnknownPolicyFails(t *testing.T) {
+// TestEncodeNilAdmittedFlowFails: a nil admitted flow, which the entry
+// layout cannot carry, makes EncodeResultEntry fail — never silently
+// drop the flow — and a RunCache refuses the Put without leaving any
+// file in its directory.
+func TestEncodeNilAdmittedFlowFails(t *testing.T) {
 	spec := scenario.Paper(40 * time.Millisecond)
 	spec.Duration = 200 * time.Millisecond
 	fresh, err := scenario.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swap the policy on copies: the fresh result stays as the run left it.
+	// Nil the flow on copies: the fresh result stays as the run left it.
 	res := *fresh
 	res.Piconets = append([]scenario.PiconetResult(nil), fresh.Piconets...)
 	pr := &res.Piconets[0]
@@ -243,13 +237,11 @@ func TestEncodeUnknownPolicyFails(t *testing.T) {
 		t.Fatal("paper spec admitted no flow")
 	}
 	pr.Admitted = append([]*admission.PlannedFlow(nil), pr.Admitted...)
-	custom := *pr.Admitted[0]
-	custom.Request.Policy = customPolicy{}
-	pr.Admitted[0] = &custom
+	pr.Admitted[0] = nil
 
 	key := harness.CacheKey(harness.DefaultCacheSalt, spec)
-	if _, err := harness.EncodeResultEntry(key, &res); err == nil || !strings.Contains(err.Error(), "policy") {
-		t.Fatalf("EncodeResultEntry error = %v, want an unsupported-policy error", err)
+	if _, err := harness.EncodeResultEntry(key, &res); err == nil || !strings.Contains(err.Error(), "nil admitted flow") {
+		t.Fatalf("EncodeResultEntry error = %v, want a nil-admitted-flow error", err)
 	}
 	dir := t.TempDir()
 	cache := newCache(t, harness.CacheConfig{Dir: dir})

@@ -26,8 +26,7 @@
 // replication order, in worker-independent batches — until the 95%
 // confidence half-width of its stopping Metric (mean GS delay, the
 // bound-violation fraction, or a throughput) drops below a relative
-// (RelTol×|mean|) or absolute (AbsTol) tolerance, or the MaxReps cap is
-// reached. Because the batch composition depends only on simulation
+// tolerance (RelTol×|mean|), or the MaxReps cap is reached. Because the batch composition depends only on simulation
 // results, adaptive sweeps keep the runner's core guarantee: per-cell
 // replication counts and every table rendered from them are
 // bit-identical at any worker count.

@@ -215,7 +215,7 @@ func TestCellsAndAggregate(t *testing.T) {
 
 func TestComparisonAndExtensionSweeps(t *testing.T) {
 	cfg := harness.SweepConfig{Duration: time.Second, Seed: 1}
-	cmp := harness.ComparisonSweep(cfg, []scenario.BEPollerKind{scenario.BERoundRobin, scenario.BEPFP})
+	cmp := harness.ComparisonGrid([]scenario.BEPollerKind{scenario.BERoundRobin, scenario.BEPFP}).Sweep(cfg)
 	if len(cmp.Runs) != 2 {
 		t.Fatalf("comparison runs = %d", len(cmp.Runs))
 	}

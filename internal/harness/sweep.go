@@ -123,12 +123,6 @@ func ComparisonGrid(kinds []scenario.BEPollerKind) Grid {
 	}}
 }
 
-// ComparisonSweep builds the poller comparison grid at a fixed
-// replication count.
-func ComparisonSweep(cfg SweepConfig, kinds []scenario.BEPollerKind) Sweep {
-	return ComparisonGrid(kinds).Sweep(cfg)
-}
-
 // ExtensionCell names one (bit error rate, recovery) grid point of the
 // retransmission extension sweep. The BER is rendered losslessly so that
 // nearby rates (e.g. 1e-5 and 1.4e-5) never collapse into one cell.

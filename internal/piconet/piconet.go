@@ -23,7 +23,6 @@ import (
 
 	"bluegs/internal/baseband"
 	"bluegs/internal/radio"
-	"bluegs/internal/segmentation"
 	"bluegs/internal/sim"
 	"bluegs/internal/stats"
 )
@@ -120,8 +119,6 @@ type FlowConfig struct {
 	Class Class
 	// Allowed is the set of baseband packet types the flow may use.
 	Allowed baseband.TypeSet
-	// Policy segments higher-layer packets (defaults to best-fit).
-	Policy segmentation.Policy
 }
 
 func (c FlowConfig) validate() error {
@@ -434,9 +431,6 @@ func (p *Piconet) AddFlow(cfg FlowConfig) error {
 	}
 	if _, dup := p.flows[cfg.ID]; dup {
 		return fmt.Errorf("%w: %d", ErrDuplicateFlow, cfg.ID)
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = segmentation.BestFit{}
 	}
 	fs := newFlowState(p, cfg)
 	p.flows[cfg.ID] = fs

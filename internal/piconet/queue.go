@@ -99,7 +99,7 @@ func newFlowState(pn *Piconet, cfg FlowConfig) *flowState {
 	return &flowState{
 		cfg:       cfg,
 		pn:        pn,
-		delay:     stats.NewDurationStats(0),
+		delay:     new(stats.DurationStats),
 		delivered: &stats.Meter{},
 		offered:   &stats.Meter{},
 		lost:      &stats.Meter{},
@@ -258,11 +258,7 @@ func (p *Piconet) EnqueuePacketAt(flow FlowID, size int, at sim.Time) error {
 	}
 	pkt := p.allocPacket()
 	var err error
-	if ap, ok := fs.cfg.Policy.(segmentation.Appender); ok {
-		pkt.plan, err = ap.SegmentAppend(pkt.plan[:0], size, fs.cfg.Allowed)
-	} else {
-		pkt.plan, err = fs.cfg.Policy.Segment(size, fs.cfg.Allowed)
-	}
+	pkt.plan, err = segmentation.AppendBestFit(pkt.plan[:0], size, fs.cfg.Allowed)
 	if err != nil {
 		p.freePacket(pkt)
 		return fmt.Errorf("%w: %v", ErrSegmentFailure, err)

@@ -85,7 +85,7 @@ func (r *runner) newRouteState(spec RouteSpec) (*routeState, error) {
 		spec:    spec,
 		hops:    hops,
 		origins: make([][]sim.Time, len(hops)),
-		delay:   stats.NewDurationStats(0),
+		delay:   new(stats.DurationStats),
 	}, nil
 }
 
@@ -196,7 +196,7 @@ func (p *piconetRunner) attachRouteSource(rt *routeState) {
 		rt.offered++
 		rt.origins[0] = append(rt.origins[0], r.s.Now())
 		_ = p.pn.EnqueuePacket(g.ID, sizes.Draw(r.s.Rand()))
-		src.ev = r.s.After(gen.NextInterval(r.s.Rand()), tick)
+		src.ev = r.s.After(gen.NextInterval(), tick)
 	}
 	src.ev = r.s.Schedule(r.s.Now()+phase, tick)
 	p.sources[g.ID] = src

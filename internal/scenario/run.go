@@ -484,28 +484,26 @@ const batchWindow = 320 * time.Millisecond
 
 // attachSource schedules a self-rescheduling traffic source whose pending
 // tick stays cancellable (flow removal stops the source). With
-// Spec.BatchTraffic, sources whose generator supports bursts pre-enqueue
-// one burst of future-dated arrivals per kernel event (see
-// piconet.EnqueuePacketAt) instead of one event per packet; a down
-// flow's pre-enqueued arrivals notify the master at their arrival
-// instants, so its arrival knowledge is untouched.
+// Spec.BatchTraffic, sources pre-enqueue one burst of future-dated
+// arrivals per kernel event (see piconet.EnqueuePacketAt) instead of one
+// event per packet; a down flow's pre-enqueued arrivals notify the
+// master at their arrival instants, so its arrival knowledge is
+// untouched.
 func (p *piconetRunner) attachSource(flow piconet.FlowID, dir piconet.Direction,
-	gen traffic.Generator, sizes traffic.SizeDist, phase time.Duration) {
+	gen traffic.CBR, sizes traffic.SizeDist, phase time.Duration) {
 	if phase < 0 {
 		phase = 0
 	}
 	r := p.r
 	if r.spec.BatchTraffic {
-		if bg, ok := gen.(traffic.BurstGenerator); ok {
-			p.attachBurstSource(flow, bg, sizes, phase)
-			return
-		}
+		p.attachBurstSource(flow, gen, sizes, phase)
+		return
 	}
 	src := &source{}
 	var tick func()
 	tick = func() {
 		_ = p.pn.EnqueuePacket(flow, sizes.Draw(r.s.Rand()))
-		src.ev = r.s.After(gen.NextInterval(r.s.Rand()), tick)
+		src.ev = r.s.After(gen.NextInterval(), tick)
 	}
 	src.ev = r.s.Schedule(r.s.Now()+phase, tick)
 	p.sources[flow] = src
@@ -514,13 +512,11 @@ func (p *piconetRunner) attachSource(flow piconet.FlowID, dir piconet.Direction,
 // attachBurstSource is the batched form of attachSource: each tick
 // enqueues the packet arriving now, pre-enqueues up to a burst of further
 // arrivals as future-dated packets, and reschedules itself at the first
-// arrival it did not pre-enqueue. Intervals are drawn one at a time
-// (BurstGenerator guarantees NextBurst ≡ repeated NextInterval, so the
-// draw sequence is the same either way) and the loop stops at whichever
-// comes first of the burst cap, the horizon, or batchWindow ahead of the
-// clock — so the source draws exactly the randomness it uses and never
-// floods the kernel with arrivals parked seconds in the future.
-func (p *piconetRunner) attachBurstSource(flow piconet.FlowID, gen traffic.BurstGenerator,
+// arrival it did not pre-enqueue. The loop stops at whichever comes first
+// of the burst cap, the horizon, or batchWindow ahead of the clock — so
+// the source draws exactly the packet sizes it uses and never floods the
+// kernel with arrivals parked seconds in the future.
+func (p *piconetRunner) attachBurstSource(flow piconet.FlowID, gen traffic.CBR,
 	sizes traffic.SizeDist, phase time.Duration) {
 	r := p.r
 	horizon := r.spec.Duration
@@ -531,7 +527,7 @@ func (p *piconetRunner) attachBurstSource(flow piconet.FlowID, gen traffic.Burst
 		_ = p.pn.EnqueuePacketAt(flow, sizes.Draw(r.s.Rand()), now)
 		at := now
 		for n := 1; ; n++ {
-			at += gen.NextInterval(r.s.Rand())
+			at += gen.NextInterval()
 			if n >= maxBurst || at > horizon || at > now+batchWindow {
 				break
 			}

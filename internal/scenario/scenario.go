@@ -212,15 +212,15 @@ type Spec struct {
 	// co-location the value was chosen for. Meaningful only with
 	// InterferenceAwareAdmission; zero means "use the medium estimate".
 	AdmissionDerate float64
-	// BatchTraffic batches traffic generation: sources whose generator
-	// supports it (CBR, ON/OFF) pre-enqueue one burst of future-dated
-	// arrivals per kernel event instead of one event per packet, bounded
-	// to a short look-ahead window so arrival events stay on the kernel's
-	// O(1) timing wheel. Down-flow arrivals notify the master's scheduler
-	// at their arrival instants, so its arrival knowledge is unchanged.
-	// Runs stay deterministic, but the RNG draw order differs from
-	// unbatched runs, so the two modes are distinct simulations (and
-	// fingerprint differently).
+	// BatchTraffic batches traffic generation: every CBR source
+	// pre-enqueues one burst of future-dated arrivals per kernel event
+	// instead of one event per packet, bounded to a short look-ahead
+	// window so arrival events stay on the kernel's O(1) timing wheel.
+	// Down-flow arrivals notify the master's scheduler at their arrival
+	// instants, so its arrival knowledge is unchanged. Runs stay
+	// deterministic, but the packet sizes are drawn in a different order
+	// relative to the run's other RNG draws, so the two modes are
+	// distinct simulations (and fingerprint differently).
 	BatchTraffic bool
 	// Faults is the declarative fault plan: timed link outages per
 	// (piconet, slave), slave departure/return events and master crashes

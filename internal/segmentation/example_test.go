@@ -7,10 +7,10 @@ import (
 	"bluegs/internal/segmentation"
 )
 
-// The paper's best-fit policy on a 200-byte packet with DH1+DH3 allowed:
+// The paper's best-fit rule on a 200-byte packet with DH1+DH3 allowed:
 // the largest packet first, then the remainder in the smallest that fits.
-func ExampleBestFit_Segment() {
-	plan, err := segmentation.BestFit{}.Segment(200, baseband.PaperTypes)
+func ExampleBestFit() {
+	plan, err := segmentation.BestFit(200, baseband.PaperTypes)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -22,7 +22,7 @@ func ExampleBestFit_Segment() {
 // The paper's eq. 4 on its own workload: over packet sizes 144..176 every
 // packet needs one DH3, so the worst bytes-per-poll is 144.
 func ExampleMinPollEfficiency() {
-	eff, err := segmentation.MinPollEfficiency(segmentation.BestFit{}, 144, 176, baseband.PaperTypes)
+	eff, err := segmentation.MinPollEfficiency(144, 176, baseband.PaperTypes)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -1,12 +1,12 @@
-// Package segmentation implements the policies that break higher-layer
-// packets into baseband packets, and the derived quantities the paper's
-// analysis needs: the number of segments n of a packet, the minimum poll
-// efficiency eta_min over a flow's packet-size range (paper eq. 4), and the
-// worst-case segment air time.
+// Package segmentation breaks higher-layer packets into baseband packets
+// and derives the quantities the paper's analysis needs: the number of
+// segments n of a packet, the minimum poll efficiency eta_min over a
+// flow's packet-size range (paper eq. 4), and the worst-case segment air
+// time.
 //
-// The paper's evaluation uses the best-fit policy: "the largest available
-// baseband packet is used, unless the remainder of the higher layer packet
-// fits in a smaller baseband packet."
+// The paper plans with one rule, best fit: "the largest available
+// baseband packet is used, unless the remainder of the higher layer
+// packet fits in a smaller baseband packet."
 package segmentation
 
 import (
@@ -21,9 +21,6 @@ var (
 	ErrNoACLTypes = errors.New("segmentation: allowed set contains no ACL packet types")
 	ErrBadSize    = errors.New("segmentation: packet size must be positive")
 	ErrBadRange   = errors.New("segmentation: need 0 < min <= max packet size")
-	ErrNilPolicy  = errors.New("segmentation: nil policy")
-	ErrEmptySeg   = errors.New("segmentation: policy produced an empty plan")
-	ErrShortPlan  = errors.New("segmentation: plan does not cover the packet")
 )
 
 // Segment is one baseband packet of a segmentation plan: the chosen type and
@@ -67,45 +64,19 @@ func (p Plan) String() string {
 	return out + "]"
 }
 
-// Policy decides how a higher-layer packet of a given size is segmented into
-// baseband packets drawn from an allowed type set.
-type Policy interface {
-	// Segment returns the ordered plan for a packet of size bytes.
-	Segment(size int, allowed baseband.TypeSet) (Plan, error)
-	// Name identifies the policy in reports.
-	Name() string
+// BestFit returns the paper's plan for a packet of size bytes: each
+// segment uses the largest allowed packet, unless the remaining bytes fit
+// into a smaller allowed packet, in which case the smallest fitting
+// packet is used.
+func BestFit(size int, allowed baseband.TypeSet) (Plan, error) {
+	return AppendBestFit(nil, size, allowed)
 }
 
-// Appender is the allocation-free fast path a Policy may additionally
-// implement: SegmentAppend writes the plan into dst's backing array
-// (extending it only when capacity runs out) instead of allocating a fresh
-// Plan per packet. The piconet's packet pool uses it to recycle plan storage
-// across arrivals. Both built-in policies implement it.
-type Appender interface {
-	SegmentAppend(dst Plan, size int, allowed baseband.TypeSet) (Plan, error)
-}
-
-// BestFit is the paper's policy: each segment uses the largest allowed
-// packet, unless the remaining bytes fit into a smaller allowed packet, in
-// which case the smallest fitting packet is used. The zero value is ready to
-// use.
-type BestFit struct{}
-
-var (
-	_ Policy   = BestFit{}
-	_ Appender = BestFit{}
-)
-
-// Name implements Policy.
-func (BestFit) Name() string { return "best-fit" }
-
-// Segment implements Policy.
-func (p BestFit) Segment(size int, allowed baseband.TypeSet) (Plan, error) {
-	return p.SegmentAppend(nil, size, allowed)
-}
-
-// SegmentAppend implements Appender.
-func (BestFit) SegmentAppend(dst Plan, size int, allowed baseband.TypeSet) (Plan, error) {
+// AppendBestFit is BestFit writing the plan into dst's backing array
+// (extending it only when capacity runs out) instead of allocating a
+// fresh Plan per packet. The piconet's packet pool uses it to recycle
+// plan storage across arrivals.
+func AppendBestFit(dst Plan, size int, allowed baseband.TypeSet) (Plan, error) {
 	if size <= 0 {
 		return nil, ErrBadSize
 	}
@@ -127,80 +98,6 @@ func (BestFit) SegmentAppend(dst Plan, size int, allowed baseband.TypeSet) (Plan
 	return plan, nil
 }
 
-// GreedyLargest always uses the largest allowed packet for every segment,
-// including the last. It is a deliberately naive contrast policy for the
-// ablation benches (it wastes multi-slot packets on small remainders).
-type GreedyLargest struct{}
-
-var (
-	_ Policy   = GreedyLargest{}
-	_ Appender = GreedyLargest{}
-)
-
-// Name implements Policy.
-func (GreedyLargest) Name() string { return "greedy-largest" }
-
-// Segment implements Policy.
-func (p GreedyLargest) Segment(size int, allowed baseband.TypeSet) (Plan, error) {
-	return p.SegmentAppend(nil, size, allowed)
-}
-
-// SegmentAppend implements Appender.
-func (GreedyLargest) SegmentAppend(dst Plan, size int, allowed baseband.TypeSet) (Plan, error) {
-	if size <= 0 {
-		return nil, ErrBadSize
-	}
-	largest, ok := allowed.LargestACL()
-	if !ok {
-		return nil, ErrNoACLTypes
-	}
-	plan := dst
-	remaining := size
-	for remaining > 0 {
-		carry := largest.Payload()
-		if carry > remaining {
-			carry = remaining
-		}
-		plan = append(plan, Segment{Type: largest, Bytes: carry})
-		remaining -= carry
-	}
-	return plan, nil
-}
-
-// Count returns the number of segments the policy produces for a packet of
-// the given size.
-func Count(p Policy, size int, allowed baseband.TypeSet) (int, error) {
-	if p == nil {
-		return 0, ErrNilPolicy
-	}
-	plan, err := p.Segment(size, allowed)
-	if err != nil {
-		return 0, err
-	}
-	return checkPlan(plan, size)
-}
-
-// checkPlan returns the segment count of a plan for a packet of size
-// bytes, or an error when the plan is empty or does not carry the packet.
-func checkPlan(plan Plan, size int) (int, error) {
-	if len(plan) == 0 {
-		return 0, ErrEmptySeg
-	}
-	if plan.TotalBytes() != size {
-		return 0, fmt.Errorf("%w: plan carries %d of %d bytes", ErrShortPlan, plan.TotalBytes(), size)
-	}
-	return len(plan), nil
-}
-
-// segmentInto plans a packet into buf's storage when the policy is an
-// Appender, so a sweep over packet sizes reuses one plan buffer.
-func segmentInto(p Policy, buf Plan, size int, allowed baseband.TypeSet) (Plan, error) {
-	if ap, ok := p.(Appender); ok {
-		return ap.SegmentAppend(buf[:0], size, allowed)
-	}
-	return p.Segment(size, allowed)
-}
-
 // Efficiency is a poll-efficiency sample: the packet size achieving it and
 // the resulting bytes-per-poll value.
 type Efficiency struct {
@@ -216,10 +113,7 @@ type Efficiency struct {
 // maxSize] (paper eq. 4): the minimum, over the flow's possible packet
 // sizes, of useful bytes per poll. The worst case pins the poll interval
 // t = eta_min / R.
-func MinPollEfficiency(p Policy, minSize, maxSize int, allowed baseband.TypeSet) (Efficiency, error) {
-	if p == nil {
-		return Efficiency{}, ErrNilPolicy
-	}
+func MinPollEfficiency(minSize, maxSize int, allowed baseband.TypeSet) (Efficiency, error) {
 	if minSize <= 0 || minSize > maxSize {
 		return Efficiency{}, ErrBadRange
 	}
@@ -227,15 +121,12 @@ func MinPollEfficiency(p Policy, minSize, maxSize int, allowed baseband.TypeSet)
 	found := false
 	var buf Plan
 	for size := minSize; size <= maxSize; size++ {
-		plan, err := segmentInto(p, buf, size, allowed)
+		plan, err := AppendBestFit(buf[:0], size, allowed)
 		if err != nil {
 			return Efficiency{}, err
 		}
 		buf = plan
-		n, err := checkPlan(plan, size)
-		if err != nil {
-			return Efficiency{}, err
-		}
+		n := len(plan)
 		eta := float64(size) / float64(n)
 		if !found || eta < best.BytesPerPoll {
 			best = Efficiency{Size: size, Segments: n, BytesPerPoll: eta}
@@ -245,21 +136,18 @@ func MinPollEfficiency(p Policy, minSize, maxSize int, allowed baseband.TypeSet)
 	return best, nil
 }
 
-// MaxSegmentSlots returns the largest slot occupancy of any segment the
-// policy can emit for packet sizes in [minSize, maxSize]. This is the
+// MaxSegmentSlots returns the largest slot occupancy of any segment best
+// fit emits for packet sizes in [minSize, maxSize]. This is the
 // one-direction component of the paper's per-flow worst segment
 // transmission time xi_i.
-func MaxSegmentSlots(p Policy, minSize, maxSize int, allowed baseband.TypeSet) (int, error) {
-	if p == nil {
-		return 0, ErrNilPolicy
-	}
+func MaxSegmentSlots(minSize, maxSize int, allowed baseband.TypeSet) (int, error) {
 	if minSize <= 0 || minSize > maxSize {
 		return 0, ErrBadRange
 	}
 	maxSlots := 0
 	var buf Plan
 	for size := minSize; size <= maxSize; size++ {
-		plan, err := segmentInto(p, buf, size, allowed)
+		plan, err := AppendBestFit(buf[:0], size, allowed)
 		if err != nil {
 			return 0, err
 		}
@@ -269,9 +157,6 @@ func MaxSegmentSlots(p Policy, minSize, maxSize int, allowed baseband.TypeSet) (
 				maxSlots = s.Type.Slots()
 			}
 		}
-	}
-	if maxSlots == 0 {
-		return 0, ErrEmptySeg
 	}
 	return maxSlots, nil
 }

@@ -28,10 +28,9 @@ func TestBestFitPaperExamples(t *testing.T) {
 		{"two DH3 exactly", 366, []baseband.PacketType{baseband.TypeDH3, baseband.TypeDH3}},
 		{"two DH3 plus DH1", 380, []baseband.PacketType{baseband.TypeDH3, baseband.TypeDH3, baseband.TypeDH1}},
 	}
-	var policy BestFit
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			plan, err := policy.Segment(tt.size, baseband.PaperTypes)
+			plan, err := BestFit(tt.size, baseband.PaperTypes)
 			if err != nil {
 				t.Fatalf("Segment(%d): %v", tt.size, err)
 			}
@@ -51,42 +50,18 @@ func TestBestFitPaperExamples(t *testing.T) {
 }
 
 func TestBestFitErrors(t *testing.T) {
-	var policy BestFit
-	if _, err := policy.Segment(0, baseband.PaperTypes); !errors.Is(err, ErrBadSize) {
+	if _, err := BestFit(0, baseband.PaperTypes); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("size 0: err = %v", err)
 	}
-	if _, err := policy.Segment(-5, baseband.PaperTypes); !errors.Is(err, ErrBadSize) {
+	if _, err := BestFit(-5, baseband.PaperTypes); !errors.Is(err, ErrBadSize) {
 		t.Fatalf("negative size: err = %v", err)
 	}
 	scoOnly := baseband.NewTypeSet(baseband.TypeHV3)
-	if _, err := policy.Segment(10, scoOnly); !errors.Is(err, ErrNoACLTypes) {
+	if _, err := BestFit(10, scoOnly); !errors.Is(err, ErrNoACLTypes) {
 		t.Fatalf("SCO-only set: err = %v", err)
 	}
-	if _, err := policy.Segment(10, baseband.TypeSet(0)); !errors.Is(err, ErrNoACLTypes) {
+	if _, err := BestFit(10, baseband.TypeSet(0)); !errors.Is(err, ErrNoACLTypes) {
 		t.Fatalf("empty set: err = %v", err)
-	}
-}
-
-func TestGreedyLargest(t *testing.T) {
-	var policy GreedyLargest
-	plan, err := policy.Segment(200, baseband.PaperTypes)
-	if err != nil {
-		t.Fatalf("Segment: %v", err)
-	}
-	// Greedy uses DH3 even for the 17-byte remainder.
-	if len(plan) != 2 || plan[0].Type != baseband.TypeDH3 || plan[1].Type != baseband.TypeDH3 {
-		t.Fatalf("greedy plan = %v, want two DH3", plan)
-	}
-	if plan.TotalBytes() != 200 {
-		t.Fatalf("plan carries %d bytes, want 200", plan.TotalBytes())
-	}
-	// Greedy consumes at least as many slots as best-fit.
-	bf, err := BestFit{}.Segment(200, baseband.PaperTypes)
-	if err != nil {
-		t.Fatalf("BestFit.Segment: %v", err)
-	}
-	if plan.Slots() < bf.Slots() {
-		t.Fatalf("greedy slots %d < best-fit slots %d", plan.Slots(), bf.Slots())
 	}
 }
 
@@ -103,23 +78,10 @@ func TestPlanSlotsAndString(t *testing.T) {
 	}
 }
 
-func TestCount(t *testing.T) {
-	n, err := Count(BestFit{}, 200, baseband.PaperTypes)
-	if err != nil {
-		t.Fatalf("Count: %v", err)
-	}
-	if n != 2 {
-		t.Fatalf("Count(200) = %d, want 2", n)
-	}
-	if _, err := Count(nil, 200, baseband.PaperTypes); !errors.Is(err, ErrNilPolicy) {
-		t.Fatalf("nil policy: err = %v", err)
-	}
-}
-
 func TestMinPollEfficiencyPaper(t *testing.T) {
 	// Paper §4.1: over packet sizes 144..176 with DH1+DH3 and best-fit,
 	// every packet is one DH3, so eta_min = 144 bytes at size 144.
-	eff, err := MinPollEfficiency(BestFit{}, 144, 176, baseband.PaperTypes)
+	eff, err := MinPollEfficiency(144, 176, baseband.PaperTypes)
 	if err != nil {
 		t.Fatalf("MinPollEfficiency: %v", err)
 	}
@@ -132,7 +94,7 @@ func TestMinPollEfficiencyBoundaryDrop(t *testing.T) {
 	// Around a segment-count boundary the efficiency drops: size 183 is
 	// one DH3 (eta 183), size 184 is DH3+DH1 (eta 92). The minimum over
 	// [150, 250] must be at 184.
-	eff, err := MinPollEfficiency(BestFit{}, 150, 250, baseband.PaperTypes)
+	eff, err := MinPollEfficiency(150, 250, baseband.PaperTypes)
 	if err != nil {
 		t.Fatalf("MinPollEfficiency: %v", err)
 	}
@@ -145,20 +107,17 @@ func TestMinPollEfficiencyBoundaryDrop(t *testing.T) {
 }
 
 func TestMinPollEfficiencyErrors(t *testing.T) {
-	if _, err := MinPollEfficiency(BestFit{}, 0, 10, baseband.PaperTypes); !errors.Is(err, ErrBadRange) {
+	if _, err := MinPollEfficiency(0, 10, baseband.PaperTypes); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("min 0: err = %v", err)
 	}
-	if _, err := MinPollEfficiency(BestFit{}, 20, 10, baseband.PaperTypes); !errors.Is(err, ErrBadRange) {
+	if _, err := MinPollEfficiency(20, 10, baseband.PaperTypes); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("inverted range: err = %v", err)
-	}
-	if _, err := MinPollEfficiency(nil, 1, 10, baseband.PaperTypes); !errors.Is(err, ErrNilPolicy) {
-		t.Fatalf("nil policy: err = %v", err)
 	}
 }
 
 func TestMaxSegmentSlots(t *testing.T) {
 	// GS flows 144..176 with DH1+DH3: every segment is a DH3 -> 3 slots.
-	slots, err := MaxSegmentSlots(BestFit{}, 144, 176, baseband.PaperTypes)
+	slots, err := MaxSegmentSlots(144, 176, baseband.PaperTypes)
 	if err != nil {
 		t.Fatalf("MaxSegmentSlots: %v", err)
 	}
@@ -166,7 +125,7 @@ func TestMaxSegmentSlots(t *testing.T) {
 		t.Fatalf("MaxSegmentSlots = %d, want 3", slots)
 	}
 	// Packets up to 27 bytes only ever use DH1 -> 1 slot.
-	slots, err = MaxSegmentSlots(BestFit{}, 1, 27, baseband.PaperTypes)
+	slots, err = MaxSegmentSlots(1, 27, baseband.PaperTypes)
 	if err != nil {
 		t.Fatalf("MaxSegmentSlots: %v", err)
 	}
@@ -175,12 +134,11 @@ func TestMaxSegmentSlots(t *testing.T) {
 	}
 }
 
-// TestPropertyPlansCoverExactly: any policy plan carries exactly the packet
-// size, every segment respects its type capacity, and only allowed ACL types
-// appear.
+// TestPropertyPlansCoverExactly: a best-fit plan carries exactly the
+// packet size, every segment respects its type capacity, and only allowed
+// ACL types appear.
 func TestPropertyPlansCoverExactly(t *testing.T) {
-	policies := []Policy{BestFit{}, GreedyLargest{}}
-	f := func(sizeRaw uint16, setBits uint8, policyIdx uint8) bool {
+	f := func(sizeRaw uint16, setBits uint8) bool {
 		size := 1 + int(sizeRaw%2000)
 		sets := []baseband.TypeSet{
 			baseband.PaperTypes,
@@ -190,8 +148,7 @@ func TestPropertyPlansCoverExactly(t *testing.T) {
 			baseband.ACL1Slot,
 		}
 		allowed := sets[int(setBits)%len(sets)]
-		policy := policies[int(policyIdx)%len(policies)]
-		plan, err := policy.Segment(size, allowed)
+		plan, err := BestFit(size, allowed)
 		if err != nil {
 			return false
 		}
@@ -214,17 +171,19 @@ func TestPropertyPlansCoverExactly(t *testing.T) {
 	}
 }
 
-// TestPropertyBestFitNeverWorseThanGreedy: best-fit never uses more slots
-// than greedy-largest (it may use strictly fewer on small remainders).
+// TestPropertyBestFitNeverWorseThanGreedy: best fit never uses more slots
+// than the naive plan that sends every segment, the last included, in the
+// largest allowed packet (it uses strictly fewer on small remainders).
 func TestPropertyBestFitNeverWorseThanGreedy(t *testing.T) {
+	largest, _ := baseband.ACLAll.LargestACL()
 	f := func(sizeRaw uint16) bool {
 		size := 1 + int(sizeRaw%3000)
-		bf, err1 := BestFit{}.Segment(size, baseband.ACLAll)
-		gr, err2 := GreedyLargest{}.Segment(size, baseband.ACLAll)
-		if err1 != nil || err2 != nil {
+		bf, err := BestFit(size, baseband.ACLAll)
+		if err != nil {
 			return false
 		}
-		return bf.Slots() <= gr.Slots()
+		segments := (size + largest.Payload() - 1) / largest.Payload()
+		return bf.Slots() <= segments*largest.Slots()
 	}
 	cfg := &quick.Config{MaxCount: 1000, Rand: rand.New(rand.NewSource(37))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -240,16 +199,16 @@ func TestPropertyEfficiencyIsMinimum(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		eff, err := MinPollEfficiency(BestFit{}, lo, hi, baseband.PaperTypes)
+		eff, err := MinPollEfficiency(lo, hi, baseband.PaperTypes)
 		if err != nil {
 			return false
 		}
 		for size := lo; size <= hi; size++ {
-			n, err := Count(BestFit{}, size, baseband.PaperTypes)
+			plan, err := BestFit(size, baseband.PaperTypes)
 			if err != nil {
 				return false
 			}
-			if float64(size)/float64(n) < eff.BytesPerPoll-1e-9 {
+			if float64(size)/float64(len(plan)) < eff.BytesPerPoll-1e-9 {
 				return false
 			}
 		}
@@ -264,7 +223,7 @@ func TestPropertyEfficiencyIsMinimum(t *testing.T) {
 func BenchmarkBestFitSegment(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := (BestFit{}).Segment(1500, baseband.ACLAll); err != nil {
+		if _, err := BestFit(1500, baseband.ACLAll); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -273,7 +232,7 @@ func BenchmarkBestFitSegment(b *testing.B) {
 func BenchmarkMinPollEfficiency(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := MinPollEfficiency(BestFit{}, 144, 176, baseband.PaperTypes); err != nil {
+		if _, err := MinPollEfficiency(144, 176, baseband.PaperTypes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,22 +6,6 @@ import (
 	"bluegs/internal/stats"
 )
 
-// Max–min fair division of leftover capacity, as PFP produces for the
-// paper's best-effort slaves at a tight delay requirement: the smallest
-// demand is served fully, the rest split what remains equally.
-func ExampleMaxMinShares() {
-	demands := []float64{83.2, 94.4, 105.6, 116.8} // kbps offered per slave
-	shares := stats.MaxMinShares(350, demands)
-	for i, s := range shares {
-		fmt.Printf("S%d: %.1f of %.1f\n", i+4, s, demands[i])
-	}
-	// Output:
-	// S4: 83.2 of 83.2
-	// S5: 88.9 of 94.4
-	// S6: 88.9 of 105.6
-	// S7: 88.9 of 116.8
-}
-
 func ExampleFairness() {
 	fmt.Printf("%.3f\n", stats.Fairness([]float64{64, 64, 64, 64}))
 	fmt.Printf("%.3f\n", stats.Fairness([]float64{256, 0, 0, 0}))

@@ -10,18 +10,17 @@ import (
 	"sort"
 )
 
-// Gob support for the accumulator types, so completed measurements can be
-// persisted (the harness run cache stores scenario results on disk). The
-// GobEncode/GobDecode pairs emit flat byte encodings rather than nested
-// gob streams, so decoding a value costs a copy, not a fresh gob.Decoder
-// that re-sends and re-compiles its wire type every time.
+// Flat byte encodings of the accumulator types, so completed measurements
+// can be persisted: the harness run cache writes them into its entries.
+// The methods keep the names of the encoding/gob interfaces they once
+// served (GobEncode/GobDecode), but no gob stream is involved: decoding a
+// value costs one pass over its bytes.
 //
 // Every encoding starts with a format byte naming its type and layout:
 //
 //	Welford        fmtWelford, n, mean, m2, min, max (uint64/float64 bits,
 //	               little-endian, fixed width)
-//	Sample         fmtSample, layout (below), cap (varint), seen (uvarint),
-//	               rnd (8 bytes little-endian), count (uvarint), then count
+//	Sample         fmtSample, layout (below), count (uvarint), then count
 //	               values in the layout's form
 //	DurationStats  fmtDurationStats, Welford encoding, Sample encoding
 //
@@ -39,20 +38,23 @@ import (
 // nanoseconds, sorted by the Quantile the collectors take before a result
 // is stored, so a cached delay costs about 2.6 bytes instead of 6.
 //
-// The encodings capture the complete internal state — including the
-// reservoir RNG state of Sample — so a decoded accumulator behaves
-// bit-identically to the original under further Adds, and round-tripping
-// preserves every float64 bit pattern. Decoders accept only the canonical
-// bytes their encoder writes: a wrong format byte, a short or overlong
-// input, a non-minimal varint, a value count larger than the remaining
-// input, a sorted layout over values out of order, a delta sum of 2^53 or
-// more, or a layout-1 encoding that layout 2 could have written is an
-// error, so bytes of another format are refused, never misread.
+// A Sample keeps every observation, so the encodings capture the complete
+// internal state: a decoded accumulator behaves bit-identically to the
+// original under further Adds, and round-tripping preserves every float64
+// bit pattern. Decoders accept only the canonical bytes their encoder
+// writes: a wrong format byte, a short or overlong input, a non-minimal
+// varint, a value count larger than the remaining input, a sorted layout
+// over values out of order, a delta sum of 2^53 or more, a layout-1
+// encoding that layout 2 could have written, or a DurationStats whose
+// moments count other than its sample's values is an error, so bytes of
+// another format are refused, never misread. fmtSample 0xB2 named an
+// older Sample layout that also carried a reservoir's capacity, count
+// and RNG state; its bytes are refused.
 
 const (
 	fmtWelford       byte = 0xB1
-	fmtSample        byte = 0xB2
 	fmtDurationStats byte = 0xB3
+	fmtSample        byte = 0xB4
 )
 
 // Sample layouts: the byte after fmtSample.
@@ -77,7 +79,7 @@ func sampleCap(layout byte, n int) int {
 	if layout == layoutDelta {
 		width = 3
 	}
-	return 2 + 3*binary.MaxVarintLen64 + 8 + width*n
+	return 2 + binary.MaxVarintLen64 + width*n
 }
 
 // GobEncode implements gob.GobEncoder.
@@ -153,9 +155,6 @@ func integral(values []float64) bool {
 
 func (s *Sample) appendBinary(b []byte, layout byte) []byte {
 	b = append(b, fmtSample, layout)
-	b = binary.AppendVarint(b, int64(s.cap))
-	b = binary.AppendUvarint(b, s.seen)
-	b = binary.LittleEndian.AppendUint64(b, s.rnd)
 	b = binary.AppendUvarint(b, uint64(len(s.values)))
 	if layout == layoutDelta {
 		var prev uint64
@@ -178,21 +177,18 @@ func (s *Sample) decode(data []byte) ([]byte, error) {
 		return nil, errFormat
 	}
 	layout := data[1]
-	r := reader{b: data[2:]}
-	capacity := r.varint()
-	seen := r.uvarint()
-	rnd := r.fixed64()
-	count := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
+	b := data[2:]
+	count, n := binary.Uvarint(b)
+	if err := varintErr(b, n); err != nil {
+		return nil, err
 	}
+	b = b[n:]
 	// Every value takes at least one byte: a larger count is damage, and
 	// refusing it here keeps a forged count from sizing the allocation.
-	if count > uint64(len(r.b)) {
+	if count > uint64(len(b)) {
 		return nil, errFormat
 	}
 	var values []float64
-	b := r.b
 	if count > 0 {
 		values = make([]float64, count)
 		var err error
@@ -210,7 +206,7 @@ func (s *Sample) decode(data []byte) ([]byte, error) {
 	if layout == layoutSorted && (!sort.Float64sAreSorted(values) || integral(values)) {
 		return nil, errFormat
 	}
-	*s = Sample{values: values, sorted: layout != layoutUnsorted, cap: int(capacity), seen: seen, rnd: rnd}
+	*s = Sample{values: values, sorted: layout != layoutUnsorted}
 	return b, nil
 }
 
@@ -283,6 +279,11 @@ func (d *DurationStats) decode(data []byte) error {
 	if len(rest) != 0 {
 		return errTrailing
 	}
+	// Every Add reaches both halves, so their counts agree; a forged
+	// count would otherwise pass as Count and size later buffers.
+	if out.w.n != uint64(len(out.s.values)) {
+		return errFormat
+	}
 	*d = out
 	return nil
 }
@@ -292,37 +293,6 @@ var (
 	errTruncated = errors.New("truncated encoding")
 	errTrailing  = errors.New("trailing bytes after encoding")
 )
-
-// reader decodes the variable-width fields of the flat encodings. The
-// first failure sticks in err and every later read returns zero.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(r.b)
-	if r.err = varintErr(r.b, n); r.err != nil {
-		return 0
-	}
-	r.b = r.b[n:]
-	return x
-}
-
-func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	x, n := binary.Varint(r.b)
-	if r.err = varintErr(r.b, n); r.err != nil {
-		return 0
-	}
-	r.b = r.b[n:]
-	return x
-}
 
 // varintErr vets a varint read of n bytes from b: n <= 0 is a short or
 // overflowing varint, and a multi-byte varint ending in a zero byte is a
@@ -335,17 +305,4 @@ func varintErr(b []byte, n int) error {
 		return errFormat
 	}
 	return nil
-}
-
-func (r *reader) fixed64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.err = errTruncated
-		return 0
-	}
-	x := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return x
 }

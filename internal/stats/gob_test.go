@@ -44,43 +44,45 @@ func TestWelfordGobRoundTrip(t *testing.T) {
 
 func TestSampleGobRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	s := NewSample(64)
+	var s Sample
 	for i := 0; i < 500; i++ {
 		s.Add(rng.Float64())
 	}
 	var got Sample
-	roundTrip(t, s, &got)
-	if got.Count() != s.Count() || got.Retained() != s.Retained() {
-		t.Fatalf("counts drifted: %d/%d vs %d/%d", got.Count(), got.Retained(), s.Count(), s.Retained())
+	roundTrip(t, &s, &got)
+	if got.Count() != s.Count() {
+		t.Fatalf("counts drifted: %d vs %d", got.Count(), s.Count())
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
 		if got.Quantile(q) != s.Quantile(q) {
 			t.Fatalf("quantile %v drifted", q)
 		}
 	}
-	// The reservoir RNG state travels too: identical future replacement
-	// decisions on both copies.
+	// Decoded samples keep accumulating identically.
 	for i := 0; i < 500; i++ {
 		x := rng.Float64()
 		s.Add(x)
 		got.Add(x)
 	}
 	a, b := s.Values(), got.Values()
+	if len(a) != len(b) {
+		t.Fatalf("%d values after decode and Adds, want %d", len(b), len(a))
+	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("reservoir diverged at %d after decode", i)
+			t.Fatalf("sample diverged at %d after decode", i)
 		}
 	}
 }
 
 func TestDurationStatsGobRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	d := NewDurationStats(128)
+	var d DurationStats
 	for i := 0; i < 1000; i++ {
 		d.Add(time.Duration(rng.Int63n(int64(50 * time.Millisecond))))
 	}
 	var got DurationStats
-	roundTrip(t, d, &got)
+	roundTrip(t, &d, &got)
 	if got.Count() != d.Count() || got.Mean() != d.Mean() || got.Max() != d.Max() ||
 		got.Min() != d.Min() || got.StdDev() != d.StdDev() {
 		t.Fatal("moments drifted through gob")
@@ -92,11 +94,14 @@ func TestDurationStatsGobRoundTrip(t *testing.T) {
 	}
 }
 
-// Gob bytes of the nested-gob encodings these types used before the flat
-// format: a Welford over {1.5, 2.25, 4} and a DurationStats (capacity 4)
-// over {30ms, 1.25ms, 7ms}. Cached entries of that era must be refused,
-// never misread.
+// Bytes of the encodings these types used in earlier formats: the
+// nested-gob encodings of a Welford over {1.5, 2.25, 4} and a
+// DurationStats (capacity 4) over {30ms, 1.25ms, 7ms}, and the flat
+// DurationStats over the same sorted values whose Sample (format 0xB2)
+// still carried a reservoir's capacity, count and RNG state. Cached
+// entries of those eras must be refused, never misread.
 const (
+	reservoirDurationStats = "b3b10300000000000000000000009651684100e034bfb74ffa4200000000d012334100000000389c7c41b2020003157c4a7fb979379e03d0a54cf0f9de02c0e7fb0a"
 	nestedGobWelford       = "3e7f0301010b77656c666f72645769726501ff8000010501014e01060001044d65616e01080001024d3201080001034d696e01080001034d6178010800000021ff80010301f8abaaaaaaaaaa044001f85555555555550a4001fef83f01fe104000"
 	nestedGobDurationStats = "2dff81030101116475726174696f6e53746174735769726501ff8200010201015701ff840001015301ff8600000013ff830501010757656c666f726401ff8400000012ff850501010653616d706c6501ff86000000ffecff8201603e7f0301010b77656c666f72645769726501ff8000010501014e01060001044d65616e01080001024d3201080001034d696e01080001034d6178010800000020ff80010301fc9651684101f9e034bfb74ffa4201fcd012334101fc389c7c410001ff8448ff870301010a73616d706c655769726501ff88000105010656616c75657301ff8a000106536f72746564010200010343617001040001045365656e0106000103526e64010600000017ff89020101095b5d666c6f6174363401ff8a000108000022ff880103fc389c7c41fcd0123341fcf0b35a410208010301f89e3779b97f4a7c150000"
 )
@@ -139,7 +144,7 @@ var reencode = map[string]func(data []byte) ([]byte, error){
 // TestGobRejectsMalformed: every decoder refuses damaged, truncated,
 // padded or foreign bytes instead of misreading them.
 func TestGobRejectsMalformed(t *testing.T) {
-	d := NewDurationStats(8)
+	d := new(DurationStats)
 	for _, v := range []time.Duration{3 * time.Millisecond, 17 * time.Millisecond, 40 * time.Millisecond} {
 		d.Add(v)
 	}
@@ -153,12 +158,14 @@ func TestGobRejectsMalformed(t *testing.T) {
 	}
 	welford, _ := d.w.GobEncode()
 	sample, _ := d.s.GobEncode()
-	// Header of the sample: format, layout, cap, seen, rnd (8 bytes);
-	// then the value count.
-	countAt := 1 + 1 + 1 + 1 + 8
-	// withSample is good with its sample replaced by a hand-built one.
+	// Header of the sample: format and layout; then the value count.
+	countAt := 1 + 1
+	// withSample is good with its sample replaced by a hand-built one
+	// and its moments' count set to match.
 	withSample := func(layout byte, values ...uint64) []byte {
-		return append(append([]byte(nil), good[:1+welfordSize]...), sampleBytes(layout, values...)...)
+		b := append([]byte(nil), good[:1+welfordSize]...)
+		binary.LittleEndian.PutUint64(b[2:], uint64(len(values)))
+		return append(b, sampleBytes(layout, values...)...)
 	}
 	half := math.Float64bits(0.5)
 	oneDelta := withSample(layoutDelta, 1)
@@ -173,6 +180,8 @@ func TestGobRejectsMalformed(t *testing.T) {
 		"non-minimal value":    append(patch(good, 1+welfordSize+countAt, 4), 0x80, 0x00),
 		"overflowing varint":   append(patch(good, 1+welfordSize+countAt, 4), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
 		"foreign inner format": patch(good, 1, fmtSample),
+		"reservoir sample":     mustHex(t, reservoirDurationStats),
+		"count beyond sample":  patch(good, 2, 4),
 		"delta sum past 2^53":  withSample(layoutDelta, 1<<52, 1<<52),
 		"non-minimal delta":    append(oneDelta[:len(oneDelta)-1], 0x81, 0x00),
 		"raw sorted integers":  withSample(layoutSorted, rawBits(1), rawBits(2)),
@@ -211,13 +220,10 @@ func TestGobRejectsMalformed(t *testing.T) {
 // rawBits is x in the raw layouts' value form, for sampleBytes.
 func rawBits(x float64) uint64 { return bits.ReverseBytes64(math.Float64bits(x)) }
 
-// sampleBytes hand-builds a Sample encoding (capacity 0, seen = count)
-// with the given layout byte and uvarint-coded values, valid or not.
+// sampleBytes hand-builds a Sample encoding with the given layout byte
+// and uvarint-coded values, valid or not.
 func sampleBytes(layout byte, values ...uint64) []byte {
 	b := []byte{fmtSample, layout}
-	b = binary.AppendVarint(b, 0)
-	b = binary.AppendUvarint(b, uint64(len(values)))
-	b = binary.LittleEndian.AppendUint64(b, 0)
 	b = binary.AppendUvarint(b, uint64(len(values)))
 	for _, v := range values {
 		b = binary.AppendUvarint(b, v)
@@ -312,26 +318,26 @@ func TestGobBitPatternsExact(t *testing.T) {
 
 // FuzzStatsGobDecode feeds arbitrary bytes to all three decoders: none
 // may panic, and every accepted input must re-encode byte-identically
-// (the decoders accept only canonical encodings). The nested-gob seeds
-// of the previous format are asserted rejected up front, so the check
-// runs under plain go test too.
+// (the decoders accept only canonical encodings). The seeds of earlier
+// formats are asserted rejected up front, so the check runs under plain
+// go test too.
 func FuzzStatsGobDecode(f *testing.F) {
-	for _, seed := range []string{nestedGobWelford, nestedGobDurationStats} {
+	for _, seed := range []string{nestedGobWelford, nestedGobDurationStats, reservoirDurationStats} {
 		b := mustHex(f, seed)
 		for name, rt := range reencode {
 			if _, err := rt(b); err == nil {
-				f.Fatalf("%s accepted a nested-gob encoding", name)
+				f.Fatalf("%s accepted an earlier format's encoding", name)
 			}
 		}
 		f.Add(b)
 	}
 	rng := rand.New(rand.NewSource(4))
-	d := NewDurationStats(16)
+	d := new(DurationStats)
 	for i := 0; i < 40; i++ {
 		d.Add(time.Duration(rng.Int63n(int64(60 * time.Millisecond))))
 	}
 	d.Quantile(0.5) // sorted integral sample: the delta layout
-	frac := NewSample(0)
+	frac := new(Sample)
 	for i := 0; i < 8; i++ {
 		frac.Add(rng.Float64() * 1e6)
 	}
@@ -367,7 +373,7 @@ func FuzzStatsGobDecode(f *testing.F) {
 // 40 ms, sorted when sorted is set: the shape of a cached delay sample.
 func delaySample(n int, sorted bool) *DurationStats {
 	rng := rand.New(rand.NewSource(5))
-	d := NewDurationStats(0)
+	d := new(DurationStats)
 	for i := 0; i < n; i++ {
 		d.Add(time.Duration(rng.Int63n(int64(40 * time.Millisecond))))
 	}

@@ -71,52 +71,24 @@ func (w *Welford) Max() float64 {
 	return w.max
 }
 
-// Sample stores observations for exact quantile queries. The zero value is
-// ready to use and stores every observation; use NewSample to bound memory
-// with reservoir sampling.
+// Sample stores every observation for exact quantile queries. The zero
+// value is ready to use.
 type Sample struct {
 	values []float64
 	sorted bool
-	cap    int
-	seen   uint64
-	// rnd is a tiny xorshift state for reservoir replacement; avoiding
-	// math/rand keeps the zero value usable without a constructor.
-	rnd uint64
-}
-
-// NewSample returns a Sample that keeps at most capacity observations using
-// reservoir sampling (capacity <= 0 means unbounded).
-func NewSample(capacity int) *Sample {
-	return &Sample{cap: capacity, rnd: 0x9E3779B97F4A7C15}
 }
 
 // Add incorporates one observation.
 func (s *Sample) Add(x float64) {
-	s.seen++
-	if s.cap <= 0 || len(s.values) < s.cap {
-		s.values = append(s.values, x)
-		s.sorted = false
-		return
-	}
-	// Reservoir replacement with probability cap/seen.
-	s.rnd ^= s.rnd << 13
-	s.rnd ^= s.rnd >> 7
-	s.rnd ^= s.rnd << 17
-	idx := s.rnd % s.seen
-	if idx < uint64(s.cap) {
-		s.values[idx] = x
-		s.sorted = false
-	}
+	s.values = append(s.values, x)
+	s.sorted = false
 }
 
-// Count returns the number of observations seen (not the retained count).
-func (s *Sample) Count() uint64 { return s.seen }
+// Count returns the number of observations.
+func (s *Sample) Count() uint64 { return uint64(len(s.values)) }
 
-// Retained returns how many observations are held.
-func (s *Sample) Retained() int { return len(s.values) }
-
-// Quantile returns the q-quantile (0 <= q <= 1) of the retained
-// observations using linear interpolation; zero when empty.
+// Quantile returns the q-quantile (0 <= q <= 1) of the observations using
+// linear interpolation; zero when empty.
 func (s *Sample) Quantile(q float64) float64 {
 	if len(s.values) == 0 {
 		return 0
@@ -141,28 +113,23 @@ func (s *Sample) Quantile(q float64) float64 {
 	return s.values[lo]*(1-frac) + s.values[hi]*frac
 }
 
-// Max returns the largest retained observation (zero when empty).
+// Max returns the largest observation (zero when empty).
 func (s *Sample) Max() float64 { return s.Quantile(1) }
 
-// Min returns the smallest retained observation (zero when empty).
+// Min returns the smallest observation (zero when empty).
 func (s *Sample) Min() float64 { return s.Quantile(0) }
 
-// Values returns a copy of the retained observations (unspecified order).
+// Values returns a copy of the observations (unspecified order).
 func (s *Sample) Values() []float64 {
 	return append([]float64(nil), s.values...)
 }
 
 // DurationStats accumulates statistics over time.Duration observations,
 // combining streaming moments with an exact-quantile sample. The zero value
-// is ready to use (unbounded sample).
+// is ready to use.
 type DurationStats struct {
 	w Welford
 	s Sample
-}
-
-// NewDurationStats bounds the retained sample to capacity observations.
-func NewDurationStats(capacity int) *DurationStats {
-	return &DurationStats{s: *NewSample(capacity)}
 }
 
 // Add incorporates one duration observation.
@@ -175,9 +142,6 @@ func (d *DurationStats) Add(v time.Duration) {
 // Count returns the number of observations.
 func (d *DurationStats) Count() uint64 { return d.w.Count() }
 
-// Retained returns how many observations the sample holds.
-func (d *DurationStats) Retained() int { return d.s.Retained() }
-
 // Mean returns the mean duration.
 func (d *DurationStats) Mean() time.Duration { return time.Duration(d.w.Mean()) }
 
@@ -187,16 +151,15 @@ func (d *DurationStats) StdDev() time.Duration { return time.Duration(d.w.StdDev
 // Min returns the smallest observation.
 func (d *DurationStats) Min() time.Duration { return time.Duration(d.w.Min()) }
 
-// Max returns the largest observation. Unlike the quantile sample, this is
-// exact even when the sample is bounded.
+// Max returns the largest observation.
 func (d *DurationStats) Max() time.Duration { return time.Duration(d.w.Max()) }
 
-// Quantile returns the q-quantile of the retained sample.
+// Quantile returns the q-quantile of the sample.
 func (d *DurationStats) Quantile(q float64) time.Duration {
 	return time.Duration(d.s.Quantile(q))
 }
 
-// FillHistogram adds every retained observation into the histogram (for
+// FillHistogram adds every observation into the histogram (for
 // rendering delay distributions after a run).
 func (d *DurationStats) FillHistogram(h *DurationHistogram) {
 	if h == nil {
@@ -277,41 +240,6 @@ func Fairness(xs []float64) float64 {
 		return 1
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
-// MaxMinShares computes the max–min fair allocation of a total capacity to
-// demands: every demand receives min(demand, fair level), with the level
-// chosen so the capacity is exhausted (or all demands met). The returned
-// slice is aligned with demands.
-func MaxMinShares(capacity float64, demands []float64) []float64 {
-	out := make([]float64, len(demands))
-	if capacity <= 0 || len(demands) == 0 {
-		return out
-	}
-	type entry struct {
-		idx    int
-		demand float64
-	}
-	order := make([]entry, 0, len(demands))
-	for i, d := range demands {
-		if d < 0 {
-			d = 0
-		}
-		order = append(order, entry{idx: i, demand: d})
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].demand < order[j].demand })
-	remaining := capacity
-	for i, e := range order {
-		share := remaining / float64(len(order)-i)
-		if e.demand <= share {
-			out[e.idx] = e.demand
-			remaining -= e.demand
-		} else {
-			out[e.idx] = share
-			remaining -= share
-		}
-	}
-	return out
 }
 
 // FormatKbps renders a rate with one decimal, e.g. "64.0".

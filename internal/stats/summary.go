@@ -98,22 +98,18 @@ func (w *Welford) Merge(other Welford) {
 	}
 }
 
-// Merge folds another sample store into s: every retained observation of
-// other is Added (subject to s's own reservoir bound), and observations
-// other saw but did not retain still count toward s's seen total so that
-// Count and later reservoir-replacement probabilities stay honest.
+// Merge folds another sample store into s, as if every observation of
+// other had been Added to s.
 func (s *Sample) Merge(other *Sample) {
-	if other == nil {
+	if other == nil || len(other.values) == 0 {
 		return
 	}
-	for _, v := range other.values {
-		s.Add(v)
-	}
-	s.seen += other.seen - uint64(len(other.values))
+	s.values = append(s.values, other.values...)
+	s.sorted = false
 }
 
 // Merge folds another DurationStats into d: moments and extremes merge
-// exactly; the quantile sample absorbs other's retained observations.
+// exactly; the quantile sample absorbs other's observations.
 func (d *DurationStats) Merge(other *DurationStats) {
 	if other == nil {
 		return

@@ -129,18 +129,17 @@ func TestDurationStatsMerge(t *testing.T) {
 }
 
 func TestSampleMergeSeenAccounting(t *testing.T) {
-	src := NewSample(4)
+	var src, dst Sample
 	for i := 0; i < 100; i++ {
 		src.Add(float64(i))
 	}
-	dst := NewSample(8)
-	dst.Merge(src)
-	// The merged store retains at most src's reservoir but must still
-	// account for everything src saw.
-	if dst.Count() != 100 {
-		t.Fatalf("Count = %d, want 100", dst.Count())
+	dst.Add(1000)
+	dst.Merge(&src)
+	// The merged store accounts for everything both sides saw.
+	if dst.Count() != 101 {
+		t.Fatalf("Count = %d, want 101", dst.Count())
 	}
-	if dst.Retained() != 4 {
-		t.Fatalf("Retained = %d, want 4", dst.Retained())
+	if dst.Min() != 0 || dst.Max() != 1000 || dst.Quantile(0.5) != 50 {
+		t.Fatalf("merged min/median/max = %v/%v/%v, want 0/50/1000", dst.Min(), dst.Quantile(0.5), dst.Max())
 	}
 }

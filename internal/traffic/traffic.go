@@ -1,11 +1,10 @@
 // Package traffic provides the source models that drive the simulated
-// piconet: packet size distributions and arrival processes. The paper's
-// §4.1 sources are CBR with either uniform (GS flows: 144–176 bytes every
-// 20 ms) or fixed (BE flows: 176 bytes) packet sizes.
+// piconet: packet size distributions and the CBR arrival process. The
+// paper's §4.1 sources are CBR with either uniform (GS flows: 144–176
+// bytes every 20 ms) or fixed (BE flows: 176 bytes) packet sizes.
 package traffic
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -18,8 +17,6 @@ type SizeDist interface {
 	// Bounds returns the inclusive [min, max] support of the
 	// distribution, which feeds the flow's TSpec (m, M).
 	Bounds() (minSize, maxSize int)
-	// Name identifies the distribution in reports.
-	Name() string
 }
 
 // FixedSize always draws the same size.
@@ -42,13 +39,6 @@ func (f FixedSize) Bounds() (int, int) {
 		n = 1
 	}
 	return n, n
-}
-
-// Name implements SizeDist. It reports the effective (clamped) size, so a
-// report never labels a distribution the simulation did not actually run.
-func (f FixedSize) Name() string {
-	n, _ := f.Bounds()
-	return fmt.Sprintf("fixed(%d)", n)
 }
 
 // UniformSize draws sizes uniformly from [Min, Max] inclusive, the paper's
@@ -80,68 +70,19 @@ func (u UniformSize) Bounds() (int, int) {
 	return lo, hi
 }
 
-// Name implements SizeDist. Like Draw and Bounds it reflects the effective
-// (clamped) support rather than the raw parameters.
-func (u UniformSize) Name() string {
-	lo, hi := u.Bounds()
-	return fmt.Sprintf("uniform(%d,%d)", lo, hi)
-}
-
-// Generator produces the inter-arrival time to the next packet. Generators
-// may be stateful; all randomness comes from the supplied rng.
-type Generator interface {
-	// NextInterval returns the time between the previous packet and the
-	// next one (> 0).
-	NextInterval(rng *rand.Rand) time.Duration
-	// Name identifies the process in reports.
-	Name() string
-}
-
-// BurstGenerator is an optional Generator extension for batched emission:
-// NextBurst returns the next run of inter-arrival gaps in one call, drawn
-// exactly as the same number of successive NextInterval calls would draw
-// them (same values, same RNG consumption). Sources that understand it
-// can schedule one kernel event per burst instead of one per packet,
-// pre-enqueueing the burst's future-dated arrivals (see
-// piconet.EnqueuePacketAt). A burst ends where the generator would next
-// need fresh randomness to continue — an ON/OFF source returns one ON
-// burst per call — or at max gaps, whichever comes first.
-type BurstGenerator interface {
-	Generator
-	// NextBurst appends up to max gaps to dst and returns it. At least
-	// one gap is returned when max > 0.
-	NextBurst(rng *rand.Rand, dst []time.Duration, max int) []time.Duration
-}
-
 // CBR emits one packet every Interval, the paper's arrival process for both
 // GS and BE sources.
 type CBR struct {
 	Interval time.Duration
 }
 
-var (
-	_ Generator      = CBR{}
-	_ BurstGenerator = CBR{}
-)
-
-// NextInterval implements Generator.
-func (c CBR) NextInterval(*rand.Rand) time.Duration {
+// NextInterval returns the time between the previous packet and the next
+// one: Interval, or 1 ms when Interval is not positive.
+func (c CBR) NextInterval() time.Duration {
 	if c.Interval <= 0 {
 		return time.Millisecond
 	}
 	return c.Interval
-}
-
-// Name implements Generator.
-func (c CBR) Name() string { return fmt.Sprintf("cbr(%v)", c.Interval) }
-
-// NextBurst implements BurstGenerator. A constant-rate source needs no
-// randomness, so every call fills the whole batch.
-func (c CBR) NextBurst(rng *rand.Rand, dst []time.Duration, max int) []time.Duration {
-	for i := 0; i < max; i++ {
-		dst = append(dst, c.NextInterval(rng))
-	}
-	return dst
 }
 
 // CBRForRate returns the CBR process that carries rate bits per second with
@@ -156,138 +97,4 @@ func CBRForRate(bitsPerSecond float64, meanPacketBytes int) CBR {
 	// the requested one (e.g. the paper's 41.6 kbps BE sources).
 	sec := float64(meanPacketBytes) * 8 / bitsPerSecond
 	return CBR{Interval: time.Duration(math.Round(sec * float64(time.Second)))}
-}
-
-// Poisson emits packets with exponential inter-arrival times at the given
-// mean rate (packets per second).
-type Poisson struct {
-	PacketsPerSecond float64
-}
-
-var _ Generator = Poisson{}
-
-// NextInterval implements Generator.
-func (p Poisson) NextInterval(rng *rand.Rand) time.Duration {
-	if p.PacketsPerSecond <= 0 {
-		return time.Millisecond
-	}
-	sec := rng.ExpFloat64() / p.PacketsPerSecond
-	d := time.Duration(sec * float64(time.Second))
-	if d <= 0 {
-		d = time.Nanosecond
-	}
-	return d
-}
-
-// Name implements Generator.
-func (p Poisson) Name() string { return fmt.Sprintf("poisson(%.1f/s)", p.PacketsPerSecond) }
-
-// OnOff alternates exponential ON periods, during which it emits CBR
-// traffic, with exponential OFF silences. Create with NewOnOff.
-//
-// Accounting: every emitted packet consumes exactly one interval of ON
-// time, and the unused tail of an ON period (shorter than one interval)
-// carries over into the next ON period's budget, so the long-run packet
-// rate is exactly dutyCycle/interval with
-// dutyCycle = meanOn/(meanOn+meanOff) — no burst gets a free packet and
-// no ON time is silently discarded. The source starts in the stationary
-// phase: with probability meanOff/(meanOn+meanOff) the first packet is
-// preceded by a residual OFF silence.
-type OnOff struct {
-	meanOn, meanOff time.Duration
-	interval        time.Duration
-	remainingOn     time.Duration
-	started         bool
-}
-
-var (
-	_ Generator      = (*OnOff)(nil)
-	_ BurstGenerator = (*OnOff)(nil)
-)
-
-// NewOnOff returns an ON/OFF source with the given mean ON and OFF period
-// lengths emitting one packet per interval while ON.
-func NewOnOff(meanOn, meanOff, interval time.Duration) *OnOff {
-	if meanOn <= 0 {
-		meanOn = time.Second
-	}
-	if meanOff <= 0 {
-		meanOff = time.Second
-	}
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	return &OnOff{meanOn: meanOn, meanOff: meanOff, interval: interval}
-}
-
-// expDur draws an exponential duration with the given mean, clamped to at
-// least one nanosecond. Hoisted out of NextInterval so the hot path builds
-// no per-call closure.
-func expDur(rng *rand.Rand, mean time.Duration) time.Duration {
-	d := time.Duration(rng.ExpFloat64() * float64(mean))
-	if d <= 0 {
-		d = time.Nanosecond
-	}
-	return d
-}
-
-// NextInterval implements Generator.
-//
-// RNG draw order (fixed, for reproducible replay): on the first call one
-// Float64 selects the stationary starting phase, followed by one
-// ExpFloat64 for the residual OFF silence when the source starts silent,
-// then one ExpFloat64 for the first ON length. Afterwards, every time an
-// ON period is exhausted, one ExpFloat64 draws the OFF gap and one
-// ExpFloat64 draws the next ON length, in that order.
-func (o *OnOff) NextInterval(rng *rand.Rand) time.Duration {
-	var gap time.Duration
-	if !o.started {
-		o.started = true
-		if rng.Float64()*float64(o.meanOn+o.meanOff) < float64(o.meanOff) {
-			// Start inside an OFF period; the residual of an
-			// exponential silence is exponential again.
-			gap = expDur(rng, o.meanOff)
-		}
-		o.remainingOn = expDur(rng, o.meanOn)
-	}
-	for o.remainingOn < o.interval {
-		// The ON period ends before the next emission: an OFF silence
-		// rides into the gap and a fresh ON period tops up the budget.
-		// The sub-interval tail stays in remainingOn rather than being
-		// discarded — dropping it would bias the long-run rate low by
-		// E[on mod interval] per burst — and no burst is ever credited
-		// a free first packet; periods too short to accumulate one
-		// interval emit nothing.
-		gap += expDur(rng, o.meanOff)
-		o.remainingOn += expDur(rng, o.meanOn)
-	}
-	o.remainingOn -= o.interval
-	return gap + o.interval
-}
-
-// NextBurst implements BurstGenerator: one call returns (up to max) the
-// rest of the current ON burst. The first gap may carry an OFF silence —
-// exactly what NextInterval would have returned — and every further gap
-// is a bare interval emitted while the remaining ON budget lasts, so the
-// returned sequence and the RNG consumption match successive
-// NextInterval calls gap for gap. The burst stops where the next
-// emission would need a fresh OFF/ON draw.
-func (o *OnOff) NextBurst(rng *rand.Rand, dst []time.Duration, max int) []time.Duration {
-	if max <= 0 {
-		return dst
-	}
-	// max caps the gaps appended by this call, not len(dst): callers may
-	// accumulate across calls (CBR counts the same way).
-	start := len(dst)
-	dst = append(dst, o.NextInterval(rng))
-	for len(dst)-start < max && o.remainingOn >= o.interval {
-		o.remainingOn -= o.interval
-		dst = append(dst, o.interval)
-	}
-	return dst
-}
-
-// Name implements Generator.
-func (o *OnOff) Name() string {
-	return fmt.Sprintf("onoff(on=%v,off=%v,ival=%v)", o.meanOn, o.meanOff, o.interval)
 }

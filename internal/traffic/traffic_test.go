@@ -60,14 +60,13 @@ func TestUniformSizeDegenerate(t *testing.T) {
 }
 
 func TestCBR(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
 	c := CBR{Interval: 20 * time.Millisecond}
 	for i := 0; i < 5; i++ {
-		if got := c.NextInterval(rng); got != 20*time.Millisecond {
+		if got := c.NextInterval(); got != 20*time.Millisecond {
 			t.Fatalf("NextInterval = %v", got)
 		}
 	}
-	if got := (CBR{}).NextInterval(rng); got <= 0 {
+	if got := (CBR{}).NextInterval(); got <= 0 {
 		t.Fatalf("zero CBR interval should clamp, got %v", got)
 	}
 }
@@ -110,108 +109,6 @@ func TestCBRForRateAchievedRate(t *testing.T) {
 	}
 }
 
-func TestPoissonMeanRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	p := Poisson{PacketsPerSecond: 50}
-	var total time.Duration
-	const n = 20000
-	for i := 0; i < n; i++ {
-		iv := p.NextInterval(rng)
-		if iv <= 0 {
-			t.Fatal("non-positive interval")
-		}
-		total += iv
-	}
-	gotRate := float64(n) / total.Seconds()
-	if math.Abs(gotRate-50) > 2 {
-		t.Fatalf("Poisson rate = %v, want ~50", gotRate)
-	}
-}
-
-func TestOnOffAlternates(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	o := NewOnOff(100*time.Millisecond, 200*time.Millisecond, 10*time.Millisecond)
-	var gaps, regular int
-	for i := 0; i < 5000; i++ {
-		iv := o.NextInterval(rng)
-		if iv <= 0 {
-			t.Fatal("non-positive interval")
-		}
-		if iv == 10*time.Millisecond {
-			regular++
-		} else if iv > 10*time.Millisecond {
-			gaps++
-		}
-	}
-	if regular == 0 || gaps == 0 {
-		t.Fatalf("ON/OFF degenerate: %d regular, %d gaps", regular, gaps)
-	}
-	// ON bursts should dominate: mean ON 100ms at 10ms spacing is ~10
-	// packets per burst.
-	if regular < gaps {
-		t.Fatalf("expected more in-burst packets than gaps: %d vs %d", regular, gaps)
-	}
-}
-
-// TestOnOffDutyCycle is the burst-accounting regression test: with every
-// packet consuming exactly one interval of ON time and unused ON tails
-// carried into the next period, the measured duty cycle
-// n*interval/elapsed must converge to meanOn/(meanOn+meanOff) at every
-// seed. The old accounting handed each burst a free first packet (bias
-// high); discarding the sub-interval tails instead would bias it low by
-// E[on mod interval] per burst (≈0.238 here instead of 0.25).
-func TestOnOffDutyCycle(t *testing.T) {
-	meanOn, meanOff := 50*time.Millisecond, 150*time.Millisecond
-	interval := 5 * time.Millisecond
-	want := float64(meanOn) / float64(meanOn+meanOff)
-	for _, seed := range []int64{1, 2, 8, 42} {
-		rng := rand.New(rand.NewSource(seed))
-		o := NewOnOff(meanOn, meanOff, interval)
-		var elapsed time.Duration
-		const n = 200000
-		for i := 0; i < n; i++ {
-			elapsed += o.NextInterval(rng)
-		}
-		got := float64(n) * interval.Seconds() / elapsed.Seconds()
-		if math.Abs(got-want) > 0.01 {
-			t.Fatalf("seed %d: duty cycle = %.4f, want %.4f ± 0.01", seed, got, want)
-		}
-	}
-}
-
-// TestOnOffStationaryStart: the source must be able to begin inside an OFF
-// period, with the stationary probability meanOff/(meanOn+meanOff).
-func TestOnOffStationaryStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	meanOn, meanOff := 100*time.Millisecond, 300*time.Millisecond
-	interval := time.Millisecond
-	const trials = 4000
-	silentStarts := 0
-	for i := 0; i < trials; i++ {
-		o := NewOnOff(meanOn, meanOff, interval)
-		// A first interval well above the CBR spacing means the source
-		// started silent (mean ON of 100 intervals makes a sub-interval
-		// first burst negligible).
-		if o.NextInterval(rng) > 10*interval {
-			silentStarts++
-		}
-	}
-	got := float64(silentStarts) / trials
-	want := float64(meanOff) / float64(meanOn+meanOff)
-	if math.Abs(got-want) > 0.03 {
-		t.Fatalf("silent-start fraction = %.3f, want %.3f ± 0.03", got, want)
-	}
-}
-
-func TestOnOffDefaults(t *testing.T) {
-	o := NewOnOff(0, 0, 0)
-	rng := rand.New(rand.NewSource(7))
-	if iv := o.NextInterval(rng); iv <= 0 {
-		t.Fatal("defaulted ON/OFF must produce positive intervals")
-	}
-}
-
-// TestPropertySizeDistsRespectBounds: all draws fall inside Bounds.
 func TestPropertySizeDistsRespectBounds(t *testing.T) {
 	f := func(minRaw, maxRaw uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -231,111 +128,5 @@ func TestPropertySizeDistsRespectBounds(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(53))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestNamesReflectEffectiveBounds: Name must describe the clamped
-// distribution the simulation actually runs, not the raw parameters.
-func TestNamesReflectEffectiveBounds(t *testing.T) {
-	cases := []struct {
-		dist SizeDist
-		want string
-	}{
-		{FixedSize(176), "fixed(176)"},
-		{FixedSize(0), "fixed(1)"},
-		{FixedSize(-3), "fixed(1)"},
-		{UniformSize{Min: 144, Max: 176}, "uniform(144,176)"},
-		{UniformSize{Min: 0, Max: -5}, "uniform(1,1)"},
-		{UniformSize{Min: 200, Max: 100}, "uniform(200,200)"},
-	}
-	rng := rand.New(rand.NewSource(10))
-	for _, c := range cases {
-		if got := c.dist.Name(); got != c.want {
-			t.Fatalf("Name = %q, want %q", got, c.want)
-		}
-		lo, hi := c.dist.Bounds()
-		for i := 0; i < 20; i++ {
-			if v := c.dist.Draw(rng); v < lo || v > hi {
-				t.Fatalf("%s drew %d outside its advertised [%d,%d]", c.dist.Name(), v, lo, hi)
-			}
-		}
-	}
-}
-
-func TestGeneratorNames(t *testing.T) {
-	names := []string{
-		CBR{Interval: time.Millisecond}.Name(),
-		Poisson{PacketsPerSecond: 10}.Name(),
-		NewOnOff(time.Second, time.Second, time.Millisecond).Name(),
-		FixedSize(176).Name(),
-		UniformSize{Min: 144, Max: 176}.Name(),
-	}
-	for _, n := range names {
-		if n == "" {
-			t.Fatal("empty name")
-		}
-	}
-}
-
-// TestCBRNextBurstMatchesNextInterval checks batch emission draws the
-// exact sequence repeated NextInterval calls would.
-func TestCBRNextBurstMatchesNextInterval(t *testing.T) {
-	gen := CBR{Interval: 20 * time.Millisecond}
-	rng := rand.New(rand.NewSource(7))
-	burst := gen.NextBurst(rng, nil, 5)
-	if len(burst) != 5 {
-		t.Fatalf("burst length %d, want 5", len(burst))
-	}
-	ref := CBR{Interval: 20 * time.Millisecond}
-	refRng := rand.New(rand.NewSource(7))
-	for i, got := range burst {
-		if want := ref.NextInterval(refRng); got != want {
-			t.Fatalf("gap %d: %v, want %v", i, got, want)
-		}
-	}
-}
-
-// TestOnOffNextBurstMatchesNextInterval replays an ON/OFF source both
-// ways from identical RNG states: the batched gaps, their order and the
-// randomness consumed must be indistinguishable from per-packet draws.
-func TestOnOffNextBurstMatchesNextInterval(t *testing.T) {
-	const seed = 42
-	batched := NewOnOff(50*time.Millisecond, 30*time.Millisecond, 5*time.Millisecond)
-	serial := NewOnOff(50*time.Millisecond, 30*time.Millisecond, 5*time.Millisecond)
-	bRng := rand.New(rand.NewSource(seed))
-	sRng := rand.New(rand.NewSource(seed))
-	var got []time.Duration
-	for len(got) < 500 {
-		got = batched.NextBurst(bRng, got, 64)
-	}
-	for i, g := range got {
-		if want := serial.NextInterval(sRng); g != want {
-			t.Fatalf("gap %d: batched %v, serial %v", i, g, want)
-		}
-	}
-	// Both generators must land in the same RNG state.
-	if bRng.Int63() != sRng.Int63() {
-		t.Fatal("batched and serial paths consumed different randomness")
-	}
-}
-
-// TestOnOffNextBurstBoundaries checks a burst never spans an OFF gap
-// after its first element: only the first gap may exceed the interval.
-func TestOnOffNextBurstBoundaries(t *testing.T) {
-	gen := NewOnOff(40*time.Millisecond, 40*time.Millisecond, 5*time.Millisecond)
-	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 200; round++ {
-		burst := gen.NextBurst(rng, nil, 1024)
-		if len(burst) == 0 {
-			t.Fatal("empty burst")
-		}
-		for i, g := range burst[1:] {
-			if g != 5*time.Millisecond {
-				t.Fatalf("round %d: gap %d = %v, want the bare interval", round, i+1, g)
-			}
-		}
-	}
-	if got := gen.NextBurst(rng, nil, 0); len(got) != 0 {
-		t.Fatalf("max=0 returned %d gaps", len(got))
 	}
 }

@@ -1,12 +1,12 @@
 // Package tspec implements the token bucket traffic specification of the
-// IETF Guaranteed Service model (RFC 2210/2212), the arrival-curve bound it
-// induces, and runtime conformance machinery (policer and shaper).
+// IETF Guaranteed Service model (RFC 2210/2212) and the arrival-curve
+// bound it induces.
 //
 // A TSpec describes a flow by five parameters: peak rate p, token rate r,
 // bucket size b, minimum policed unit m, and maximum transfer unit M. A flow
 // conforms when, over every interval of length t, it sends no more than
 // min(M + p*t, b + r*t) bytes, with every packet between m and M bytes
-// (packets smaller than m are counted as m by the policer).
+// (a policer counts packets smaller than m as m bytes).
 package tspec
 
 import (
@@ -104,160 +104,4 @@ func CBR(interval time.Duration, minSize, maxSize int) TSpec {
 		MinPolicedUnit:  minSize,
 		MaxTransferUnit: maxSize,
 	}
-}
-
-// Bucket is a runtime token bucket that polices a flow against a TSpec. The
-// bucket starts full. It tracks both the sustained bucket (depth b, rate r)
-// and the peak constraint (one MTU of burst at rate p).
-type Bucket struct {
-	spec TSpec
-	// tokens is the sustained-bucket fill in bytes, <= spec.BucketSize.
-	tokens float64
-	// peakTokens polices the peak-rate envelope M + p*t.
-	peakTokens float64
-	last       time.Duration
-	primed     bool
-}
-
-// NewBucket returns a full token bucket for the given spec.
-func NewBucket(spec TSpec) *Bucket {
-	return &Bucket{
-		spec:       spec,
-		tokens:     spec.BucketSize,
-		peakTokens: float64(spec.MaxTransferUnit),
-	}
-}
-
-// Spec returns the bucket's traffic specification.
-func (b *Bucket) Spec() TSpec { return b.spec }
-
-// advance refills tokens for the elapsed time since the previous call.
-func (b *Bucket) advance(now time.Duration) {
-	if !b.primed {
-		b.last = now
-		b.primed = true
-		return
-	}
-	if now < b.last {
-		return // clock must not run backwards; ignore
-	}
-	sec := (now - b.last).Seconds()
-	b.tokens = math.Min(b.spec.BucketSize, b.tokens+b.spec.TokenRate*sec)
-	b.peakTokens = math.Min(float64(b.spec.MaxTransferUnit), b.peakTokens+b.spec.PeakRate*sec)
-	b.last = now
-}
-
-// policedSize applies the minimum policed unit.
-func (b *Bucket) policedSize(size int) float64 {
-	if size < b.spec.MinPolicedUnit {
-		size = b.spec.MinPolicedUnit
-	}
-	return float64(size)
-}
-
-// Conforms reports whether a packet of the given size arriving at now
-// conforms, without consuming tokens.
-func (b *Bucket) Conforms(now time.Duration, size int) bool {
-	b.advance(now)
-	if size > b.spec.MaxTransferUnit {
-		return false
-	}
-	need := b.policedSize(size)
-	// A tiny epsilon absorbs float rounding on exactly-conformant CBR
-	// arrivals (one packet per refill interval).
-	const eps = 1e-6
-	return need <= b.tokens+eps && need <= b.peakTokens+eps
-}
-
-// Take consumes tokens for a packet of the given size arriving at now and
-// reports whether it conformed. Non-conformant packets consume nothing.
-func (b *Bucket) Take(now time.Duration, size int) bool {
-	if !b.Conforms(now, size) {
-		return false
-	}
-	need := b.policedSize(size)
-	b.tokens -= need
-	b.peakTokens -= need
-	if b.tokens < 0 {
-		b.tokens = 0
-	}
-	if b.peakTokens < 0 {
-		b.peakTokens = 0
-	}
-	return true
-}
-
-// NextConformance returns the earliest time at or after now at which a
-// packet of the given size would conform. It returns ok=false when the
-// packet can never conform (size exceeds the MTU).
-func (b *Bucket) NextConformance(now time.Duration, size int) (time.Duration, bool) {
-	if size > b.spec.MaxTransferUnit {
-		return 0, false
-	}
-	b.advance(now)
-	need := b.policedSize(size)
-	wait := 0.0
-	if need > b.tokens {
-		wait = (need - b.tokens) / b.spec.TokenRate
-	}
-	if need > b.peakTokens {
-		peakWait := (need - b.peakTokens) / b.spec.PeakRate
-		if peakWait > wait {
-			wait = peakWait
-		}
-	}
-	return now + time.Duration(wait*float64(time.Second)), true
-}
-
-// Tokens returns the current sustained-bucket fill after advancing to now.
-// Exposed for tests and diagnostics.
-func (b *Bucket) Tokens(now time.Duration) float64 {
-	b.advance(now)
-	return b.tokens
-}
-
-// Shaper delays packets until they conform to a TSpec instead of dropping
-// them (RFC 2210 reshaping at a network element's ingress). Packets are
-// released in FIFO order. Create with NewShaper.
-type Shaper struct {
-	bucket *Bucket
-	// nextFree is when the previously shaped packet releases; FIFO order
-	// forbids reordering even if a later small packet would conform
-	// earlier.
-	nextFree time.Duration
-}
-
-// NewShaper returns a shaper for the spec.
-func NewShaper(spec TSpec) *Shaper {
-	return &Shaper{bucket: NewBucket(spec)}
-}
-
-// Spec returns the shaper's traffic specification.
-func (s *Shaper) Spec() TSpec { return s.bucket.Spec() }
-
-// Release returns the time at or after arrival at which a packet of the
-// given size may enter the network, and consumes its tokens at that time.
-// ok is false when the packet can never conform (it exceeds the MTU) and
-// should be rejected.
-func (s *Shaper) Release(arrival time.Duration, size int) (time.Duration, bool) {
-	at := arrival
-	if s.nextFree > at {
-		at = s.nextFree
-	}
-	conformAt, ok := s.bucket.NextConformance(at, size)
-	if !ok {
-		return 0, false
-	}
-	if conformAt > at {
-		at = conformAt
-	}
-	// A hair of slack absorbs float rounding in NextConformance.
-	at += time.Nanosecond
-	if !s.bucket.Take(at, size) {
-		// Defensive: NextConformance guaranteed conformance here.
-		at += time.Millisecond
-		s.bucket.Take(at, size)
-	}
-	s.nextFree = at
-	return at, true
 }

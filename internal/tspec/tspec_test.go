@@ -3,9 +3,7 @@ package tspec
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -96,191 +94,5 @@ func TestBusyPeriod(t *testing.T) {
 	cbr := CBR(20*time.Millisecond, 144, 176)
 	if got := cbr.BusyPeriod(); got != 0 {
 		t.Fatalf("CBR BusyPeriod() = %v, want 0", got)
-	}
-}
-
-func TestBucketCBRConformance(t *testing.T) {
-	// A CBR flow sending exactly per its spec must always conform.
-	s := CBR(20*time.Millisecond, 144, 176)
-	b := NewBucket(s)
-	for i := 0; i < 1000; i++ {
-		now := time.Duration(i) * 20 * time.Millisecond
-		if !b.Take(now, 176) {
-			t.Fatalf("conformant CBR packet %d rejected", i)
-		}
-	}
-}
-
-func TestBucketRejectsBurst(t *testing.T) {
-	s := CBR(20*time.Millisecond, 144, 176)
-	b := NewBucket(s)
-	if !b.Take(0, 176) {
-		t.Fatal("first packet should conform")
-	}
-	// A second max-size packet at the same instant exceeds the bucket.
-	if b.Take(0, 176) {
-		t.Fatal("second simultaneous packet should not conform")
-	}
-	// And conforms again after a full refill interval.
-	if !b.Take(20*time.Millisecond, 176) {
-		t.Fatal("packet after refill interval should conform")
-	}
-}
-
-func TestBucketOversizePacket(t *testing.T) {
-	b := NewBucket(validSpec())
-	if b.Conforms(0, 177) {
-		t.Fatal("packet above MTU must never conform")
-	}
-	if _, ok := b.NextConformance(0, 177); ok {
-		t.Fatal("NextConformance should report impossible for oversize packets")
-	}
-}
-
-func TestBucketMinPolicedUnit(t *testing.T) {
-	// Tiny packets are charged m bytes each, so only b/m of them fit in a burst.
-	s := TSpec{PeakRate: 1000, TokenRate: 1000, BucketSize: 300, MinPolicedUnit: 100, MaxTransferUnit: 300}
-	b := NewBucket(s)
-	granted := 0
-	for i := 0; i < 10; i++ {
-		if b.Take(0, 1) {
-			granted++
-		}
-	}
-	if granted != 3 {
-		t.Fatalf("granted %d one-byte packets in a burst, want 3 (b/m)", granted)
-	}
-}
-
-func TestBucketNonConformantConsumesNothing(t *testing.T) {
-	s := CBR(20*time.Millisecond, 144, 176)
-	b := NewBucket(s)
-	if !b.Take(0, 176) {
-		t.Fatal("first packet should conform")
-	}
-	before := b.Tokens(0)
-	if b.Take(0, 176) {
-		t.Fatal("second packet should not conform")
-	}
-	if after := b.Tokens(0); after != before {
-		t.Fatalf("non-conformant packet consumed tokens: %v -> %v", before, after)
-	}
-}
-
-func TestNextConformance(t *testing.T) {
-	s := CBR(20*time.Millisecond, 144, 176)
-	b := NewBucket(s)
-	if !b.Take(0, 176) {
-		t.Fatal("first packet should conform")
-	}
-	at, ok := b.NextConformance(0, 176)
-	if !ok {
-		t.Fatal("NextConformance should be possible")
-	}
-	if at <= 0 || at > 20*time.Millisecond+time.Microsecond {
-		t.Fatalf("NextConformance = %v, want ~20ms", at)
-	}
-	if !b.Conforms(at+time.Microsecond, 176) {
-		t.Fatal("packet at NextConformance(+eps) should conform")
-	}
-}
-
-func TestBucketClockBackwardsIgnored(t *testing.T) {
-	b := NewBucket(CBR(20*time.Millisecond, 144, 176))
-	if !b.Take(time.Second, 176) {
-		t.Fatal("packet should conform")
-	}
-	// An earlier timestamp must not refill or panic.
-	if b.Take(0, 176) {
-		t.Fatal("backwards-clock packet should not conform (no refill)")
-	}
-}
-
-// TestPropertyBucketNeverExceedsArrivalBound: for random conformant-ish
-// arrival attempts, the accepted bytes over the whole run never exceed the
-// arrival-curve bound for the elapsed interval.
-func TestPropertyBucketNeverExceedsArrivalBound(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := TSpec{
-			PeakRate:        float64(1000 + rng.Intn(50000)),
-			TokenRate:       float64(500 + rng.Intn(20000)),
-			BucketSize:      float64(200 + rng.Intn(2000)),
-			MinPolicedUnit:  1 + rng.Intn(100),
-			MaxTransferUnit: 0,
-		}
-		if s.PeakRate < s.TokenRate {
-			s.PeakRate, s.TokenRate = s.TokenRate, s.PeakRate
-		}
-		s.MaxTransferUnit = s.MinPolicedUnit + rng.Intn(100)
-		if s.BucketSize < float64(s.MaxTransferUnit) {
-			s.BucketSize = float64(s.MaxTransferUnit)
-		}
-		if err := s.Validate(); err != nil {
-			return true // skip degenerate draws
-		}
-		b := NewBucket(s)
-		var now time.Duration
-		accepted := 0.0
-		for i := 0; i < 300; i++ {
-			now += time.Duration(rng.Intn(5000)) * time.Microsecond
-			size := 1 + rng.Intn(s.MaxTransferUnit)
-			if b.Take(now, size) {
-				polic := size
-				if polic < s.MinPolicedUnit {
-					polic = s.MinPolicedUnit
-				}
-				accepted += float64(polic)
-			}
-			// Slack of one policed unit for float rounding.
-			if accepted > s.ArrivalBound(now)+1 {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(5))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropertyNextConformanceIsTight: after waiting until NextConformance,
-// the packet conforms; one millisecond before (when strictly positive), it
-// does not.
-func TestPropertyNextConformanceIsTight(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := CBR(time.Duration(1+rng.Intn(50))*time.Millisecond, 50, 50+rng.Intn(300))
-		b := NewBucket(s)
-		var now time.Duration
-		for i := 0; i < 50; i++ {
-			size := s.MinPolicedUnit + rng.Intn(s.MaxTransferUnit-s.MinPolicedUnit+1)
-			at, ok := b.NextConformance(now, size)
-			if !ok {
-				return false
-			}
-			if at > now+time.Millisecond && b.Conforms(at-time.Millisecond, size) {
-				return false
-			}
-			if !b.Take(at+time.Microsecond, size) {
-				return false
-			}
-			now = at + time.Microsecond
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(9))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkBucketTake(b *testing.B) {
-	s := CBR(20*time.Millisecond, 144, 176)
-	bkt := NewBucket(s)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bkt.Take(time.Duration(i)*20*time.Millisecond, 176)
 	}
 }
