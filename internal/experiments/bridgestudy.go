@@ -57,13 +57,20 @@ func DefaultBridgeDuties() []float64 { return []float64{0.3, 0.5, 0.7} }
 // One load keeps the default report tractable; pass more to sweep it.
 func DefaultBridgeLoads() []int { return []int{1} }
 
-// bridgeCell renders one (hops, duty, load, mode) grid cell.
-func bridgeCell(hops int, duty float64, load int, naive bool) string {
-	mode := "derated"
+// bridgePoint is one (hops, duty, load, mode) point of E12.
+type bridgePoint struct {
+	hops  int
+	duty  float64
+	load  int
+	naive bool
+}
+
+// bridgeMode names an E12 admission mode.
+func bridgeMode(naive bool) string {
 	if naive {
-		mode = "naive"
+		return "naive"
 	}
-	return fmt.Sprintf("%dhop/d%.2f/%dgs/%s", hops, duty, load, mode)
+	return "derated"
 }
 
 // BridgeStudy is experiment E12: what end-to-end delay guarantees cost
@@ -93,46 +100,35 @@ func BridgeStudy(cfg Config, hops []int, duties []float64, loads []int) ([]Bridg
 	if len(loads) == 0 {
 		loads = DefaultBridgeLoads()
 	}
-	type point struct {
-		hops  int
-		duty  float64
-		load  int
-		naive bool
-	}
-	var cells []string
-	byCell := make(map[string]point)
-	add := func(p point) {
-		cell := bridgeCell(p.hops, p.duty, p.load, p.naive)
-		if _, dup := byCell[cell]; dup {
-			return
-		}
-		cells = append(cells, cell)
-		byCell[cell] = p
-	}
+	var points []bridgePoint
 	for _, load := range loads {
 		for _, h := range hops {
 			if h <= 1 {
 				// No bridge: duty and derating are moot.
-				add(point{hops: 1, duty: duties[0], load: load})
+				points = append(points, bridgePoint{hops: 1, duty: duties[0], load: load})
 				continue
 			}
 			for _, duty := range duties {
-				add(point{h, duty, load, false})
-				add(point{h, duty, load, true})
+				points = append(points, bridgePoint{h, duty, load, false}, bridgePoint{h, duty, load, true})
 			}
 		}
 	}
-	grid := harness.Grid{Name: "bridge", Cells: cells, Build: func(cell string) scenario.Spec {
-		p := byCell[cell]
-		return scenario.Bridged(scenario.BridgedConfig{
-			Hops:         p.hops,
-			Duty:         p.duty,
-			GSPerPiconet: p.load,
-			Duration:     cfg.Duration,
-			Naive:        p.naive,
-		})
-	}}
-	results, err := cfg.execute(grid.Sweep(cfg.sweep()).Runs)
+	g := grid[bridgePoint]{
+		name: "bridge",
+		label: func(p bridgePoint) string {
+			return fmt.Sprintf("%dhop/d%.2f/%dgs/%s", p.hops, p.duty, p.load, bridgeMode(p.naive))
+		},
+		build: func(p bridgePoint) scenario.Spec {
+			return scenario.Bridged(scenario.BridgedConfig{
+				Hops:         p.hops,
+				Duty:         p.duty,
+				GSPerPiconet: p.load,
+				Duration:     cfg.Duration,
+				Naive:        p.naive,
+			})
+		},
+	}
+	done, err := g.run(cfg, points)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: bridge study: %w", err)
 	}
@@ -141,11 +137,9 @@ func BridgeStudy(cfg Config, hops []int, duties []float64, loads []int) ([]Bridg
 			cfg.Duration, cfg.repNote()),
 		"hops", "duty", "gs_load", "admission", "target", "delivered",
 		"e2e_p99", "e2e_max", "e2e_ok", "budget_util", "peak_queue", "route_kbps")
-	order, cellRuns := harness.Cells(results)
 	var rows []BridgeRow
-	for _, cell := range order {
-		rs := cellRuns[cell]
-		p := byCell[cell]
+	for _, pt := range done {
+		rs, p := pt.Runs, pt.P
 		row := BridgeRow{
 			Hops:   p.hops,
 			Duty:   p.duty,
@@ -182,15 +176,11 @@ func BridgeStudy(cfg Config, hops []int, duties []float64, loads []int) ([]Bridg
 			row.BudgetUtilization = budgetUtilization(first[0], p.naive)
 		}
 		rows = append(rows, row)
-		mode := "derated"
-		if row.Naive {
-			mode = "naive"
-		}
 		ok := "yes"
 		if row.Violations > 0 {
 			ok = fmt.Sprintf("VIOLATED×%d", row.Violations)
 		}
-		tbl.AddRow(row.Hops, fmt.Sprintf("%.1f", row.Duty), row.GSLoad, mode,
+		tbl.AddRow(row.Hops, fmt.Sprintf("%.1f", row.Duty), row.GSLoad, bridgeMode(row.Naive),
 			row.Target, row.Delivered,
 			row.DelayP99.Round(time.Microsecond), row.DelayMax.Round(time.Microsecond),
 			ok, fmt.Sprintf("%.2f", row.BudgetUtilization), row.PeakQueue, kbpsCell(row.Kbps))

@@ -50,20 +50,14 @@ func ChurnStudy(cfg Config, arrivals []time.Duration) ([]ChurnRow, *stats.Table,
 	if len(arrivals) == 0 {
 		arrivals = DefaultChurnArrivals()
 	}
-	arrivals = uniqueTargets(arrivals)
-	cells := make([]string, len(arrivals))
-	byCell := make(map[string]time.Duration, len(arrivals))
-	for i, a := range arrivals {
-		cells[i] = a.String()
-		byCell[cells[i]] = a
+	g := grid[time.Duration]{
+		name:  "churn",
+		label: time.Duration.String,
+		build: func(a time.Duration) scenario.Spec {
+			return scenario.Churn(scenario.ChurnConfig{MeanArrival: a, Duration: cfg.Duration})
+		},
 	}
-	grid := harness.Grid{Name: "churn", Cells: cells, Build: func(cell string) scenario.Spec {
-		return scenario.Churn(scenario.ChurnConfig{
-			MeanArrival: byCell[cell],
-			Duration:    cfg.Duration,
-		})
-	}}
-	results, err := cfg.execute(grid.Sweep(cfg.sweep()).Runs)
+	points, err := g.run(cfg, arrivals)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: churn: %w", err)
 	}
@@ -72,33 +66,17 @@ func ChurnStudy(cfg Config, arrivals []time.Duration) ([]ChurnRow, *stats.Table,
 			cfg.Duration, cfg.repNote()),
 		"mean_arrival", "requests", "accepted", "rejected", "accept_ratio",
 		"violations", "GS_kbps", "BE_kbps")
-	order, cellRuns := harness.Cells(results)
 	var rows []ChurnRow
-	for _, cell := range order {
-		rs := cellRuns[cell]
+	for _, p := range points {
+		rs := p.Runs
 		row := ChurnRow{
-			MeanArrival: byCell[cell],
+			MeanArrival: p.P,
 			GS:          classKbps(rs, piconet.Guaranteed),
 			BE:          classKbps(rs, piconet.BestEffort),
 			Reps:        len(rs),
 			Violations:  cellViolations(rs),
 		}
-		for _, r := range rs {
-			for _, a := range r.Result.Admissions {
-				if a.Op != scenario.OpAddGS {
-					continue
-				}
-				row.Requests++
-				if a.Accepted {
-					row.Accepted++
-				} else {
-					row.Rejected++
-				}
-			}
-		}
-		if row.Requests > 0 {
-			row.AcceptRatio = float64(row.Accepted) / float64(row.Requests)
-		}
+		row.Requests, row.Accepted, row.Rejected, row.AcceptRatio = addGSTally(rs)
 		rows = append(rows, row)
 		tbl.AddRow(row.MeanArrival, row.Requests, row.Accepted, row.Rejected,
 			fmt.Sprintf("%.3f", row.AcceptRatio), row.Violations,
@@ -140,17 +118,14 @@ func ChurnPollers(cfg Config, kinds []scenario.BEPollerKind) ([]ChurnPollerRow, 
 	if len(kinds) == 0 {
 		kinds = scenario.AllBEPollers
 	}
-	cells := make([]string, len(kinds))
-	for i, k := range kinds {
-		cells[i] = string(k)
+	g := grid[scenario.BEPollerKind]{
+		name:  "churn-pollers",
+		label: func(k scenario.BEPollerKind) string { return string(k) },
+		build: func(k scenario.BEPollerKind) scenario.Spec {
+			return scenario.Churn(scenario.ChurnConfig{Duration: cfg.Duration, Poller: k})
+		},
 	}
-	grid := harness.Grid{Name: "churn-pollers", Cells: cells, Build: func(cell string) scenario.Spec {
-		return scenario.Churn(scenario.ChurnConfig{
-			Duration: cfg.Duration,
-			Poller:   scenario.BEPollerKind(cell),
-		})
-	}}
-	results, err := cfg.execute(grid.Sweep(cfg.sweep()).Runs)
+	points, err := g.run(cfg, kinds)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: churn pollers: %w", err)
 	}
@@ -159,37 +134,43 @@ func ChurnPollers(cfg Config, kinds []scenario.BEPollerKind) ([]ChurnPollerRow, 
 			cfg.Duration, cfg.repNote()),
 		"poller", "requests", "accepted", "accept_ratio", "violations",
 		"GS_kbps", "BE_kbps")
-	order, cellRuns := harness.Cells(results)
 	var rows []ChurnPollerRow
-	for _, cell := range order {
-		rs := cellRuns[cell]
+	for _, p := range points {
+		rs := p.Runs
 		row := ChurnPollerRow{
-			Poller:     scenario.BEPollerKind(cell),
+			Poller:     p.P,
 			GS:         classKbps(rs, piconet.Guaranteed),
 			BE:         classKbps(rs, piconet.BestEffort),
 			Reps:       len(rs),
 			Violations: cellViolations(rs),
 		}
-		for _, r := range rs {
-			for _, a := range r.Result.Admissions {
-				if a.Op != scenario.OpAddGS {
-					continue
-				}
-				row.Requests++
-				if a.Accepted {
-					row.Accepted++
-				} else {
-					row.Rejected++
-				}
-			}
-		}
-		if row.Requests > 0 {
-			row.AcceptRatio = float64(row.Accepted) / float64(row.Requests)
-		}
+		row.Requests, row.Accepted, row.Rejected, row.AcceptRatio = addGSTally(rs)
 		rows = append(rows, row)
 		tbl.AddRow(string(row.Poller), row.Requests, row.Accepted,
 			fmt.Sprintf("%.3f", row.AcceptRatio), row.Violations,
 			kbpsCell(row.GS), kbpsCell(row.BE))
 	}
 	return rows, tbl, nil
+}
+
+// addGSTally counts the online add-gs admission outcomes across a cell's
+// replications, with the accept ratio (0 without requests).
+func addGSTally(rs []harness.RunResult) (requests, accepted, rejected int, ratio float64) {
+	for _, r := range rs {
+		for _, a := range r.Result.Admissions {
+			if a.Op != scenario.OpAddGS {
+				continue
+			}
+			requests++
+			if a.Accepted {
+				accepted++
+			} else {
+				rejected++
+			}
+		}
+	}
+	if requests > 0 {
+		ratio = float64(accepted) / float64(requests)
+	}
+	return requests, accepted, rejected, ratio
 }

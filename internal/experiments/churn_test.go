@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bluegs/internal/harness"
+	"bluegs/internal/scenario"
 )
 
 var churnTestArrivals = []time.Duration{1 * time.Second, 3 * time.Second}
@@ -98,5 +99,19 @@ func TestChurnRejectsUnderHeavyLoad(t *testing.T) {
 	}
 	if row.AcceptRatio <= 0 || row.AcceptRatio >= 1 {
 		t.Fatalf("accept ratio %v should be in (0, 1)", row.AcceptRatio)
+	}
+}
+
+// TestChurnPollersDuplicatePoller: a poller given twice is one point,
+// so its row aggregates one run per replication, not two copies of the
+// same seed.
+func TestChurnPollersDuplicatePoller(t *testing.T) {
+	cfg := Config{Duration: 4 * time.Second, Seed: 1}
+	rows, _, err := ChurnPollers(cfg, []scenario.BEPollerKind{scenario.BEPFP, scenario.BEPFP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Reps != 1 {
+		t.Fatalf("rows = %+v, want one row of 1 rep", rows)
 	}
 }

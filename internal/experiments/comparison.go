@@ -34,12 +34,11 @@ type T4Row struct {
 	Reclaimable bool
 }
 
-// t4Cell names one (target, phase) grid point of the T4 sweep.
-func t4Cell(target time.Duration, busy bool) string {
-	if busy {
-		return target.String() + "/busy"
-	}
-	return target.String() + "/idle"
+// t4Point is one (target, phase) point of the T4 sweep: the voice
+// source busy or silent.
+type t4Point struct {
+	target time.Duration
+	busy   bool
 }
 
 // TableT4 reproduces the §5 SCO comparison: the GS/PFP poller approaches
@@ -62,38 +61,34 @@ func TableT4(cfg Config) ([]T4Row, *stats.Table, error) {
 	targets := []time.Duration{
 		13 * time.Millisecond, 20 * time.Millisecond, 36 * time.Millisecond, 47 * time.Millisecond,
 	}
-	var cells []string
-	type point struct {
-		target time.Duration
-		busy   bool
-	}
-	byCell := make(map[string]point)
+	var points []t4Point
 	for _, target := range targets {
-		for _, busy := range []bool{true, false} {
-			cell := t4Cell(target, busy)
-			cells = append(cells, cell)
-			byCell[cell] = point{target, busy}
-		}
+		points = append(points, t4Point{target, true}, t4Point{target, false})
 	}
-	sw := harness.GridSweep("t4", cfg.sweep(), cells, func(cell string) scenario.Spec {
-		p := byCell[cell]
-		return voiceSpec(cfg, p.target, p.busy)
-	})
-	results, err := cfg.execute(sw.Runs)
+	g := grid[t4Point]{
+		name: "t4",
+		label: func(p t4Point) string {
+			if p.busy {
+				return p.target.String() + "/busy"
+			}
+			return p.target.String() + "/idle"
+		},
+		build: func(p t4Point) scenario.Spec { return voiceSpec(cfg, p.target, p.busy) },
+	}
+	done, err := g.run(cfg, points)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: T4: %w", err)
 	}
-	_, cellsOut := harness.Cells(results)
 
 	gsSlotsPerSec := func(r *scenario.Result) float64 {
 		return float64(r.Slots.GSData+r.Slots.GSOverhead) / r.Elapsed.Seconds()
 	}
-	for _, target := range targets {
-		busy := cellsOut[t4Cell(target, true)]
-		idle := cellsOut[t4Cell(target, false)]
+	// The points alternate busy and idle per target.
+	for i := 0; i+1 < len(done); i += 2 {
+		busy, idle := done[i].Runs, done[i+1].Runs
 		f, _ := busy[0].Result.FlowByID(1)
 		row := T4Row{
-			Scheme:      fmt.Sprintf("GS/PFP target %v", target),
+			Scheme:      fmt.Sprintf("GS/PFP target %v", done[i].P.target),
 			Bound:       f.Bound,
 			BusySlots:   harness.Aggregate(busy, gsSlotsPerSec).Mean,
 			IdleSlots:   harness.Aggregate(idle, gsSlotsPerSec).Mean,
@@ -160,11 +155,12 @@ type AblationRow struct {
 // with uplink flow 3.
 func AblationImprovements(cfg Config) ([]AblationRow, *stats.Table, error) {
 	cfg = cfg.withDefaults()
-	configs := []struct {
+	type config struct {
 		label string
 		mode  core.Mode
 		rules core.Improvements
-	}{
+	}
+	configs := []config{
 		{"fixed (§3.1, no rules)", core.FixedInterval, 0},
 		{"rule a (postpone after packet)", core.VariableInterval, core.PostponeAfterPacket},
 		{"rule b (postpone after empty)", core.VariableInterval, core.PostponeAfterEmpty},
@@ -172,22 +168,19 @@ func AblationImprovements(cfg Config) ([]AblationRow, *stats.Table, error) {
 		{"rules a+b", core.VariableInterval, core.PostponeAfterPacket | core.PostponeAfterEmpty},
 		{"all rules (§3.2)", core.VariableInterval, core.AllImprovements},
 	}
-	var cells []string
-	byCell := make(map[string]int)
-	for i, c := range configs {
-		cells = append(cells, c.label)
-		byCell[c.label] = i
+	g := grid[config]{
+		name:  "a1",
+		label: func(c config) string { return c.label },
+		build: func(c config) scenario.Spec {
+			spec := scenario.Paper(46 * time.Millisecond)
+			spec.Mode = c.mode
+			spec.Rules = c.rules
+			spec.RulesSet = c.mode == core.VariableInterval
+			spec.WithoutPiggybacking = true
+			return spec
+		},
 	}
-	sw := harness.GridSweep("a1", cfg.sweep(), cells, func(cell string) scenario.Spec {
-		c := configs[byCell[cell]]
-		spec := scenario.Paper(46 * time.Millisecond)
-		spec.Mode = c.mode
-		spec.Rules = c.rules
-		spec.RulesSet = c.mode == core.VariableInterval
-		spec.WithoutPiggybacking = true
-		return spec
-	})
-	results, err := cfg.execute(sw.Runs)
+	points, err := g.run(cfg, configs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: ablation: %w", err)
 	}
@@ -195,10 +188,9 @@ func AblationImprovements(cfg Config) ([]AblationRow, *stats.Table, error) {
 		fmt.Sprintf("A1: §3.2 improvement-rule ablation, Fig. 4 scenario at 46 ms, no piggybacking (%v per run%s)",
 			cfg.Duration, cfg.repNote()),
 		"configuration", "gs_slots", "gs_overhead", "skipped_polls", "be_kbps", "bound_ok")
-	order, cellRuns := harness.Cells(results)
 	var rows []AblationRow
-	for _, cell := range order {
-		rs := cellRuns[cell]
+	for _, p := range points {
+		rs := p.Runs
 		gsSlots := harness.Aggregate(rs, func(r *scenario.Result) float64 {
 			return float64(r.Slots.GSData + r.Slots.GSOverhead)
 		})
@@ -209,7 +201,7 @@ func AblationImprovements(cfg Config) ([]AblationRow, *stats.Table, error) {
 			return float64(r.Skipped)
 		})
 		row := AblationRow{
-			Label:      cell,
+			Label:      p.Cell,
 			GSSlots:    int64(math.Round(gsSlots.Mean)),
 			GSOverhead: int64(math.Round(overhead.Mean)),
 			Skipped:    uint64(math.Round(skipped.Mean)),
@@ -221,7 +213,7 @@ func AblationImprovements(cfg Config) ([]AblationRow, *stats.Table, error) {
 		if row.Violations > 0 {
 			ok = "VIOLATED"
 		}
-		tbl.AddRow(cell, row.GSSlots, row.GSOverhead, row.Skipped,
+		tbl.AddRow(row.Label, row.GSSlots, row.GSOverhead, row.Skipped,
 			stats.FormatKbps(row.BEKbps), ok)
 	}
 	return rows, tbl, nil
@@ -259,7 +251,7 @@ func BaselinePollers(cfg Config) ([]BaselineRow, *stats.Table, error) {
 		scenario.BERoundRobin, scenario.BEExhaustive, scenario.BEFEP,
 		scenario.BEEDC, scenario.BEDemand, scenario.BEHOL, scenario.BEPFP,
 	}
-	order, cellRuns, outcomes, err := cfg.runGrid(harness.ComparisonGrid(kinds), harness.BEThroughput)
+	points, err := baselineGrid.run(cfg, kinds)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: baseline: %w", err)
 	}
@@ -272,12 +264,12 @@ func BaselinePollers(cfg Config) ([]BaselineRow, *stats.Table, error) {
 			cfg.Duration, cfg.repNote()),
 		columns...)
 	var rows []BaselineRow
-	for _, cell := range order {
-		rs := cellRuns[cell]
+	for _, p := range points {
+		rs := p.Runs
 		var kbps, mean, fairness stats.Welford
-		row := BaselineRow{Poller: cell, Reps: len(rs)}
+		row := BaselineRow{Poller: p.Cell, Reps: len(rs)}
 		for _, r := range rs {
-			rep := summarizeBaseline(cell, r.Run.Spec, r.Result)
+			rep := summarizeBaseline(p.Cell, r.Run.Spec, r.Result)
 			kbps.Add(rep.TotalKbps)
 			mean.Add(float64(rep.MeanDelay))
 			fairness.Add(rep.Fairness)
@@ -294,16 +286,25 @@ func BaselinePollers(cfg Config) ([]BaselineRow, *stats.Table, error) {
 		cells := []any{row.Poller, stats.FormatKbps(row.TotalKbps),
 			row.MeanDelay.Round(time.Microsecond), row.P99Delay.Round(time.Microsecond),
 			row.MaxDelay.Round(time.Microsecond), fmt.Sprintf("%.3f", row.Fairness)}
-		if o, isAdaptive := outcomes[cell]; isAdaptive {
+		if o := p.Outcome; o != nil {
 			row.Metric = o.Metric
 			row.Converged = o.Converged
 			row.CacheHits = o.CacheHits
-			cells = append(cells, convergedReps(o), fmt.Sprintf("%.3g", o.Metric.CI95))
+			cells = append(cells, convergedReps(*o), fmt.Sprintf("%.3g", o.Metric.CI95))
 		}
 		rows = append(rows, row)
 		tbl.AddRow(cells...)
 	}
 	return rows, tbl, nil
+}
+
+// baselineGrid is the A2 grid: the saturated baseline piconet under
+// each best-effort poller.
+var baselineGrid = grid[scenario.BEPollerKind]{
+	name:  "comparison",
+	label: func(k scenario.BEPollerKind) string { return string(k) },
+	build: scenario.Baseline,
+	ci:    harness.BEThroughput,
 }
 
 func summarizeBaseline(name string, spec scenario.Spec, res *scenario.Result) BaselineRow {

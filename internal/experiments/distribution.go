@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"bluegs/internal/harness"
 	"bluegs/internal/piconet"
 	"bluegs/internal/stats"
 )
@@ -33,11 +32,11 @@ func DelayDistribution(cfg Config, target time.Duration) ([]E7Row, *stats.Table,
 	if target <= 0 {
 		target = 38 * time.Millisecond
 	}
-	sw := harness.Fig5Sweep(cfg.sweep(), []time.Duration{target})
-	results, err := cfg.execute(sw.Runs)
+	points, err := paperGrid.run(cfg, []time.Duration{target})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("experiments: E7: %w", err)
 	}
+	results := points[0].Runs
 	tbl := stats.NewTable(
 		fmt.Sprintf("E7: GS delay distributions at a %v requirement (%v%s)",
 			target, cfg.Duration, cfg.repNote()),

@@ -127,11 +127,6 @@ func (c Config) executor() harness.Executor {
 	return harness.Local{}
 }
 
-// execute routes a fixed run list through the configured executor.
-func (c Config) execute(runs []harness.Run) ([]harness.RunResult, error) {
-	return c.executor().Execute(runs, c.options())
-}
-
 // adaptive reports whether confidence-driven replication is requested.
 func (c Config) adaptive() bool { return c.CITarget > 0 }
 
@@ -152,67 +147,6 @@ func (c Config) adaptiveOptions(def harness.Metric) (harness.AdaptiveOptions, er
 		RelTol:  c.CITarget,
 		MaxReps: c.MaxReps,
 	}, nil
-}
-
-// runGrid executes a grid either with the fixed replication count or, in
-// adaptive mode, under the CI stopping rule. It returns the cells in grid
-// order, the per-cell replications, and — in adaptive mode — the per-cell
-// outcomes keyed by cell.
-//
-// An interrupted sweep (harness.ErrInterrupted) still returns the
-// completed runs alongside the error, grouped with abandoned runs
-// filtered out, so experiments that support it can render a partial
-// table. Any other failure returns nil data as before.
-func (c Config) runGrid(g harness.Grid, def harness.Metric) (
-	[]string, map[string][]harness.RunResult, map[string]harness.CellOutcome, error) {
-	if !c.adaptive() {
-		results, err := c.execute(g.Sweep(c.sweep()).Runs)
-		if err != nil && !errors.Is(err, harness.ErrInterrupted) {
-			return nil, nil, nil, err
-		}
-		order, byCell := harness.Cells(successful(results))
-		return order, byCell, nil, err
-	}
-	opts, err := c.adaptiveOptions(def)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	outcomes, err := c.executor().ExecuteAdaptive(g, c.sweep(), opts)
-	if err != nil && !errors.Is(err, harness.ErrInterrupted) {
-		return nil, nil, nil, err
-	}
-	order := make([]string, 0, len(outcomes))
-	byCell := make(map[string][]harness.RunResult, len(outcomes))
-	byOutcome := make(map[string]harness.CellOutcome, len(outcomes))
-	for _, o := range outcomes {
-		runs := successful(o.Runs)
-		if err != nil && len(runs) == 0 {
-			continue // no completed replication to render
-		}
-		order = append(order, o.Cell)
-		byCell[o.Cell] = runs
-		byOutcome[o.Cell] = o
-	}
-	return order, byCell, byOutcome, err
-}
-
-// successful filters a result list down to completed runs. With no
-// failures it returns the input unchanged, so the common path allocates
-// nothing and partial rendering composes with the existing helpers.
-func successful(results []harness.RunResult) []harness.RunResult {
-	ok := results[:0:0]
-	clean := true
-	for _, r := range results {
-		if r.Err != nil || r.Result == nil {
-			clean = false
-			continue
-		}
-		ok = append(ok, r)
-	}
-	if clean {
-		return results
-	}
-	return ok
 }
 
 // repNote annotates table titles when an experiment replicates.
@@ -269,21 +203,6 @@ func cellViolations(rs []harness.RunResult) int {
 	return n
 }
 
-// uniqueTargets drops duplicate delay targets, preserving order: sweep
-// cells are keyed by the target's rendering, so a duplicate would merge
-// with its first occurrence and misalign the row labels.
-func uniqueTargets(targets []time.Duration) []time.Duration {
-	seen := make(map[time.Duration]bool, len(targets))
-	out := targets[:0:0]
-	for _, t := range targets {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // DefaultFig5Targets is the paper's Fig. 5 x-axis: delay requirements from
 // 28 to 46 ms.
 func DefaultFig5Targets() []time.Duration {
@@ -329,12 +248,13 @@ func Figure5(cfg Config, targets []time.Duration) ([]Fig5Row, *stats.Table, erro
 	if len(targets) == 0 {
 		targets = DefaultFig5Targets()
 	}
-	targets = uniqueTargets(targets)
-	order, byCell, outcomes, err := cfg.runGrid(harness.Fig5Grid(targets), harness.MeanGSDelay)
+	g := paperGrid
+	g.ci = harness.MeanGSDelay
+	points, err := g.run(cfg, targets)
 	if err != nil && !errors.Is(err, harness.ErrInterrupted) {
 		return nil, nil, fmt.Errorf("experiments: figure 5: %w", err)
 	}
-	rows, tbl := fig5Table(cfg, targets, order, byCell, outcomes)
+	rows, tbl := fig5Table(cfg, points)
 	if err != nil {
 		// Interrupted: the completed cells render above; the caller
 		// decides whether the partial table is worth printing.
@@ -343,13 +263,12 @@ func Figure5(cfg Config, targets []time.Duration) ([]Fig5Row, *stats.Table, erro
 	return rows, tbl, nil
 }
 
-// fig5Table aggregates per-cell results into the Fig. 5 rows and table.
-func fig5Table(cfg Config, targets []time.Duration, order []string,
-	byCell map[string][]harness.RunResult, outcomes map[string]harness.CellOutcome) ([]Fig5Row, *stats.Table) {
-	byTarget := make(map[string]time.Duration, len(targets))
-	for _, t := range targets {
-		byTarget[t.String()] = t
-	}
+// paperGrid is the Fig. 5 grid: the Fig. 4 piconet at each delay target.
+// T2, T3 and E7 revisit its cells, so a run cache shares their runs.
+var paperGrid = grid[time.Duration]{name: "fig5", label: time.Duration.String, build: scenario.Paper}
+
+// fig5Table aggregates per-point results into the Fig. 5 rows and table.
+func fig5Table(cfg Config, points []gridPoint[time.Duration]) ([]Fig5Row, *stats.Table) {
 	columns := []string{
 		"delay_req", "S1_kbps", "S2_kbps", "S3_kbps", "S4_kbps", "S5_kbps", "S6_kbps", "S7_kbps",
 		"GS_total", "BE_total", "bound_ok"}
@@ -361,13 +280,10 @@ func fig5Table(cfg Config, targets []time.Duration, order []string,
 			cfg.Duration, cfg.repNote()),
 		columns...)
 	var rows []Fig5Row
-	for _, cell := range order {
-		rs := byCell[cell]
-		if len(rs) == 0 {
-			continue // interrupted before any replication completed
-		}
+	for _, p := range points {
+		rs := p.Runs
 		row := Fig5Row{
-			Target:     byTarget[cell],
+			Target:     p.P,
 			SlaveKbps:  make(map[piconet.SlaveID]float64),
 			GS:         classKbps(rs, piconet.Guaranteed),
 			BE:         classKbps(rs, piconet.BestEffort),
@@ -388,11 +304,11 @@ func fig5Table(cfg Config, targets []time.Duration, order []string,
 			stats.FormatKbps(row.SlaveKbps[5]), stats.FormatKbps(row.SlaveKbps[6]),
 			stats.FormatKbps(row.SlaveKbps[7]),
 			kbpsCell(row.GS), kbpsCell(row.BE), ok}
-		if o, isAdaptive := outcomes[cell]; isAdaptive {
+		if o := p.Outcome; o != nil {
 			row.Metric = o.Metric
 			row.Converged = o.Converged
 			row.CacheHits = o.CacheHits
-			cells = append(cells, convergedReps(o), fmt.Sprintf("%.3g", o.Metric.CI95))
+			cells = append(cells, convergedReps(*o), fmt.Sprintf("%.3g", o.Metric.CI95))
 		}
 		rows = append(rows, row)
 		tbl.AddRow(cells...)
@@ -498,8 +414,7 @@ func TableT2(cfg Config, targets []time.Duration) ([]T2Row, *stats.Table, error)
 	if len(targets) == 0 {
 		targets = []time.Duration{29 * time.Millisecond, 38 * time.Millisecond, 46 * time.Millisecond}
 	}
-	targets = uniqueTargets(targets)
-	results, err := cfg.execute(harness.Fig5Sweep(cfg.sweep(), targets).Runs)
+	points, err := paperGrid.run(cfg, targets)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: T2: %w", err)
 	}
@@ -507,15 +422,14 @@ func TableT2(cfg Config, targets []time.Duration) ([]T2Row, *stats.Table, error)
 		fmt.Sprintf("T2: delay-bound compliance (%v per run%s; paper: 530 s, 25000 samples/flow)",
 			cfg.Duration, cfg.repNote()),
 		"delay_req", "flow", "samples", "p99", "max_delay", "bound", "ok")
-	order, byCell := harness.Cells(results)
 	var rows []T2Row
-	for i, cell := range order {
-		rs := byCell[cell]
+	for _, p := range points {
+		rs := p.Runs
 		for _, f := range rs[0].Result.Flows {
 			if f.Class != piconet.Guaranteed {
 				continue
 			}
-			row := T2Row{Target: targets[i], Flow: f.ID, Bound: f.Bound}
+			row := T2Row{Target: p.P, Flow: f.ID, Bound: f.Bound}
 			for _, r := range rs {
 				rf, ok := r.Result.FlowByID(f.ID)
 				if !ok {
@@ -563,11 +477,11 @@ type T3 struct {
 // with every BE flow at its offered maximum.
 func TableT3(cfg Config) (T3, *stats.Table, error) {
 	cfg = cfg.withDefaults()
-	sw := harness.Fig5Sweep(cfg.sweep(), []time.Duration{46 * time.Millisecond})
-	results, err := cfg.execute(sw.Runs)
+	points, err := paperGrid.run(cfg, []time.Duration{46 * time.Millisecond})
 	if err != nil {
 		return T3{}, nil, fmt.Errorf("experiments: T3: %w", err)
 	}
+	results := points[0].Runs
 	t3 := T3{
 		GS:         classKbps(results, piconet.Guaranteed),
 		BE:         classKbps(results, piconet.BestEffort),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"bluegs/internal/baseband"
@@ -43,7 +44,7 @@ func RetransmissionStudy(cfg Config, bers []float64) ([]E5Row, *stats.Table, err
 	if len(bers) == 0 {
 		bers = []float64{0, 1e-5, 5e-5, 1e-4, 5e-4}
 	}
-	results, err := cfg.execute(harness.ExtensionSweep(cfg.sweep(), bers).Runs)
+	points, err := retransmissionGrid.run(cfg, retransmissionPoints(bers))
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: E5: %w", err)
 	}
@@ -51,53 +52,90 @@ func RetransmissionStudy(cfg Config, bers []float64) ([]E5Row, *stats.Table, err
 		fmt.Sprintf("E5 (future work): GS flows over a lossy radio with ARQ (%v per run%s)",
 			cfg.Duration, cfg.repNote()),
 		"BER", "recovery", "gs_delivery", "gs_max_delay", "worst_bound", "be_kbps", "rtx_slots/s")
-	_, cellRuns := harness.Cells(results)
 	var rows []E5Row
-	for _, ber := range bers {
-		for _, recovery := range []bool{false, true} {
-			if ber == 0 && recovery {
-				continue // identical to the lossless baseline
-			}
-			rs := cellRuns[harness.ExtensionCell(ber, recovery)]
-			var offered, delivered uint64
-			var maxDelay, worstBound time.Duration
-			for _, r := range rs {
-				for _, f := range r.Result.Flows {
-					if f.Class != piconet.Guaranteed {
-						continue
-					}
-					offered += f.Offered
-					delivered += f.Delivered
-					if f.DelayMax > maxDelay {
-						maxDelay = f.DelayMax
-					}
-					if f.Bound > worstBound {
-						worstBound = f.Bound
-					}
+	for _, p := range points {
+		rs := p.Runs
+		var offered, delivered uint64
+		var maxDelay, worstBound time.Duration
+		for _, r := range rs {
+			for _, f := range r.Result.Flows {
+				if f.Class != piconet.Guaranteed {
+					continue
+				}
+				offered += f.Offered
+				delivered += f.Delivered
+				if f.DelayMax > maxDelay {
+					maxDelay = f.DelayMax
+				}
+				if f.Bound > worstBound {
+					worstBound = f.Bound
 				}
 			}
-			row := E5Row{
-				BER:        ber,
-				Recovery:   recovery,
-				GSMaxDelay: maxDelay,
-				WorstBound: worstBound,
-				BEKbps:     classKbps(rs, piconet.BestEffort).Mean,
-				RetransSlotsS: harness.Aggregate(rs, func(r *scenario.Result) float64 {
-					return float64(r.Slots.Retransmit) / r.Elapsed.Seconds()
-				}).Mean,
-			}
-			if offered > 0 {
-				// In-flight packets at the horizon are not failures.
-				row.GSDelivery = float64(delivered) / float64(offered)
-			}
-			rows = append(rows, row)
-			tbl.AddRow(fmt.Sprintf("%.0e", ber), recovery,
-				fmt.Sprintf("%.4f", row.GSDelivery),
-				maxDelay.Round(time.Microsecond), worstBound.Round(time.Microsecond),
-				stats.FormatKbps(row.BEKbps), fmt.Sprintf("%.1f", row.RetransSlotsS))
 		}
+		row := E5Row{
+			BER:        p.P.ber,
+			Recovery:   p.P.recovery,
+			GSMaxDelay: maxDelay,
+			WorstBound: worstBound,
+			BEKbps:     classKbps(rs, piconet.BestEffort).Mean,
+			RetransSlotsS: harness.Aggregate(rs, func(r *scenario.Result) float64 {
+				return float64(r.Slots.Retransmit) / r.Elapsed.Seconds()
+			}).Mean,
+		}
+		if offered > 0 {
+			// In-flight packets at the horizon are not failures.
+			row.GSDelivery = float64(delivered) / float64(offered)
+		}
+		rows = append(rows, row)
+		tbl.AddRow(fmt.Sprintf("%.0e", row.BER), row.Recovery,
+			fmt.Sprintf("%.4f", row.GSDelivery),
+			maxDelay.Round(time.Microsecond), worstBound.Round(time.Microsecond),
+			stats.FormatKbps(row.BEKbps), fmt.Sprintf("%.1f", row.RetransSlotsS))
 	}
 	return rows, tbl, nil
+}
+
+// retransmissionPoint is one (bit error rate, recovery) point of E5.
+type retransmissionPoint struct {
+	ber      float64
+	recovery bool
+}
+
+// retransmissionPoints expands the BER axis: every rate without and with
+// the recovery policy, except the lossless rate, which runs once
+// (recovery is meaningless without losses).
+func retransmissionPoints(bers []float64) []retransmissionPoint {
+	var points []retransmissionPoint
+	for _, ber := range bers {
+		points = append(points, retransmissionPoint{ber, false})
+		if ber != 0 {
+			points = append(points, retransmissionPoint{ber, true})
+		}
+	}
+	return points
+}
+
+// retransmissionGrid is the E5 grid: the Fig. 4 piconet at a 40 ms
+// requirement with ARQ over a BER radio. Labels render the BER
+// losslessly, so nearby rates (1e-5 and 1.4e-5) stay apart.
+var retransmissionGrid = grid[retransmissionPoint]{
+	name: "extensions",
+	label: func(p retransmissionPoint) string {
+		cell := "ber=" + strconv.FormatFloat(p.ber, 'g', -1, 64)
+		if p.recovery {
+			cell += "/recovery"
+		}
+		return cell
+	},
+	build: func(p retransmissionPoint) scenario.Spec {
+		spec := scenario.Paper(40 * time.Millisecond)
+		if p.ber > 0 {
+			spec.Radio = scenario.BERRadio(p.ber)
+			spec.ARQ = true
+			spec.LossRecovery = p.recovery
+		}
+		return spec
+	},
 }
 
 // E6Row reports one configuration of the SCO coexistence experiment,
@@ -112,9 +150,6 @@ type E6Row struct {
 	SCOSlotsS  float64
 	Violations int
 }
-
-// e6Labels are the sweep cells, in grid order.
-var e6Labels = []string{"no SCO link", "HV3 SCO link at S3"}
 
 // SCOCoexistence runs a Guaranteed Service voice flow and best-effort
 // traffic with and without a reserved HV3 SCO link in the same piconet —
@@ -146,10 +181,17 @@ func SCOCoexistence(cfg Config) ([]E6Row, *stats.Table, error) {
 		}
 		return spec
 	}
-	sw := harness.GridSweep("e6", cfg.sweep(), e6Labels, func(cell string) scenario.Spec {
-		return build(cell == e6Labels[1])
-	})
-	results, err := cfg.execute(sw.Runs)
+	g := grid[bool]{
+		name: "e6",
+		label: func(withSCO bool) string {
+			if withSCO {
+				return "HV3 SCO link at S3"
+			}
+			return "no SCO link"
+		},
+		build: build,
+	}
+	points, err := g.run(cfg, []bool{false, true})
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: E6: %w", err)
 	}
@@ -157,13 +199,12 @@ func SCOCoexistence(cfg Config) ([]E6Row, *stats.Table, error) {
 		fmt.Sprintf("E6: GS + BE with and without an HV3 SCO link (%v per run%s)",
 			cfg.Duration, cfg.repNote()),
 		"configuration", "gs_bound", "gs_max_delay", "gs_kbps", "be_kbps", "sco_kbps", "sco_slots/s", "bound_ok")
-	order, cellRuns := harness.Cells(results)
 	var rows []E6Row
-	for _, label := range order {
-		rs := cellRuns[label]
+	for _, p := range points {
+		rs := p.Runs
 		gsFlow, _ := rs[0].Result.FlowByID(1)
 		row := E6Row{
-			Label:  label,
+			Label:  p.Cell,
 			Bound:  gsFlow.Bound,
 			GSKbps: classKbps(rs, piconet.Guaranteed).Mean,
 			BEKbps: classKbps(rs, piconet.BestEffort).Mean,
@@ -185,7 +226,7 @@ func SCOCoexistence(cfg Config) ([]E6Row, *stats.Table, error) {
 		if row.Violations > 0 {
 			ok = "VIOLATED"
 		}
-		tbl.AddRow(label, row.Bound.Round(time.Microsecond),
+		tbl.AddRow(row.Label, row.Bound.Round(time.Microsecond),
 			row.GSMaxDelay.Round(time.Microsecond),
 			stats.FormatKbps(row.GSKbps), stats.FormatKbps(row.BEKbps),
 			stats.FormatKbps(row.SCOKbps), fmt.Sprintf("%.0f", row.SCOSlotsS), ok)

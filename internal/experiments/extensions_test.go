@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bluegs/internal/harness"
+	"bluegs/internal/scenario"
 )
 
 func TestRetransmissionStudy(t *testing.T) {
@@ -99,5 +102,46 @@ func TestSCOCoexistence(t *testing.T) {
 	}
 	if !strings.Contains(tbl.String(), "HV3") {
 		t.Fatal("table missing SCO row")
+	}
+}
+
+// TestRetransmissionAndBaselinePoints: the E5 grid runs the lossless rate
+// once and every lossy rate without and with recovery; the A2 grid runs
+// the baseline piconet under each poller, in the order given.
+func TestRetransmissionAndBaselinePoints(t *testing.T) {
+	cfg := harness.SweepConfig{Duration: time.Second, Seed: 1}
+	_, a2 := baselineGrid.harnessGrid([]scenario.BEPollerKind{scenario.BERoundRobin, scenario.BEPFP})
+	cmp := a2.Sweep(cfg)
+	if len(cmp.Runs) != 2 {
+		t.Fatalf("comparison runs = %d", len(cmp.Runs))
+	}
+	if cmp.Runs[0].Spec.BEPoller != scenario.BERoundRobin {
+		t.Fatalf("cell 0 poller = %q", cmp.Runs[0].Spec.BEPoller)
+	}
+	_, e5 := retransmissionGrid.harnessGrid(retransmissionPoints([]float64{0, 1e-4}))
+	ext := e5.Sweep(cfg)
+	if len(ext.Runs) != 3 {
+		t.Fatalf("extension runs = %d, want 3", len(ext.Runs))
+	}
+	if ext.Runs[0].Spec.ARQ {
+		t.Fatal("lossless run must not enable ARQ")
+	}
+	if !ext.Runs[1].Spec.ARQ || ext.Runs[1].Spec.LossRecovery {
+		t.Fatalf("run 1 = %+v, want ARQ without recovery", ext.Runs[1].Spec)
+	}
+	if !ext.Runs[2].Spec.LossRecovery {
+		t.Fatal("run 2 must enable recovery")
+	}
+}
+
+// TestRetransmissionStudyDuplicateBER: a BER given twice is one point,
+// so its two rows (recovery off and on) render once.
+func TestRetransmissionStudyDuplicateBER(t *testing.T) {
+	rows, tbl, err := RetransmissionStudy(quick, []float64{1e-4, 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || strings.Count(tbl.String(), "1e-04") != 2 {
+		t.Fatalf("rows = %d, want 2\n%s", len(rows), tbl)
 	}
 }

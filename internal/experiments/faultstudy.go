@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"bluegs/internal/faults"
-	"bluegs/internal/harness"
 	"bluegs/internal/piconet"
 	"bluegs/internal/scenario"
 	"bluegs/internal/stats"
@@ -65,13 +64,20 @@ func DefaultFaultDurations() []time.Duration {
 	return []time.Duration{400 * time.Millisecond, 800 * time.Millisecond}
 }
 
-// faultCell renders one (outages, duration, policy) grid cell.
-func faultCell(outages int, dur time.Duration, policy faults.Policy) string {
-	p := string(policy)
+// faultPoint is one (outage count, outage duration, policy) point of
+// E11.
+type faultPoint struct {
+	outages int
+	dur     time.Duration
+	policy  faults.Policy
+}
+
+// policyName renders a recovery policy, "none" for the baseline.
+func policyName(p faults.Policy) string {
 	if p == "" {
-		p = "none"
+		return "none"
 	}
-	return fmt.Sprintf("%dx%s/%s", outages, dur, p)
+	return string(p)
 }
 
 // FaultStudy is experiment E11: what the self-healing machinery buys.
@@ -97,38 +103,32 @@ func FaultStudy(cfg Config, counts []int, durations []time.Duration, policies []
 	if len(policies) == 0 {
 		policies = DefaultFaultPolicies()
 	}
-	type point struct {
-		outages int
-		dur     time.Duration
-		policy  faults.Policy
-	}
-	var cells []string
-	byCell := make(map[string]point)
+	var points []faultPoint
 	for _, n := range counts {
 		for _, dur := range durations {
 			for _, policy := range policies {
-				cell := faultCell(n, dur, policy)
-				if _, dup := byCell[cell]; dup {
-					continue
-				}
-				cells = append(cells, cell)
-				byCell[cell] = point{n, dur, policy}
+				points = append(points, faultPoint{n, dur, policy})
 			}
 		}
 	}
-	grid := harness.Grid{Name: "fault-study", Cells: cells, Build: func(cell string) scenario.Spec {
-		p := byCell[cell]
-		// The outage schedule is derived from the horizon, so the sweep
-		// duration must flow into the builder (Grid.Run's Duration
-		// override is then a no-op).
-		return scenario.FaultScenario(scenario.FaultScenarioConfig{
-			Outages:        p.outages,
-			OutageDuration: p.dur,
-			Policy:         p.policy,
-			Duration:       cfg.Duration,
-		})
-	}}
-	results, err := cfg.execute(grid.Sweep(cfg.sweep()).Runs)
+	g := grid[faultPoint]{
+		name: "fault-study",
+		label: func(p faultPoint) string {
+			return fmt.Sprintf("%dx%s/%s", p.outages, p.dur, policyName(p.policy))
+		},
+		build: func(p faultPoint) scenario.Spec {
+			// The outage schedule is derived from the horizon, so the
+			// sweep duration must flow into the builder (Grid.Run's
+			// Duration override is then a no-op).
+			return scenario.FaultScenario(scenario.FaultScenarioConfig{
+				Outages:        p.outages,
+				OutageDuration: p.dur,
+				Policy:         p.policy,
+				Duration:       cfg.Duration,
+			})
+		},
+	}
+	done, err := g.run(cfg, points)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: fault study: %w", err)
 	}
@@ -137,11 +137,9 @@ func FaultStudy(cfg Config, counts []int, durations []time.Duration, policies []
 			cfg.Duration, cfg.repNote()),
 		"policy", "outages", "outage_dur", "gs_flows", "suspended", "degraded", "moved",
 		"survival", "detect_latency", "retained_viol", "GS_kbps")
-	order, cellRuns := harness.Cells(results)
 	var rows []FaultStudyRow
-	for _, cell := range order {
-		rs := cellRuns[cell]
-		p := byCell[cell]
+	for _, pt := range done {
+		rs, p := pt.Runs, pt.P
 		row := FaultStudyRow{
 			Policy:         p.policy,
 			Outages:        p.outages,
@@ -187,11 +185,7 @@ func FaultStudy(cfg Config, counts []int, durations []time.Duration, policies []
 			row.DetectionLatency = latencySum / time.Duration(row.Suspended)
 		}
 		rows = append(rows, row)
-		policy := string(row.Policy)
-		if policy == "" {
-			policy = "none"
-		}
-		tbl.AddRow(policy, row.Outages, row.OutageDuration,
+		tbl.AddRow(policyName(row.Policy), row.Outages, row.OutageDuration,
 			row.GSFlows, row.Suspended, row.Degraded, row.Moved,
 			fmt.Sprintf("%.3f", row.Survival),
 			row.DetectionLatency.Round(time.Microsecond),

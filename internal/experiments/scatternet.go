@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"bluegs/internal/harness"
 	"bluegs/internal/piconet"
 	"bluegs/internal/scenario"
 	"bluegs/internal/stats"
@@ -51,9 +50,27 @@ func DefaultScatternetCounts() []int { return []int{1, 2, 4, 6, 8} }
 // per-direction best-effort floor of every piconet, in kbps.
 func DefaultScatternetLoads() []float64 { return []float64{30, 60} }
 
-// scatternetCell renders one (count, load) grid cell.
-func scatternetCell(count int, load float64) string {
-	return fmt.Sprintf("%dpn/%skbps", count, strconv.FormatFloat(load, 'g', -1, 64))
+// scatternetPoint is one (piconet count, per-piconet BE load) point of
+// E9 and of E10's workload.
+type scatternetPoint struct {
+	count int
+	load  float64
+}
+
+// scatternetPoints crosses the load and count axes, load-major.
+func scatternetPoints(counts []int, loads []float64) []scatternetPoint {
+	var points []scatternetPoint
+	for _, load := range loads {
+		for _, count := range counts {
+			points = append(points, scatternetPoint{count, load})
+		}
+	}
+	return points
+}
+
+// label renders the point as "Npn/Lkbps".
+func (p scatternetPoint) label() string {
+	return fmt.Sprintf("%dpn/%skbps", p.count, strconv.FormatFloat(p.load, 'g', -1, 64))
 }
 
 // ScatternetStudy is experiment E9: how the paper's per-piconet delay
@@ -72,31 +89,18 @@ func ScatternetStudy(cfg Config, counts []int, loads []float64) ([]ScatternetRow
 	if len(loads) == 0 {
 		loads = DefaultScatternetLoads()
 	}
-	type point struct {
-		count int
-		load  float64
+	g := grid[scatternetPoint]{
+		name:  "scatternet",
+		label: scatternetPoint.label,
+		build: func(p scatternetPoint) scenario.Spec {
+			return scenario.Scatternet(scenario.ScatternetConfig{
+				Piconets: p.count,
+				BEKbps:   p.load,
+				Duration: cfg.Duration,
+			})
+		},
 	}
-	var cells []string
-	byCell := make(map[string]point)
-	for _, load := range loads {
-		for _, count := range counts {
-			cell := scatternetCell(count, load)
-			if _, dup := byCell[cell]; dup {
-				continue
-			}
-			cells = append(cells, cell)
-			byCell[cell] = point{count, load}
-		}
-	}
-	grid := harness.Grid{Name: "scatternet", Cells: cells, Build: func(cell string) scenario.Spec {
-		p := byCell[cell]
-		return scenario.Scatternet(scenario.ScatternetConfig{
-			Piconets: p.count,
-			BEKbps:   p.load,
-			Duration: cfg.Duration,
-		})
-	}}
-	results, err := cfg.execute(grid.Sweep(cfg.sweep()).Runs)
+	points, err := g.run(cfg, scatternetPoints(counts, loads))
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: scatternet: %w", err)
 	}
@@ -105,11 +109,9 @@ func ScatternetStudy(cfg Config, counts []int, loads []float64) ([]ScatternetRow
 			cfg.Duration, cfg.repNote()),
 		"piconets", "be_kbps", "GS_kbps", "BE_kbps", "violations", "viol_fraction",
 		"worst_gs_delay", "mean_util", "per_piconet_ok")
-	order, cellRuns := harness.Cells(results)
 	var rows []ScatternetRow
-	for _, cell := range order {
-		rs := cellRuns[cell]
-		p := byCell[cell]
+	for _, pt := range points {
+		rs, p := pt.Runs, pt.P
 		row := ScatternetRow{
 			Piconets: p.count,
 			BEKbps:   p.load,

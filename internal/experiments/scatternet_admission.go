@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
-	"bluegs/internal/harness"
 	"bluegs/internal/piconet"
 	"bluegs/internal/scenario"
 	"bluegs/internal/stats"
@@ -57,13 +55,23 @@ func DefaultAdmissionLoads() []float64 { return []float64{60} }
 // derating.
 const admissionOnlineGS = 2
 
-// admissionCell renders one (count, load, mode) grid cell.
-func admissionCell(count int, load float64, derated bool) string {
-	mode := "baseline"
+// admissionPoint is one (workload, admission mode) point of E10.
+type admissionPoint struct {
+	scatternetPoint
+	derated bool
+}
+
+// label renders the point as "Npn/Lkbps/mode".
+func (p admissionPoint) label() string {
+	return p.scatternetPoint.label() + "/" + admissionMode(p.derated)
+}
+
+// admissionMode names an E10 admission mode.
+func admissionMode(derated bool) string {
 	if derated {
-		mode = "derated"
+		return "derated"
 	}
-	return fmt.Sprintf("%dpn/%skbps/%s", count, strconv.FormatFloat(load, 'g', -1, 64), mode)
+	return "baseline"
 }
 
 // ScatternetAdmissionStudy is experiment E10: what interference-aware
@@ -86,36 +94,24 @@ func ScatternetAdmissionStudy(cfg Config, counts []int, loads []float64) ([]Scat
 	if len(loads) == 0 {
 		loads = DefaultAdmissionLoads()
 	}
-	type point struct {
-		count   int
-		load    float64
-		derated bool
+	var points []admissionPoint
+	for _, w := range scatternetPoints(counts, loads) {
+		points = append(points, admissionPoint{w, false}, admissionPoint{w, true})
 	}
-	var cells []string
-	byCell := make(map[string]point)
-	for _, load := range loads {
-		for _, count := range counts {
-			for _, derated := range []bool{false, true} {
-				cell := admissionCell(count, load, derated)
-				if _, dup := byCell[cell]; dup {
-					continue
-				}
-				cells = append(cells, cell)
-				byCell[cell] = point{count, load, derated}
-			}
-		}
+	g := grid[admissionPoint]{
+		name:  "scatternet-admission",
+		label: admissionPoint.label,
+		build: func(p admissionPoint) scenario.Spec {
+			return scenario.Scatternet(scenario.ScatternetConfig{
+				Piconets:          p.count,
+				BEKbps:            p.load,
+				Duration:          cfg.Duration,
+				OnlineGS:          admissionOnlineGS,
+				InterferenceAware: p.derated,
+			})
+		},
 	}
-	grid := harness.Grid{Name: "scatternet-admission", Cells: cells, Build: func(cell string) scenario.Spec {
-		p := byCell[cell]
-		return scenario.Scatternet(scenario.ScatternetConfig{
-			Piconets:          p.count,
-			BEKbps:            p.load,
-			Duration:          cfg.Duration,
-			OnlineGS:          admissionOnlineGS,
-			InterferenceAware: p.derated,
-		})
-	}}
-	results, err := cfg.execute(grid.Sweep(cfg.sweep()).Runs)
+	done, err := g.run(cfg, points)
 	if err != nil {
 		return nil, nil, fmt.Errorf("experiments: scatternet admission: %w", err)
 	}
@@ -124,11 +120,9 @@ func ScatternetAdmissionStudy(cfg Config, counts []int, loads []float64) ([]Scat
 			cfg.Duration, cfg.repNote()),
 		"piconets", "be_kbps", "admission", "gs_flows", "violations", "viol_fraction",
 		"requests", "accepted", "accept_ratio", "worst_gs_delay", "GS_kbps")
-	order, cellRuns := harness.Cells(results)
 	var rows []ScatternetAdmissionRow
-	for _, cell := range order {
-		rs := cellRuns[cell]
-		p := byCell[cell]
+	for _, pt := range done {
+		rs, p := pt.Runs, pt.P
 		row := ScatternetAdmissionRow{
 			Piconets:   p.count,
 			BEKbps:     p.load,
@@ -152,34 +146,17 @@ func ScatternetAdmissionStudy(cfg Config, counts []int, loads []float64) ([]Scat
 				}
 			}
 			delaySum += worst
-			for _, a := range res.Admissions {
-				if a.Op != scenario.OpAddGS {
-					continue
-				}
-				row.Requests++
-				if a.Accepted {
-					row.Accepted++
-				} else {
-					row.Rejected++
-				}
-			}
 		}
 		row.ViolationFraction = fracSum / float64(len(rs))
 		row.MeanDelayMax = delaySum / time.Duration(len(rs))
-		if row.Requests > 0 {
-			row.AcceptRatio = float64(row.Accepted) / float64(row.Requests)
-		}
+		row.Requests, row.Accepted, row.Rejected, row.AcceptRatio = addGSTally(rs)
 		for _, f := range rs[0].Result.Flows {
 			if f.Class == piconet.Guaranteed {
 				row.GSFlows++
 			}
 		}
 		rows = append(rows, row)
-		mode := "baseline"
-		if row.Derated {
-			mode = "derated"
-		}
-		tbl.AddRow(row.Piconets, stats.FormatKbps(row.BEKbps), mode,
+		tbl.AddRow(row.Piconets, stats.FormatKbps(row.BEKbps), admissionMode(row.Derated),
 			row.GSFlows, row.Violations, fmt.Sprintf("%.3f", row.ViolationFraction),
 			row.Requests, row.Accepted, fmt.Sprintf("%.3f", row.AcceptRatio),
 			row.MeanDelayMax.Round(time.Microsecond), kbpsCell(row.GS))

@@ -12,11 +12,11 @@
 // loops exactly — the golden-table tests in internal/experiments rely on
 // this.
 //
-// On top of the runner, Grid builders (Fig5Grid, ComparisonGrid,
-// ExtensionGrid and the fixed Sweep forms) assemble the paper's
-// evaluation grids, and the aggregation helpers reduce per-cell
-// replications to mean/min/max/95%-confidence summaries via
-// internal/stats.
+// On top of the runner, a Grid (cells plus a spec factory) expands into
+// a fixed Sweep or feeds ExecuteAdaptive; Fig5Grid is the paper's Fig. 5
+// grid, and internal/experiments builds every other study's grid from
+// typed points. The aggregation helpers reduce per-cell replications to
+// mean/min/max/95%-confidence summaries via internal/stats.
 //
 // # Adaptive replication
 //

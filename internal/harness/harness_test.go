@@ -147,9 +147,9 @@ func TestExecuteErrorDeterministic(t *testing.T) {
 
 func TestGridSweepStructure(t *testing.T) {
 	cfg := harness.SweepConfig{Duration: time.Second, Seed: 42, Replications: 3}
-	sw := harness.GridSweep("g", cfg, []string{"a", "b"}, func(cell string) scenario.Spec {
+	sw := harness.Grid{Name: "g", Cells: []string{"a", "b"}, Build: func(cell string) scenario.Spec {
 		return scenario.Paper(40 * time.Millisecond)
-	})
+	}}.Sweep(cfg)
 	if len(sw.Runs) != 6 {
 		t.Fatalf("runs = %d, want 6", len(sw.Runs))
 	}
@@ -210,31 +210,6 @@ func TestCellsAndAggregate(t *testing.T) {
 		if sum.Min > sum.Mean || sum.Max < sum.Mean {
 			t.Fatalf("cell %s summary inconsistent: %+v", cell, sum)
 		}
-	}
-}
-
-func TestComparisonAndExtensionSweeps(t *testing.T) {
-	cfg := harness.SweepConfig{Duration: time.Second, Seed: 1}
-	cmp := harness.ComparisonGrid([]scenario.BEPollerKind{scenario.BERoundRobin, scenario.BEPFP}).Sweep(cfg)
-	if len(cmp.Runs) != 2 {
-		t.Fatalf("comparison runs = %d", len(cmp.Runs))
-	}
-	if cmp.Runs[0].Spec.BEPoller != scenario.BERoundRobin {
-		t.Fatalf("cell 0 poller = %q", cmp.Runs[0].Spec.BEPoller)
-	}
-	ext := harness.ExtensionSweep(cfg, []float64{0, 1e-4})
-	// Lossless runs once; the lossy point runs with and without recovery.
-	if len(ext.Runs) != 3 {
-		t.Fatalf("extension runs = %d, want 3", len(ext.Runs))
-	}
-	if ext.Runs[0].Spec.ARQ {
-		t.Fatal("lossless run must not enable ARQ")
-	}
-	if !ext.Runs[1].Spec.ARQ || ext.Runs[1].Spec.LossRecovery {
-		t.Fatalf("run 1 = %+v, want ARQ without recovery", ext.Runs[1].Spec)
-	}
-	if !ext.Runs[2].Spec.LossRecovery {
-		t.Fatal("run 2 must enable recovery")
 	}
 }
 

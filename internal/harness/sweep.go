@@ -5,7 +5,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strconv"
+	"slices"
 	"syscall"
 	"time"
 
@@ -80,27 +80,16 @@ func (g Grid) Sweep(cfg SweepConfig) Sweep {
 	return sw
 }
 
-// GridSweep builds a fixed sweep from a list of cells and a spec factory
-// (see Grid for the sharing caveats). This is the generic builder the
-// typed sweeps share; experiments with bespoke grids (ablations,
-// coexistence pairs) use it directly.
-func GridSweep(name string, cfg SweepConfig, cells []string,
-	build func(cell string) scenario.Spec) Sweep {
-	return Grid{Name: name, Cells: cells, Build: build}.Sweep(cfg)
-}
-
 // Fig5Grid is the paper's Figure 5 grid: the Fig. 4 piconet at every
 // delay target. Cells are the target durations rendered with
 // time.Duration.String.
 func Fig5Grid(targets []time.Duration) Grid {
 	cells := make([]string, len(targets))
-	byCell := make(map[string]time.Duration, len(targets))
 	for i, t := range targets {
 		cells[i] = t.String()
-		byCell[cells[i]] = t
 	}
 	return Grid{Name: "fig5", Cells: cells, Build: func(cell string) scenario.Spec {
-		return scenario.Paper(byCell[cell])
+		return scenario.Paper(targets[slices.Index(cells, cell)])
 	}}
 }
 
@@ -108,30 +97,6 @@ func Fig5Grid(targets []time.Duration) Grid {
 // count per SweepConfig.
 func Fig5Sweep(cfg SweepConfig, targets []time.Duration) Sweep {
 	return Fig5Grid(targets).Sweep(cfg)
-}
-
-// ComparisonGrid is the best-effort poller comparison grid (experiment
-// A2): the saturated baseline piconet under every given poller kind.
-// Cells are the poller kind names.
-func ComparisonGrid(kinds []scenario.BEPollerKind) Grid {
-	cells := make([]string, len(kinds))
-	for i, k := range kinds {
-		cells[i] = string(k)
-	}
-	return Grid{Name: "comparison", Cells: cells, Build: func(cell string) scenario.Spec {
-		return scenario.Baseline(scenario.BEPollerKind(cell))
-	}}
-}
-
-// ExtensionCell names one (bit error rate, recovery) grid point of the
-// retransmission extension sweep. The BER is rendered losslessly so that
-// nearby rates (e.g. 1e-5 and 1.4e-5) never collapse into one cell.
-func ExtensionCell(ber float64, recovery bool) string {
-	cell := "ber=" + strconv.FormatFloat(ber, 'g', -1, 64)
-	if recovery {
-		cell += "/recovery"
-	}
-	return cell
 }
 
 // StderrProgress returns a progress callback that rewrites a
@@ -186,47 +151,4 @@ func InterruptOnSignal(label string) <-chan struct{} {
 		os.Exit(1)
 	}()
 	return interrupt
-}
-
-// ExtensionGrid is the retransmission-study grid (experiment E5, the
-// paper's stated future work): the Fig. 4 piconet at a 40 ms requirement
-// across a bit-error-rate sweep, without and with the saved-bandwidth
-// recovery policy. The lossless point runs only once (recovery is
-// meaningless without losses).
-func ExtensionGrid(bers []float64) Grid {
-	type point struct {
-		ber      float64
-		recovery bool
-	}
-	var cells []string
-	byCell := make(map[string]point)
-	for _, ber := range bers {
-		for _, recovery := range []bool{false, true} {
-			if ber == 0 && recovery {
-				continue // identical to the lossless baseline
-			}
-			cell := ExtensionCell(ber, recovery)
-			if _, dup := byCell[cell]; dup {
-				continue // duplicate BER in the input
-			}
-			cells = append(cells, cell)
-			byCell[cell] = point{ber, recovery}
-		}
-	}
-	return Grid{Name: "extensions", Cells: cells, Build: func(cell string) scenario.Spec {
-		p := byCell[cell]
-		spec := scenario.Paper(40 * time.Millisecond)
-		if p.ber > 0 {
-			spec.Radio = scenario.BERRadio(p.ber)
-			spec.ARQ = true
-			spec.LossRecovery = p.recovery
-		}
-		return spec
-	}}
-}
-
-// ExtensionSweep builds the retransmission-study grid at a fixed
-// replication count.
-func ExtensionSweep(cfg SweepConfig, bers []float64) Sweep {
-	return ExtensionGrid(bers).Sweep(cfg)
 }
