@@ -147,7 +147,7 @@ func TestBaselinePollersAdaptive(t *testing.T) {
 // cell, so a shared cache lets T3 replay Figure5's runs without
 // simulating.
 func TestCrossExperimentCacheReuse(t *testing.T) {
-	cache, err := harness.NewRunCache(harness.CacheConfig{})
+	cache, err := harness.NewRunCache(harness.CacheConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -523,10 +523,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			rr.Result = res
 			if c.cfg.Cache != nil {
 				// Store the footer-verified bytes as they arrived. On
-				// failure the sweep still resolves; the run just
-				// re-executes after a restart.
+				// failure (counted by the cache) the sweep still
+				// resolves; the run just re-executes after a restart.
 				if err := c.cfg.Cache.PutEntry(cr.Key, cr.Entry); err != nil {
-					c.stats.StoreErrors++
 					c.cfg.Logf("fabric: store %s: %v", cr.Key[:12], err)
 				}
 			}

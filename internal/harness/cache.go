@@ -1,10 +1,10 @@
 package harness
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
@@ -44,17 +44,13 @@ import (
 // older entries into clean misses without re-keying any run.
 const DefaultCacheSalt = "sim-v8"
 
-// maxMemEntries bounds a RunCache's in-memory LRU.
-const maxMemEntries = 4096
-
 // CacheConfig configures a RunCache.
 type CacheConfig struct {
-	// Dir, when non-empty, backs the cache with one entry file per run
-	// under this directory (created if missing). Entries evicted from
-	// the in-memory LRU remain readable from disk, and several processes
-	// may share the directory: writes go to a temp file and rename into
-	// place, so a reader sees either no entry or a complete one, and the
-	// content-addressed keys make racing writers of one entry harmless.
+	// Dir holds one entry file per run (created if missing); it is
+	// required. Several processes may share the directory: writes go to
+	// a temp file and rename into place, so a reader sees either no
+	// entry or a complete one, and the content-addressed keys make
+	// racing writers of one entry harmless.
 	Dir string
 }
 
@@ -62,21 +58,26 @@ type CacheConfig struct {
 // Its String rendering is the one line the cmd tools print on stderr and
 // the CI cache smoke step greps.
 type CacheStats struct {
-	// Hits counts Get calls served (memory or disk); DiskHits the subset
-	// that had to be read back from the directory.
+	// Hits counts Get calls served. Every hit is read from the
+	// directory, so DiskHits always equals Hits; it stays for the
+	// callers and log greps that read it.
 	Hits     uint64
 	DiskHits uint64
 	// Misses counts Get calls that found nothing.
 	Misses uint64
-	// Stores counts Put calls accepted.
+	// Stores counts entries written.
 	Stores uint64
-	// DupPuts counts Put calls for a key the cache already held — a
+	// DupPuts counts stores of a key the directory already held — a
 	// clean no-op, because a content-addressed key names one result and
 	// an entry is a pure function of its result, so the incoming entry
 	// is byte for byte the stored one. Under a shared directory two
 	// processes completing the same cell book the second write here
 	// instead of rewriting (or corrupting) the entry.
 	DupPuts uint64
+	// FailedStores counts stores that returned an error (an entry that
+	// could not be encoded or written): the run stays uncached, and a
+	// rerun recomputes it.
+	FailedStores uint64
 	// Corrupt counts on-disk entries whose integrity footer failed
 	// verification; each was deleted and its Get served as a miss (so the
 	// fresh result rewrites the entry).
@@ -84,9 +85,9 @@ type CacheStats struct {
 }
 
 // String renders the counters as "H/T runs served from cache (D from
-// disk, S stored)". Duplicate-put and corruption drops are appended only
-// when they happened, keeping the healthy-cache line byte-stable for log
-// greps.
+// disk, S stored)". Duplicate puts, corruption drops and failed stores
+// are appended only when they happened, keeping the healthy-cache line
+// byte-stable for log greps.
 func (s CacheStats) String() string {
 	out := fmt.Sprintf("%d/%d runs served from cache (%d from disk, %d stored)",
 		s.Hits, s.Hits+s.Misses, s.DiskHits, s.Stores)
@@ -96,32 +97,24 @@ func (s CacheStats) String() string {
 	if s.Corrupt > 0 {
 		out += fmt.Sprintf(", %d corrupt dropped", s.Corrupt)
 	}
+	if s.FailedStores > 0 {
+		out += fmt.Sprintf(", %d stores failed", s.FailedStores)
+	}
 	return out
 }
 
 // RunCache is a content-addressed store of completed simulation results,
 // keyed by the SHA-256 fingerprint of (scenario spec incl. seed and
-// horizon, DefaultCacheSalt). A fixed-size in-memory LRU fronts an
-// optional on-disk entry store, so re-running a sweep after changing one
-// cell — or re-rendering reports — replays the unchanged cells instantly,
-// across processes when a directory is configured.
-//
-// Cached results are shared: callers must treat them as read-only, which
-// matches the contract scenario.Result already states for its delay
-// statistics. Runs that carry a Tracer are never served from or written
+// horizon, DefaultCacheSalt). It is its directory: Get reads and decodes
+// the entry file, Put writes it, so re-running a sweep after changing one
+// cell — or re-rendering reports — replays the unchanged cells across
+// processes. Runs that carry a Tracer are never served from or written
 // to the cache (their side effects cannot be replayed).
 type RunCache struct {
-	cfg CacheConfig // cfg.Dir == "" means memory-only
+	dir string
 
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used; values are *cacheEntry
-	stats   CacheStats
-}
-
-type cacheEntry struct {
-	key string
-	res *scenario.Result
+	mu    sync.Mutex
+	stats CacheStats
 }
 
 // cacheRecord is the on-disk form of a result. It holds each value once:
@@ -149,19 +142,16 @@ type cacheRecord struct {
 	Routes []scenario.RouteResult
 }
 
-// NewRunCache creates a cache; when cfg.Dir is set the directory is
-// created eagerly so configuration errors surface before a sweep starts.
+// NewRunCache creates a cache over cfg.Dir, creating the directory
+// eagerly so configuration errors surface before a sweep starts.
 func NewRunCache(cfg CacheConfig) (*RunCache, error) {
-	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("harness: cache dir: %w", err)
-		}
+	if cfg.Dir == "" {
+		return nil, errors.New("harness: cache needs a directory")
 	}
-	return &RunCache{
-		cfg:     cfg,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}, nil
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("harness: cache dir: %w", err)
+	}
+	return &RunCache{dir: cfg.Dir}, nil
 }
 
 // CacheKey returns the content address of a run: the SHA-256 over the
@@ -182,7 +172,7 @@ func (c *RunCache) Key(spec scenario.Spec) string {
 }
 
 // Get returns the cached result of the spec, if present, with the spec
-// re-attached. The in-memory LRU is consulted first, then the directory.
+// attached.
 func (c *RunCache) Get(spec scenario.Spec) (*scenario.Result, bool) {
 	return c.getByKey(c.Key(spec), spec)
 }
@@ -191,81 +181,60 @@ func (c *RunCache) Get(spec scenario.Spec) (*scenario.Result, bool) {
 // once, before the simulation runs, so a stateful Radio model mutated by
 // the run cannot skew the store key away from the lookup key.
 func (c *RunCache) getByKey(key string, spec scenario.Spec) (*scenario.Result, bool) {
+	res, err := c.readFile(key, spec)
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		res := el.Value.(*cacheEntry).res
-		c.stats.Hits++
-		c.mu.Unlock()
-		return withSpec(res, spec), true
-	}
-	c.mu.Unlock()
-
-	if c.cfg.Dir == "" {
-		c.miss()
-		return nil, false
-	}
-	res, err := c.readFile(key)
+	defer c.mu.Unlock()
 	if err != nil {
-		c.miss()
+		c.stats.Misses++
 		return nil, false
 	}
-	c.mu.Lock()
-	c.insertLocked(key, res)
 	c.stats.Hits++
 	c.stats.DiskHits++
-	c.mu.Unlock()
-	return withSpec(res, spec), true
+	return res, true
 }
 
-// Put stores a completed result under the spec's key, in memory and — when
-// a directory is configured — on disk (atomically, via a temp file and
-// rename). Putting a key the cache already holds is a clean no-op counted
-// in Stats().DupPuts: a content-addressed key names one result, and an
-// entry is a pure function of its result, so the incoming entry is byte
-// for byte the stored one and concurrent sweeps over a shared directory
-// never rewrite each other's entries.
+// Put stores a completed result under the spec's key, atomically via a
+// temp file and rename. Putting a key the directory already holds is a
+// clean no-op counted in Stats().DupPuts: a content-addressed key names
+// one result, and an entry is a pure function of its result, so the
+// incoming entry is byte for byte the stored one and concurrent sweeps
+// over a shared directory never rewrite each other's entries.
 func (c *RunCache) Put(spec scenario.Spec, res *scenario.Result) error {
 	return c.putByKey(c.Key(spec), res)
 }
 
-// putByKey is Put with a precomputed key (see getByKey). It encodes,
-// then writes, then inserts and books: a result its entry cannot carry,
-// or whose file cannot be written, is neither counted nor served.
+// putByKey is Put with a precomputed key (see getByKey).
 func (c *RunCache) putByKey(key string, res *scenario.Result) error {
 	if res == nil {
 		return nil
 	}
-	c.mu.Lock()
-	_, dup := c.entries[key]
-	c.mu.Unlock()
-	if !dup && c.cfg.Dir != "" {
-		// Another process may have completed the identical run already;
-		// leave its (byte-identical) entry in place. Two writers racing
-		// past this check both write — harmless, the write is atomic and
-		// the bytes identical.
-		if dup = c.onDisk(key); !dup {
-			entry, err := EncodeResultEntry(key, res)
-			if err != nil {
-				return err
-			}
-			if err := c.writeFile(key, entry); err != nil {
-				return err
-			}
-		}
-	}
-	c.mu.Lock()
-	if _, raced := c.entries[key]; raced {
-		// A concurrent Put of the same key booked it first.
-		dup = true
-	}
-	c.insertLocked(key, res)
-	if dup {
+	return c.store(key, func() ([]byte, error) { return EncodeResultEntry(key, res) })
+}
+
+// store is the one write step behind Put and PutEntry. An entry already
+// on disk is a duplicate put; otherwise the entry is built and written,
+// and counted in Stores, or in FailedStores when either step fails.
+// Another process may complete the identical run at the same time: two
+// writers racing past the duplicate check both write, which is harmless
+// because the write is atomic and the bytes identical.
+func (c *RunCache) store(key string, entry func() ([]byte, error)) error {
+	if c.onDisk(key) {
+		c.mu.Lock()
 		c.stats.DupPuts++
-	} else {
-		c.stats.Stores++
+		c.mu.Unlock()
+		return nil
 	}
-	c.mu.Unlock()
+	data, err := entry()
+	if err == nil {
+		err = c.writeFile(key, data)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.stats.FailedStores++
+		return err
+	}
+	c.stats.Stores++
 	return nil
 }
 
@@ -274,33 +243,6 @@ func (c *RunCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Len returns the number of in-memory entries.
-func (c *RunCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-func (c *RunCache) miss() {
-	c.mu.Lock()
-	c.stats.Misses++
-	c.mu.Unlock()
-}
-
-func (c *RunCache) insertLocked(key string, res *scenario.Result) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{key: key, res: res})
-	for c.lru.Len() > maxMemEntries {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-	}
 }
 
 // The on-disk entry layout is a cacheRecord payload (entry.go) followed
@@ -369,7 +311,7 @@ func EncodeResultEntry(key string, res *scenario.Result) ([]byte, error) {
 }
 
 // decodeEntry verifies and decodes a raw cache entry into a spec-less
-// result (callers attach their spec via withSpec).
+// result.
 func decodeEntry(key string, entry []byte) (*scenario.Result, error) {
 	payload, err := checkFooter(entry)
 	if err != nil {
@@ -394,13 +336,17 @@ func decodeEntry(key string, entry []byte) (*scenario.Result, error) {
 }
 
 // DecodeResultEntry verifies a raw cache entry (footer and key) and
-// decodes it, attaching the caller's spec exactly as a cache hit would.
+// decodes it, attaching the caller's spec exactly as a cache hit does:
+// defaulted, because that is the spec a fresh run stores (scenario.Run
+// defaults before collecting), so reports label cached replays
+// byte-identically to fresh runs.
 func DecodeResultEntry(key string, entry []byte, spec scenario.Spec) (*scenario.Result, error) {
 	res, err := decodeEntry(key, entry)
 	if err != nil {
 		return nil, err
 	}
-	return withSpec(res, spec), nil
+	res.Spec = spec.WithDefaults()
+	return res, nil
 }
 
 // dropCorrupt deletes a failed entry file and books the corruption.
@@ -411,12 +357,12 @@ func (c *RunCache) dropCorrupt(key string) {
 	c.mu.Unlock()
 }
 
-func (c *RunCache) readFile(key string) (*scenario.Result, error) {
+func (c *RunCache) readFile(key string, spec scenario.Spec) (*scenario.Result, error) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return nil, err
 	}
-	res, err := decodeEntry(key, data)
+	res, err := DecodeResultEntry(key, data, spec)
 	if err != nil {
 		// A footer failure means truncation or bit rot; a verified
 		// footer with a failed decode means an incompatible record
@@ -430,12 +376,8 @@ func (c *RunCache) readFile(key string) (*scenario.Result, error) {
 
 // GetEntry returns the raw entry stored under key — footer included,
 // verified — from the cache directory: the entry as it moves between
-// processes, opaque and never re-encoded. A memory-only cache (no Dir)
-// reports every key missing.
+// processes, opaque and never re-encoded.
 func (c *RunCache) GetEntry(key string) ([]byte, error) {
-	if c.cfg.Dir == "" {
-		return nil, fs.ErrNotExist
-	}
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
 		return nil, err
@@ -449,39 +391,19 @@ func (c *RunCache) GetEntry(key string) ([]byte, error) {
 
 // PutEntry stores a raw entry under key after verifying its footer,
 // refusing corrupt bytes at the door. Like Put, storing a key the
-// directory already holds is a clean no-op counted in Stats().DupPuts.
-// A memory-only cache (no Dir) keeps results, not entries: it decodes
-// the entry, checking its key too, and holds the result as Put would.
+// directory already holds is a clean no-op counted in Stats().DupPuts,
+// and a write that fails is counted in Stats().FailedStores.
 func (c *RunCache) PutEntry(key string, entry []byte) error {
-	if c.cfg.Dir == "" {
-		res, err := decodeEntry(key, entry)
-		if err != nil {
-			return err
-		}
-		return c.putByKey(key, res)
-	}
 	if _, err := checkFooter(entry); err != nil {
 		return err
 	}
-	if c.onDisk(key) {
-		c.mu.Lock()
-		c.stats.DupPuts++
-		c.mu.Unlock()
-		return nil
-	}
-	if err := c.writeFile(key, entry); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.stats.Stores++
-	c.mu.Unlock()
-	return nil
+	return c.store(key, func() ([]byte, error) { return entry, nil })
 }
 
 // path names an entry file. The ".run.gob" suffix predates the flat
 // record codec; it stays because existing globs and scripts match it.
 func (c *RunCache) path(key string) string {
-	return filepath.Join(c.cfg.Dir, key+".run.gob")
+	return filepath.Join(c.dir, key+".run.gob")
 }
 
 // onDisk reports whether the directory holds an entry file for key.
@@ -496,7 +418,7 @@ func (c *RunCache) onDisk(key string) bool {
 // and the directory after it, so a stored entry survives a host crash;
 // one torn anyway fails its footer on read and re-runs.
 func (c *RunCache) writeFile(key string, entry []byte) error {
-	tmp, err := os.CreateTemp(c.cfg.Dir, key+".tmp*")
+	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
 	if err != nil {
 		return fmt.Errorf("harness: cache write: %w", err)
 	}
@@ -514,7 +436,7 @@ func (c *RunCache) writeFile(key string, entry []byte) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: cache write: %w", err)
 	}
-	dir, err := os.Open(c.cfg.Dir)
+	dir, err := os.Open(c.dir)
 	if err == nil {
 		err = dir.Sync()
 		if cerr := dir.Close(); err == nil {
@@ -525,14 +447,4 @@ func (c *RunCache) writeFile(key string, entry []byte) error {
 		return fmt.Errorf("harness: cache sync: %w", err)
 	}
 	return nil
-}
-
-// withSpec returns a shallow copy of the cached result carrying the
-// caller's spec — defaulted, because that is the spec a fresh run stores
-// (scenario.Run defaults before collecting), so reports label cached
-// replays byte-identically to fresh runs.
-func withSpec(res *scenario.Result, spec scenario.Spec) *scenario.Result {
-	out := *res
-	out.Spec = spec.WithDefaults()
-	return &out
 }

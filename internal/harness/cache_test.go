@@ -22,11 +22,12 @@ func newCache(t *testing.T, cfg harness.CacheConfig) *harness.RunCache {
 	return c
 }
 
-// TestRunCacheMemoryRoundTrip: a second pass over the same sweep is served
-// entirely from memory and reproduces the results bit for bit.
-func TestRunCacheMemoryRoundTrip(t *testing.T) {
+// TestRunCacheWarmRoundTrip: a second pass over the same sweep through
+// the same cache is served entirely from its directory and reproduces
+// the results bit for bit.
+func TestRunCacheWarmRoundTrip(t *testing.T) {
 	sw := shortSweep(t)
-	cache := newCache(t, harness.CacheConfig{})
+	cache := newCache(t, harness.CacheConfig{Dir: t.TempDir()})
 	cold, err := harness.Execute(sw.Runs, harness.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +50,16 @@ func TestRunCacheMemoryRoundTrip(t *testing.T) {
 		t.Fatalf("cached results drifted:\n got %v\nwant %v", got, want)
 	}
 	st := cache.Stats()
-	if st.Hits != uint64(len(sw.Runs)) || st.Stores != uint64(len(sw.Runs)) {
-		t.Fatalf("stats = %+v, want %d hits and stores", st, len(sw.Runs))
+	if st.Hits != uint64(len(sw.Runs)) || st.DiskHits != st.Hits || st.Stores != uint64(len(sw.Runs)) {
+		t.Fatalf("stats = %+v, want %d hits (all from disk) and stores", st, len(sw.Runs))
+	}
+}
+
+// TestRunCacheNeedsDir: the cache is its directory, so a configuration
+// without one is refused.
+func TestRunCacheNeedsDir(t *testing.T) {
+	if _, err := harness.NewRunCache(harness.CacheConfig{}); err == nil {
+		t.Fatal("NewRunCache accepted an empty Dir")
 	}
 }
 
@@ -124,7 +133,7 @@ func TestRunCacheTracerBypass(t *testing.T) {
 	tracer := piconet.NewRingTracer(16)
 	runs := []harness.Run{{Index: 0, Cell: "traced", Spec: spec,
 		Hooks: scenario.Hooks{Tracer: tracer}}}
-	cache := newCache(t, harness.CacheConfig{})
+	cache := newCache(t, harness.CacheConfig{Dir: t.TempDir()})
 	for pass := 0; pass < 2; pass++ {
 		results, err := harness.Execute(runs, harness.Options{Cache: cache})
 		if err != nil {
@@ -173,42 +182,9 @@ func TestRunCacheSaltInvalidates(t *testing.T) {
 	}
 }
 
-// TestRunCacheEviction: the in-memory LRU stays bounded at 4,096 results
-// and evicts the least recently used entry first.
-func TestRunCacheEviction(t *testing.T) {
-	const bound = 4096
-	cache := newCache(t, harness.CacheConfig{})
-	base := scenario.Paper(40 * time.Millisecond)
-	base.Duration = 100 * time.Millisecond
-	res, err := scenario.Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One result under bound+1 keys: a memory-only Put encodes nothing.
-	specs := make([]scenario.Spec, bound+1)
-	for i := range specs {
-		specs[i] = base
-		specs[i].Seed = int64(i + 1)
-		if err := cache.Put(specs[i], res); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cache.Len() != bound {
-		t.Fatalf("Len = %d, want bound %d", cache.Len(), bound)
-	}
-	if _, ok := cache.Get(specs[0]); ok {
-		t.Fatal("oldest entry survived eviction")
-	}
-	for _, i := range []int{1, bound / 2, bound} {
-		if _, ok := cache.Get(specs[i]); !ok {
-			t.Fatalf("recent entry %d evicted", i)
-		}
-	}
-}
-
 // TestRunCacheFailedWriteBooksNothing: a Put whose entry file cannot be
-// written returns the error and neither counts a store nor serves the
-// result from memory, so the stats line never claims a store a restart
+// written returns the error, counts a failed store rather than a store,
+// and serves nothing, so the stats line never claims a store a restart
 // will not find.
 func TestRunCacheFailedWriteBooksNothing(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
@@ -225,11 +201,35 @@ func TestRunCacheFailedWriteBooksNothing(t *testing.T) {
 	if err := cache.Put(spec, res); err == nil {
 		t.Fatal("Put into a removed directory succeeded")
 	}
-	if st := cache.Stats(); st.Stores != 0 || st.DupPuts != 0 {
-		t.Fatalf("stats after a failed Put: %s, want 0 stored", st)
+	if st := cache.Stats(); st.Stores != 0 || st.DupPuts != 0 || st.FailedStores != 1 {
+		t.Fatalf("stats after a failed Put: %s, want 0 stored and 1 failed", st)
 	}
 	if _, ok := cache.Get(spec); ok {
 		t.Fatal("Get served the result of a failed Put")
+	}
+}
+
+// TestExecuteCountsFailedStores: a sweep whose cache directory vanished
+// still completes, and the cache's stats line reports every store that
+// failed, so a rerun that recomputes the runs is not a surprise.
+func TestExecuteCountsFailedStores(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	cache := newCache(t, harness.CacheConfig{Dir: dir})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	spec := scenario.Paper(40 * time.Millisecond)
+	spec.Duration = 200 * time.Millisecond
+	runs := []harness.Run{{Index: 0, Cell: "c", Spec: spec}}
+	if _, err := harness.Execute(runs, harness.Options{Cache: cache}); err != nil {
+		t.Fatalf("a failed store failed the sweep: %v", err)
+	}
+	const want = "0/1 runs served from cache (0 from disk, 0 stored), 1 stores failed"
+	if got := cache.Stats().String(); got != want {
+		t.Fatalf("stats = %q, want %q", got, want)
+	}
+	if strings.Contains(harness.CacheStats{}.String(), "failed") {
+		t.Fatal("healthy stats line changed shape")
 	}
 }
 

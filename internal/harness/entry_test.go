@@ -251,9 +251,9 @@ func TestEncodeNilAdmittedFlowFails(t *testing.T) {
 	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
 		t.Fatalf("cache directory holds %v (%v), want nothing", files, err)
 	}
-	// The failed Put books nothing: no store, and no copy in memory.
-	if st := cache.Stats(); st.Stores != 0 || st.DupPuts != 0 {
-		t.Fatalf("stats after a failed Put: %+v, want nothing stored", st)
+	// The failed Put stores nothing and is counted as a failed store.
+	if st := cache.Stats(); st.Stores != 0 || st.DupPuts != 0 || st.FailedStores != 1 {
+		t.Fatalf("stats after a failed Put: %+v, want nothing stored and 1 failed", st)
 	}
 	if _, ok := cache.Get(spec); ok {
 		t.Fatal("Get served the result of a failed Put")

@@ -36,8 +36,8 @@
 // Options.Cache plugs in a RunCache: a content-addressed result store
 // keyed by the SHA-256 fingerprint of (scenario.Spec canonical rendering
 // — which includes seed and horizon — plus a code-version salt, see
-// DefaultCacheSalt). An in-memory LRU fronts an optional on-disk entry
-// directory, so re-running a sweep after changing one cell, re-anchoring
+// DefaultCacheSalt). The cache is a directory of entry files, one per
+// run, so re-running a sweep after changing one cell, re-anchoring
 // goldens, or re-rendering reports replays every unchanged run without
 // executing the simulator — across processes, with results that are
 // bit-identical to the original execution. Runs carrying runtime Hooks
@@ -243,7 +243,8 @@ func execute(run Run, opts Options) RunResult {
 	rr := RunResult{Run: run, Result: res, Err: err, Wall: time.Since(start)}
 	if cacheable && rr.Err == nil {
 		// A store failure (full disk, bad permissions) must not fail
-		// the sweep; the run simply stays uncached.
+		// the sweep: the cache counts it in FailedStores, and the run
+		// stays uncached.
 		_ = opts.Cache.putByKey(key, rr.Result)
 	}
 	return rr

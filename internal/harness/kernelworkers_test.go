@@ -46,7 +46,7 @@ func TestKernelWorkersPureExecutionKnob(t *testing.T) {
 // worker count replays from the cache at any other — the fingerprint
 // ignores the knob — and the replayed bytes match a fresh simulation.
 func TestCacheReplayAcrossKernelWorkers(t *testing.T) {
-	cache := newCache(t, harness.CacheConfig{})
+	cache := newCache(t, harness.CacheConfig{Dir: t.TempDir()})
 	cold, err := harness.Execute(scatterRun(), harness.Options{Cache: cache, KernelWorkers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -98,10 +98,8 @@ func TestRunCacheDuplicatePutNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A second cache that has never seen the entry executes the run
-	// (its memory is cold and getByKey fills it from disk — so force the
-	// simulator path by using a memory-only first lookup order: simplest
-	// is to simulate directly and Put).
+	// A second cache over the directory stores a freshly simulated copy
+	// of the same run.
 	second := newCache(t, harness.CacheConfig{Dir: dir})
 	res, err := harness.Execute(runs, harness.Options{})
 	if err != nil {
@@ -118,8 +116,9 @@ func TestRunCacheDuplicatePutNoOp(t *testing.T) {
 		t.Fatalf("stats string %q does not surface the duplicate put", s)
 	}
 
-	// Same-cache double put: the in-memory entry short-circuits it.
-	first := newCache(t, harness.CacheConfig{})
+	// Same-cache double put: the entry the first Put wrote
+	// short-circuits the second.
+	first := newCache(t, harness.CacheConfig{Dir: t.TempDir()})
 	if err := first.Put(runs[0].Spec, res[0].Result); err != nil {
 		t.Fatal(err)
 	}

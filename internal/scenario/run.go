@@ -468,7 +468,7 @@ func (p *piconetRunner) attachGSSource(g GSFlow) {
 // attachBESource starts a best-effort flow's CBR source.
 func (p *piconetRunner) attachBESource(b BEFlow) {
 	gen := traffic.CBRForRate(b.RateKbps*1000, b.PacketSize)
-	p.attachSource(b.ID, b.Dir, gen, traffic.FixedSize(b.PacketSize), b.Phase)
+	p.attachSource(b.ID, b.Dir, gen, traffic.UniformSize{Min: b.PacketSize, Max: b.PacketSize}, b.Phase)
 }
 
 // maxBurst bounds a batched source's pre-enqueued arrivals per kernel
@@ -490,7 +490,7 @@ const batchWindow = 320 * time.Millisecond
 // master at their arrival instants, so its arrival knowledge is
 // untouched.
 func (p *piconetRunner) attachSource(flow piconet.FlowID, dir piconet.Direction,
-	gen traffic.CBR, sizes traffic.SizeDist, phase time.Duration) {
+	gen traffic.CBR, sizes traffic.UniformSize, phase time.Duration) {
 	if phase < 0 {
 		phase = 0
 	}
@@ -517,7 +517,7 @@ func (p *piconetRunner) attachSource(flow piconet.FlowID, dir piconet.Direction,
 // the source draws exactly the packet sizes it uses and never floods the
 // kernel with arrivals parked seconds in the future.
 func (p *piconetRunner) attachBurstSource(flow piconet.FlowID, gen traffic.CBR,
-	sizes traffic.SizeDist, phase time.Duration) {
+	sizes traffic.UniformSize, phase time.Duration) {
 	r := p.r
 	horizon := r.spec.Duration
 	src := &source{}

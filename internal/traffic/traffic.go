@@ -10,46 +10,14 @@ import (
 	"time"
 )
 
-// SizeDist draws higher-layer packet sizes in bytes.
-type SizeDist interface {
-	// Draw returns one packet size (always >= 1).
-	Draw(rng *rand.Rand) int
-	// Bounds returns the inclusive [min, max] support of the
-	// distribution, which feeds the flow's TSpec (m, M).
-	Bounds() (minSize, maxSize int)
-}
-
-// FixedSize always draws the same size.
-type FixedSize int
-
-var _ SizeDist = FixedSize(0)
-
-// Draw implements SizeDist.
-func (f FixedSize) Draw(*rand.Rand) int {
-	if f < 1 {
-		return 1
-	}
-	return int(f)
-}
-
-// Bounds implements SizeDist.
-func (f FixedSize) Bounds() (int, int) {
-	n := int(f)
-	if n < 1 {
-		n = 1
-	}
-	return n, n
-}
-
-// UniformSize draws sizes uniformly from [Min, Max] inclusive, the paper's
-// GS packet size distribution.
+// UniformSize draws higher-layer packet sizes in bytes uniformly from
+// [Min, Max] inclusive: the paper's GS packet size distribution, and
+// with Min == Max its fixed BE size, which consumes no random draw.
 type UniformSize struct {
 	Min, Max int
 }
 
-var _ SizeDist = UniformSize{}
-
-// Draw implements SizeDist.
+// Draw returns one packet size (always >= 1).
 func (u UniformSize) Draw(rng *rand.Rand) int {
 	lo, hi := u.Bounds()
 	if lo == hi {
@@ -58,7 +26,8 @@ func (u UniformSize) Draw(rng *rand.Rand) int {
 	return lo + rng.Intn(hi-lo+1)
 }
 
-// Bounds implements SizeDist.
+// Bounds returns the inclusive [min, max] support, clamped to sizes of
+// at least one byte; it feeds the flow's TSpec (m, M).
 func (u UniformSize) Bounds() (int, int) {
 	lo, hi := u.Min, u.Max
 	if lo < 1 {

@@ -8,20 +8,26 @@ import (
 	"time"
 )
 
-func TestFixedSize(t *testing.T) {
+// TestUniformSizeFixed: a one-point support is the BE sources' fixed
+// size: it always draws that size, consumes no random draw, and clamps
+// sizes below one byte to 1.
+func TestUniformSizeFixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	f := FixedSize(176)
+	f := UniformSize{Min: 176, Max: 176}
 	for i := 0; i < 10; i++ {
 		if got := f.Draw(rng); got != 176 {
 			t.Fatalf("Draw = %d, want 176", got)
 		}
 	}
+	if got, want := rng.Int63(), rand.New(rand.NewSource(1)).Int63(); got != want {
+		t.Fatal("a fixed size consumed random draws")
+	}
 	lo, hi := f.Bounds()
 	if lo != 176 || hi != 176 {
 		t.Fatalf("Bounds = %d,%d", lo, hi)
 	}
-	if got := FixedSize(0).Draw(rng); got != 1 {
-		t.Fatalf("FixedSize(0).Draw = %d, want clamp to 1", got)
+	if got := (UniformSize{}).Draw(rng); got != 1 {
+		t.Fatalf("UniformSize{0, 0}.Draw = %d, want clamp to 1", got)
 	}
 }
 
