@@ -25,9 +25,35 @@
 // Runs fan out across a worker pool (one isolated simulator per run);
 // results are bit-identical at any -workers value, with or without a
 // warm cache.
+//
+// # Distributed sweeps
+//
+// With -addr the sweep runs across worker processes (and machines): the
+// process becomes a fabric coordinator that shards the grid into leases
+// over a small HTTP protocol, and the table it prints is byte-identical
+// to the local run at any worker count. -join runs a worker instead:
+//
+//	fig5 -addr 127.0.0.1:9740 -duration 530s -reps 5 -cache-dir .runcache
+//	fig5 -join 127.0.0.1:9740                        # no worker cache
+//	fig5 -join 127.0.0.1:9740 -cache-dir .runcache   # worker-local cache
+//
+// Workers may start before or after the coordinator. Every result reaches
+// the coordinator in the worker's /complete, and the coordinator stores it
+// in its own -cache-dir; a worker's -cache-dir is local to that worker.
+// The coordinator's -cache-dir is the sweep's durable record: a killed
+// coordinator restarted with the same flags resolves every stored run
+// from it and leases only the remainder. On exit the coordinator prints
+// "fig5: fabric: N runs: C from cache, W from workers (…)" on stderr,
+// the line the CI fabric smoke job greps to assert a restarted sweep
+// re-executed nothing.
+//
+// SIGINT checkpoints instead of killing: in-flight runs finish (and land
+// in the cache), the completed points print, and the process exits 130; a
+// second SIGINT exits immediately.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,6 +61,7 @@ import (
 	"time"
 
 	"bluegs/internal/experiments"
+	"bluegs/internal/fabric"
 	"bluegs/internal/harness"
 )
 
@@ -54,7 +81,7 @@ func run() (err error) {
 		duration = flag.Duration("duration", 60*time.Second, "simulated time per point")
 		seed     = flag.Int64("seed", 1, "random seed")
 		reps     = flag.Int("reps", 1, "independently seeded replications per point (adds 95% CIs)")
-		workers  = flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "parallel simulation workers, locally or in a -join worker (0 = GOMAXPROCS)")
 		progress = flag.Bool("progress", false, "report sweep progress on stderr")
 		from     = flag.Duration("from", 28*time.Millisecond, "first delay requirement")
 		to       = flag.Duration("to", 46*time.Millisecond, "last delay requirement")
@@ -63,8 +90,16 @@ func run() (err error) {
 		ciTarget = flag.Float64("ci-target", 0, "adaptive replication: replicate each point until the 95% CI half-width of -ci-metric is below this fraction of its mean (0 = fixed -reps)")
 		ciMetric = flag.String("ci-metric", "", "adaptive stopping metric: gs-delay, violations, gs-kbps or be-kbps (default gs-delay)")
 		maxReps  = flag.Int("max-reps", 0, "adaptive replication cap per point (default 32)")
-		cacheDir = flag.String("cache-dir", "", "content-addressed run cache directory: unchanged points replay instantly across invocations")
+		cacheDir = flag.String("cache-dir", "", "content-addressed run cache directory: unchanged points replay instantly across invocations, and a coordinator restarted over it resumes its sweep")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (inspect with go tool pprof)")
+
+		addr      = flag.String("addr", "", "serve the sweep to -join workers from a coordinator listening here (host:port; :port accepts remote workers)")
+		leaseTTL  = flag.Duration("lease-ttl", 0, "coordinator: heartbeat deadline before a lease's runs are re-issued (default 10s)")
+		leaseRuns = flag.Int("lease-runs", 0, "coordinator: runs handed out per lease (default 4)")
+		verbose   = flag.Bool("v", false, "log fabric events (worker joins, lease expiries, failed stores) on stderr")
+		join      = flag.String("join", "", "run a worker for the coordinator at this host:port instead of a sweep")
+		name      = flag.String("name", "", "worker name in leases and logs (default hostname-pid)")
+		poll      = flag.Duration("poll", 0, "worker: shortest interval between idle lease requests (default 300ms); a coordinator that holds idle requests is asked again at once")
 	)
 	flag.Parse()
 	if *profile != "" {
@@ -78,9 +113,47 @@ func run() (err error) {
 			}
 		}()
 	}
-	if *step <= 0 || *to < *from {
+	if *join == "" && (*step <= 0 || *to < *from) {
 		return fmt.Errorf("bad sweep: from %v to %v step %v", *from, *to, *step)
 	}
+	logf := func(string, ...any) {}
+	if *verbose {
+		logf = func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		}
+	}
+	var cache *harness.RunCache
+	if *cacheDir != "" {
+		cache, err = harness.NewRunCache(harness.CacheConfig{Dir: *cacheDir})
+		if err != nil {
+			return err
+		}
+		defer func() { fmt.Fprintf(os.Stderr, "fig5: cache: %s\n", cache.Stats()) }()
+	}
+
+	// First SIGINT checkpoints: in-flight runs finish (and land in the
+	// cache), the completed points print below. A second exits immediately.
+	interrupt := harness.InterruptOnSignal("fig5")
+
+	if *join != "" {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		go func() {
+			<-interrupt
+			cancel()
+		}()
+		stats, err := fabric.RunWorker(ctx, fabric.WorkerConfig{
+			Coordinator: *join,
+			Name:        *name,
+			Workers:     *workers,
+			Cache:       cache,
+			Poll:        *poll,
+			Logf:        logf,
+		})
+		fmt.Fprintf(os.Stderr, "fig5: worker: %s\n", stats)
+		return err
+	}
+
 	var targets []time.Duration
 	for t := *from; t <= *to; t += *step {
 		targets = append(targets, t)
@@ -93,22 +166,29 @@ func run() (err error) {
 		CITarget:     *ciTarget,
 		CIMetric:     *ciMetric,
 		MaxReps:      *maxReps,
+		Cache:        cache,
+		Interrupt:    interrupt,
 	}
 	if *progress {
 		cfg.Progress = harness.StderrProgress("fig5")
 	}
-	if *cacheDir != "" {
-		cache, err := harness.NewRunCache(harness.CacheConfig{Dir: *cacheDir})
+	if *addr != "" {
+		coord, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
+			Addr:      *addr,
+			Grid:      "fig5",
+			Cache:     cache,
+			LeaseTTL:  *leaseTTL,
+			LeaseRuns: *leaseRuns,
+			Logf:      logf,
+		})
 		if err != nil {
 			return err
 		}
-		cfg.Cache = cache
-		defer func() { reportCache("fig5", cache) }()
+		defer coord.Close()
+		defer func() { fmt.Fprintf(os.Stderr, "fig5: fabric: %s\n", coord.Stats()) }()
+		fmt.Fprintf(os.Stderr, "fig5: serving on %s (join with: fig5 -join %s)\n", coord.Addr(), coord.Addr())
+		cfg.Executor = coord
 	}
-
-	// First SIGINT checkpoints: in-flight runs finish (and land in the
-	// cache), the completed points print below. A second exits immediately.
-	cfg.Interrupt = harness.InterruptOnSignal("fig5")
 
 	rows, tbl, err := experiments.Figure5(cfg, targets)
 	if err != nil && (tbl == nil || !errors.Is(err, harness.ErrInterrupted)) {
@@ -130,10 +210,4 @@ func run() (err error) {
 		}
 	}
 	return nil
-}
-
-// reportCache prints the cache effectiveness line the CI smoke step (and
-// anyone iterating on a sweep) checks: hits out of total lookups.
-func reportCache(label string, cache *harness.RunCache) {
-	fmt.Fprintf(os.Stderr, "%s: cache: %s\n", label, cache.Stats())
 }

@@ -20,10 +20,10 @@
 // -cache-dir backs every experiment with a content-addressed run cache,
 // so re-rendering the report — or iterating on a single experiment —
 // replays unchanged cells instantly; Fig. 5, T2 and T3 share grid cells
-// and hit each other's entries even within one invocation. A sweepd
-// coordinator's -cache-dir is the same kind of directory, so pointing
-// -cache-dir at it replays a distributed sweep's runs without
-// simulating them.
+// and hit each other's entries even within one invocation. A
+// `fig5 -addr` coordinator's -cache-dir is the same kind of directory,
+// so pointing -cache-dir at it replays a distributed sweep's runs
+// without simulating them.
 //
 // SIGINT checkpoints instead of killing: in-flight runs finish (and land
 // in the cache), the interrupted experiment's completed cells print, and

@@ -70,10 +70,12 @@ type Config struct {
 	// since Figure5, T2 and T3 share grid cells.
 	Cache *harness.RunCache
 	// Executor, when set, routes every sweep through it instead of the
-	// in-process harness (harness.Local{}). This is how cmd/sweepd runs
+	// in-process harness (harness.Local{}). This is how `fig5 -addr` runs
 	// the same experiment code distributed: a fabric.Coordinator is an
 	// Executor, and because both implementations share the harness
-	// determinism contract, the rendered tables are byte-identical.
+	// determinism contract, the rendered tables are byte-identical. Each
+	// experiment issues one Execute per table through it (one
+	// ExecuteAdaptive for Figure5 and BaselinePollers under CITarget).
 	Executor harness.Executor
 	// Interrupt, when set and closed, abandons undispatched runs
 	// (harness.Options.Interrupt): experiments return partial results

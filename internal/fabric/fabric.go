@@ -6,13 +6,13 @@
 //
 // The Coordinator implements harness.Executor, so any code written
 // against the harness — including every experiment table — runs
-// distributed without change: cmd/sweepd constructs a Coordinator and
+// distributed without change: `fig5 -addr` constructs a Coordinator and
 // hands it to internal/experiments as the executor. The coordinator
 // shards each sweep's runs into leases, serves them to workers, folds
 // completed results back in run-index order, and stores every completion
 // in its run cache (when it has one).
 //
-// A Worker (RunWorker, `sweepd -join addr` or any cmd embedding it) is a
+// A Worker (RunWorker, `fig5 -join addr` or any cmd embedding it) is a
 // thin loop: lease runs, execute them through the ordinary local
 // harness.Execute (with its worker pool and optional local RunCache),
 // ship the results back, heartbeat while working. An idle /lease is held
@@ -173,7 +173,7 @@ type HeartbeatRequest struct {
 
 // CoordinatorStats counts how the coordinator resolved runs, accumulated
 // across every sweep it served. The String rendering is the one line
-// cmd/sweepd prints on exit (and the CI fabric smoke greps).
+// `fig5 -addr` prints on exit (and the CI fabric smoke greps).
 type CoordinatorStats struct {
 	// Runs counts every run resolved.
 	Runs uint64
