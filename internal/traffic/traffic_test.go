@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// TestUniformSizeFixed: a one-point support is the BE sources' fixed
-// size: it always draws that size, consumes no random draw, and clamps
-// sizes below one byte to 1.
-func TestUniformSizeFixed(t *testing.T) {
+// TestFixedSize: a one-point UniformSize is the BE sources' fixed size:
+// it always draws that size, consumes no random draw, and clamps sizes
+// below one byte to 1.
+func TestFixedSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := UniformSize{Min: 176, Max: 176}
 	for i := 0; i < 10; i++ {
