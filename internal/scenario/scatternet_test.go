@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"bluegs/internal/faults"
 	"bluegs/internal/piconet"
 )
 
@@ -271,6 +272,49 @@ func TestScatternetPiconetChurn(t *testing.T) {
 	// post-removal rejection addressed to them.
 	if len(late.Admissions) != 4 {
 		t.Fatalf("late piconet log has %d records, want 4 (%+v)", len(late.Admissions), late.Admissions)
+	}
+}
+
+// TestCrashThenRemovePiconet: a piconet whose master crashed and which
+// then leaves the scatternet reports both exits. Its statistics freeze at
+// the first exit (the crash), while its sources keep generating until the
+// removal stops them, and both records are accepted.
+func TestCrashThenRemovePiconet(t *testing.T) {
+	spec := Scatternet(ScatternetConfig{Piconets: 2, Duration: 5 * time.Second})
+	spec.Faults = faults.Plan{Crashes: []faults.MasterCrash{{Piconet: "pn2", At: 2 * time.Second}}}
+	spec.Timeline = []TimelineEvent{RemovePiconetAt(3*time.Second, "pn2")}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	pn2, ok := res.PiconetByName("pn2")
+	if !ok {
+		t.Fatal("pn2 missing from results")
+	}
+	if !pn2.Removed || !pn2.Crashed {
+		t.Fatalf("pn2 Removed=%v Crashed=%v, want both", pn2.Removed, pn2.Crashed)
+	}
+	if pn2.Slots.Total != 3200 {
+		t.Fatalf("pn2 accounts %d slots, want 3200 (the crash horizon)", pn2.Slots.Total)
+	}
+	var f1 *FlowResult
+	for i := range pn2.Flows {
+		if pn2.Flows[i].ID == 1 {
+			f1 = &pn2.Flows[i]
+		}
+	}
+	if f1 == nil || f1.Offered != 150 {
+		t.Fatalf("pn2 flow 1 = %+v, want 150 offered (arrivals up to the removal)", f1)
+	}
+	var ops []string
+	for _, a := range pn2.Admissions {
+		if !a.Accepted {
+			t.Fatalf("pn2 record refused: %+v", a)
+		}
+		ops = append(ops, a.Op)
+	}
+	if len(ops) != 2 || ops[0] != OpCrash || ops[1] != OpRemovePiconet {
+		t.Fatalf("pn2 records %v, want [%s %s]", ops, OpCrash, OpRemovePiconet)
 	}
 }
 
