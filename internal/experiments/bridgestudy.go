@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"bluegs/internal/admission"
@@ -116,7 +117,7 @@ func BridgeStudy(cfg Config, hops []int, duties []float64, loads []int) ([]Bridg
 	g := grid[bridgePoint]{
 		name: "bridge",
 		label: func(p bridgePoint) string {
-			return fmt.Sprintf("%dhop/d%.2f/%dgs/%s", p.hops, p.duty, p.load, bridgeMode(p.naive))
+			return fmt.Sprintf("%dhop/d%s/%dgs/%s", p.hops, dutyCell(p.duty), p.load, bridgeMode(p.naive))
 		},
 		build: func(p bridgePoint) scenario.Spec {
 			return scenario.Bridged(scenario.BridgedConfig{
@@ -180,7 +181,7 @@ func BridgeStudy(cfg Config, hops []int, duties []float64, loads []int) ([]Bridg
 		if row.Violations > 0 {
 			ok = fmt.Sprintf("VIOLATED×%d", row.Violations)
 		}
-		tbl.AddRow(row.Hops, fmt.Sprintf("%.1f", row.Duty), row.GSLoad, bridgeMode(row.Naive),
+		tbl.AddRow(row.Hops, dutyCell(row.Duty), row.GSLoad, bridgeMode(row.Naive),
 			row.Target, row.Delivered,
 			row.DelayP99.Round(time.Microsecond), row.DelayMax.Round(time.Microsecond),
 			ok, fmt.Sprintf("%.2f", row.BudgetUtilization), row.PeakQueue, kbpsCell(row.Kbps))
@@ -209,3 +210,7 @@ func budgetUtilization(rr scenario.RouteResult, naive bool) float64 {
 	}
 	return sum / float64(len(rr.HopBounds))
 }
+
+// dutyCell renders a duty cycle losslessly, so two duties that agree to a
+// few decimals stay two points (labels) and two rows (the duty column).
+func dutyCell(d float64) string { return strconv.FormatFloat(d, 'g', -1, 64) }

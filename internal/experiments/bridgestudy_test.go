@@ -3,6 +3,7 @@ package experiments
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,23 @@ func TestBridgeStudyDeratingKeepsBounds(t *testing.T) {
 		if n.PeakQueue == 0 {
 			t.Fatalf("duty %.1f: naive route built no bridge backlog, the violation has the wrong cause", duty)
 		}
+	}
+}
+
+// TestBridgeStudyCloseDuties: duties that agree to two decimals are still
+// distinct points, each with a derated and a naive row, and the duty
+// column tells them apart.
+func TestBridgeStudyCloseDuties(t *testing.T) {
+	cfg := Config{Duration: time.Second, Seed: 1}
+	rows, tbl, err := BridgeStudy(cfg, []int{2}, []float64{0.301, 0.304}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want 4 (two duties × two admission modes)", len(rows))
+	}
+	if out := tbl.String(); !strings.Contains(out, "0.301") || !strings.Contains(out, "0.304") {
+		t.Fatalf("duty column does not tell 0.301 from 0.304:\n%s", out)
 	}
 }
 

@@ -157,7 +157,8 @@ func (c *Coordinator) Close() error {
 // Execute implements harness.Executor: resolve what the cache already
 // holds, lease the remainder to workers, and return results in
 // run-index order — the same contract, and therefore the same bytes, as
-// the in-process harness.Execute.
+// the in-process harness.Execute. A sweep with a run carrying runtime
+// hooks fails before anything is leased.
 func (c *Coordinator) Execute(runs []harness.Run, opts harness.Options) ([]harness.RunResult, error) {
 	results := make([]harness.RunResult, len(runs))
 	if len(runs) == 0 {
@@ -175,14 +176,11 @@ func (c *Coordinator) Execute(runs []harness.Run, opts harness.Options) ([]harne
 		done:     make(chan struct{}),
 	}
 
-	// Hooked runs carry live tracers or radio instances — they cannot be
-	// serialized into a lease, so they execute in-process, exactly as a
-	// local sweep would run them.
-	var hooked []int
 	for i, run := range runs {
 		if !run.Hooks.Zero() {
-			hooked = append(hooked, i)
-			continue
+			// Live tracers and radio instances cannot travel in a lease.
+			return results, fmt.Errorf("fabric: run %d (cell %q rep %d) carries runtime hooks, which cannot be leased",
+				run.Index, run.Cell, run.Rep)
 		}
 		data, err := scenario.Marshal(run.Spec)
 		if err != nil {
@@ -192,33 +190,11 @@ func (c *Coordinator) Execute(runs []harness.Run, opts harness.Options) ([]harne
 		st.keys[i] = harness.CacheKey(harness.DefaultCacheSalt, run.Spec)
 		st.byKey[st.keys[i]] = append(st.byKey[st.keys[i]], i)
 	}
-	if len(hooked) > 0 {
-		local := make([]harness.Run, len(hooked))
-		for k, i := range hooked {
-			local[k] = runs[i]
-		}
-		localOpts := opts
-		localOpts.OnProgress = nil // folded into the sweep-wide count below
-		localResults, _ := harness.Execute(local, localOpts)
-		for k, i := range hooked {
-			results[i] = localResults[k]
-		}
-	}
-
-	// Resolve the rest from the coordinator's own cache; what's left is
+	// Resolve what the coordinator's own cache holds; what's left is
 	// leased out.
 	c.mu.Lock()
 	for i := range runs {
-		if runs[i].Hooks.Zero() {
-			c.prefillLocked(st, i)
-		} else {
-			st.resolved[i] = true
-			st.doneRuns++
-			c.stats.Runs++
-			if opts.OnProgress != nil {
-				opts.OnProgress(st.doneRuns, len(st.runs), results[i])
-			}
-		}
+		c.prefillLocked(st, i)
 	}
 	interrupted := false
 	pending := st.pending
@@ -243,7 +219,7 @@ func (c *Coordinator) Execute(runs []harness.Run, opts harness.Options) ([]harne
 		c.sweep = nil
 		if interrupted {
 			for i := range runs {
-				if runs[i].Hooks.Zero() && !st.resolved[i] {
+				if !st.resolved[i] {
 					results[i] = harness.RunResult{Run: runs[i], Err: harness.ErrInterrupted}
 				}
 			}

@@ -17,6 +17,7 @@ import (
 
 	"bluegs/internal/experiments"
 	"bluegs/internal/harness"
+	"bluegs/internal/piconet"
 	"bluegs/internal/stats"
 )
 
@@ -433,6 +434,26 @@ func TestCoordinatorCountsFailedStores(t *testing.T) {
 	}
 	if want := fmt.Sprintf(", %d stores failed", runs); !strings.HasSuffix(cs.String(), want) {
 		t.Fatalf("cache stats line %q does not end in %q", cs, want)
+	}
+}
+
+// TestCoordinatorRefusesHookedRuns: a live tracer cannot travel in a
+// lease, so a sweep carrying one fails before any lease is issued.
+func TestCoordinatorRefusesHookedRuns(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{Grid: "fig5"})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	defer coord.Close()
+	runs := testRuns()
+	runs[1].Hooks.Tracer = piconet.NewRingTracer(8)
+	_, err = coord.Execute(runs, harness.Options{})
+	if err == nil || !strings.Contains(err.Error(), "run 1") ||
+		!strings.Contains(err.Error(), "carries runtime hooks, which cannot be leased") {
+		t.Fatalf("Execute error %v, want run 1 refused for its hooks", err)
+	}
+	if st := coord.Stats(); st.Leases != 0 || st.Runs != 0 {
+		t.Fatalf("stats %+v, want no lease and no run", st)
 	}
 }
 

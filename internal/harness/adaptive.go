@@ -53,18 +53,7 @@ var MeanGSDelay = Metric{Name: "gs-delay", Eval: func(r *scenario.Result) float6
 // ViolationFraction is the fraction of Guaranteed Service flows whose
 // measured maximum delay exceeded the exported bound (0 for a correct
 // scheduler; its confidence interval quantifies how sure the sweep is).
-var ViolationFraction = Metric{Name: "violations", Eval: func(r *scenario.Result) float64 {
-	gs := 0
-	for _, f := range r.Flows {
-		if f.Class == piconet.Guaranteed {
-			gs++
-		}
-	}
-	if gs == 0 {
-		return 0
-	}
-	return float64(len(r.BoundViolations())) / float64(gs)
-}}
+var ViolationFraction = Metric{Name: "violations", Eval: (*scenario.Result).ViolationFraction}
 
 // GSThroughput is the total delivered Guaranteed Service rate in kbps.
 var GSThroughput = Metric{Name: "gs-kbps", Eval: func(r *scenario.Result) float64 {

@@ -8,10 +8,14 @@ import (
 	"time"
 
 	"bluegs/internal/harness"
+	"bluegs/internal/scenario"
 )
 
 func adaptiveFixture() (harness.Grid, harness.SweepConfig, harness.AdaptiveOptions) {
-	g := harness.Fig5Grid([]time.Duration{30 * time.Millisecond, 40 * time.Millisecond})
+	g := harness.Grid{Name: "fig5", Cells: []string{"30ms", "40ms"}, Build: func(cell string) scenario.Spec {
+		target, _ := time.ParseDuration(cell)
+		return scenario.Paper(target)
+	}}
 	cfg := harness.SweepConfig{Duration: 2 * time.Second, Seed: 1}
 	opts := harness.AdaptiveOptions{
 		Metric:  harness.BEThroughput,

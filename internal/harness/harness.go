@@ -13,10 +13,10 @@
 // this.
 //
 // On top of the runner, a Grid (cells plus a spec factory) expands into
-// a fixed Sweep or feeds ExecuteAdaptive; Fig5Grid is the paper's Fig. 5
-// grid, and internal/experiments builds every other study's grid from
-// typed points. The aggregation helpers reduce per-cell replications to
-// mean/min/max/95%-confidence summaries via internal/stats.
+// a fixed Sweep or feeds ExecuteAdaptive; Fig5Sweep expands the paper's
+// Fig. 5 grid, and internal/experiments builds every other study's grid
+// from typed points. Aggregate reduces a cell's replications to a
+// mean/min/max/95%-confidence summary via internal/stats.
 //
 // # Adaptive replication
 //
@@ -293,21 +293,6 @@ func ReplicationSeed(base int64, rep int) int64 {
 		seed = 1
 	}
 	return seed
-}
-
-// Cells groups results by cell, preserving first-appearance (grid) order.
-// Within a cell, results keep grid order too, so replications are ordered
-// by Rep.
-func Cells(results []RunResult) ([]string, map[string][]RunResult) {
-	var order []string
-	byCell := make(map[string][]RunResult)
-	for _, r := range results {
-		if _, ok := byCell[r.Run.Cell]; !ok {
-			order = append(order, r.Run.Cell)
-		}
-		byCell[r.Run.Cell] = append(byCell[r.Run.Cell], r)
-	}
-	return order, byCell
 }
 
 // Aggregate reduces one cell's replications to a Summary of the metric,

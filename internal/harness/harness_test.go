@@ -180,24 +180,15 @@ func TestGridSweepStructure(t *testing.T) {
 	}
 }
 
-func TestCellsAndAggregate(t *testing.T) {
+func TestAggregate(t *testing.T) {
 	sw := shortSweep(t)
 	results, err := harness.Execute(sw.Runs, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, byCell := harness.Cells(results)
-	if !reflect.DeepEqual(order, []string{"30ms", "40ms"}) {
-		t.Fatalf("cell order = %v", order)
-	}
-	for _, cell := range order {
-		rs := byCell[cell]
-		if len(rs) != 2 {
-			t.Fatalf("cell %s has %d reps", cell, len(rs))
-		}
-		if rs[0].Run.Rep != 0 || rs[1].Run.Rep != 1 {
-			t.Fatalf("cell %s reps out of order", cell)
-		}
+	// Results keep grid order: each cell's two replications in a row.
+	for i, cell := range []string{"30ms", "40ms"} {
+		rs := results[2*i : 2*i+2]
 		sum := harness.Aggregate(rs, func(r *scenario.Result) float64 {
 			return r.TotalKbps(piconet.Guaranteed)
 		})

@@ -80,23 +80,17 @@ func (g Grid) Sweep(cfg SweepConfig) Sweep {
 	return sw
 }
 
-// Fig5Grid is the paper's Figure 5 grid: the Fig. 4 piconet at every
-// delay target. Cells are the target durations rendered with
-// time.Duration.String.
-func Fig5Grid(targets []time.Duration) Grid {
+// Fig5Sweep builds the paper's Figure 5 grid, the Fig. 4 piconet at every
+// delay target, at a fixed replication count per SweepConfig. Cells are
+// the target durations rendered with time.Duration.String.
+func Fig5Sweep(cfg SweepConfig, targets []time.Duration) Sweep {
 	cells := make([]string, len(targets))
 	for i, t := range targets {
 		cells[i] = t.String()
 	}
 	return Grid{Name: "fig5", Cells: cells, Build: func(cell string) scenario.Spec {
 		return scenario.Paper(targets[slices.Index(cells, cell)])
-	}}
-}
-
-// Fig5Sweep builds the paper's Figure 5 grid at a fixed replication
-// count per SweepConfig.
-func Fig5Sweep(cfg SweepConfig, targets []time.Duration) Sweep {
-	return Fig5Grid(targets).Sweep(cfg)
+	}}.Sweep(cfg)
 }
 
 // StderrProgress returns a progress callback that rewrites a

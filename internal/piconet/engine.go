@@ -333,7 +333,7 @@ func (p *Piconet) superviseExchange(pe *pendingExchange) {
 // recording completion in the leg outcome and the flow statistics and
 // firing the delivery hook on packet completion.
 func (p *Piconet) advanceHead(fs *flowState, pkt *hlPacket, deliveredAt sim.Time, leg *LegOutcome) {
-	pkt.consumeSegment()
+	pkt.nextSeg++
 	if pkt.done() {
 		leg.CompletedPacketSize = pkt.size
 		intact := !pkt.corrupt
@@ -359,7 +359,7 @@ func (p *Piconet) handleLoss(fs *flowState, pkt *hlPacket, at sim.Time) {
 		return // segment remains pending; the next poll retries it
 	}
 	pkt.corrupt = true
-	pkt.consumeSegment()
+	pkt.nextSeg++
 	if pkt.done() {
 		fs.lost.Add(pkt.size)
 		fs.popCompleted()

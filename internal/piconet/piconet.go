@@ -36,7 +36,6 @@ var (
 	ErrInvalidFlow    = errors.New("piconet: invalid flow configuration")
 	ErrNoScheduler    = errors.New("piconet: no scheduler installed")
 	ErrAlreadyStarted = errors.New("piconet: already started")
-	ErrNotDownFlow    = errors.New("piconet: flow is not master-to-slave")
 	ErrQueueMismatch  = errors.New("piconet: flow/slave/direction mismatch in action")
 	ErrPacketTooSmall = errors.New("piconet: packet size must be positive")
 	ErrSegmentFailure = errors.New("piconet: segmentation failed")
@@ -215,11 +214,6 @@ type LegOutcome struct {
 	CompletedPacketSize int
 }
 
-// ServedGS reports whether the exchange moved payload for the given flow.
-func (o Outcome) ServedGS(flow FlowID) bool {
-	return (o.Down.Flow == flow && o.Down.Bytes > 0) || (o.Up.Flow == flow && o.Up.Bytes > 0)
-}
-
 // Scheduler is the master's polling brain. Implementations include the
 // paper's Guaranteed Service scheduler (internal/core) and the best-effort
 // pollers (internal/poller) via adapters.
@@ -388,9 +382,6 @@ func New(s *sim.Simulator, opts ...Option) *Piconet {
 	p.finishSCOFn = p.finishSCO
 	return p
 }
-
-// Simulator returns the underlying simulator.
-func (p *Piconet) Simulator() *sim.Simulator { return p.simulator }
 
 // Now returns the current virtual time.
 func (p *Piconet) Now() sim.Time { return p.simulator.Now() }
@@ -639,16 +630,6 @@ func (p *Piconet) DownQueueLen(flow FlowID) int {
 		return 0
 	}
 	return fs.availableLen(p.simulator.Now())
-}
-
-// DownQueueBytes returns the remaining payload bytes queued for a
-// master-to-slave flow and already arrived (master-side knowledge).
-func (p *Piconet) DownQueueBytes(flow FlowID) int {
-	fs, ok := p.flows[flow]
-	if !ok || fs.cfg.Dir != Down {
-		return 0
-	}
-	return fs.availableBytes(p.simulator.Now())
 }
 
 // DownHeadAvailable reports whether the head packet of a down flow was

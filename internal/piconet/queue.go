@@ -20,21 +20,9 @@ type hlPacket struct {
 	plan    segmentation.Plan
 	// nextSeg indexes the first not-yet-delivered segment.
 	nextSeg int
-	// remaining counts the payload bytes of segments plan[nextSeg:],
-	// maintained incrementally so remainingBytes is O(1).
-	remaining int
 	// corrupt marks a packet that lost a segment on air with ARQ
 	// disabled; it completes its plan but is not counted as delivered.
 	corrupt bool
-}
-
-func (pkt *hlPacket) remainingBytes() int { return pkt.remaining }
-
-// consumeSegment advances past the current head segment, keeping the
-// remaining-byte counter in step with nextSeg.
-func (pkt *hlPacket) consumeSegment() {
-	pkt.remaining -= pkt.plan[pkt.nextSeg].Bytes
-	pkt.nextSeg++
 }
 
 func (pkt *hlPacket) done() bool { return pkt.nextSeg >= len(pkt.plan) }
@@ -54,7 +42,6 @@ func (p *Piconet) allocPacket() *hlPacket {
 func (p *Piconet) freePacket(pkt *hlPacket) {
 	pkt.plan = pkt.plan[:0]
 	pkt.nextSeg = 0
-	pkt.remaining = 0
 	pkt.corrupt = false
 	p.pktFree = append(p.pktFree, pkt)
 }
@@ -134,14 +121,6 @@ func (fs *flowState) qpop() *hlPacket {
 	return pkt
 }
 
-func (fs *flowState) queuedBytes() int {
-	total := 0
-	for i := 0; i < fs.qlen(); i++ {
-		total += fs.qat(i).remainingBytes()
-	}
-	return total
-}
-
 // availableLen counts the queued packets that have arrived by cutoff.
 // The queue is arrival-ordered, so the count is a prefix length: a
 // batched source's pre-enqueued future arrivals sit at the tail and
@@ -158,16 +137,6 @@ func (fs *flowState) availableLen(cutoff sim.Time) int {
 		return 0
 	}
 	return sort.Search(n, func(i int) bool { return fs.qat(i).arrival > cutoff })
-}
-
-// availableBytes sums the remaining payload of the packets that have
-// arrived by cutoff.
-func (fs *flowState) availableBytes(cutoff sim.Time) int {
-	total := 0
-	for i, n := 0, fs.availableLen(cutoff); i < n; i++ {
-		total += fs.qat(i).remainingBytes()
-	}
-	return total
 }
 
 // headAvailable reports whether the queue head exists and arrived at or
@@ -268,7 +237,6 @@ func (p *Piconet) EnqueuePacketAt(flow FlowID, size int, at sim.Time) error {
 	pkt.size = size
 	pkt.arrival = at
 	pkt.nextSeg = 0
-	pkt.remaining = pkt.plan.TotalBytes()
 	pkt.corrupt = false
 	fs.qpush(pkt)
 	fs.offered.Add(size)

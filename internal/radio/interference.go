@@ -245,9 +245,6 @@ func (h *HopInterference) Name() string {
 	return fmt.Sprintf("hop-interference(%s)", h.base.Name())
 }
 
-// Base returns the wrapped channel model.
-func (h *HopInterference) Base() Model { return h.base }
-
 // Utilization exposes the piconet's busy-fraction estimate at the given
 // instant (for reports).
 func (h *HopInterference) Utilization(now time.Duration) float64 {

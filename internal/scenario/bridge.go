@@ -61,16 +61,6 @@ func (b BridgeSpec) residencyIn(pn string) (ResidencySpec, bool) {
 	return ResidencySpec{}, false
 }
 
-// dutyIn is the bridge's residency duty cycle in the named piconet (0 when
-// it is not resident there).
-func (b BridgeSpec) dutyIn(pn string) float64 {
-	rs, ok := b.residencyIn(pn)
-	if !ok {
-		return 0
-	}
-	return rs.duty(b.Period)
-}
-
 // nextAfter is the piconet a packet relayed through the bridge leaves
 // toward when it arrived from `from`: the bridge's first residency in a
 // different piconet.
@@ -429,18 +419,6 @@ func (r *Result) RouteByID(id piconet.FlowID) (RouteResult, bool) {
 		}
 	}
 	return RouteResult{}, false
-}
-
-// RouteViolations returns the routes whose measured end-to-end maximum
-// delay exceeded their budget.
-func (r *Result) RouteViolations() []RouteResult {
-	var out []RouteResult
-	for _, rr := range r.Routes {
-		if rr.Violated() {
-			out = append(out, rr)
-		}
-	}
-	return out
 }
 
 // RouteReport renders the end-to-end route outcomes as a table (nil when

@@ -327,11 +327,10 @@ func (p *piconetRunner) applyMove(mv MoveFlow) {
 	p.applyHandoff(mv.Flow, mv.To, false)
 }
 
-// applyCrash halts a piconet's master at the fault plan's instant: the
-// decision loop stops permanently, the piconet stops interfering, and its
-// flows are orphaned — sources keep generating into queues nobody will
-// ever poll (deliveries simply end, so orphaned flows cannot produce late
-// deliveries that violate their bounds).
+// applyCrash halts a piconet's master at the fault plan's instant (see
+// takeOut): its flows are orphaned — sources keep generating into queues
+// nobody will ever poll (deliveries simply end, so orphaned flows cannot
+// produce late deliveries that violate their bounds).
 func (r *runner) applyCrash(name string) {
 	if r.err != nil {
 		return
@@ -341,12 +340,6 @@ func (r *runner) applyCrash(name string) {
 		r.reject(name, OpCrash, 0, 0, why)
 		return
 	}
-	p.pn.Stop()
-	if p.hop != nil {
-		r.medium.Detach(p.hop)
-	}
-	p.crashed = true
-	p.crashedAt = r.s.Now()
 	for _, id := range p.pn.Flows() {
 		cfg, _ := p.pn.FlowConfig(id)
 		if cfg.Class != piconet.Guaranteed {
@@ -358,11 +351,7 @@ func (r *runner) applyCrash(name string) {
 			p.fates[id] = FateCrashed
 		}
 	}
-	r.accept(AdmissionRecord{Op: OpCrash, Piconet: name})
-	// Routes traversing the crashed piconet are severed for good: no
-	// recovery policy can resurrect a master that no longer polls.
-	r.severRoutesThrough(name, FateCrashed, fmt.Sprintf("master of %q crashed", name))
-	r.rederate(nil)
+	r.takeOut(p, OpCrash, FateCrashed, fmt.Sprintf("master of %q crashed", name))
 	if r.err != nil {
 		r.s.Stop()
 	}

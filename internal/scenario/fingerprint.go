@@ -59,36 +59,19 @@ func (s Spec) WithDefaults() Spec {
 	if !s.InterferenceAwareAdmission || s.AdmissionDerate <= 0 || s.AdmissionDerate >= 1 {
 		s.AdmissionDerate = 0
 	}
+	// Defaulted timeline targets resolve to the first piconet's name, so
+	// an explicit and an implicit address of the same piconet describe —
+	// and fingerprint as — the same simulation. Flat specs resolve to ""
+	// and stay untouched. Scatternet-level operations (piconet churn and
+	// routes) stay unaddressed: they act on the scatternet, not a piconet.
+	def := ""
 	if s.scatternet() {
 		s.Piconets = withPiconetNames(s.Piconets)
-		// Resolve defaulted timeline targets to the first piconet's
-		// name, so an explicit and an implicit address of the same
-		// piconet describe — and fingerprint as — the same simulation.
-		// Flat specs resolve to "" and stay untouched.
-		def := s.Piconets[0].Name
-		// Scatternet-level operations (piconet churn and routes) stay
-		// unaddressed: they act on the scatternet, not a piconet.
-		global := func(ev TimelineEvent) bool {
-			return ev.AddPiconet != nil || ev.RemovePiconet != "" ||
-				ev.AddRoute != nil || ev.RemoveRoute != piconet.None
-		}
-		for i, ev := range s.Timeline {
-			if ev.Piconet != "" || global(ev) {
-				continue
-			}
-			tl := append([]TimelineEvent(nil), s.Timeline...)
-			for j := i; j < len(tl); j++ {
-				if tl[j].Piconet == "" && !global(tl[j]) {
-					tl[j].Piconet = def
-				}
-			}
-			s.Timeline = tl
-			break
-		}
+		def = s.Piconets[0].Name
 	}
 	// Routes: resolve the defaulted source, budget and label, so implicit
 	// and explicit spellings of the same route fingerprint identically.
-	normRoute := func(rt RouteSpec) RouteSpec {
+	normRoute := func(rt RouteSpec) *RouteSpec {
 		if rt.Name == "" {
 			rt.Name = fmt.Sprintf("route-%d", rt.ID)
 		}
@@ -98,28 +81,36 @@ func (s Spec) WithDefaults() Spec {
 		if rt.DelayTarget <= 0 {
 			rt.DelayTarget = s.DelayTarget
 		}
-		return rt
+		return &rt
 	}
 	if len(s.Routes) > 0 {
 		rts := make([]RouteSpec, len(s.Routes))
 		for i, rt := range s.Routes {
-			rts[i] = normRoute(rt)
+			rts[i] = *normRoute(rt)
 		}
 		s.Routes = rts
 	}
+	// The caller's timeline is copied once, at the first event to change.
+	var tl []TimelineEvent
 	for i, ev := range s.Timeline {
-		if ev.AddRoute == nil {
+		global := ev.AddPiconet != nil || ev.RemovePiconet != "" ||
+			ev.AddRoute != nil || ev.RemoveRoute != piconet.None
+		retarget := def != "" && ev.Piconet == "" && !global
+		if !retarget && ev.AddRoute == nil {
 			continue
 		}
-		tl := append([]TimelineEvent(nil), s.Timeline...)
-		for j := i; j < len(tl); j++ {
-			if tl[j].AddRoute != nil {
-				rt := normRoute(*tl[j].AddRoute)
-				tl[j].AddRoute = &rt
-			}
+		if tl == nil {
+			tl = append([]TimelineEvent(nil), s.Timeline...)
 		}
+		if retarget {
+			tl[i].Piconet = def
+		}
+		if ev.AddRoute != nil {
+			tl[i].AddRoute = normRoute(*ev.AddRoute)
+		}
+	}
+	if tl != nil {
 		s.Timeline = tl
-		break
 	}
 	// Recovery: a policy implies supervision; the degrade factor and
 	// handoff target are inert outside their policies. Normalize so the

@@ -34,9 +34,6 @@ type RadioSpec struct {
 	BadLoss    float64 `json:"bad_loss,omitempty"`
 }
 
-// IdealRadio returns the ideal (lossless) channel spec.
-func IdealRadio() RadioSpec { return RadioSpec{} }
-
 // BERRadio returns an independent bit-error channel spec.
 func BERRadio(ber float64) RadioSpec { return RadioSpec{Kind: RadioBER, BER: ber} }
 

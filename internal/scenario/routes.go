@@ -175,31 +175,14 @@ func (p *piconetRunner) installHop(rt *routeState, h routeHop) error {
 	return nil
 }
 
-// attachRouteSource starts the route's CBR source in its first-hop
-// piconet. It is the GS source with origin bookkeeping: each generated
-// packet's timestamp enters the hop-0 FIFO so the final-hop delivery can
-// measure the end-to-end delay. The RNG draw order matches attachSource
-// exactly, so a single-hop route is packet-identical to the equivalent
-// flat GS flow.
-func (p *piconetRunner) attachRouteSource(rt *routeState) {
-	r := p.r
-	g := rt.spec
-	phase := g.Phase
-	if phase < 0 {
-		phase = 0
-	}
-	gen := traffic.CBR{Interval: g.Interval}
-	sizes := traffic.UniformSize{Min: g.MinSize, Max: g.MaxSize}
-	src := &source{}
-	var tick func()
-	tick = func() {
-		rt.offered++
-		rt.origins[0] = append(rt.origins[0], r.s.Now())
-		_ = p.pn.EnqueuePacket(g.ID, sizes.Draw(r.s.Rand()))
-		src.ev = r.s.After(gen.NextInterval(), tick)
-	}
-	src.ev = r.s.Schedule(r.s.Now()+phase, tick)
-	p.sources[g.ID] = src
+// arrive is the route source's per-arrival hook (see attachSource): the
+// packet counts as offered and its origin enters the hop-0 FIFO, so the
+// final-hop delivery can measure the end-to-end delay. The source draws
+// like a GS flow's, so a single-hop route is packet-identical to the
+// equivalent flat GS flow.
+func (rt *routeState) arrive(now sim.Time) {
+	rt.offered++
+	rt.origins[0] = append(rt.origins[0], now)
 }
 
 // onHopComplete is the piconet delivery hook: one higher-layer packet of
@@ -329,7 +312,9 @@ func (r *runner) startRoute(rt *routeState, prs []*piconetRunner, admitted []*ad
 			Route: rt.spec.Name, Hop: i + 1,
 		})
 	}
-	prs[0].attachRouteSource(rt)
+	g := rt.spec
+	prs[0].attachSource(g.ID, traffic.CBR{Interval: g.Interval},
+		traffic.UniformSize{Min: g.MinSize, Max: g.MaxSize}, g.Phase, rt.arrive)
 	for _, p := range prs {
 		p.pn.Kick()
 	}

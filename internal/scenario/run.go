@@ -81,15 +81,12 @@ type piconetRunner struct {
 	// the per-flow operations (remove, move, renegotiate).
 	routeOf map[piconet.FlowID]*routeState
 
-	// removed marks a piconet that left the scatternet at removedAt; its
-	// statistics are final as of that instant.
-	removed   bool
-	removedAt sim.Time
-	// crashed marks a piconet whose master crashed at crashedAt: unlike a
-	// removal, its flows are orphaned where they stand (sources keep
-	// generating into queues nobody polls).
-	crashed   bool
-	crashedAt sim.Time
+	// removed marks a piconet that left the scatternet; crashed one whose
+	// master crashed (unlike a removal, its flows are orphaned where they
+	// stand: sources keep generating into queues nobody polls). Either way
+	// its statistics are final as of outAt, the first exit.
+	removed, crashed bool
+	outAt            sim.Time
 }
 
 // source is one self-rescheduling traffic source; ev is its pending tick,
@@ -336,7 +333,9 @@ func (r *runner) buildPiconet(ps PiconetSpec, hooks Hooks, others int) (*piconet
 	}
 	for _, h := range hops {
 		if h.idx == 0 {
-			p.attachRouteSource(h.rt)
+			g := h.rt.spec
+			p.attachSource(g.ID, traffic.CBR{Interval: g.Interval},
+				traffic.UniformSize{Min: g.MinSize, Max: g.MaxSize}, g.Phase, h.rt.arrive)
 		}
 	}
 
@@ -461,14 +460,14 @@ func (p *piconetRunner) noteBounds() {
 
 // attachGSSource starts a Guaranteed Service flow's CBR source.
 func (p *piconetRunner) attachGSSource(g GSFlow) {
-	p.attachSource(g.ID, g.Dir, traffic.CBR{Interval: g.Interval},
-		traffic.UniformSize{Min: g.MinSize, Max: g.MaxSize}, g.Phase)
+	p.attachSource(g.ID, traffic.CBR{Interval: g.Interval},
+		traffic.UniformSize{Min: g.MinSize, Max: g.MaxSize}, g.Phase, nil)
 }
 
 // attachBESource starts a best-effort flow's CBR source.
 func (p *piconetRunner) attachBESource(b BEFlow) {
 	gen := traffic.CBRForRate(b.RateKbps*1000, b.PacketSize)
-	p.attachSource(b.ID, b.Dir, gen, traffic.UniformSize{Min: b.PacketSize, Max: b.PacketSize}, b.Phase)
+	p.attachSource(b.ID, gen, traffic.UniformSize{Min: b.PacketSize, Max: b.PacketSize}, b.Phase, nil)
 }
 
 // maxBurst bounds a batched source's pre-enqueued arrivals per kernel
@@ -483,25 +482,30 @@ const maxBurst = 64
 const batchWindow = 320 * time.Millisecond
 
 // attachSource schedules a self-rescheduling traffic source whose pending
-// tick stays cancellable (flow removal stops the source). With
+// tick stays cancellable (flow removal stops the source). arrive, when
+// set, runs at each arrival before its packet is enqueued (a route's
+// origin bookkeeping); such a source never batches. Otherwise, with
 // Spec.BatchTraffic, sources pre-enqueue one burst of future-dated
 // arrivals per kernel event (see piconet.EnqueuePacketAt) instead of one
 // event per packet; a down flow's pre-enqueued arrivals notify the
 // master at their arrival instants, so its arrival knowledge is
 // untouched.
-func (p *piconetRunner) attachSource(flow piconet.FlowID, dir piconet.Direction,
-	gen traffic.CBR, sizes traffic.UniformSize, phase time.Duration) {
+func (p *piconetRunner) attachSource(flow piconet.FlowID, gen traffic.CBR, sizes traffic.UniformSize,
+	phase time.Duration, arrive func(now sim.Time)) {
 	if phase < 0 {
 		phase = 0
 	}
 	r := p.r
-	if r.spec.BatchTraffic {
+	if r.spec.BatchTraffic && arrive == nil {
 		p.attachBurstSource(flow, gen, sizes, phase)
 		return
 	}
 	src := &source{}
 	var tick func()
 	tick = func() {
+		if arrive != nil {
+			arrive(r.s.Now())
+		}
 		_ = p.pn.EnqueuePacket(flow, sizes.Draw(r.s.Rand()))
 		src.ev = r.s.After(gen.NextInterval(), tick)
 	}
@@ -556,22 +560,14 @@ func maxExchange(spec Spec, ps PiconetSpec) time.Duration {
 			l = &legs{down: 1, up: 1}
 			perSlave[slave] = l
 		}
+		// Conservatively, both legs may carry maximal segments (paper
+		// default).
 		slots := allowed.MaxSlots()
-		if conservative {
-			// Both legs may carry maximal segments (paper default).
-			if slots > l.down {
-				l.down = slots
-			}
-			if slots > l.up {
-				l.up = slots
-			}
-			return
+		if conservative || dir == piconet.Down {
+			l.down = max(l.down, slots)
 		}
-		if dir == piconet.Down && slots > l.down {
-			l.down = slots
-		}
-		if dir == piconet.Up && slots > l.up {
-			l.up = slots
+		if conservative || dir == piconet.Up {
+			l.up = max(l.up, slots)
 		}
 	}
 	visitGS := func(g GSFlow) {
@@ -607,8 +603,14 @@ func maxExchange(spec Spec, ps PiconetSpec) time.Duration {
 	for _, ev := range spec.Timeline {
 		// Timeline arrivals targeting this piconet are folded in
 		// conservatively: Xi must cover any exchange that can occur at
-		// any point of the run. A move_flow whose destination is (or may
-		// be) this piconet brings the moved flow's exchange here.
+		// any point of the run. Timeline routes are scatternet-level: any
+		// of their hops may land here regardless of the event's (ignored)
+		// piconet address. A move_flow whose destination is (or may be)
+		// this piconet brings the moved flow's exchange here.
+		if ev.AddRoute != nil {
+			visitRoute(*ev.AddRoute)
+			continue
+		}
 		if ev.Move != nil && ev.Piconet != ps.Name {
 			if ev.Move.To == ps.Name || ev.Move.To == "" {
 				if g, ok := spec.findGS(ev.Piconet, ev.Move.Flow); ok {
@@ -627,30 +629,11 @@ func maxExchange(spec Spec, ps PiconetSpec) time.Duration {
 			visitBE(*ev.AddBE)
 		}
 	}
-	for _, ev := range spec.Timeline {
-		// Timeline routes are scatternet-level: any of their hops may land
-		// here regardless of the event's (ignored) piconet address.
-		if ev.AddRoute != nil {
-			visitRoute(*ev.AddRoute)
-		}
-	}
 	if spec.Recovery.Policy == faults.PolicyHandoff {
 		// The handoff recovery policy can move any GS flow of any piconet
 		// here; Xi must cover every exchange it might ever host.
-		for _, other := range spec.piconetSpecs() {
-			for _, g := range other.GS {
-				visitGS(g)
-			}
-		}
-		for _, ev := range spec.Timeline {
-			if ev.AddGS != nil {
-				visitGS(*ev.AddGS)
-			}
-			if ev.AddPiconet != nil {
-				for _, g := range ev.AddPiconet.GS {
-					visitGS(g)
-				}
-			}
+		for _, g := range spec.declaredGS {
+			visitGS(g)
 		}
 	}
 	maxSlots := 2
@@ -662,33 +645,39 @@ func maxExchange(spec Spec, ps PiconetSpec) time.Duration {
 	return baseband.SlotsToDuration(maxSlots)
 }
 
-// findGS locates the declarative spec of a GS flow by (piconet, id)
-// across the static sets, every timeline addition, and — for chained
-// handoffs — the moves that brought the flow there (move validation
-// forbids cycles, so the recursion terminates).
-func (s Spec) findGS(pnName string, id piconet.FlowID) (GSFlow, bool) {
+// declaredGS visits every GS flow the spec declares, with the piconet
+// declaring it: the static sets, then every timeline add_gs and
+// add_piconet in order. Range over it; break stops the walk.
+func (s Spec) declaredGS(yield func(pn string, g GSFlow) bool) {
 	for _, ps := range s.piconetSpecs() {
-		if ps.Name != pnName {
-			continue
-		}
 		for _, g := range ps.GS {
-			if g.ID == id {
-				return g, true
+			if !yield(ps.Name, g) {
+				return
 			}
 		}
 	}
 	for _, ev := range s.Timeline {
-		if ev.AddGS != nil {
-			if ev.Piconet == pnName && ev.AddGS.ID == id {
-				return *ev.AddGS, true
-			}
+		if ev.AddGS != nil && !yield(ev.Piconet, *ev.AddGS) {
+			return
 		}
-		if ev.AddPiconet != nil && ev.AddPiconet.Name == pnName {
+		if ev.AddPiconet != nil {
 			for _, g := range ev.AddPiconet.GS {
-				if g.ID == id {
-					return g, true
+				if !yield(ev.AddPiconet.Name, g) {
+					return
 				}
 			}
+		}
+	}
+}
+
+// findGS locates the declarative spec of a GS flow by (piconet, id)
+// among the declared flows and — for chained handoffs — the moves that
+// brought the flow there (move validation forbids cycles, so the
+// recursion terminates).
+func (s Spec) findGS(pnName string, id piconet.FlowID) (GSFlow, bool) {
+	for pn, g := range s.declaredGS {
+		if pn == pnName && g.ID == id {
+			return g, true
 		}
 	}
 	for _, ev := range s.Timeline {
@@ -803,9 +792,9 @@ func (r *runner) applyAddPiconet(ps PiconetSpec) {
 	r.rederate(p)
 }
 
-// applyRemovePiconet retires a whole piconet: every source stops, the
-// master polls no more, and — under interference — its airtime stops
-// colliding with the survivors. Statistics freeze at the removal instant.
+// applyRemovePiconet retires a whole piconet: every source stops, and
+// packets pre-enqueued for later instants are dropped before the piconet
+// is taken out of service.
 func (r *runner) applyRemovePiconet(name string) {
 	p, ok := r.byName[name]
 	if !ok {
@@ -826,18 +815,32 @@ func (r *runner) applyRemovePiconet(name string) {
 	for _, id := range ids {
 		p.stopSource(id)
 	}
-	p.pn.Stop()
 	// Batched sources pre-enqueue future arrivals; packets stamped after
 	// the removal never happen and must not stay counted as offered.
 	p.pn.PruneFutureArrivals(r.s.Now())
-	if p.hop != nil {
-		r.medium.Detach(p.hop)
+	r.takeOut(p, OpRemovePiconet, FateSuspended, fmt.Sprintf("piconet %q removed", name))
+}
+
+// takeOut is the one exit of a piconet, by OpRemovePiconet or OpCrash:
+// the master polls no more, its airtime stops colliding with the
+// survivors, it is marked removed or crashed with its statistics frozen
+// at its first exit, the exit is logged, every route through it is
+// severed for good with fate, and the survivors re-derate. The mark
+// precedes the severing and the re-derating, which must see the piconet
+// out of service.
+func (r *runner) takeOut(p *piconetRunner, op, fate, reason string) {
+	p.pn.Stop()
+	r.medium.Detach(p.hop) // a no-op without a medium: p.hop is nil
+	if p.live() {
+		p.outAt = r.s.Now()
 	}
-	p.removed = true
-	p.removedAt = r.s.Now()
-	r.accept(AdmissionRecord{Op: OpRemovePiconet, Piconet: name})
-	// Routes traversing the departed piconet lose their path for good.
-	r.severRoutesThrough(name, FateSuspended, fmt.Sprintf("piconet %q removed", name))
+	if op == OpCrash {
+		p.crashed = true
+	} else {
+		p.removed = true
+	}
+	r.accept(AdmissionRecord{Op: op, Piconet: p.name})
+	r.severRoutesThrough(p.name, fate, reason)
 	r.rederate(nil)
 }
 
@@ -998,11 +1001,8 @@ func (p *piconetRunner) applyDropSCO(slave piconet.SlaveID) {
 // collect assembles one piconet's result. end is the measurement horizon:
 // the run's end, or the removal instant for piconets that left early.
 func (p *piconetRunner) collect(end sim.Time) PiconetResult {
-	if p.removed {
-		end = p.removedAt
-	}
-	if p.crashed {
-		end = p.crashedAt
+	if !p.live() {
+		end = p.outAt
 	}
 	pn := p.pn
 	pr := PiconetResult{
@@ -1042,15 +1042,13 @@ func (p *piconetRunner) collect(end sim.Time) PiconetResult {
 			DelayP99:    delay.Quantile(0.99),
 			DelayJitter: delay.StdDev(),
 			Delay:       delay,
-		}
-		if bound, ok := p.bounds[id]; ok {
-			fr.Bound = bound
-			fr.Rate = p.rates[id]
+			Bound:       p.bounds[id], // zero for best-effort flows
+			Rate:        p.rates[id],
+			Fate:        p.fates[id],
 		}
 		if rt := p.routeOf[id]; rt != nil {
 			fr.Route = rt.spec.Name
 		}
-		fr.Fate = p.fates[id]
 		pr.Flows = append(pr.Flows, fr)
 	}
 	for _, slave := range pn.Slaves() {

@@ -264,18 +264,6 @@ type PiconetResult struct {
 	Utilization float64
 }
 
-// BoundViolations returns the piconet's GS flows whose measured maximum
-// delay exceeded the exported bound.
-func (p *PiconetResult) BoundViolations() []FlowResult {
-	var out []FlowResult
-	for _, f := range p.Flows {
-		if f.Class == piconet.Guaranteed && f.DelayMax > f.Bound {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // ScatternetConfig parameterises the scatternet preset generator. The
 // zero value gives the registered "scatternet" preset: four co-located
 // piconets, each with two 64 kbps GS voice flows under a 40ms target and

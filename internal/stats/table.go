@@ -20,9 +20,6 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{title: title, headers: headers}
 }
 
-// Title returns the table title.
-func (t *Table) Title() string { return t.title }
-
 // AddRow appends a row; cells are formatted with %v. Short rows are padded
 // with empty cells, long rows are truncated to the header width.
 func (t *Table) AddRow(cells ...any) {
