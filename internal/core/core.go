@@ -253,7 +253,7 @@ func New(pn *piconet.Piconet, plan []*admission.PlannedFlow, opts ...Option) (*S
 	}
 	s.streams = streams
 	s.byFlow = byFlow
-	s.beView = newBEView(pn, s.byFlow)
+	s.beView = newBEView(pn)
 	// All streams start planned at time zero (the piconet aligns the
 	// first decision); down-only streams with the skip rule go dormant
 	// at their first empty plan.
@@ -367,14 +367,14 @@ func (s *Scheduler) Replan(plan []*admission.PlannedFlow) error {
 	}
 	s.streams = streams
 	s.byFlow = byFlow
-	s.beView = newBEView(s.pn, s.byFlow)
+	s.beView = newBEView(s.pn)
 	return nil
 }
 
 // RefreshBE rebuilds the best-effort view after best-effort flows were
 // added or retired mid-run.
 func (s *Scheduler) RefreshBE() {
-	s.beView = newBEView(s.pn, s.byFlow)
+	s.beView = newBEView(s.pn)
 }
 
 // newStream validates and builds one poll stream from the flows sharing a
@@ -721,15 +721,14 @@ func (s *Scheduler) Streams() []StreamInfo {
 type beView struct {
 	pn     *piconet.Piconet
 	slaves []piconet.SlaveID
-	downBE map[piconet.SlaveID][]piconet.FlowID
 	// worstSlots bounds any best-effort exchange for SCO window fitting.
 	worstSlots int
 }
 
 var _ poller.View = (*beView)(nil)
 
-func newBEView(pn *piconet.Piconet, gs map[piconet.FlowID]*stream) *beView {
-	v := &beView{pn: pn, downBE: make(map[piconet.SlaveID][]piconet.FlowID), worstSlots: 2}
+func newBEView(pn *piconet.Piconet) *beView {
+	v := &beView{pn: pn}
 	maxDown, maxUp := 1, 1
 	for _, slave := range pn.Slaves() {
 		hasBE := false
@@ -740,7 +739,6 @@ func newBEView(pn *piconet.Piconet, gs map[piconet.FlowID]*stream) *beView {
 			}
 			hasBE = true
 			if cfg.Dir == piconet.Down {
-				v.downBE[slave] = append(v.downBE[slave], id)
 				if s := cfg.Allowed.MaxSlots(); s > maxDown {
 					maxDown = s
 				}
@@ -759,11 +757,7 @@ func newBEView(pn *piconet.Piconet, gs map[piconet.FlowID]*stream) *beView {
 // Slaves implements poller.View.
 func (v *beView) Slaves() []piconet.SlaveID { return v.slaves }
 
-// DownBacklog implements poller.View.
-func (v *beView) DownBacklog(slave piconet.SlaveID) int {
-	total := 0
-	for _, id := range v.downBE[slave] {
-		total += v.pn.DownQueueLen(id)
-	}
-	return total
+// HasDownBacklog implements poller.View.
+func (v *beView) HasDownBacklog(slave piconet.SlaveID) bool {
+	return v.pn.HasBEDownBacklog(slave)
 }

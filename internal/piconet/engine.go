@@ -136,16 +136,21 @@ func (p *Piconet) resolveGSLeg(a Action, flow FlowID, dir Direction) (*flowState
 // pickBE returns the first best-effort flow of the slave in the given
 // direction whose head packet is available at the cutoff, rotating through
 // the slave's flows for fairness across multiple BE flows. rr is the
-// rotation cursor for that direction.
+// rotation cursor for that direction; it stays below len(sl.flows), which
+// never shrinks, so the rotation wraps with a compare.
 func pickBE(sl *slaveState, rr *int, dir Direction, cutoff sim.Time) *flowState {
 	n := len(sl.flows)
-	for i := 0; i < n; i++ {
-		fs := sl.flows[(*rr+i)%n]
+	i := *rr
+	for range n {
+		fs := sl.flows[i]
+		if i++; i == n {
+			i = 0
+		}
 		if fs.cfg.Class != BestEffort || fs.cfg.Dir != dir || fs.retired || fs.suspended {
 			continue
 		}
 		if fs.headAvailable(cutoff) {
-			*rr = (*rr + i + 1) % n
+			*rr = i
 			return fs
 		}
 	}

@@ -632,6 +632,26 @@ func (p *Piconet) DownQueueLen(flow FlowID) int {
 	return fs.availableLen(p.simulator.Now())
 }
 
+// HasBEDownBacklog reports whether the master holds a best-effort packet
+// for the slave's downlink that has arrived by now: the head of an
+// in-service best-effort down flow is available (master-side knowledge).
+// It is one scan of the slave's flows, so a poller may ask it for every
+// slave at every decision.
+func (p *Piconet) HasBEDownBacklog(slave SlaveID) bool {
+	sl := p.slave(slave)
+	if sl == nil {
+		return false
+	}
+	now := p.simulator.Now()
+	for _, fs := range sl.flows {
+		if fs.cfg.Class == BestEffort && fs.cfg.Dir == Down && !fs.retired && !fs.suspended &&
+			fs.headAvailable(now) {
+			return true
+		}
+	}
+	return false
+}
+
 // DownHeadAvailable reports whether the head packet of a down flow was
 // available at the given cutoff time (master-side knowledge).
 func (p *Piconet) DownHeadAvailable(flow FlowID, cutoff sim.Time) bool {

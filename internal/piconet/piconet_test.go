@@ -633,3 +633,91 @@ func TestSlaveThroughput(t *testing.T) {
 		t.Fatalf("slave throughput = %v kbps, want ~281.6", got)
 	}
 }
+
+// TestHasBEDownBacklog: the one-scan best-effort backlog test equals the
+// sum of DownQueueLen over the slave's in-service best-effort down flows
+// being positive, as time passes the stamps of batched future arrivals, and
+// ignores retired, suspended and Guaranteed Service flows.
+func TestHasBEDownBacklog(t *testing.T) {
+	s := sim.New()
+	p := piconet.New(s)
+	for _, id := range []piconet.SlaveID{1, 2, 3, 4} {
+		if err := p.AddSlave(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flow := func(id piconet.FlowID, slave piconet.SlaveID, dir piconet.Direction, class piconet.Class) {
+		t.Helper()
+		cfg := piconet.FlowConfig{ID: id, Slave: slave, Dir: dir, Class: class, Allowed: baseband.PaperTypes}
+		if err := p.AddFlow(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enqueue := func(id piconet.FlowID, at sim.Time) {
+		t.Helper()
+		if err := p.EnqueuePacketAt(id, 100, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ms := time.Millisecond
+	// Slave 1: an available head with a batched future tail, beside a
+	// backlogged GS down flow.
+	flow(11, 1, piconet.Down, piconet.BestEffort)
+	flow(12, 1, piconet.Down, piconet.Guaranteed)
+	enqueue(11, 0)
+	enqueue(11, 2*ms)
+	enqueue(11, 4*ms)
+	enqueue(12, 0)
+	// Slave 2: a future head at 3 ms; a retired and a suspended flow
+	// that held packets, a GS down flow and a BE up flow with packets.
+	flow(21, 2, piconet.Down, piconet.BestEffort)
+	flow(22, 2, piconet.Down, piconet.BestEffort)
+	flow(23, 2, piconet.Down, piconet.BestEffort)
+	flow(24, 2, piconet.Down, piconet.Guaranteed)
+	flow(25, 2, piconet.Up, piconet.BestEffort)
+	enqueue(21, 3*ms)
+	enqueue(22, 0)
+	enqueue(22, ms)
+	enqueue(23, 0)
+	enqueue(24, 0)
+	enqueue(25, 0)
+	if err := p.RetireFlow(22); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SuspendFlow(23); err != nil {
+		t.Fatal(err)
+	}
+	// Slave 3: GS down backlog only. Slave 4 has no flows; slave 5 is
+	// not registered.
+	flow(31, 3, piconet.Down, piconet.Guaranteed)
+	flow(32, 3, piconet.Down, piconet.BestEffort)
+	enqueue(31, 0)
+
+	sumRule := func(slave piconet.SlaveID) bool {
+		total := 0
+		for _, id := range p.FlowsAt(slave) {
+			cfg, _ := p.FlowConfig(id)
+			if cfg.Class == piconet.BestEffort && cfg.Dir == piconet.Down && p.FlowActive(id) {
+				total += p.DownQueueLen(id)
+			}
+		}
+		return total > 0
+	}
+	for _, at := range []sim.Time{0, ms, 2 * ms, 3*ms - 1, 3 * ms, 3*ms + 1, 5 * ms} {
+		if err := s.Run(at); err != nil {
+			t.Fatal(err)
+		}
+		for slave := piconet.SlaveID(1); slave <= 5; slave++ {
+			if got, want := p.HasBEDownBacklog(slave), sumRule(slave); got != want {
+				t.Fatalf("at %v slave %d: HasBEDownBacklog %v, sum of DownQueueLen > 0 is %v", at, slave, got, want)
+			}
+		}
+		if got, want := p.HasBEDownBacklog(2), at >= 3*ms; got != want {
+			t.Fatalf("at %v: slave 2 backlog %v, want %v (future head at 3ms)", at, got, want)
+		}
+		if !p.HasBEDownBacklog(1) || p.HasBEDownBacklog(3) {
+			t.Fatalf("at %v: slave 1 backlog %v (want true), slave 3 %v (want false)",
+				at, p.HasBEDownBacklog(1), p.HasBEDownBacklog(3))
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package poller
 
 import (
+	"bluegs/internal/baseband"
 	"bluegs/internal/piconet"
 	"bluegs/internal/sim"
 )
@@ -13,11 +14,12 @@ import (
 // decay toward a floor rate that keeps their demand estimate fresh. Create
 // with NewDemand.
 type Demand struct {
-	inited  bool
-	demand  map[piconet.SlaveID]float64 // EWMA of bytes per poll
-	credit  map[piconet.SlaveID]float64
-	pending piconet.SlaveID
-	alpha   float64
+	inited bool
+	// demand (an EWMA of bytes per poll) and credit are indexed by
+	// SlaveID (1..7).
+	demand [baseband.MaxActiveSlaves + 1]float64
+	credit [baseband.MaxActiveSlaves + 1]float64
+	alpha  float64
 }
 
 var _ Poller = (*Demand)(nil)
@@ -32,11 +34,7 @@ func NewDemand(alpha float64) *Demand {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.25
 	}
-	return &Demand{
-		demand: make(map[piconet.SlaveID]float64),
-		credit: make(map[piconet.SlaveID]float64),
-		alpha:  alpha,
-	}
+	return &Demand{alpha: alpha}
 }
 
 // Name implements Poller.
@@ -64,7 +62,7 @@ func (d *Demand) Next(_ sim.Time, v View) (piconet.SlaveID, bool) {
 			eff = demandFloor
 		}
 		// Master-visible backlog boosts effective demand.
-		if v.DownBacklog(s) > 0 {
+		if v.HasDownBacklog(s) {
 			eff += 183
 		}
 		d.credit[s] += eff
@@ -72,7 +70,6 @@ func (d *Demand) Next(_ sim.Time, v View) (piconet.SlaveID, bool) {
 			best, bestCredit = s, d.credit[s]
 		}
 	}
-	d.pending = best
 	return best, true
 }
 

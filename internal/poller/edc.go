@@ -3,6 +3,7 @@ package poller
 import (
 	"time"
 
+	"bluegs/internal/baseband"
 	"bluegs/internal/piconet"
 	"bluegs/internal/sim"
 )
@@ -15,14 +16,13 @@ import (
 // it, so idle slaves cost exponentially fewer slots. Create with NewEDC.
 type EDC struct {
 	inited bool
-	// interval and nextProbe hold, per slave, the adaptive probe spacing
-	// and the next time the slave may be probed.
-	interval  map[piconet.SlaveID]sim.Time
-	nextProbe map[piconet.SlaveID]sim.Time
+	// interval and nextProbe hold, indexed by SlaveID (1..7), the
+	// adaptive probe spacing and the next time the slave may be probed.
+	interval  [baseband.MaxActiveSlaves + 1]sim.Time
+	nextProbe [baseband.MaxActiveSlaves + 1]sim.Time
 	// busy marks slaves in the active cycle.
-	busy    map[piconet.SlaveID]bool
-	last    piconet.SlaveID
-	pending piconet.SlaveID
+	busy [baseband.MaxActiveSlaves + 1]bool
+	last piconet.SlaveID
 
 	minInterval sim.Time
 	maxInterval sim.Time
@@ -42,13 +42,7 @@ func NewEDC(minInterval, maxInterval sim.Time) *EDC {
 	if maxInterval < minInterval {
 		maxInterval = minInterval
 	}
-	return &EDC{
-		interval:    make(map[piconet.SlaveID]sim.Time),
-		nextProbe:   make(map[piconet.SlaveID]sim.Time),
-		busy:        make(map[piconet.SlaveID]bool),
-		minInterval: minInterval,
-		maxInterval: maxInterval,
-	}
+	return &EDC{minInterval: minInterval, maxInterval: maxInterval}
 }
 
 // Name implements Poller.
@@ -70,7 +64,7 @@ func (e *EDC) Next(now sim.Time, v View) (piconet.SlaveID, bool) {
 	}
 	// Downlink backlog makes a slave busy immediately (master knowledge).
 	for _, s := range slaves {
-		if v.DownBacklog(s) > 0 {
+		if v.HasDownBacklog(s) {
 			e.busy[s] = true
 		}
 	}
@@ -79,7 +73,6 @@ func (e *EDC) Next(now sim.Time, v View) (piconet.SlaveID, bool) {
 		cand := nextInRing(slaves, e.last)
 		e.last = cand
 		if e.busy[cand] {
-			e.pending = cand
 			return cand, true
 		}
 	}
@@ -105,7 +98,6 @@ func (e *EDC) Next(now sim.Time, v View) (piconet.SlaveID, bool) {
 			}
 		}
 	}
-	e.pending = best
 	return best, true
 }
 

@@ -53,7 +53,7 @@ func (f *FEP) Next(_ sim.Time, v View) (piconet.SlaveID, bool) {
 	// Promote any inactive slave with known downlink backlog: the master
 	// sees its own queues.
 	for i := 0; i < len(f.inactive); {
-		if v.DownBacklog(f.inactive[i]) > 0 {
+		if v.HasDownBacklog(f.inactive[i]) {
 			f.promote(f.inactive[i])
 		} else {
 			i++

@@ -1,6 +1,7 @@
 package poller
 
 import (
+	"bluegs/internal/baseband"
 	"bluegs/internal/piconet"
 	"bluegs/internal/sim"
 )
@@ -12,26 +13,30 @@ import (
 // flag, or a recent data-carrying poll. Slaves believed idle are probed in
 // low-priority round robin so their state stays fresh. Create with NewHOL.
 type HOL struct {
-	// priority maps slave to priority; lower value is higher priority.
-	// Slaves absent from the map share the lowest priority.
-	priority map[piconet.SlaveID]int
-	believed map[piconet.SlaveID]bool
+	// priority and believed are indexed by SlaveID (1..7). A lower
+	// priority value is more urgent.
+	priority [baseband.MaxActiveSlaves + 1]int
+	believed [baseband.MaxActiveSlaves + 1]bool
 	inited   bool
 	probeRR  piconet.SlaveID
-	pending  piconet.SlaveID
 }
 
 var _ Poller = (*HOL)(nil)
 
 // NewHOL returns a head-of-line priority poller. priorities maps slaves to
-// priority values (lower is more urgent); nil means all-equal, which
-// degenerates to activity-gated round robin.
+// priority values (lower is more urgent); slaves absent from the map share
+// the lowest priority, so nil means all-equal, which degenerates to
+// activity-gated round robin.
 func NewHOL(priorities map[piconet.SlaveID]int) *HOL {
-	p := make(map[piconet.SlaveID]int, len(priorities))
-	for k, v := range priorities {
-		p[k] = v
+	h := &HOL{}
+	for s := range h.priority {
+		p, ok := priorities[piconet.SlaveID(s)]
+		if !ok {
+			p = int(^uint(0) >> 1) // lowest priority
+		}
+		h.priority[s] = p
 	}
-	return &HOL{priority: p, believed: make(map[piconet.SlaveID]bool)}
+	return h
 }
 
 // Name implements Poller.
@@ -52,11 +57,11 @@ func (h *HOL) Next(_ sim.Time, v View) (piconet.SlaveID, bool) {
 	var best piconet.SlaveID
 	bestPrio := 0
 	for _, s := range slaves {
-		active := h.believed[s] || v.DownBacklog(s) > 0
+		active := h.believed[s] || v.HasDownBacklog(s)
 		if !active {
 			continue
 		}
-		prio := h.prio(s)
+		prio := h.priority[s]
 		if best == 0 || prio < bestPrio {
 			best, bestPrio = s, prio
 		}
@@ -66,7 +71,6 @@ func (h *HOL) Next(_ sim.Time, v View) (piconet.SlaveID, bool) {
 		h.probeRR = nextInRing(slaves, h.probeRR)
 		best = h.probeRR
 	}
-	h.pending = best
 	return best, true
 }
 
@@ -76,11 +80,4 @@ func (h *HOL) Observe(o Outcome) {
 		return
 	}
 	h.believed[o.Slave] = o.Carried() || o.UpMoreData
-}
-
-func (h *HOL) prio(s piconet.SlaveID) int {
-	if p, ok := h.priority[s]; ok {
-		return p
-	}
-	return int(^uint(0) >> 1) // lowest priority
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"bluegs/internal/baseband"
 	"bluegs/internal/piconet"
 	"bluegs/internal/sim"
 )
@@ -29,13 +30,14 @@ import (
 // claims: full throughput for underloaded slaves and max-min fair division
 // of leftover capacity. Create with NewPFP.
 type PFP struct {
-	weights map[piconet.SlaveID]float64
-	state   map[piconet.SlaveID]*pfpSlave
-	inited  bool
-	pending piconet.SlaveID
+	// state is indexed by SlaveID (1..7). Every entry carries its prior
+	// and weight from NewPFP; counted marks the slaves already summed
+	// into weightSum.
+	state  [baseband.MaxActiveSlaves + 1]pfpSlave
+	inited bool
 
 	// served and weightSum are the running totals of servedSlots and
-	// weight over every slave in state, so a fair-share fraction is O(1).
+	// weight over every counted slave, so a fair-share fraction is O(1).
 	// weightSum is summed in slave-creation order; served adds whole
 	// slots, which float64 sums exactly in any order.
 	served, weightSum float64
@@ -43,8 +45,11 @@ type PFP struct {
 	// activeThreshold is the prediction level above which a slave is
 	// treated as having data.
 	activeThreshold float64
-	// tau is the time constant of the arrival-rate estimator.
-	tau sim.Time
+	// activeLo and activeHi bracket λ·gap (gap in nanoseconds) around
+	// the activity boundary -ln(1-activeThreshold)·1e9: below activeLo
+	// the prediction is surely under the threshold, above activeHi
+	// surely at or over it, and in between Next evaluates the formula.
+	activeLo, activeHi float64
 }
 
 type pfpSlave struct {
@@ -56,6 +61,8 @@ type pfpSlave struct {
 	everPolled bool
 	// moreData is the slave's last more-data flag.
 	moreData bool
+	// counted reports whether weight is in the PFP's weightSum.
+	counted bool
 	// servedSlots accumulates the polling resource spent on the slave.
 	servedSlots float64
 	// weight is the slave's fair share.
@@ -63,6 +70,45 @@ type pfpSlave struct {
 }
 
 var _ Poller = (*PFP)(nil)
+
+// pfpTau is the time constant of the arrival-rate estimator.
+const pfpTau = 200 * time.Millisecond
+
+// pfpGapSlots is the number of whole-slot gaps (up to 2.56 s) whose
+// estimator terms Observe reads from pfpGaps instead of computing them.
+const pfpGapSlots = 4096
+
+// pfpGapTerms are the estimator terms of one sampling gap: the EWMA
+// weight 1 - exp(-gap/tau) and the rate 1/gap of one packet per gap.
+type pfpGapTerms struct {
+	w, perSec float64
+}
+
+// pfpGaps[k] holds the terms of a gap of k slots, built by the same
+// function Observe falls back to, so a table read equals the formula bit
+// for bit. It is a fixed array, filled once at package init.
+var pfpGaps [pfpGapSlots]pfpGapTerms
+
+func init() {
+	for k := 1; k < pfpGapSlots; k++ {
+		pfpGaps[k] = gapTermsOf((sim.Time(k) * baseband.SlotDuration).Seconds())
+	}
+}
+
+func gapTermsOf(dt float64) pfpGapTerms {
+	return pfpGapTerms{w: 1 - math.Exp(-dt/pfpTau.Seconds()), perSec: 1 / dt}
+}
+
+// gapTerms returns the estimator terms of a positive gap. Exchanges start
+// and end on one piconet's slot grid, so the gaps between them are whole
+// slots and read the table; others use the formula.
+func gapTerms(gap sim.Time) pfpGapTerms {
+	// A division by a constant compiles to a multiply.
+	if k := gap / baseband.SlotDuration; k < pfpGapSlots && k*baseband.SlotDuration == gap {
+		return pfpGaps[k]
+	}
+	return gapTermsOf(gap.Seconds())
+}
 
 // PFPOption configures a PFP poller.
 type PFPOption func(*PFP)
@@ -82,39 +128,37 @@ func WithActiveThreshold(p float64) PFPOption {
 // NewPFP returns a Predictive Fair Poller. weights assigns each slave's
 // fair share; nil or missing entries default to 1 (equal shares).
 func NewPFP(weights map[piconet.SlaveID]float64, opts ...PFPOption) *PFP {
-	w := make(map[piconet.SlaveID]float64, len(weights))
-	for k, v := range weights {
-		if v > 0 {
-			w[k] = v
+	pfp := &PFP{activeThreshold: 0.6}
+	for s := range pfp.state {
+		w := weights[piconet.SlaveID(s)]
+		if !(w > 0) {
+			w = 1
 		}
-	}
-	pfp := &PFP{
-		weights:         w,
-		state:           make(map[piconet.SlaveID]*pfpSlave),
-		activeThreshold: 0.6,
-		tau:             200 * time.Millisecond, // rate-estimator time constant
+		pfp.state[s] = pfpSlave{lambda: 50, weight: w} // optimistic prior: 50 packets/s
 	}
 	for _, opt := range opts {
 		opt(pfp)
 	}
+	// 1 - exp(-x) >= θ exactly when x >= x* = -ln(1-θ). The band around
+	// x* absorbs the rounding of λ·gap, of x* and of 1 - exp(-x): 1e-9
+	// relative, widened where 1 - exp(-x) flattens against its absolute
+	// rounding of about 1e-16 (θ within about 1e-7 of 0 or 1).
+	xStar := -math.Log1p(-pfp.activeThreshold)
+	band := 1e-9 + 1e-15/((1-pfp.activeThreshold)*xStar)
+	pfp.activeLo = xStar * (1 - band) * 1e9
+	pfp.activeHi = xStar * (1 + band) * 1e9
 	return pfp
 }
 
 // Name implements Poller.
 func (*PFP) Name() string { return "pfp" }
 
-func (p *PFP) weight(s piconet.SlaveID) float64 {
-	if w, ok := p.weights[s]; ok {
-		return w
-	}
-	return 1
-}
-
+// slave returns the slave's state, counting its weight into weightSum on
+// first use.
 func (p *PFP) slave(s piconet.SlaveID) *pfpSlave {
-	st, ok := p.state[s]
-	if !ok {
-		st = &pfpSlave{lambda: 50, weight: p.weight(s)} // optimistic prior: 50 packets/s
-		p.state[s] = st
+	st := &p.state[s]
+	if !st.counted {
+		st.counted = true
 		p.weightSum += st.weight
 	}
 	return st
@@ -123,24 +167,34 @@ func (p *PFP) slave(s piconet.SlaveID) *pfpSlave {
 // Predict returns the poller's current estimate of the probability that the
 // slave has data to exchange at time now (exposed for tests and reports).
 func (p *PFP) Predict(now sim.Time, v View, s piconet.SlaveID) float64 {
-	return p.predict(now, v, s, p.slave(s))
-}
-
-func (p *PFP) predict(now sim.Time, v View, s piconet.SlaveID, st *pfpSlave) float64 {
-	if v.DownBacklog(s) > 0 {
-		return 1
-	}
-	if st.moreData {
-		return 1
-	}
-	if !st.everPolled {
-		return 1 // never sampled: assume active so it gets polled
+	st := p.slave(s)
+	if v.HasDownBacklog(s) || st.moreData || !st.everPolled {
+		return 1 // a never-sampled slave is assumed active so it gets polled
 	}
 	dt := (now - st.lastPollEnd).Seconds()
 	if dt <= 0 {
 		return 0
 	}
 	return 1 - math.Exp(-st.lambda*dt)
+}
+
+// active reports Predict(now, v, s) >= activeThreshold without an exp
+// outside the band around the boundary.
+func (p *PFP) active(now sim.Time, v View, s piconet.SlaveID, st *pfpSlave) bool {
+	if st.moreData || !st.everPolled || v.HasDownBacklog(s) {
+		return true
+	}
+	gap := now - st.lastPollEnd
+	if gap <= 0 {
+		return false
+	}
+	switch x := st.lambda * float64(gap); {
+	case x < p.activeLo:
+		return false
+	case x > p.activeHi:
+		return true
+	}
+	return 1-math.Exp(-st.lambda*gap.Seconds()) >= p.activeThreshold
 }
 
 // FairShareFraction returns served/(weight-normalised total): below 1 means
@@ -177,7 +231,7 @@ func (p *PFP) Next(now sim.Time, v View) (piconet.SlaveID, bool) {
 	bestFrac := math.Inf(1)
 	for _, s := range slaves {
 		st := p.slave(s)
-		if p.predict(now, v, s, st) < p.activeThreshold {
+		if !p.active(now, v, s, st) {
 			continue
 		}
 		if frac := p.fraction(st); frac < bestFrac {
@@ -185,7 +239,6 @@ func (p *PFP) Next(now sim.Time, v View) (piconet.SlaveID, bool) {
 		}
 	}
 	if best != 0 {
-		p.pending = best
 		return best, true
 	}
 	// Nobody predicted active: refresh the stalest knowledge.
@@ -196,23 +249,20 @@ func (p *PFP) Next(now sim.Time, v View) (piconet.SlaveID, bool) {
 			best, stalest = s, end
 		}
 	}
-	p.pending = best
 	return best, true
 }
 
 // Observe implements Poller.
 func (p *PFP) Observe(o Outcome) {
 	st := p.slave(o.Slave)
-	carried := 0.0
-	if o.UpBytes > 0 {
-		carried = 1
-	}
 	if st.everPolled {
-		dt := (o.End - st.lastPollEnd).Seconds()
-		if dt > 0 {
+		if gap := o.End - st.lastPollEnd; gap > 0 {
 			// Time-constant EWMA handles irregular sampling gaps.
-			w := 1 - math.Exp(-dt/p.tau.Seconds())
-			obs := carried / dt
+			g := gapTerms(gap)
+			w, obs := g.w, 0.0
+			if o.UpBytes > 0 {
+				obs = g.perSec
+			}
 			st.lambda = (1-w)*st.lambda + w*obs
 			if st.lambda < 0.1 {
 				st.lambda = 0.1 // keep probes alive for idle slaves

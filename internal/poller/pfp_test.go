@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bluegs/internal/baseband"
 	"bluegs/internal/piconet"
 	"bluegs/internal/sim"
 )
@@ -216,5 +217,110 @@ func TestPFPRunningFairShare(t *testing.T) {
 	picks2, fracs2 := run()
 	if !slices.Equal(picks1, picks2) || !slices.Equal(fracs1, fracs2) {
 		t.Fatal("identical outcome sequences gave different picks or fractions")
+	}
+}
+
+// TestPFPDecayTableExact: every precomputed gap entry, and the terms
+// Observe uses for gaps on and off the slot grid and past the table's
+// end, equal the estimator formula bit for bit.
+func TestPFPDecayTableExact(t *testing.T) {
+	tau := (200 * time.Millisecond).Seconds()
+	check := func(gap sim.Time, got pfpGapTerms) {
+		t.Helper()
+		dt := gap.Seconds()
+		w, perSec := 1-math.Exp(-dt/tau), 1.0/dt
+		if math.Float64bits(got.w) != math.Float64bits(w) || math.Float64bits(got.perSec) != math.Float64bits(perSec) {
+			t.Fatalf("gap %v: terms {%v %v}, formula {%v %v}", gap, got.w, got.perSec, w, perSec)
+		}
+	}
+	for k := 1; k < pfpGapSlots; k++ {
+		check(sim.Time(k)*baseband.SlotDuration, pfpGaps[k])
+	}
+	gaps := []sim.Time{1, 624 * time.Microsecond, 625*time.Microsecond + 1, 3*baseband.SlotDuration - 1,
+		(pfpGapSlots - 1) * baseband.SlotDuration, pfpGapSlots * baseband.SlotDuration,
+		(pfpGapSlots + 7) * baseband.SlotDuration, 10 * time.Second}
+	for k := 1; k <= 2*pfpGapSlots; k += 37 {
+		gaps = append(gaps, sim.Time(k)*baseband.SlotDuration, sim.Time(k)*baseband.SlotDuration+sim.Time(k))
+	}
+	for _, gap := range gaps {
+		check(gap, gapTerms(gap))
+	}
+}
+
+// TestPFPActiveMatchesPredict: Next's activity test without exp agrees
+// with Predict(...) >= threshold over log-spaced rates times gaps of 1 to
+// 4,096 slots and off-grid gaps, over every rate within 64 ulps of the
+// boundary x* = -ln(1-threshold) at gaps of 0.5, 1 and 2 s (where λ·gap
+// is exact), and across the guard band at thresholds near 0 and 1.
+func TestPFPActiveMatchesPredict(t *testing.T) {
+	v := newMockView(1)
+	for _, theta := range []float64{0.6, 0.3, 0.9, 1e-12, 1 - 1e-12} {
+		p := NewPFP(nil, WithActiveThreshold(theta))
+		st := p.slave(1)
+		st.everPolled = true
+		compare := func(lambda float64, gap sim.Time) {
+			t.Helper()
+			st.lambda = lambda
+			want := p.Predict(gap, v, 1) >= theta
+			if got := p.active(gap, v, 1, st); got != want {
+				t.Fatalf("threshold %v, lambda %v (bits %#x), gap %v: active %v, Predict says %v",
+					theta, lambda, math.Float64bits(lambda), gap, got, want)
+			}
+		}
+		if theta >= 0.3 && theta <= 0.9 {
+			for i := 0; i <= 40; i++ {
+				lambda := 0.1 * math.Pow(1e5, float64(i)/40)
+				for k := 1; k <= pfpGapSlots; k++ {
+					gap := sim.Time(k) * baseband.SlotDuration
+					compare(lambda, gap)
+					compare(lambda, gap+sim.Time(k*k%625000)+1)
+				}
+			}
+		}
+		xStar := -math.Log1p(-theta)
+		for _, dt := range []float64{0.5, 1, 2} {
+			gap := sim.Time(dt * float64(time.Second))
+			x := xStar
+			for range 64 {
+				x = math.Nextafter(x, 0)
+			}
+			for range 129 {
+				compare(x/dt, gap)
+				x = math.Nextafter(x, math.Inf(1))
+			}
+			band := 4 * (p.activeHi - p.activeLo) / (p.activeHi + p.activeLo)
+			for j := -1000; j <= 1000; j++ {
+				compare(xStar*(1+band*float64(j)/1000)/dt, gap)
+			}
+		}
+	}
+}
+
+// decisionView is a fixed 7-slave view for BenchmarkPFPDecision: slaves
+// 1 and 4 always hold downlink backlog.
+type decisionView struct{ slaves []piconet.SlaveID }
+
+func (d *decisionView) Slaves() []piconet.SlaveID { return d.slaves }
+
+func (*decisionView) HasDownBacklog(s piconet.SlaveID) bool { return s == 1 || s == 4 }
+
+// BenchmarkPFPDecision times one best-effort decision: a Next over seven
+// slaves and the Observe of its outcome, alternating data-carrying and
+// empty exchanges of 2 or 4 slots.
+func BenchmarkPFPDecision(b *testing.B) {
+	v := &decisionView{slaves: []piconet.SlaveID{1, 2, 3, 4, 5, 6, 7}}
+	p := NewPFP(nil)
+	now := sim.Time(0)
+	i := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		s, _ := p.Next(now, v)
+		o := Outcome{Slave: s, End: now + 2*baseband.SlotDuration, Slots: 2}
+		if i%3 == 0 {
+			o.End, o.Slots, o.UpBytes = now+4*baseband.SlotDuration, 4, 121
+		}
+		p.Observe(o)
+		now = o.End
+		i++
 	}
 }

@@ -17,12 +17,14 @@ import (
 )
 
 // View is the master-side knowledge a poller may consult when deciding.
+// Pollers call it once per slave per decision, so an implementation
+// answers from state it already holds, without a map lookup or a search.
 type View interface {
 	// Slaves lists the pollable slaves in ascending order.
 	Slaves() []piconet.SlaveID
-	// DownBacklog returns the number of queued best-effort packets the
-	// master holds for the slave's downlink.
-	DownBacklog(slave piconet.SlaveID) int
+	// HasDownBacklog reports whether the master holds a best-effort
+	// packet for the slave's downlink that has arrived by now.
+	HasDownBacklog(slave piconet.SlaveID) bool
 }
 
 // Outcome is the poller-relevant result of a best-effort poll.

@@ -18,8 +18,8 @@ func newMockView(slaves ...piconet.SlaveID) *mockView {
 	return &mockView{slaves: slaves, backlog: make(map[piconet.SlaveID]int)}
 }
 
-func (m *mockView) Slaves() []piconet.SlaveID         { return m.slaves }
-func (m *mockView) DownBacklog(s piconet.SlaveID) int { return m.backlog[s] }
+func (m *mockView) Slaves() []piconet.SlaveID             { return m.slaves }
+func (m *mockView) HasDownBacklog(s piconet.SlaveID) bool { return m.backlog[s] > 0 }
 
 func outcomeAt(s piconet.SlaveID, end sim.Time, up int, more bool) Outcome {
 	slots := 2
