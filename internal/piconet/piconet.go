@@ -623,7 +623,8 @@ func (p *Piconet) FlowConfig(id FlowID) (FlowConfig, bool) {
 // DownQueueLen returns the number of higher-layer packets queued for a
 // master-to-slave flow and already arrived (master-side knowledge: a
 // batched source's future-dated arrivals do not exist for the master
-// until their stamp passes).
+// until their stamp passes). Schedulers ask HasBEDownBacklog instead;
+// tests use this count as its reference.
 func (p *Piconet) DownQueueLen(flow FlowID) int {
 	fs, ok := p.flows[flow]
 	if !ok || fs.cfg.Dir != Down {

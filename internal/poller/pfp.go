@@ -142,7 +142,7 @@ func NewPFP(weights map[piconet.SlaveID]float64, opts ...PFPOption) *PFP {
 	// 1 - exp(-x) >= θ exactly when x >= x* = -ln(1-θ). The band around
 	// x* absorbs the rounding of λ·gap, of x* and of 1 - exp(-x): 1e-9
 	// relative, widened where 1 - exp(-x) flattens against its absolute
-	// rounding of about 1e-16 (θ within about 1e-7 of 0 or 1).
+	// rounding of about 1e-16 (θ within about 1e-6 of 0 or 1).
 	xStar := -math.Log1p(-pfp.activeThreshold)
 	band := 1e-9 + 1e-15/((1-pfp.activeThreshold)*xStar)
 	pfp.activeLo = xStar * (1 - band) * 1e9
