@@ -237,7 +237,7 @@ func New(pn *piconet.Piconet, plan []*admission.PlannedFlow, opts ...Option) (*S
 		pn:     pn,
 		mode:   VariableInterval,
 		rules:  AllImprovements,
-		be:     poller.NewPFP(nil),
+		be:     &poller.PFP{},
 		byFlow: make(map[piconet.FlowID]*stream),
 	}
 	for _, opt := range opts {

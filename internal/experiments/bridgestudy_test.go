@@ -125,7 +125,7 @@ func TestBridgeStudyWarmCacheReplay(t *testing.T) {
 		t.Fatalf("cold pass hit the cache %d times", coldStats.Hits)
 	}
 	// A fresh cache instance over the same directory: every run replays
-	// from the on-disk gob records — route rows included — without
+	// from the on-disk entries — route rows included — without
 	// executing a single simulator.
 	warm, warmStats := run()
 	if warm != cold {

@@ -114,7 +114,7 @@ func TestScatternetWarmCacheReplay(t *testing.T) {
 	}
 
 	// A timeline-bearing scatternet spec: per-piconet admission logs must
-	// survive the gob round trip bit for bit.
+	// survive the cache round trip bit for bit.
 	spec := scenario.Scatternet(scenario.ScatternetConfig{Piconets: 2, Duration: 3 * time.Second})
 	spec.Timeline = []scenario.TimelineEvent{
 		scenario.AddGSAt(time.Second, scenario.GSFlow{

@@ -87,8 +87,8 @@ import (
 type InfoResponse struct {
 	// Grid names the sweep the coordinator is serving (informational).
 	Grid string `json:"grid"`
-	// Salt is the coordinator cache's code-version salt. Workers derive
-	// every reported key under this salt, never their own.
+	// Salt is the coordinator cache's code-version salt. A worker whose
+	// own salt differs refuses the coordinator before its first lease.
 	Salt string `json:"salt"`
 	// LeaseTTL is the heartbeat deadline: a lease not heartbeated for
 	// this long is re-issued.

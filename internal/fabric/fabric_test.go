@@ -466,7 +466,7 @@ func testRuns() []harness.Run {
 }
 
 // resultsText renders each run's report, so two result lists compare as
-// text (gob bytes would not: maps encode in random order).
+// text.
 func resultsText(t *testing.T, results []harness.RunResult) string {
 	t.Helper()
 	var b strings.Builder
@@ -651,7 +651,7 @@ func TestWorkerPacesUnheldLease(t *testing.T) {
 	var leases atomic.Int64
 	mux := http.NewServeMux()
 	mux.HandleFunc("/info", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, InfoResponse{Grid: "fig5"})
+		writeJSON(w, InfoResponse{Grid: "fig5", Salt: harness.DefaultCacheSalt})
 	})
 	mux.HandleFunc("/lease", func(w http.ResponseWriter, _ *http.Request) {
 		leases.Add(1)
@@ -668,6 +668,33 @@ func TestWorkerPacesUnheldLease(t *testing.T) {
 	}
 	if n := leases.Load(); n < 2 || n > 2*int64(run/poll) {
 		t.Errorf("%d /lease requests in %v at Poll %v, want about %d", n, run, poll, run/poll)
+	}
+}
+
+// TestWorkerRefusesOtherSalt: a worker without a cache still refuses a
+// coordinator that announces another salt, before its first /lease, so
+// it never reports results under keys its code does not match.
+func TestWorkerRefusesOtherSalt(t *testing.T) {
+	var leases atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/info", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, InfoResponse{Grid: "fig5", Salt: harness.DefaultCacheSalt + "-other"})
+	})
+	mux.HandleFunc("/lease", func(w http.ResponseWriter, _ *http.Request) {
+		leases.Add(1)
+		writeJSON(w, LeaseResponse{Status: StatusDone})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err := RunWorker(ctx, WorkerConfig{Coordinator: srv.URL, Name: "stale", Poll: 10 * time.Millisecond})
+	if err == nil || !strings.Contains(err.Error(), "salt") {
+		t.Fatalf("RunWorker err = %v, want a salt mismatch", err)
+	}
+	if n := leases.Load(); n != 0 {
+		t.Errorf("%d /lease requests, want 0", n)
 	}
 }
 

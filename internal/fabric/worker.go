@@ -28,8 +28,8 @@ type WorkerConfig struct {
 	// GOMAXPROCS), exactly as harness.Options.Workers.
 	Workers int
 	// Cache, when set, is the worker's local run cache (e.g. a shared
-	// -cache-dir). It keys runs under harness.DefaultCacheSalt, so the
-	// coordinator's salt must be the same, or keys would disagree.
+	// -cache-dir). It keys runs under harness.DefaultCacheSalt, which
+	// RunWorker requires the coordinator to announce.
 	Cache *harness.RunCache
 	// Poll is the shortest interval between two idle /lease requests
 	// (default 300ms). The coordinator holds an idle request until work
@@ -76,8 +76,11 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) (WorkerStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	if cfg.Cache != nil && info.Salt != harness.DefaultCacheSalt {
-		return stats, fmt.Errorf("fabric: worker cache salt %q differs from coordinator salt %q", harness.DefaultCacheSalt, info.Salt)
+	// A worker built from other code would store results under keys
+	// this salt does not describe, in its own cache and in the
+	// coordinator's: refuse before the first lease.
+	if info.Salt != harness.DefaultCacheSalt {
+		return stats, fmt.Errorf("fabric: worker salt %q differs from coordinator salt %q", harness.DefaultCacheSalt, info.Salt)
 	}
 	cfg.Logf("fabric: worker %s joined %s (grid %q, salt %s)", cfg.Name, base, info.Grid, info.Salt)
 

@@ -7,9 +7,9 @@
 //
 // The composition contract: an active outage forces 100% loss on the
 // affected link without consuming a single RNG draw, so the underlying
-// channel model (BER, Gilbert–Elliott) is frozen, not perturbed — a
-// bursty channel resumes in exactly the state, and with exactly the draw
-// sequence, it would have had if the engine had simply not transmitted.
+// channel model is frozen, not perturbed — a channel, stateful or not,
+// resumes in exactly the state, and with exactly the draw sequence, it
+// would have had if the engine had simply not transmitted.
 // Fault-free specs are therefore byte-identical to runs of a build
 // without this package.
 package faults

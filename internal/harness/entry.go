@@ -506,7 +506,7 @@ func (r *entryReader) delay(d *stats.DurationStats) *stats.DurationStats {
 	if d == nil {
 		d = new(stats.DurationStats)
 	}
-	if err := d.GobDecode(flat); err != nil {
+	if err := d.UnmarshalBinary(flat); err != nil {
 		r.fail(err)
 		return nil
 	}

@@ -253,9 +253,8 @@ func WithARQ(enabled bool) Option {
 // WithLinkFault installs a link-fault oracle: when it reports a slave's
 // link down at an exchange start, the exchange fails completely — both
 // legs lost, no slave response — and, critically, the radio model is
-// never consulted, so the channel's RNG draw sequence and chain state
-// (Gilbert–Elliott) are exactly what they would be had the master stayed
-// silent. A nil fn leaves the piconet fault-free with zero per-exchange
+// never consulted, so the channel's RNG draw sequence and any model
+// state are exactly what they would be had the master stayed silent. A nil fn leaves the piconet fault-free with zero per-exchange
 // overhead.
 func WithLinkFault(fn func(slave SlaveID, now sim.Time) bool) Option {
 	return func(p *Piconet) { p.linkDown = fn }

@@ -9,33 +9,26 @@ import (
 // Demand is a demand-based poller in the spirit of Rao, Baux & Kesidis
 // (IEEE WLAN 2001): each slave accumulates credit proportional to its
 // estimated demand (an exponentially weighted average of the bytes its
-// polls have moved), and the master polls the slave with the most credit.
-// Heavily loaded slaves are therefore visited more often, while idle slaves
-// decay toward a floor rate that keeps their demand estimate fresh. Create
-// with NewDemand.
+// polls have moved, weighting the newest poll 0.25), and the master polls
+// the slave with the most credit. Heavily loaded slaves are therefore
+// visited more often, while idle slaves decay toward a floor rate that
+// keeps their demand estimate fresh. The zero value is ready to use.
 type Demand struct {
 	inited bool
 	// demand (an EWMA of bytes per poll) and credit are indexed by
 	// SlaveID (1..7).
 	demand [baseband.MaxActiveSlaves + 1]float64
 	credit [baseband.MaxActiveSlaves + 1]float64
-	alpha  float64
 }
 
 var _ Poller = (*Demand)(nil)
 
+// demandAlpha is the EWMA weight of the newest observation.
+const demandAlpha = 0.25
+
 // demandFloor keeps every slave's effective demand positive so that idle
 // slaves are still polled occasionally (their credit grows slowly).
 const demandFloor = 1.0
-
-// NewDemand returns a demand-based poller. alpha in (0, 1] is the EWMA
-// weight of the newest observation; out-of-range values default to 0.25.
-func NewDemand(alpha float64) *Demand {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.25
-	}
-	return &Demand{alpha: alpha}
-}
 
 // Name implements Poller.
 func (*Demand) Name() string { return "demand" }
@@ -79,6 +72,6 @@ func (d *Demand) Observe(o Outcome) {
 		return
 	}
 	moved := float64(o.DownBytes + o.UpBytes)
-	d.demand[o.Slave] = d.alpha*moved + (1-d.alpha)*d.demand[o.Slave]
+	d.demand[o.Slave] = demandAlpha*moved + (1-demandAlpha)*d.demand[o.Slave]
 	d.credit[o.Slave] = 0
 }

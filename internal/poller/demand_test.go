@@ -16,7 +16,7 @@ import (
 // TestDemandEWMAConverges: steady 176-byte polls drive the demand
 // estimate from the optimistic prior to the true per-poll volume.
 func TestDemandEWMAConverges(t *testing.T) {
-	d := NewDemand(0.25)
+	var d Demand
 	v := newMockView(1)
 	now := sim.Time(0)
 	for i := 0; i < 50; i++ {
@@ -39,27 +39,15 @@ func TestDemandEWMAConverges(t *testing.T) {
 }
 
 // TestDemandEWMAWeight: one observation moves the estimate by exactly
-// alpha of the innovation.
+// 0.25 of the innovation.
 func TestDemandEWMAWeight(t *testing.T) {
-	d := NewDemand(0.5)
+	var d Demand
 	v := newMockView(1)
 	s, _ := d.Next(0, v) // initialises demand to the 183-byte prior
 	d.Observe(outcomeAt(s, time.Millisecond, 100, false))
-	want := 0.5*100 + 0.5*183
+	want := 0.25*100 + 0.75*183
 	if got := d.demand[1]; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("demand = %v, want %v", got, want)
-	}
-}
-
-// TestDemandAlphaDefaults: out-of-range alphas fall back to 0.25.
-func TestDemandAlphaDefaults(t *testing.T) {
-	for _, bad := range []float64{0, -1, 1.5} {
-		if d := NewDemand(bad); d.alpha != 0.25 {
-			t.Fatalf("alpha %v accepted, want default 0.25", bad)
-		}
-	}
-	if d := NewDemand(1); d.alpha != 1 {
-		t.Fatal("alpha 1 is valid and must be kept")
 	}
 }
 
@@ -67,7 +55,7 @@ func TestDemandAlphaDefaults(t *testing.T) {
 // two equally loaded slaves alternate instead of one capturing the
 // channel.
 func TestDemandCreditResetOnService(t *testing.T) {
-	d := NewDemand(0.25)
+	var d Demand
 	v := newMockView(1, 2)
 	now := sim.Time(0)
 	var prev piconet.SlaveID
@@ -85,7 +73,7 @@ func TestDemandCreditResetOnService(t *testing.T) {
 // TestDemandBacklogBoost: master-visible downlink backlog lifts a quiet
 // slave's effective demand enough to win the next poll.
 func TestDemandBacklogBoost(t *testing.T) {
-	d := NewDemand(0.25)
+	var d Demand
 	v := newMockView(1, 2)
 	now := sim.Time(0)
 	// Drain both demand estimates to the floor.
@@ -105,7 +93,7 @@ func TestDemandBacklogBoost(t *testing.T) {
 // grows (at the floor rate), so the gap between its polls is bounded even
 // against a heavy competitor.
 func TestDemandFloorPreventsStarvation(t *testing.T) {
-	d := NewDemand(0.25)
+	var d Demand
 	v := newMockView(1, 2)
 	now := sim.Time(0)
 	lastIdle := -1

@@ -12,8 +12,9 @@ import (
 // 2001). Polling alternates between two cycles: the active cycle visits
 // slaves believed to have traffic, and the idle cycle probes the remaining
 // slaves. The idle cycle's period adapts: every fruitless probe of a slave
-// doubles that slave's probe interval (up to a maximum), and any data resets
-// it, so idle slaves cost exponentially fewer slots. Create with NewEDC.
+// doubles that slave's probe interval, from 2 slot pairs up to 100 ms, and
+// any data resets it, so idle slaves cost exponentially fewer slots. The
+// zero value is ready to use.
 type EDC struct {
 	inited bool
 	// interval and nextProbe hold, indexed by SlaveID (1..7), the
@@ -23,27 +24,15 @@ type EDC struct {
 	// busy marks slaves in the active cycle.
 	busy [baseband.MaxActiveSlaves + 1]bool
 	last piconet.SlaveID
-
-	minInterval sim.Time
-	maxInterval sim.Time
 }
 
 var _ Poller = (*EDC)(nil)
 
-// NewEDC returns an EDC poller with the given idle-cycle bounds. Non-
-// positive arguments default to 2 slot pairs and 100 ms respectively.
-func NewEDC(minInterval, maxInterval sim.Time) *EDC {
-	if minInterval <= 0 {
-		minInterval = 2 * piconet.DecisionInterval
-	}
-	if maxInterval <= 0 {
-		maxInterval = 100 * time.Millisecond
-	}
-	if maxInterval < minInterval {
-		maxInterval = minInterval
-	}
-	return &EDC{minInterval: minInterval, maxInterval: maxInterval}
-}
+// The bounds of a slave's idle-cycle probe interval.
+const (
+	edcMinInterval = 2 * piconet.DecisionInterval
+	edcMaxInterval = 100 * time.Millisecond
+)
 
 // Name implements Poller.
 func (*EDC) Name() string { return "edc" }
@@ -56,7 +45,7 @@ func (e *EDC) Next(now sim.Time, v View) (piconet.SlaveID, bool) {
 	}
 	if !e.inited {
 		for _, s := range slaves {
-			e.interval[s] = e.minInterval
+			e.interval[s] = edcMinInterval
 			e.nextProbe[s] = 0
 			e.busy[s] = true // start optimistic: everyone in the active cycle
 		}
@@ -109,18 +98,18 @@ func (e *EDC) Observe(o Outcome) {
 	s := o.Slave
 	if o.Carried() || o.UpMoreData {
 		e.busy[s] = true
-		e.interval[s] = e.minInterval
+		e.interval[s] = edcMinInterval
 		e.nextProbe[s] = o.End
 		return
 	}
 	// Fruitless poll: demote to the idle cycle and back off.
 	e.busy[s] = false
 	iv := e.interval[s] * 2
-	if iv > e.maxInterval {
-		iv = e.maxInterval
+	if iv > edcMaxInterval {
+		iv = edcMaxInterval
 	}
-	if iv < e.minInterval {
-		iv = e.minInterval
+	if iv < edcMinInterval { // a slave first seen after the first Next starts at 0
+		iv = edcMinInterval
 	}
 	e.interval[s] = iv
 	e.nextProbe[s] = o.End + iv

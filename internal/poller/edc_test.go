@@ -18,7 +18,7 @@ import (
 // entirely.
 func TestEDCIdleSlaveNotStarved(t *testing.T) {
 	v := newMockView(1, 2)
-	e := NewEDC(2*piconet.DecisionInterval, 20*time.Millisecond)
+	var e EDC
 	now := sim.Time(0)
 	polls := map[piconet.SlaveID]int{}
 	for i := 0; i < 2000; i++ {
@@ -46,7 +46,7 @@ func TestEDCIdleSlaveNotStarved(t *testing.T) {
 // alternately (ring order, no capture).
 func TestEDCActiveCycleRoundRobin(t *testing.T) {
 	v := newMockView(1, 2)
-	e := NewEDC(0, 0)
+	var e EDC
 	now := sim.Time(0)
 	var prev piconet.SlaveID
 	for i := 0; i < 10; i++ {
@@ -61,11 +61,11 @@ func TestEDCActiveCycleRoundRobin(t *testing.T) {
 }
 
 // TestEDCIntervalCapped: fruitless probes back off exponentially but stop
-// at the configured maximum.
+// at 100 ms.
 func TestEDCIntervalCapped(t *testing.T) {
 	v := newMockView(1)
-	maxIv := 10 * time.Millisecond
-	e := NewEDC(2*piconet.DecisionInterval, maxIv)
+	maxIv := 100 * time.Millisecond
+	var e EDC
 	now := sim.Time(0)
 	for i := 0; i < 20; i++ {
 		s, _ := e.Next(now, v)
@@ -82,13 +82,13 @@ func TestEDCIntervalCapped(t *testing.T) {
 // more-data keeps the slave in the active cycle.
 func TestEDCMoreDataKeepsActive(t *testing.T) {
 	v := newMockView(1)
-	e := NewEDC(0, 0)
+	var e EDC
 	s, _ := e.Next(0, v)
 	e.Observe(Outcome{Slave: s, End: time.Millisecond, UpMoreData: true, Slots: 2})
 	if !e.busy[s] {
 		t.Fatal("more-data outcome demoted the slave")
 	}
-	if e.interval[s] != e.minInterval {
+	if e.interval[s] != 2*piconet.DecisionInterval {
 		t.Fatalf("interval = %v, want min", e.interval[s])
 	}
 }
@@ -97,7 +97,7 @@ func TestEDCMoreDataKeepsActive(t *testing.T) {
 // slave into the active cycle before its probe is due.
 func TestEDCDownBacklogReactivates(t *testing.T) {
 	v := newMockView(1, 2)
-	e := NewEDC(2*piconet.DecisionInterval, 100*time.Millisecond)
+	var e EDC
 	// Demote both slaves.
 	now := sim.Time(0)
 	for i := 0; i < 2; i++ {
@@ -113,19 +113,18 @@ func TestEDCDownBacklogReactivates(t *testing.T) {
 	}
 }
 
-// TestEDCDefaultBounds: non-positive constructor arguments fall back to
-// sane defaults, and an inverted range is clamped.
+// TestEDCDefaultBounds: the probe interval starts at 2 slot pairs, and a
+// slave first seen after the first Next backs off from the same floor.
 func TestEDCDefaultBounds(t *testing.T) {
-	e := NewEDC(0, 0)
-	if e.minInterval != 2*piconet.DecisionInterval {
-		t.Fatalf("default min = %v", e.minInterval)
+	v := newMockView(1)
+	var e EDC
+	s, _ := e.Next(0, v)
+	if e.interval[s] != 2*piconet.DecisionInterval {
+		t.Fatalf("first interval = %v, want 2 slot pairs", e.interval[s])
 	}
-	if e.maxInterval != 100*time.Millisecond {
-		t.Fatalf("default max = %v", e.maxInterval)
-	}
-	inverted := NewEDC(50*time.Millisecond, time.Millisecond)
-	if inverted.maxInterval != inverted.minInterval {
-		t.Fatalf("inverted range not clamped: min %v max %v",
-			inverted.minInterval, inverted.maxInterval)
+	v.slaves = append(v.slaves, 2)
+	e.Observe(outcomeAt(2, time.Millisecond, 0, false))
+	if e.interval[2] != 2*piconet.DecisionInterval {
+		t.Fatalf("late slave's interval = %v, want 2 slot pairs", e.interval[2])
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"bluegs/internal/sim"
 )
 
-// Dedicated HOL behavior: static priorities and their known pathology.
+// Dedicated HOL behavior: priorities by slave id and their known pathology.
 // The shared poller_test.go covers the basic ordering; these tests pin
 // the starvation property (the weakness the paper's GS mechanism fixes)
 // and the probe fallback.
@@ -20,7 +20,7 @@ import (
 // would silently alter the A2 comparison).
 func TestHOLLowPriorityStarvation(t *testing.T) {
 	v := newMockView(1, 2)
-	h := NewHOL(map[piconet.SlaveID]int{1: 1, 2: 2})
+	var h HOL
 	v.backlog[1] = 1
 	v.backlog[2] = 1 // slave 2 always has data too
 	now := sim.Time(0)
@@ -38,7 +38,7 @@ func TestHOLLowPriorityStarvation(t *testing.T) {
 // believed idle (and holds no backlog), the next priority takes over.
 func TestHOLFallsToLowerPriorityWhenIdle(t *testing.T) {
 	v := newMockView(1, 2, 3)
-	h := NewHOL(map[piconet.SlaveID]int{1: 1, 2: 2, 3: 3})
+	var h HOL
 	s, _ := h.Next(0, v)
 	if s != 1 {
 		t.Fatalf("first poll = %d, want 1", s)
@@ -56,23 +56,11 @@ func TestHOLFallsToLowerPriorityWhenIdle(t *testing.T) {
 	}
 }
 
-// TestHOLUnmappedSlaveLowestPriority: slaves absent from the priority map
-// rank below every mapped slave.
-func TestHOLUnmappedSlaveLowestPriority(t *testing.T) {
-	v := newMockView(1, 2)
-	h := NewHOL(map[piconet.SlaveID]int{2: 100})
-	// Both believed active; mapped slave 2 must win over unmapped 1.
-	s, _ := h.Next(0, v)
-	if s != 2 {
-		t.Fatalf("poll = %d, want mapped slave 2", s)
-	}
-}
-
-// TestHOLNilPrioritiesActivityRoundRobin: a nil priority map degenerates
-// to activity-gated probing that visits everyone.
-func TestHOLNilPrioritiesActivityRoundRobin(t *testing.T) {
+// TestHOLProbesIdleRoundRobin: once every slave is believed idle, the
+// probes visit everyone in turn.
+func TestHOLProbesIdleRoundRobin(t *testing.T) {
 	v := newMockView(1, 2, 3)
-	h := NewHOL(nil)
+	var h HOL
 	// Mark everyone idle.
 	for i := 0; i < 3; i++ {
 		s, _ := h.Next(sim.Time(i)*time.Millisecond, v)
@@ -95,7 +83,7 @@ func TestHOLNilPrioritiesActivityRoundRobin(t *testing.T) {
 // flag keeps the slave in the believed-active set.
 func TestHOLMoreDataKeepsBelievedActive(t *testing.T) {
 	v := newMockView(1, 2)
-	h := NewHOL(map[piconet.SlaveID]int{1: 1, 2: 2})
+	var h HOL
 	s, _ := h.Next(0, v)
 	h.Observe(Outcome{Slave: s, End: time.Millisecond, UpMoreData: true, Slots: 2})
 	next, _ := h.Next(2*time.Millisecond, v)

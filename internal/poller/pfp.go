@@ -17,39 +17,29 @@ import (
 //     downlink queues and the slave's last more-data flag exactly, and
 //     estimates the uplink arrival rate from poll outcomes, giving
 //     P(data) = 1 - exp(-lambda * timeSinceQueueKnownEmpty);
-//   - a fairness account: each slave has a fair share (weight) of the
+//   - a fairness account: every slave has an equal fair share of the
 //     polling resource, and the fraction of its fair share each slave has
 //     received ranks the slaves.
 //
 // The decision rule polls the slave with the smallest received fair-share
-// fraction among slaves predicted to have data; when no slave is predicted
-// active, it refreshes its knowledge by probing the slave whose state is
-// stalest. The exact internals of the published PFP live in a companion
-// report; this realization keeps its two published aspects (prediction and
+// fraction among slaves predicted to have data, that is with P(data) at
+// or above the fixed threshold 0.6; when no slave is predicted active, it
+// refreshes its knowledge by probing the slave whose state is stalest.
+// The exact internals of the published PFP live in a companion report;
+// this realization keeps its two published aspects (prediction and
 // fair-share fractions) and is validated against the properties the paper
 // claims: full throughput for underloaded slaves and max-min fair division
-// of leftover capacity. Create with NewPFP.
+// of leftover capacity. The zero value is ready to use.
 type PFP struct {
-	// state is indexed by SlaveID (1..7). Every entry carries its prior
-	// and weight from NewPFP; counted marks the slaves already summed
-	// into weightSum.
+	// state is indexed by SlaveID (1..7). counted marks the slaves
+	// already given their prior and counted into slaves.
 	state  [baseband.MaxActiveSlaves + 1]pfpSlave
 	inited bool
 
-	// served and weightSum are the running totals of servedSlots and
-	// weight over every counted slave, so a fair-share fraction is O(1).
-	// weightSum is summed in slave-creation order; served adds whole
-	// slots, which float64 sums exactly in any order.
-	served, weightSum float64
-
-	// activeThreshold is the prediction level above which a slave is
-	// treated as having data.
-	activeThreshold float64
-	// activeLo and activeHi bracket λ·gap (gap in nanoseconds) around
-	// the activity boundary -ln(1-activeThreshold)·1e9: below activeLo
-	// the prediction is surely under the threshold, above activeHi
-	// surely at or over it, and in between Next evaluates the formula.
-	activeLo, activeHi float64
+	// served is the running total of servedSlots and slaves the number
+	// of counted slaves, so a fair-share fraction is O(1). served adds
+	// whole slots, which float64 sums exactly in any order.
+	served, slaves float64
 }
 
 type pfpSlave struct {
@@ -61,18 +51,32 @@ type pfpSlave struct {
 	everPolled bool
 	// moreData is the slave's last more-data flag.
 	moreData bool
-	// counted reports whether weight is in the PFP's weightSum.
+	// counted reports whether the slave is in the PFP's slaves count.
 	counted bool
 	// servedSlots accumulates the polling resource spent on the slave.
 	servedSlots float64
-	// weight is the slave's fair share.
-	weight float64
 }
 
 var _ Poller = (*PFP)(nil)
 
 // pfpTau is the time constant of the arrival-rate estimator.
 const pfpTau = 200 * time.Millisecond
+
+// pfpThreshold is the prediction level at or above which a slave is
+// treated as having data.
+const pfpThreshold = 0.6
+
+// pfpActiveLo and pfpActiveHi bracket λ·gap (gap in nanoseconds) around
+// the activity boundary x* = -ln(1-pfpThreshold)·1e9: below pfpActiveLo
+// the prediction is surely under the threshold, above pfpActiveHi surely
+// at or over it, and in between Next evaluates the formula. The 1e-9
+// relative band absorbs the rounding of λ·gap, of x* and of 1 - exp(-x).
+var pfpActiveLo, pfpActiveHi = pfpActiveBand()
+
+func pfpActiveBand() (lo, hi float64) {
+	xStar := -math.Log1p(-pfpThreshold)
+	return xStar * (1 - 1e-9) * 1e9, xStar * (1 + 1e-9) * 1e9
+}
 
 // pfpGapSlots is the number of whole-slot gaps (up to 2.56 s) whose
 // estimator terms Observe reads from pfpGaps instead of computing them.
@@ -110,56 +114,17 @@ func gapTerms(gap sim.Time) pfpGapTerms {
 	return gapTermsOf(gap.Seconds())
 }
 
-// PFPOption configures a PFP poller.
-type PFPOption func(*PFP)
-
-// WithActiveThreshold sets the prediction level above which a slave is
-// treated as having data (default 0.6). Higher values poll idle-looking
-// slaves later: fewer wasted probe slots at the cost of slightly higher
-// best-effort delay. Values outside (0, 1) are ignored.
-func WithActiveThreshold(p float64) PFPOption {
-	return func(pfp *PFP) {
-		if p > 0 && p < 1 {
-			pfp.activeThreshold = p
-		}
-	}
-}
-
-// NewPFP returns a Predictive Fair Poller. weights assigns each slave's
-// fair share; nil or missing entries default to 1 (equal shares).
-func NewPFP(weights map[piconet.SlaveID]float64, opts ...PFPOption) *PFP {
-	pfp := &PFP{activeThreshold: 0.6}
-	for s := range pfp.state {
-		w := weights[piconet.SlaveID(s)]
-		if !(w > 0) {
-			w = 1
-		}
-		pfp.state[s] = pfpSlave{lambda: 50, weight: w} // optimistic prior: 50 packets/s
-	}
-	for _, opt := range opts {
-		opt(pfp)
-	}
-	// 1 - exp(-x) >= θ exactly when x >= x* = -ln(1-θ). The band around
-	// x* absorbs the rounding of λ·gap, of x* and of 1 - exp(-x): 1e-9
-	// relative, widened where 1 - exp(-x) flattens against its absolute
-	// rounding of about 1e-16 (θ within about 1e-6 of 0 or 1).
-	xStar := -math.Log1p(-pfp.activeThreshold)
-	band := 1e-9 + 1e-15/((1-pfp.activeThreshold)*xStar)
-	pfp.activeLo = xStar * (1 - band) * 1e9
-	pfp.activeHi = xStar * (1 + band) * 1e9
-	return pfp
-}
-
 // Name implements Poller.
 func (*PFP) Name() string { return "pfp" }
 
-// slave returns the slave's state, counting its weight into weightSum on
-// first use.
+// slave returns the slave's state, giving it the optimistic prior of 50
+// packets/s and counting it on first use.
 func (p *PFP) slave(s piconet.SlaveID) *pfpSlave {
 	st := &p.state[s]
 	if !st.counted {
 		st.counted = true
-		p.weightSum += st.weight
+		st.lambda = 50
+		p.slaves++
 	}
 	return st
 }
@@ -178,7 +143,7 @@ func (p *PFP) Predict(now sim.Time, v View, s piconet.SlaveID) float64 {
 	return 1 - math.Exp(-st.lambda*dt)
 }
 
-// active reports Predict(now, v, s) >= activeThreshold without an exp
+// active reports Predict(now, v, s) >= pfpThreshold without an exp
 // outside the band around the boundary.
 func (p *PFP) active(now sim.Time, v View, s piconet.SlaveID, st *pfpSlave) bool {
 	if st.moreData || !st.everPolled || v.HasDownBacklog(s) {
@@ -189,29 +154,26 @@ func (p *PFP) active(now sim.Time, v View, s piconet.SlaveID, st *pfpSlave) bool
 		return false
 	}
 	switch x := st.lambda * float64(gap); {
-	case x < p.activeLo:
+	case x < pfpActiveLo:
 		return false
-	case x > p.activeHi:
+	case x > pfpActiveHi:
 		return true
 	}
-	return 1-math.Exp(-st.lambda*gap.Seconds()) >= p.activeThreshold
+	return 1-math.Exp(-st.lambda*gap.Seconds()) >= pfpThreshold
 }
 
-// FairShareFraction returns served/(weight-normalised total): below 1 means
-// the slave has received less than its fair share (exposed for tests).
+// FairShareFraction returns the slave's served slots over its equal share
+// of all served slots: below 1 means the slave has received less than its
+// fair share (exposed for tests).
 func (p *PFP) FairShareFraction(s piconet.SlaveID) float64 {
 	return p.fraction(p.slave(s))
 }
 
 func (p *PFP) fraction(st *pfpSlave) float64 {
-	if p.served == 0 || p.weightSum == 0 {
+	if p.served == 0 || p.slaves == 0 {
 		return 0
 	}
-	fairShare := p.served * st.weight / p.weightSum
-	if fairShare == 0 {
-		return math.Inf(1)
-	}
-	return st.servedSlots / fairShare
+	return st.servedSlots / (p.served / p.slaves)
 }
 
 // Next implements Poller.

@@ -21,7 +21,7 @@ import (
 // the estimated rate toward the true one; a long silent stretch decays it
 // back down.
 func TestPFPLambdaTracksArrivalRate(t *testing.T) {
-	p := NewPFP(nil)
+	p := &PFP{}
 	// One packet every 10 ms => 100 packets/s, sampled by polling at the
 	// same cadence.
 	now := sim.Time(0)
@@ -51,7 +51,7 @@ func TestPFPLambdaTracksArrivalRate(t *testing.T) {
 // predicted active much sooner after an empty poll than a slow one.
 func TestPFPPredictionReflectsRate(t *testing.T) {
 	v := newMockView(1, 2)
-	p := NewPFP(nil)
+	p := &PFP{}
 	now := sim.Time(0)
 	// Slave 1 fast (poll every 5 ms, always data), slave 2 slow (always
 	// empty).
@@ -81,7 +81,7 @@ func TestPFPLongRunFairSplit(t *testing.T) {
 	v := newMockView(1, 2)
 	v.backlog[1] = 1
 	v.backlog[2] = 1
-	p := NewPFP(nil)
+	p := &PFP{}
 	now := sim.Time(0)
 	slots := map[piconet.SlaveID]float64{}
 	for i := 0; i < 1000; i++ {
@@ -105,36 +105,21 @@ func TestPFPLongRunFairSplit(t *testing.T) {
 	}
 }
 
-// TestPFPWeightedSplit: a 3:1 weight assignment steers the long-run slot
-// split accordingly.
-func TestPFPWeightedSplit(t *testing.T) {
-	v := newMockView(1, 2)
-	v.backlog[1] = 1
-	v.backlog[2] = 1
-	p := NewPFP(map[piconet.SlaveID]float64{1: 3, 2: 1})
-	now := sim.Time(0)
-	slots := map[piconet.SlaveID]float64{}
-	for i := 0; i < 2000; i++ {
-		s, _ := p.Next(now, v)
-		now += 4 * 625 * time.Microsecond
-		p.Observe(Outcome{Slave: s, End: now, UpBytes: 176, Slots: 4, UpMoreData: true})
-		slots[s] += 4
-	}
-	ratio := slots[1] / slots[2]
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Fatalf("weighted slot ratio = %.3f, want ~3", ratio)
-	}
-}
-
-// TestPFPActiveThresholdOption: valid thresholds apply; out-of-range
-// values are ignored.
-func TestPFPActiveThresholdOption(t *testing.T) {
-	if p := NewPFP(nil, WithActiveThreshold(0.9)); p.activeThreshold != 0.9 {
-		t.Fatalf("threshold = %v, want 0.9", p.activeThreshold)
-	}
-	for _, bad := range []float64{0, 1, -0.5, 2} {
-		if p := NewPFP(nil, WithActiveThreshold(bad)); p.activeThreshold != 0.6 {
-			t.Fatalf("threshold %v accepted, want default kept", bad)
+// TestPFPActiveThreshold: a slave known empty becomes predicted active
+// once P(data) = 1 - exp(-lambda*gap) reaches 0.6, and not before.
+func TestPFPActiveThreshold(t *testing.T) {
+	v := newMockView(1)
+	p := &PFP{}
+	st := p.slave(1)
+	st.everPolled = true
+	st.lambda = 1
+	for _, c := range []struct {
+		predict float64
+		active  bool
+	}{{0.59, false}, {0.61, true}, {0.9, true}, {0.1, false}} {
+		gap := sim.Time(-math.Log1p(-c.predict) * float64(time.Second))
+		if got := p.active(gap, v, 1, st); got != c.active {
+			t.Fatalf("P(data) %v: active %v, want %v", c.predict, got, c.active)
 		}
 	}
 }
@@ -145,7 +130,7 @@ func TestPFPActiveThresholdOption(t *testing.T) {
 func TestPFPIdleSlaveEventuallyProbed(t *testing.T) {
 	v := newMockView(1, 2)
 	v.backlog[1] = 1 // slave 1 permanently backlogged
-	p := NewPFP(nil)
+	p := &PFP{}
 	now := sim.Time(0)
 	polled2 := false
 	for i := 0; i < 2000 && !polled2; i++ {
@@ -165,16 +150,15 @@ func TestPFPIdleSlaveEventuallyProbed(t *testing.T) {
 	}
 }
 
-// TestPFPRunningFairShare: the running served and weight totals behind
-// FairShareFraction equal a brute-force recomputation summed in
-// slave-creation order, bit for bit, under fractional weights and a random
-// outcome sequence; and two identical sequences pick identically.
+// TestPFPRunningFairShare: the running served total and slave count
+// behind FairShareFraction equal a brute-force recomputation, bit for
+// bit, under a random outcome sequence; and two identical sequences pick
+// identically.
 func TestPFPRunningFairShare(t *testing.T) {
-	weights := map[piconet.SlaveID]float64{1: 0.1, 2: 0.2, 3: 0.7, 4: 0.3, 5: 1.1, 6: 0.05, 7: 2.5}
 	created := []piconet.SlaveID{4, 1, 7, 3, 6, 2, 5} // first-Observe order
 	v := newMockView(1, 2, 3, 4, 5, 6, 7)
 	run := func() (picks []piconet.SlaveID, fracs []uint64) {
-		p := NewPFP(weights)
+		p := &PFP{}
 		rng := rand.New(rand.NewSource(9))
 		now := sim.Time(0)
 		for _, s := range created {
@@ -197,13 +181,12 @@ func TestPFPRunningFairShare(t *testing.T) {
 			}
 			p.Observe(o)
 
-			var served, weightSum float64
+			var served float64
 			for _, id := range created {
 				served += p.state[id].servedSlots
-				weightSum += weights[id]
 			}
 			for _, id := range v.slaves {
-				want := p.state[id].servedSlots / (served * weights[id] / weightSum)
+				want := p.state[id].servedSlots / (served / float64(len(created)))
 				got := p.FairShareFraction(id)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("step %d slave %d: FairShareFraction = %v, brute force %v", i, id, got, want)
@@ -248,50 +231,46 @@ func TestPFPDecayTableExact(t *testing.T) {
 }
 
 // TestPFPActiveMatchesPredict: Next's activity test without exp agrees
-// with Predict(...) >= threshold over log-spaced rates times gaps of 1 to
-// 4,096 slots and off-grid gaps, over every rate within 64 ulps of the
-// boundary x* = -ln(1-threshold) at gaps of 0.5, 1 and 2 s (where λ·gap
-// is exact), and across the guard band at thresholds near 0 and 1.
+// with Predict(...) >= 0.6 over log-spaced rates times gaps of 1 to 4,096
+// slots and off-grid gaps, over every rate within 64 ulps of the boundary
+// x* = -ln(1-0.6) at gaps of 0.5, 1 and 2 s (where λ·gap is exact), and
+// across the guard band.
 func TestPFPActiveMatchesPredict(t *testing.T) {
 	v := newMockView(1)
-	for _, theta := range []float64{0.6, 0.3, 0.9, 1e-12, 1 - 1e-12} {
-		p := NewPFP(nil, WithActiveThreshold(theta))
-		st := p.slave(1)
-		st.everPolled = true
-		compare := func(lambda float64, gap sim.Time) {
-			t.Helper()
-			st.lambda = lambda
-			want := p.Predict(gap, v, 1) >= theta
-			if got := p.active(gap, v, 1, st); got != want {
-				t.Fatalf("threshold %v, lambda %v (bits %#x), gap %v: active %v, Predict says %v",
-					theta, lambda, math.Float64bits(lambda), gap, got, want)
-			}
+	p := &PFP{}
+	st := p.slave(1)
+	st.everPolled = true
+	compare := func(lambda float64, gap sim.Time) {
+		t.Helper()
+		st.lambda = lambda
+		want := p.Predict(gap, v, 1) >= pfpThreshold
+		if got := p.active(gap, v, 1, st); got != want {
+			t.Fatalf("lambda %v (bits %#x), gap %v: active %v, Predict says %v",
+				lambda, math.Float64bits(lambda), gap, got, want)
 		}
-		if theta >= 0.3 && theta <= 0.9 {
-			for i := 0; i <= 40; i++ {
-				lambda := 0.1 * math.Pow(1e5, float64(i)/40)
-				for k := 1; k <= pfpGapSlots; k++ {
-					gap := sim.Time(k) * baseband.SlotDuration
-					compare(lambda, gap)
-					compare(lambda, gap+sim.Time(k*k%625000)+1)
-				}
-			}
+	}
+	for i := 0; i <= 40; i++ {
+		lambda := 0.1 * math.Pow(1e5, float64(i)/40)
+		for k := 1; k <= pfpGapSlots; k++ {
+			gap := sim.Time(k) * baseband.SlotDuration
+			compare(lambda, gap)
+			compare(lambda, gap+sim.Time(k*k%625000)+1)
 		}
-		xStar := -math.Log1p(-theta)
-		for _, dt := range []float64{0.5, 1, 2} {
-			gap := sim.Time(dt * float64(time.Second))
-			x := xStar
-			for range 64 {
-				x = math.Nextafter(x, 0)
-			}
-			for range 129 {
-				compare(x/dt, gap)
-				x = math.Nextafter(x, math.Inf(1))
-			}
-			band := 4 * (p.activeHi - p.activeLo) / (p.activeHi + p.activeLo)
-			for j := -1000; j <= 1000; j++ {
-				compare(xStar*(1+band*float64(j)/1000)/dt, gap)
-			}
+	}
+	xStar := -math.Log1p(-pfpThreshold)
+	band := 4 * (pfpActiveHi - pfpActiveLo) / (pfpActiveHi + pfpActiveLo)
+	for _, dt := range []float64{0.5, 1, 2} {
+		gap := sim.Time(dt * float64(time.Second))
+		x := xStar
+		for range 64 {
+			x = math.Nextafter(x, 0)
+		}
+		for range 129 {
+			compare(x/dt, gap)
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		for j := -1000; j <= 1000; j++ {
+			compare(xStar*(1+band*float64(j)/1000)/dt, gap)
 		}
 	}
 }
@@ -309,7 +288,7 @@ func (*decisionView) HasDownBacklog(s piconet.SlaveID) bool { return s == 1 || s
 // empty exchanges of 2 or 4 slots.
 func BenchmarkPFPDecision(b *testing.B) {
 	v := &decisionView{slaves: []piconet.SlaveID{1, 2, 3, 4, 5, 6, 7}}
-	p := NewPFP(nil)
+	p := &PFP{}
 	now := sim.Time(0)
 	i := 0
 	b.ReportAllocs()

@@ -138,7 +138,7 @@ func TestFEPRoundRobinAmongActive(t *testing.T) {
 
 func TestEDCBacksOffIdleSlaves(t *testing.T) {
 	v := newMockView(1, 2)
-	e := NewEDC(2*piconet.DecisionInterval, 50*time.Millisecond)
+	var e EDC
 	now := sim.Time(0)
 	// Both slaves idle: repeated fruitless polls push their probe
 	// intervals up.
@@ -168,7 +168,7 @@ func TestEDCBacksOffIdleSlaves(t *testing.T) {
 
 func TestEDCServesActiveFirst(t *testing.T) {
 	v := newMockView(1, 2)
-	e := NewEDC(0, 0)
+	var e EDC
 	// Make slave 1 idle, slave 2 busy.
 	s, _ := e.Next(0, v)
 	e.Observe(outcomeAt(s, 1250*time.Microsecond, 0, false))
@@ -184,7 +184,7 @@ func TestEDCServesActiveFirst(t *testing.T) {
 
 func TestDemandFavorsBusySlave(t *testing.T) {
 	v := newMockView(1, 2)
-	d := NewDemand(0.25)
+	var d Demand
 	// Feed outcomes: slave 1 always moves 176 bytes, slave 2 nothing.
 	now := sim.Time(0)
 	polls := map[piconet.SlaveID]int{}
@@ -211,25 +211,25 @@ func TestDemandFavorsBusySlave(t *testing.T) {
 
 func TestHOLPriorityOrder(t *testing.T) {
 	v := newMockView(1, 2, 3)
-	h := NewHOL(map[piconet.SlaveID]int{1: 3, 2: 1, 3: 2})
-	// All believed active initially: highest priority (2) chosen.
+	var h HOL
+	// All believed active initially: the top priority, slave 1, chosen.
 	s, _ := h.Next(0, v)
-	if s != 2 {
-		t.Fatalf("first poll = %d, want priority slave 2", s)
+	if s != 1 {
+		t.Fatalf("first poll = %d, want priority slave 1", s)
 	}
-	// Slave 2 goes idle; next is slave 3, then 1.
-	h.Observe(outcomeAt(2, time.Millisecond, 0, false))
+	// Slave 1 goes idle; next is slave 2, then 3.
+	h.Observe(outcomeAt(1, time.Millisecond, 0, false))
 	s, _ = h.Next(2*time.Millisecond, v)
+	if s != 2 {
+		t.Fatalf("poll = %d, want 2", s)
+	}
+	h.Observe(outcomeAt(2, 3*time.Millisecond, 0, false))
+	s, _ = h.Next(4*time.Millisecond, v)
 	if s != 3 {
 		t.Fatalf("poll = %d, want 3", s)
 	}
-	h.Observe(outcomeAt(3, 3*time.Millisecond, 0, false))
-	s, _ = h.Next(4*time.Millisecond, v)
-	if s != 1 {
-		t.Fatalf("poll = %d, want 1", s)
-	}
 	// All idle: probing keeps rotating.
-	h.Observe(outcomeAt(1, 5*time.Millisecond, 0, false))
+	h.Observe(outcomeAt(3, 5*time.Millisecond, 0, false))
 	probed := map[piconet.SlaveID]bool{}
 	for i := 0; i < 3; i++ {
 		s, _ = h.Next(sim.Time(6+i)*time.Millisecond, v)
@@ -240,8 +240,8 @@ func TestHOLPriorityOrder(t *testing.T) {
 		t.Fatalf("probe rotation covered %d slaves, want 3", len(probed))
 	}
 	// Down backlog reactivates by priority.
-	v.backlog[1] = 1
 	v.backlog[2] = 1
+	v.backlog[3] = 1
 	s, _ = h.Next(20*time.Millisecond, v)
 	if s != 2 {
 		t.Fatalf("poll = %d, want higher-priority slave 2", s)
@@ -250,7 +250,7 @@ func TestHOLPriorityOrder(t *testing.T) {
 
 func TestPFPPredictionRises(t *testing.T) {
 	v := newMockView(1)
-	p := NewPFP(nil)
+	p := &PFP{}
 	// Before any poll: optimistic.
 	if got := p.Predict(0, v, 1); got != 1 {
 		t.Fatalf("unpolled Predict = %v, want 1", got)
@@ -280,7 +280,7 @@ func TestPFPPredictionRises(t *testing.T) {
 
 func TestPFPFairnessPrefersDeficit(t *testing.T) {
 	v := newMockView(1, 2)
-	p := NewPFP(nil)
+	p := &PFP{}
 	// Both have down backlog (predicted active), but slave 1 has been
 	// served much more.
 	v.backlog[1] = 1
@@ -299,19 +299,24 @@ func TestPFPFairnessPrefersDeficit(t *testing.T) {
 	}
 }
 
+// TestPFPWeights: every slave's fair share is equal, so equal service
+// gives equal fractions and 3:1 service gives fractions 1.5 and 0.5.
 func TestPFPWeights(t *testing.T) {
-	p := NewPFP(map[piconet.SlaveID]float64{1: 3, 2: 1})
+	p := &PFP{}
 	p.Observe(Outcome{Slave: 1, End: time.Millisecond, UpBytes: 176, Slots: 6})
 	p.Observe(Outcome{Slave: 2, End: 2 * time.Millisecond, UpBytes: 176, Slots: 6})
-	// Equal service but slave 1 deserves 3x: its fraction must be lower.
-	if f1, f2 := p.FairShareFraction(1), p.FairShareFraction(2); f1 >= f2 {
-		t.Fatalf("weighted fractions: %v >= %v, want slave1 lower", f1, f2)
+	if f1, f2 := p.FairShareFraction(1), p.FairShareFraction(2); f1 != 1 || f2 != 1 {
+		t.Fatalf("fractions after equal service: %v, %v, want 1, 1", f1, f2)
+	}
+	p.Observe(Outcome{Slave: 1, End: 3 * time.Millisecond, UpBytes: 176, Slots: 12})
+	if f1, f2 := p.FairShareFraction(1), p.FairShareFraction(2); f1 != 1.5 || f2 != 0.5 {
+		t.Fatalf("fractions after 3:1 service: %v, %v, want 1.5, 0.5", f1, f2)
 	}
 }
 
 func TestPFPProbesStalest(t *testing.T) {
 	v := newMockView(1, 2)
-	p := NewPFP(nil)
+	p := &PFP{}
 	// Empty polls for both; slave 1 longer ago.
 	p.Observe(outcomeAt(1, 1*time.Millisecond, 0, false))
 	p.Observe(outcomeAt(2, 50*time.Millisecond, 0, false))
@@ -324,8 +329,8 @@ func TestPFPProbesStalest(t *testing.T) {
 
 func TestPollerNamesDistinct(t *testing.T) {
 	ps := []Poller{
-		&RoundRobin{}, &Exhaustive{}, &FEP{}, NewEDC(0, 0),
-		NewDemand(0), NewHOL(nil), NewPFP(nil),
+		&RoundRobin{}, &Exhaustive{}, &FEP{}, &EDC{},
+		&Demand{}, &HOL{}, &PFP{},
 	}
 	seen := map[string]bool{}
 	for _, p := range ps {
@@ -340,8 +345,8 @@ func TestPollerNamesDistinct(t *testing.T) {
 func TestAllPollersHandleNoSlaves(t *testing.T) {
 	v := newMockView()
 	ps := []Poller{
-		&RoundRobin{}, &Exhaustive{}, &FEP{}, NewEDC(0, 0),
-		NewDemand(0.5), NewHOL(nil), NewPFP(nil),
+		&RoundRobin{}, &Exhaustive{}, &FEP{}, &EDC{},
+		&Demand{}, &HOL{}, &PFP{},
 	}
 	for _, p := range ps {
 		if _, ok := p.Next(0, v); ok {

@@ -13,8 +13,8 @@ import (
 )
 
 // Model decides the fate of individual baseband packets on air. Models may
-// be stateful (bursty channels); all randomness is drawn from the supplied
-// generator so runs remain reproducible.
+// be stateful; all randomness is drawn from the supplied generator so runs
+// remain reproducible.
 type Model interface {
 	// Deliver reports whether a packet of the given type is received
 	// intact.
@@ -38,14 +38,14 @@ func (Ideal) Name() string { return "ideal" }
 // BER is an independent bit-error channel: a packet survives with
 // probability (1-ber)^AirBits. FEC-protected packet types are given a
 // simple coding-gain approximation: their effective bit error rate is
-// reduced by the FEC factor.
+// the channel's divided by fecGain.
 type BER struct {
 	// BitErrorRate is the per-bit error probability on air.
 	BitErrorRate float64
-	// FECGain divides the bit error rate for FEC-protected types
-	// (defaults to 10 when zero).
-	FECGain float64
 }
+
+// fecGain divides the bit error rate for FEC-protected packet types.
+const fecGain = 10
 
 var _ Model = BER{}
 
@@ -56,11 +56,7 @@ func (m BER) Deliver(rng *rand.Rand, t baseband.PacketType) bool {
 	}
 	ber := m.BitErrorRate
 	if t.HasFEC() {
-		gain := m.FECGain
-		if gain <= 0 {
-			gain = 10
-		}
-		ber /= gain
+		ber /= fecGain
 	}
 	if ber >= 1 {
 		return false
@@ -71,62 +67,3 @@ func (m BER) Deliver(rng *rand.Rand, t baseband.PacketType) bool {
 
 // Name implements Model.
 func (BER) Name() string { return "ber" }
-
-// GilbertElliott is a two-state bursty loss channel. In the Good state
-// packets are lost with probability GoodLoss, in the Bad state with
-// probability BadLoss; the state flips between packets with the given
-// transition probabilities. Create with NewGilbertElliott.
-type GilbertElliott struct {
-	pGoodToBad float64
-	pBadToGood float64
-	goodLoss   float64
-	badLoss    float64
-	bad        bool
-}
-
-var _ Model = (*GilbertElliott)(nil)
-
-// NewGilbertElliott returns a Gilbert–Elliott channel starting in the Good
-// state. Probabilities are clamped into [0, 1].
-func NewGilbertElliott(pGoodToBad, pBadToGood, goodLoss, badLoss float64) *GilbertElliott {
-	clamp := func(p float64) float64 {
-		if p < 0 {
-			return 0
-		}
-		if p > 1 {
-			return 1
-		}
-		return p
-	}
-	return &GilbertElliott{
-		pGoodToBad: clamp(pGoodToBad),
-		pBadToGood: clamp(pBadToGood),
-		goodLoss:   clamp(goodLoss),
-		badLoss:    clamp(badLoss),
-	}
-}
-
-// Deliver implements Model.
-func (m *GilbertElliott) Deliver(rng *rand.Rand, _ baseband.PacketType) bool {
-	if m.bad {
-		if rng.Float64() < m.pBadToGood {
-			m.bad = false
-		}
-	} else {
-		if rng.Float64() < m.pGoodToBad {
-			m.bad = true
-		}
-	}
-	loss := m.goodLoss
-	if m.bad {
-		loss = m.badLoss
-	}
-	return rng.Float64() >= loss
-}
-
-// Name implements Model.
-func (*GilbertElliott) Name() string { return "gilbert-elliott" }
-
-// InBadState reports whether the channel is currently in the Bad state
-// (exposed for tests).
-func (m *GilbertElliott) InBadState() bool { return m.bad }

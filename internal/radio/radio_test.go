@@ -95,68 +95,3 @@ func TestBERFECGain(t *testing.T) {
 		t.Fatalf("FEC-protected DM3 delivered %d <= DH3 %d", dm3, dh3)
 	}
 }
-
-func TestGilbertElliottStates(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	// Never leaves Good, Good is lossless: everything delivered.
-	m := NewGilbertElliott(0, 1, 0, 1)
-	for i := 0; i < 100; i++ {
-		if !m.Deliver(rng, baseband.TypeDH1) {
-			t.Fatal("good-state lossless channel dropped a packet")
-		}
-	}
-	if m.InBadState() {
-		t.Fatal("channel should remain in Good state")
-	}
-	// Flips to Bad immediately; Bad drops everything.
-	m = NewGilbertElliott(1, 0, 0, 1)
-	first := m.Deliver(rng, baseband.TypeDH1)
-	if first {
-		t.Fatal("channel should be Bad from the first packet (transition precedes delivery)")
-	}
-	if !m.InBadState() {
-		t.Fatal("channel should be in Bad state")
-	}
-}
-
-func TestGilbertElliottBurstiness(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	m := NewGilbertElliott(0.01, 0.1, 0, 0.9)
-	const n = 50000
-	losses := 0
-	runLens := []int{}
-	cur := 0
-	for i := 0; i < n; i++ {
-		if m.Deliver(rng, baseband.TypeDH1) {
-			if cur > 0 {
-				runLens = append(runLens, cur)
-				cur = 0
-			}
-		} else {
-			losses++
-			cur++
-		}
-	}
-	if losses == 0 {
-		t.Fatal("bursty channel produced no losses")
-	}
-	// Mean loss-run length must exceed 1 (bursts, not isolated drops).
-	total := 0
-	for _, l := range runLens {
-		total += l
-	}
-	if len(runLens) == 0 || float64(total)/float64(len(runLens)) <= 1.2 {
-		t.Fatalf("losses not bursty: %d runs, %d losses", len(runLens), losses)
-	}
-}
-
-func TestGilbertElliottClamping(t *testing.T) {
-	m := NewGilbertElliott(-1, 2, -0.5, 1.5)
-	rng := rand.New(rand.NewSource(19))
-	// pGoodToBad clamped to 0: stays Good; goodLoss clamped to 0: lossless.
-	for i := 0; i < 50; i++ {
-		if !m.Deliver(rng, baseband.TypeDH1) {
-			t.Fatal("clamped channel should be lossless in Good state")
-		}
-	}
-}

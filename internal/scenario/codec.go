@@ -92,7 +92,6 @@ type recoveryV2 struct {
 	Supervision   int     `json:"supervision,omitempty"`
 	Policy        string  `json:"policy,omitempty"`
 	DegradeFactor float64 `json:"degrade_factor,omitempty"`
-	HandoffTarget string  `json:"handoff_target,omitempty"`
 }
 
 // bridgeV2 is one bridge node's residency schedule.
@@ -146,10 +145,9 @@ type interferenceV2 struct {
 	Window   durV2 `json:"window,omitempty"`
 }
 
-// pollerV2 names the best-effort poller plus its parameters.
+// pollerV2 names the best-effort poller.
 type pollerV2 struct {
 	Kind string `json:"kind"`
-	PollerParams
 }
 
 // sizeV2 names a packet size distribution plus its parameters.
@@ -472,7 +470,6 @@ func toV2(spec Spec) (specV2, error) {
 			Supervision:   spec.Recovery.Supervision,
 			Policy:        string(spec.Recovery.Policy),
 			DegradeFactor: spec.Recovery.DegradeFactor,
-			HandoffTarget: spec.Recovery.HandoffTarget,
 		}
 	}
 	switch spec.Mode {
@@ -488,12 +485,8 @@ func toV2(spec Spec) (specV2, error) {
 		rules := spec.Rules.String()
 		fs.Rules = &rules
 	}
-	if spec.BEPoller != "" || spec.PFPThreshold > 0 {
-		kind := string(spec.BEPoller)
-		if kind == "" {
-			kind = string(BEPFP)
-		}
-		fs.Poller = &pollerV2{Kind: kind, PollerParams: PollerParams{PFPThreshold: spec.PFPThreshold}}
+	if spec.BEPoller != "" {
+		fs.Poller = &pollerV2{Kind: string(spec.BEPoller)}
 	}
 	if !spec.Radio.IsIdeal() {
 		radio := spec.Radio
@@ -690,8 +683,7 @@ func Unmarshal(data []byte) (Spec, error) {
 	}
 	if fs.Poller != nil {
 		spec.BEPoller = BEPollerKind(fs.Poller.Kind)
-		spec.PFPThreshold = fs.Poller.PFPThreshold
-		if _, err := NewBEPoller(spec.BEPoller, fs.Poller.PollerParams); err != nil {
+		if _, err := NewBEPoller(spec.BEPoller); err != nil {
 			return Spec{}, err
 		}
 	}
@@ -757,7 +749,6 @@ func Unmarshal(data []byte) (Spec, error) {
 			Supervision:   fs.Recovery.Supervision,
 			Policy:        faults.Policy(fs.Recovery.Policy),
 			DegradeFactor: fs.Recovery.DegradeFactor,
-			HandoffTarget: fs.Recovery.HandoffTarget,
 		}
 	}
 	flat, err := unmarshalPiconet(fs.piconetV2)

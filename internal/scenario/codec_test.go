@@ -43,19 +43,13 @@ func randomSpec(rng *rand.Rand) Spec {
 	}
 	pollers := []BEPollerKind{BEPFP, BERoundRobin, BEExhaustive, BEFEP, BEEDC, BEDemand, BEHOL}
 	spec.BEPoller = pollers[rng.Intn(len(pollers))]
-	if spec.BEPoller == BEPFP && rng.Intn(2) == 0 {
-		spec.PFPThreshold = 0.25 + 0.5*rng.Float64()
-	}
 	if rng.Intn(2) == 0 {
 		spec.Allowed = baseband.PaperTypes
 	} else {
 		spec.Allowed = baseband.NewTypeSet(baseband.TypeDH1, baseband.TypeDM3)
 	}
-	switch rng.Intn(3) {
-	case 1:
+	if rng.Intn(2) == 0 {
 		spec.Radio = BERRadio(float64(1+rng.Intn(9)) * 1e-5)
-	case 2:
-		spec.Radio = GilbertElliottRadio(0.01, 0.2, 0.001, 0.3)
 	}
 	id := piconet.FlowID(1)
 	dirs := []piconet.Direction{piconet.Up, piconet.Down}
@@ -237,6 +231,52 @@ func TestParseSpecErrors(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Unmarshal([]byte(tt.json)); !errors.Is(err, ErrBadSpec) {
 				t.Fatalf("Unmarshal(%s) err = %v, want ErrBadSpec", tt.json, err)
+			}
+		})
+	}
+}
+
+// TestCodecRefusesRemovedKeys: the keys of the settings the simulator
+// holds fixed (the PFP threshold, the Gilbert–Elliott channel and its
+// parameters, the BER FEC gain, the handoff target) are refused with
+// ErrBadSpec, each added alone to a file that loads without it.
+func TestCodecRefusesRemovedKeys(t *testing.T) {
+	spec := FaultScenario(FaultScenarioConfig{Policy: faults.PolicyHandoff})
+	spec.BEPoller = BEPFP
+	spec.Radio = BERRadio(1e-5)
+	base, err := Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unmarshal(base); err != nil {
+		t.Fatalf("base file: %v", err)
+	}
+	tests := []struct {
+		block, key string
+		value      any
+	}{
+		{"poller", "pfp_threshold", 0.5},
+		{"radio", "kind", "gilbert-elliott"},
+		{"radio", "p_good_to_bad", 0.01},
+		{"radio", "p_bad_to_good", 0.2},
+		{"radio", "good_loss", 0.001},
+		{"radio", "bad_loss", 0.3},
+		{"radio", "fec_gain", 5.0},
+		{"recovery", "handoff_target", "pn2"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.block+"."+tt.key, func(t *testing.T) {
+			var doc map[string]any
+			if err := json.Unmarshal(base, &doc); err != nil {
+				t.Fatal(err)
+			}
+			doc[tt.block].(map[string]any)[tt.key] = tt.value
+			data, err := json.Marshal(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Unmarshal(data); !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("Unmarshal with %s.%s = %v: err = %v, want ErrBadSpec", tt.block, tt.key, tt.value, err)
 			}
 		})
 	}
@@ -471,7 +511,6 @@ func TestCodecFaultBlocksRoundTrip(t *testing.T) {
 	}
 	spec.Faults.Crashes = []faults.MasterCrash{{Piconet: "pn2", At: 11 * time.Second}}
 	spec.Recovery.DegradeFactor = 0 // inert outside PolicyDegrade
-	spec.Recovery.HandoffTarget = "pn2"
 	spec.Timeline = append(spec.Timeline, MoveFlowAt(6*time.Second, 2, "pn2"))
 
 	data, err := Marshal(spec)

@@ -32,8 +32,7 @@ const (
 )
 
 // resultDigest runs a registry preset for digestHorizon and returns the
-// SHA-256 of its rendered report and admission log. The text renderings
-// are deterministic; gob bytes are not (maps encode in random order).
+// SHA-256 of its rendered report and admission log.
 func resultDigest(t *testing.T, name string) string {
 	t.Helper()
 	spec, ok := scenario.Lookup(name)

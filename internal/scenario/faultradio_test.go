@@ -8,34 +8,39 @@ import (
 	"bluegs/internal/baseband"
 	"bluegs/internal/faults"
 	"bluegs/internal/piconet"
-	"bluegs/internal/radio"
 	"bluegs/internal/scenario"
 )
 
-// countingRadio wraps a radio model and counts Deliver calls. Every call
-// to the wrapped GilbertElliott consumes exactly two RNG draws, so the
-// call count is also an exact draw account.
-type countingRadio struct {
-	inner radio.Model
-	calls int
+// twoStateRadio is a stateful channel with a Good and a Bad state that
+// counts its Deliver calls. Every call draws exactly one RNG value, so
+// the call count is also an exact draw account. With flip set the state
+// toggles at every call before the packet's fate is read, and the Bad
+// state loses the packet; without it the channel stays Good and lossless.
+type twoStateRadio struct {
+	flip, bad bool
+	calls     int
 }
 
-func (c *countingRadio) Deliver(rng *rand.Rand, t baseband.PacketType) bool {
-	c.calls++
-	return c.inner.Deliver(rng, t)
+func (r *twoStateRadio) Deliver(rng *rand.Rand, _ baseband.PacketType) bool {
+	r.calls++
+	rng.Float64()
+	if r.flip {
+		r.bad = !r.bad
+	}
+	return !r.bad
 }
 
-func (c *countingRadio) Name() string { return c.inner.Name() }
+func (*twoStateRadio) Name() string { return "two-state" }
 
 // sliceTracer collects every exchange.
 type sliceTracer struct{ entries []piconet.TraceEntry }
 
 func (s *sliceTracer) Trace(e piconet.TraceEntry) { s.entries = append(s.entries, e) }
 
-// geOutageSpec is the composition workload: one fixed-size GS voice flow,
+// outageSpec is the composition workload: one fixed-size GS voice flow,
 // no ARQ, no supervision — the engine keeps polling straight through the
 // outage window, so the window's exchanges are observable as losses.
-func geOutageSpec(outage bool) scenario.Spec {
+func outageSpec(outage bool) scenario.Spec {
 	spec := scenario.Spec{
 		// Down direction: the master's data leg is the one the outage
 		// fails, so window exchanges surface as Lost trace entries (a
@@ -57,30 +62,28 @@ func geOutageSpec(outage bool) scenario.Spec {
 	return spec
 }
 
-const geOutageStart, geOutageEnd = time.Second, 2 * time.Second
+const outageStart, outageEnd = time.Second, 2 * time.Second
 
 // inWindow reports whether the exchange started inside the outage window.
 func inWindow(e piconet.TraceEntry) bool {
-	return e.Start >= geOutageStart && e.Start < geOutageEnd
+	return e.Start >= outageStart && e.Start < outageEnd
 }
 
 // TestOutageForcesLossWithZeroDraws: during a declared outage every
-// exchange fails outright — regardless of the Gilbert–Elliott chain state
-// — and the radio model is never consulted, so the chain consumes no RNG
-// draws at all. The counting wrapper proves the accounting exactly: a
-// pinned-Good channel answers twice per exchange outside the window and
-// never inside it.
+// exchange fails outright — regardless of the channel's state — and the
+// radio model is never consulted, so it consumes no RNG draws at all. The
+// call count proves the accounting exactly: a pinned-Good channel answers
+// twice per exchange outside the window and never inside it.
 func TestOutageForcesLossWithZeroDraws(t *testing.T) {
-	run := func(outage bool) (*radio.GilbertElliott, int, []piconet.TraceEntry, *scenario.Result) {
+	run := func(outage bool) (int, []piconet.TraceEntry, *scenario.Result) {
 		// Pinned Good, lossless: every consulted leg delivers.
-		ge := radio.NewGilbertElliott(0, 0, 0, 1)
-		cnt := &countingRadio{inner: ge}
+		ch := &twoStateRadio{}
 		tr := &sliceTracer{}
-		res, err := scenario.RunWith(geOutageSpec(outage), scenario.Hooks{Radio: cnt, Tracer: tr})
+		res, err := scenario.RunWith(outageSpec(outage), scenario.Hooks{Radio: ch, Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ge, cnt.calls, tr.entries, res
+		return ch.calls, tr.entries, res
 	}
 
 	// An exchange begun just before the horizon consults the model but
@@ -93,7 +96,7 @@ func TestOutageForcesLossWithZeroDraws(t *testing.T) {
 				what, calls, exchanges)
 		}
 	}
-	_, baseCalls, baseEntries, baseRes := run(false)
+	baseCalls, baseEntries, baseRes := run(false)
 	pairsUpTo("fault-free run", baseCalls, len(baseEntries))
 	for _, e := range baseEntries {
 		if e.Lost {
@@ -101,7 +104,7 @@ func TestOutageForcesLossWithZeroDraws(t *testing.T) {
 		}
 	}
 
-	_, calls, entries, res := run(true)
+	calls, entries, res := run(true)
 	outside, inside, insideLost := 0, 0, 0
 	for _, e := range entries {
 		if inWindow(e) {
@@ -137,27 +140,25 @@ func TestOutageForcesLossWithZeroDraws(t *testing.T) {
 	}
 }
 
-// TestOutageFreezesChainState: with deterministic transition
-// probabilities (good→bad and bad→good both 1) the chain state is a pure
-// function of the number of Deliver calls. If the outage gating consumed
-// draws or advanced the chain, the end-of-run state would disagree with
-// the call parity; instead the chain resumes after the window exactly
-// where it stopped.
+// TestOutageFreezesChainState: a channel that toggles its state at every
+// call holds a state that is a pure function of the number of Deliver
+// calls. If the outage gating consumed draws or advanced the channel, the
+// end-of-run state would disagree with the call parity; instead the
+// channel resumes after the window exactly where it stopped.
 func TestOutageFreezesChainState(t *testing.T) {
 	for _, outage := range []bool{false, true} {
-		ge := radio.NewGilbertElliott(1, 1, 0, 1)
-		cnt := &countingRadio{inner: ge}
-		if _, err := scenario.RunWith(geOutageSpec(outage), scenario.Hooks{Radio: cnt}); err != nil {
+		ch := &twoStateRadio{flip: true}
+		if _, err := scenario.RunWith(outageSpec(outage), scenario.Hooks{Radio: ch}); err != nil {
 			t.Fatal(err)
 		}
-		if cnt.calls == 0 {
+		if ch.calls == 0 {
 			t.Fatal("radio model never consulted")
 		}
 		// Starting Good, the state flips once per call: after n calls the
-		// chain is Bad exactly when n is odd.
-		if want := cnt.calls%2 == 1; ge.InBadState() != want {
-			t.Fatalf("outage=%t: chain state %t after %d calls, want %t — the fault gating perturbed the chain",
-				outage, ge.InBadState(), cnt.calls, want)
+		// channel is Bad exactly when n is odd.
+		if want := ch.calls%2 == 1; ch.bad != want {
+			t.Fatalf("outage=%t: channel state %t after %d calls, want %t — the fault gating perturbed the channel",
+				outage, ch.bad, ch.calls, want)
 		}
 	}
 }

@@ -23,17 +23,14 @@ type RecoverySpec struct {
 	// Policy is what happens to a suspended flow: faults.PolicyNone
 	// leaves it suspended (contract lost, queue flushed),
 	// faults.PolicyDegrade renegotiates it at a looser bound when the
-	// declared fault window ends, faults.PolicyHandoff moves it to
-	// another piconet make-before-break.
+	// declared fault window ends, faults.PolicyHandoff moves it
+	// make-before-break to the first other live piconet in creation
+	// order.
 	Policy faults.Policy
 	// DegradeFactor scales the spec's DelayTarget into the degraded
 	// renegotiation target (PolicyDegrade only; values <= 1 default
 	// to 4).
 	DegradeFactor float64
-	// HandoffTarget names the piconet handed-off flows move to
-	// (PolicyHandoff only; "" picks the first other live piconet in
-	// creation order).
-	HandoffTarget string
 }
 
 // Flow fates (FlowResult.Fate): what the fault/recovery machinery did to
@@ -98,11 +95,6 @@ func validateFaults(spec Spec) error {
 	}
 	for _, c := range spec.Faults.Crashes {
 		if err := checkName("master crash", c.Piconet); err != nil {
-			return err
-		}
-	}
-	if t := spec.Recovery.HandoffTarget; t != "" {
-		if err := checkName("handoff target", t); err != nil {
 			return err
 		}
 	}
@@ -233,13 +225,9 @@ func (p *piconetRunner) applyDegrade(id piconet.FlowID, slave piconet.SlaveID) {
 }
 
 // handoffTarget resolves where a handed-off flow goes: the explicit
-// request, the spec's HandoffTarget, or the first other live piconet in
-// creation order.
+// request, or else the first other live piconet in creation order.
 func (p *piconetRunner) handoffTarget(to string) (*piconetRunner, string) {
 	r := p.r
-	if to == "" {
-		to = r.spec.Recovery.HandoffTarget
-	}
 	if to != "" {
 		q, ok := r.byName[to]
 		if !ok {

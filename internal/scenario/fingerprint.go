@@ -112,8 +112,8 @@ func (s Spec) WithDefaults() Spec {
 	if tl != nil {
 		s.Timeline = tl
 	}
-	// Recovery: a policy implies supervision; the degrade factor and
-	// handoff target are inert outside their policies. Normalize so the
+	// Recovery: a policy implies supervision; the degrade factor is
+	// inert outside its policy. Normalize so the
 	// implicit and explicit spellings fingerprint identically.
 	if s.Recovery.Supervision < 0 {
 		s.Recovery.Supervision = 0
@@ -127,9 +127,6 @@ func (s Spec) WithDefaults() Spec {
 		}
 	} else {
 		s.Recovery.DegradeFactor = 0
-	}
-	if s.Recovery.Policy != faults.PolicyHandoff {
-		s.Recovery.HandoffTarget = ""
 	}
 	// Fault-plan piconet names resolve to the first piconet, like
 	// defaulted timeline targets (a no-op for flat specs, whose only

@@ -55,7 +55,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		{"Rules", "rules", func(s *Spec) { s.Rules, s.RulesSet = core.PostponeAfterPacket, true }},
 		{"RulesSet", "rules-set", func(s *Spec) { s.RulesSet = true }},
 		{"BEPoller", "poller", func(s *Spec) { s.BEPoller = BERoundRobin }},
-		{"PFPThreshold", "pfp-threshold", func(s *Spec) { s.PFPThreshold = 0.5 }},
 		{"Allowed", "allowed", func(s *Spec) { s.Allowed = s.Allowed.Add(baseband.TypeDH5) }},
 		{"Radio", "radio", func(s *Spec) { s.Radio = BERRadio(1e-5) }},
 		{"Radio", "ber-rate", func(s *Spec) { s.Radio = BERRadio(2e-5) }},

@@ -298,7 +298,7 @@ func (r *runner) buildPiconet(ps PiconetSpec, hooks Hooks, others int) (*piconet
 	// Scheduler. Every piconet gets its own best-effort poller instance:
 	// poller state (PFP predictions, RR cursors) must not leak across
 	// piconets.
-	bePoller, err := NewBEPoller(spec.BEPoller, PollerParams{PFPThreshold: spec.PFPThreshold})
+	bePoller, err := NewBEPoller(spec.BEPoller)
 	if err != nil {
 		return nil, err
 	}

@@ -97,24 +97,11 @@ const (
 	BEHOL        BEPollerKind = "hol-priority"
 )
 
-// PollerParams carries the per-kind tuning parameters of a best-effort
-// poller in declarative form, so poller construction has a single path
-// shared by the runner and the JSON codec.
-type PollerParams struct {
-	// PFPThreshold overrides the PFP active-prediction threshold when
-	// positive (meaningful with the PFP poller only).
-	PFPThreshold float64 `json:"pfp_threshold,omitempty"`
-}
-
-// NewBEPoller constructs a poller by kind and parameters (empty kind
-// means PFP).
-func NewBEPoller(kind BEPollerKind, params PollerParams) (poller.Poller, error) {
+// NewBEPoller constructs a poller by kind (empty kind means PFP).
+func NewBEPoller(kind BEPollerKind) (poller.Poller, error) {
 	switch kind {
 	case "", BEPFP:
-		if params.PFPThreshold > 0 {
-			return poller.NewPFP(nil, poller.WithActiveThreshold(params.PFPThreshold)), nil
-		}
-		return poller.NewPFP(nil), nil
+		return &poller.PFP{}, nil
 	case BERoundRobin:
 		return &poller.RoundRobin{}, nil
 	case BEExhaustive:
@@ -122,11 +109,11 @@ func NewBEPoller(kind BEPollerKind, params PollerParams) (poller.Poller, error) 
 	case BEFEP:
 		return &poller.FEP{}, nil
 	case BEEDC:
-		return poller.NewEDC(0, 0), nil
+		return &poller.EDC{}, nil
 	case BEDemand:
-		return poller.NewDemand(0), nil
+		return &poller.Demand{}, nil
 	case BEHOL:
-		return poller.NewHOL(nil), nil
+		return &poller.HOL{}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown BE poller %q", ErrBadSpec, kind)
 	}
@@ -155,10 +142,8 @@ type Spec struct {
 	// value.
 	Rules    core.Improvements
 	RulesSet bool
-	// BEPoller selects the best-effort discipline (default PFP);
-	// PFPThreshold is its PollerParams.PFPThreshold.
-	BEPoller     BEPollerKind
-	PFPThreshold float64
+	// BEPoller selects the best-effort discipline (default PFP).
+	BEPoller BEPollerKind
 	// Allowed is the baseband type set for all flows (default DH1+DH3).
 	Allowed baseband.TypeSet
 	// Duration is the simulated time (default 30 s).

@@ -134,7 +134,7 @@ func TestRunValidation(t *testing.T) {
 func TestNewBEPollerKinds(t *testing.T) {
 	kinds := []BEPollerKind{"", BEPFP, BERoundRobin, BEExhaustive, BEFEP, BEEDC, BEDemand, BEHOL}
 	for _, k := range kinds {
-		p, err := NewBEPoller(k, PollerParams{})
+		p, err := NewBEPoller(k)
 		if err != nil {
 			t.Fatalf("NewBEPoller(%q): %v", k, err)
 		}

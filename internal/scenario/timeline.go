@@ -55,8 +55,8 @@ const (
 )
 
 // MoveFlow is the payload of a move_flow timeline event: hand the flow
-// off to the named piconet ("" resolves like RecoverySpec.HandoffTarget —
-// the spec's configured target, else the first other live piconet).
+// off to the named piconet ("" picks the first other live piconet in
+// creation order, as the handoff recovery policy does).
 type MoveFlow struct {
 	Flow piconet.FlowID
 	To   string

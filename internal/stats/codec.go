@@ -12,9 +12,7 @@ import (
 
 // Flat byte encodings of the accumulator types, so completed measurements
 // can be persisted: the harness run cache writes them into its entries.
-// The methods keep the names of the encoding/gob interfaces they once
-// served (GobEncode/GobDecode), but no gob stream is involved: decoding a
-// value costs one pass over its bytes.
+// Decoding a value costs one pass over its bytes.
 //
 // Every encoding starts with a format byte naming its type and layout:
 //
@@ -82,13 +80,13 @@ func sampleCap(layout byte, n int) int {
 	return 2 + binary.MaxVarintLen64 + width*n
 }
 
-// GobEncode implements gob.GobEncoder.
-func (w Welford) GobEncode() ([]byte, error) {
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (w Welford) MarshalBinary() ([]byte, error) {
 	return w.appendBinary(make([]byte, 0, welfordSize)), nil
 }
 
-// GobDecode implements gob.GobDecoder.
-func (w *Welford) GobDecode(data []byte) error {
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (w *Welford) UnmarshalBinary(data []byte) error {
 	if err := w.decode(data); err != nil {
 		return fmt.Errorf("stats: welford: %w", err)
 	}
@@ -113,14 +111,14 @@ func (w *Welford) decode(data []byte) error {
 	return nil
 }
 
-// GobEncode implements gob.GobEncoder.
-func (s Sample) GobEncode() ([]byte, error) {
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (s Sample) MarshalBinary() ([]byte, error) {
 	layout := s.layout()
 	return s.appendBinary(make([]byte, 0, sampleCap(layout, len(s.values))), layout), nil
 }
 
-// GobDecode implements gob.GobDecoder.
-func (s *Sample) GobDecode(data []byte) error {
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (s *Sample) UnmarshalBinary(data []byte) error {
 	rest, err := s.decode(data)
 	if err == nil && len(rest) != 0 {
 		err = errTrailing
@@ -242,11 +240,11 @@ func readDeltas(b []byte, values []float64) ([]byte, error) {
 	return b, nil
 }
 
-// GobEncode implements gob.GobEncoder.
-func (d DurationStats) GobEncode() ([]byte, error) { return d.AppendBinary(nil) }
+// MarshalBinary implements encoding.BinaryMarshaler.
+func (d DurationStats) MarshalBinary() ([]byte, error) { return d.AppendBinary(nil) }
 
 // AppendBinary implements encoding.BinaryAppender: it appends the bytes
-// GobEncode returns to b, so an enclosing encoding can write them in
+// MarshalBinary returns to b, so an enclosing encoding can write them in
 // place, growing b at most once.
 func (d DurationStats) AppendBinary(b []byte) ([]byte, error) {
 	layout := d.s.layout()
@@ -256,8 +254,8 @@ func (d DurationStats) AppendBinary(b []byte) ([]byte, error) {
 	return d.s.appendBinary(b, layout), nil
 }
 
-// GobDecode implements gob.GobDecoder.
-func (d *DurationStats) GobDecode(data []byte) error {
+// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+func (d *DurationStats) UnmarshalBinary(data []byte) error {
 	if err := d.decode(data); err != nil {
 		return fmt.Errorf("stats: duration stats: %w", err)
 	}

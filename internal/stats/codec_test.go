@@ -2,8 +2,8 @@ package stats
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"math"
 	"math/bits"
@@ -12,18 +12,18 @@ import (
 	"time"
 )
 
-func roundTrip(t *testing.T, in, out any) {
+func roundTrip(t *testing.T, in encoding.BinaryMarshaler, out encoding.BinaryUnmarshaler) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(in); err != nil {
+	b, err := in.MarshalBinary()
+	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
+	if err := out.UnmarshalBinary(b); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 }
 
-func TestWelfordGobRoundTrip(t *testing.T) {
+func TestWelfordCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var w Welford
 	for i := 0; i < 1000; i++ {
@@ -42,7 +42,7 @@ func TestWelfordGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSampleGobRoundTrip(t *testing.T) {
+func TestSampleCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var s Sample
 	for i := 0; i < 500; i++ {
@@ -75,7 +75,7 @@ func TestSampleGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDurationStatsGobRoundTrip(t *testing.T) {
+func TestDurationStatsCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var d DurationStats
 	for i := 0; i < 1000; i++ {
@@ -85,7 +85,7 @@ func TestDurationStatsGobRoundTrip(t *testing.T) {
 	roundTrip(t, &d, &got)
 	if got.Count() != d.Count() || got.Mean() != d.Mean() || got.Max() != d.Max() ||
 		got.Min() != d.Min() || got.StdDev() != d.StdDev() {
-		t.Fatal("moments drifted through gob")
+		t.Fatal("moments drifted through the codec")
 	}
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		if got.Quantile(q) != d.Quantile(q) {
@@ -120,44 +120,44 @@ func mustHex(t testing.TB, s string) []byte {
 var reencode = map[string]func(data []byte) ([]byte, error){
 	"Welford": func(data []byte) ([]byte, error) {
 		var v Welford
-		if err := v.GobDecode(data); err != nil {
+		if err := v.UnmarshalBinary(data); err != nil {
 			return nil, err
 		}
-		return v.GobEncode()
+		return v.MarshalBinary()
 	},
 	"Sample": func(data []byte) ([]byte, error) {
 		var v Sample
-		if err := v.GobDecode(data); err != nil {
+		if err := v.UnmarshalBinary(data); err != nil {
 			return nil, err
 		}
-		return v.GobEncode()
+		return v.MarshalBinary()
 	},
 	"DurationStats": func(data []byte) ([]byte, error) {
 		var v DurationStats
-		if err := v.GobDecode(data); err != nil {
+		if err := v.UnmarshalBinary(data); err != nil {
 			return nil, err
 		}
-		return v.GobEncode()
+		return v.MarshalBinary()
 	},
 }
 
-// TestGobRejectsMalformed: every decoder refuses damaged, truncated,
+// TestCodecRejectsMalformed: every decoder refuses damaged, truncated,
 // padded or foreign bytes instead of misreading them.
-func TestGobRejectsMalformed(t *testing.T) {
+func TestCodecRejectsMalformed(t *testing.T) {
 	d := new(DurationStats)
 	for _, v := range []time.Duration{3 * time.Millisecond, 17 * time.Millisecond, 40 * time.Millisecond} {
 		d.Add(v)
 	}
-	good, err := d.GobEncode()
+	good, err := d.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ok DurationStats
-	if err := ok.GobDecode(good); err != nil {
+	if err := ok.UnmarshalBinary(good); err != nil {
 		t.Fatalf("valid encoding refused: %v", err)
 	}
-	welford, _ := d.w.GobEncode()
-	sample, _ := d.s.GobEncode()
+	welford, _ := d.w.MarshalBinary()
+	sample, _ := d.s.MarshalBinary()
 	// Header of the sample: format and layout; then the value count.
 	countAt := 1 + 1
 	// withSample is good with its sample replaced by a hand-built one
@@ -197,22 +197,22 @@ func TestGobRejectsMalformed(t *testing.T) {
 		"raw unsorted":         withSample(layoutUnsorted, rawBits(3.5), half),
 	} {
 		var got DurationStats
-		if err := got.GobDecode(b); err != nil {
+		if err := got.UnmarshalBinary(b); err != nil {
 			t.Errorf("%s: refused: %v", name, err)
 		}
 	}
 	for name, b := range bad {
 		var got DurationStats
-		if err := got.GobDecode(b); err == nil {
+		if err := got.UnmarshalBinary(b); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	var w Welford
-	if err := w.GobDecode(append(welford, 0)); err == nil {
+	if err := w.UnmarshalBinary(append(welford, 0)); err == nil {
 		t.Error("welford with a trailing byte accepted")
 	}
 	var s Sample
-	if err := s.GobDecode(append(sample, 0)); err == nil {
+	if err := s.UnmarshalBinary(append(sample, 0)); err == nil {
 		t.Error("sample with a trailing byte accepted")
 	}
 }
@@ -257,7 +257,7 @@ func TestSampleLayoutBoundary(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			in := Sample{values: tc.values, sorted: tc.sorted}
-			b, err := in.GobEncode()
+			b, err := in.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +265,7 @@ func TestSampleLayoutBoundary(t *testing.T) {
 				t.Fatalf("layout %d, want %d", b[1], tc.layout)
 			}
 			var got Sample
-			if err := got.GobDecode(b); err != nil {
+			if err := got.UnmarshalBinary(b); err != nil {
 				t.Fatal(err)
 			}
 			if got.sorted != tc.sorted || len(got.values) != len(tc.values) {
@@ -276,7 +276,7 @@ func TestSampleLayoutBoundary(t *testing.T) {
 					t.Fatalf("value %d: bits %#x, want %#x", i, math.Float64bits(v), math.Float64bits(tc.values[i]))
 				}
 			}
-			again, _ := got.GobEncode()
+			again, _ := got.MarshalBinary()
 			if !bytes.Equal(again, b) {
 				t.Fatalf("re-encodes as %x, want %x", again, b)
 			}
@@ -291,9 +291,9 @@ func patch(b []byte, i int, v byte) []byte {
 	return out
 }
 
-// TestGobBitPatternsExact: values whose bit patterns matter — signed
+// TestCodecBitPatternsExact: values whose bit patterns matter — signed
 // zeros, NaN payloads, infinities, subnormals — round-trip bit for bit.
-func TestGobBitPatternsExact(t *testing.T) {
+func TestCodecBitPatternsExact(t *testing.T) {
 	vals := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
 		math.Float64frombits(0x7ff8000000000abc), math.SmallestNonzeroFloat64,
 		math.MaxFloat64, -1e-300, 3e7}
@@ -301,12 +301,12 @@ func TestGobBitPatternsExact(t *testing.T) {
 	for _, v := range vals {
 		s.Add(v)
 	}
-	b, err := s.GobEncode()
+	b, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got Sample
-	if err := got.GobDecode(b); err != nil {
+	if err := got.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range got.values {
@@ -316,12 +316,12 @@ func TestGobBitPatternsExact(t *testing.T) {
 	}
 }
 
-// FuzzStatsGobDecode feeds arbitrary bytes to all three decoders: none
+// FuzzStatsDecode feeds arbitrary bytes to all three decoders: none
 // may panic, and every accepted input must re-encode byte-identically
 // (the decoders accept only canonical encodings). The seeds of earlier
 // formats are asserted rejected up front, so the check runs under plain
 // go test too.
-func FuzzStatsGobDecode(f *testing.F) {
+func FuzzStatsDecode(f *testing.F) {
 	for _, seed := range []string{nestedGobWelford, nestedGobDurationStats, reservoirDurationStats} {
 		b := mustHex(f, seed)
 		for name, rt := range reencode {
@@ -342,8 +342,8 @@ func FuzzStatsGobDecode(f *testing.F) {
 		frac.Add(rng.Float64() * 1e6)
 	}
 	frac.Quantile(0.5) // sorted non-integral sample: the sorted raw layout
-	for _, v := range []interface{ GobEncode() ([]byte, error) }{d.w, d.s, *d, *frac, Welford{}, Sample{}, DurationStats{}} {
-		b, err := v.GobEncode()
+	for _, v := range []interface{ MarshalBinary() ([]byte, error) }{d.w, d.s, *d, *frac, Welford{}, Sample{}, DurationStats{}} {
+		b, err := v.MarshalBinary()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func FuzzStatsGobDecode(f *testing.F) {
 		s      Sample
 		layout byte
 	}{{d.s, layoutDelta}, {*frac, layoutSorted}} {
-		if b, _ := want.s.GobEncode(); b[1] != want.layout {
+		if b, _ := want.s.MarshalBinary(); b[1] != want.layout {
 			f.Fatalf("seed layout %d, want %d", b[1], want.layout)
 		}
 	}
@@ -383,15 +383,15 @@ func delaySample(n int, sorted bool) *DurationStats {
 	return d
 }
 
-// BenchmarkDurationStatsGobDecode prices decoding a 20,000-value delay
+// BenchmarkDurationStatsDecode prices decoding a 20,000-value delay
 // sample in the sorted-integral delta layout and in the unsorted raw one.
-func BenchmarkDurationStatsGobDecode(b *testing.B) {
+func BenchmarkDurationStatsDecode(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		sorted bool
 	}{{"delta", true}, {"raw", false}} {
 		b.Run(bc.name, func(b *testing.B) {
-			data, err := delaySample(20000, bc.sorted).GobEncode()
+			data, err := delaySample(20000, bc.sorted).MarshalBinary()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -399,7 +399,7 @@ func BenchmarkDurationStatsGobDecode(b *testing.B) {
 			b.ReportAllocs()
 			var got DurationStats
 			for b.Loop() {
-				if err := got.GobDecode(data); err != nil {
+				if err := got.UnmarshalBinary(data); err != nil {
 					b.Fatal(err)
 				}
 			}
