@@ -84,3 +84,23 @@ func TestBestEffortPlanMeetsReachableTargets(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPlanForDelayBestEffort plans the Fig. 5 flow set at a 30 ms
+// target, below the supportable minimum of the lowest-priority stream:
+// the clamping search backtracks at the feasibility edge, so one plan
+// runs a few hundred trial admissions.
+func BenchmarkPlanForDelayBestEffort(b *testing.B) {
+	reqs := []DelayRequest{
+		{Request: paperRequest(1, 1, piconet.Up, 0), Target: 30 * time.Millisecond},
+		{Request: paperRequest(2, 2, piconet.Down, 0), Target: 30 * time.Millisecond},
+		{Request: paperRequest(3, 2, piconet.Up, 0), Target: 30 * time.Millisecond},
+		{Request: paperRequest(4, 3, piconet.Up, 0), Target: 30 * time.Millisecond},
+	}
+	cfg := Config{MaxExchange: 3750 * time.Microsecond}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := PlanForDelayBestEffort(reqs, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
