@@ -145,23 +145,40 @@ func DeriveParams(req Request, cfg Config) (Params, error) {
 	if err := req.validate(); err != nil {
 		return Params{}, err
 	}
+	var p Params
+	if err := p.deriveShape(req); err != nil {
+		return Params{}, err
+	}
+	return p.atRate(req, cfg), nil
+}
+
+// deriveShape fills in the parameters that do not depend on the rate —
+// EtaMin, WorstSize and MaxSegmentSlots — unless an earlier trial of the
+// same request already did (MaxSegmentSlots is at least 1 once derived).
+// Deriving them walks every packet size in [m, M] twice, so the planners
+// derive them once per request and reuse them at every trial rate.
+func (p *Params) deriveShape(req Request) error {
+	if p.MaxSegmentSlots > 0 {
+		return nil
+	}
 	eff, err := segmentation.MinPollEfficiency(req.Spec.MinPolicedUnit, req.Spec.MaxTransferUnit, req.Allowed)
 	if err != nil {
-		return Params{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	maxSeg, err := segmentation.MaxSegmentSlots(req.Spec.MinPolicedUnit, req.Spec.MaxTransferUnit, req.Allowed)
 	if err != nil {
-		return Params{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	interval := time.Duration(eff.BytesPerPoll / req.Rate * float64(time.Second))
-	exchange := exchangeTime(maxSeg, req.Dir, cfg)
-	return Params{
-		EtaMin:          eff.BytesPerPoll,
-		WorstSize:       eff.Size,
-		MaxSegmentSlots: maxSeg,
-		Interval:        interval,
-		Exchange:        exchange,
-	}, nil
+	*p = Params{EtaMin: eff.BytesPerPoll, WorstSize: eff.Size, MaxSegmentSlots: maxSeg}
+	return nil
+}
+
+// atRate returns the shape p completed at the request's rate: the poll
+// interval eta/R and the exchange time.
+func (p Params) atRate(req Request, cfg Config) Params {
+	p.Interval = time.Duration(p.EtaMin / req.Rate * float64(time.Second))
+	p.Exchange = exchangeTime(p.MaxSegmentSlots, req.Dir, cfg)
+	return p
 }
 
 // exchangeTime returns a flow's worst-case exchange duration. With the

@@ -2,11 +2,13 @@ package admission
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"bluegs/internal/baseband"
 	"bluegs/internal/piconet"
+	"bluegs/internal/sco"
 	"bluegs/internal/tspec"
 )
 
@@ -224,6 +226,88 @@ func TestAdmitRejectsBeyondCapacity(t *testing.T) {
 	// State unchanged after rejection.
 	if got := len(c.Flows()); got != 3 {
 		t.Fatalf("flows after rejection = %d, want 3", got)
+	}
+}
+
+// TestRejectionLeavesFlowsUntouched: a refused Admit, AdmitForDelay,
+// Renegotiate, SetSuccessProb or SetSCOLinks leaves the controller
+// holding the same *PlannedFlow values, each equal to a snapshot taken
+// before the call.
+func TestRejectionLeavesFlowsUntouched(t *testing.T) {
+	if got := NewController(Config{}).Flows(); got != nil {
+		t.Fatalf("empty controller Flows() = %v, want nil", got)
+	}
+	hv3, err := sco.NewChannel(baseband.TypeHV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noACL := paperRequest(7, 7, piconet.Up, 12800)
+	noACL.Allowed = baseband.NewTypeSet(baseband.TypeHV3)
+	for _, tc := range []struct {
+		name   string
+		refuse func(c *Controller) error
+	}{
+		{"admit beyond capacity", func(c *Controller) error {
+			_, err := c.Admit(paperRequest(4, 4, piconet.Up, 12800))
+			return err
+		}},
+		{"admit duplicate id", func(c *Controller) error {
+			_, err := c.Admit(paperRequest(2, 5, piconet.Up, 12800))
+			return err
+		}},
+		{"admit duplicate endpoint", func(c *Controller) error {
+			_, err := c.Admit(paperRequest(5, 1, piconet.Up, 12800))
+			return err
+		}},
+		{"admit no ACL types", func(c *Controller) error {
+			_, err := c.Admit(noACL)
+			return err
+		}},
+		{"admit for unreachable delay", func(c *Controller) error {
+			_, err := c.AdmitForDelay(DelayRequest{Request: paperRequest(4, 4, piconet.Up, 0), Target: 2 * time.Millisecond})
+			return err
+		}},
+		{"admit pair member for delay", func(c *Controller) error {
+			_, err := c.AdmitForDelay(DelayRequest{Request: paperRequest(4, 1, piconet.Down, 0), Target: 20 * time.Millisecond})
+			return err
+		}},
+		{"renegotiate", func(c *Controller) error {
+			_, err := c.Renegotiate(1, 2*time.Millisecond)
+			return err
+		}},
+		{"success prob", func(c *Controller) error { return c.SetSuccessProb(0.5) }},
+		{"sco link", func(c *Controller) error { return c.SetSCOLinks([]sco.Channel{hv3}) }},
+	} {
+		c := NewController(Config{})
+		for i := 1; i <= 3; i++ {
+			if _, err := c.Admit(paperRequest(piconet.FlowID(i), piconet.SlaveID(i), piconet.Up, 12800)); err != nil {
+				t.Fatalf("%s: Admit(%d): %v", tc.name, i, err)
+			}
+		}
+		before := c.Flows()
+		snap := make([]PlannedFlow, len(before))
+		for i, pf := range before {
+			snap[i] = *pf
+		}
+		if err := tc.refuse(c); err == nil {
+			t.Fatalf("%s: accepted, want a refusal", tc.name)
+		}
+		after := c.Flows()
+		if len(after) != len(before) {
+			t.Fatalf("%s: %d flows after refusal, want %d", tc.name, len(after), len(before))
+		}
+		for i := range before {
+			if after[i] != before[i] {
+				t.Fatalf("%s: flow %d replaced by the refused change", tc.name, snap[i].Request.ID)
+			}
+			if !reflect.DeepEqual(*before[i], snap[i]) {
+				t.Fatalf("%s: flow %d changed by the refused change:\n got %+v\nwant %+v",
+					tc.name, snap[i].Request.ID, *before[i], snap[i])
+			}
+		}
+		if c.SuccessProb() != 1 || len(c.SCOLinks()) != 0 {
+			t.Fatalf("%s: configuration changed by the refused change", tc.name)
+		}
 	}
 }
 

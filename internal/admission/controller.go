@@ -1,8 +1,9 @@
 package admission
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"bluegs/internal/gs"
@@ -40,37 +41,45 @@ type PlannedFlow struct {
 // group is one poll stream: a primary flow and an optional piggybacked
 // counterpart.
 type group struct {
-	primary   *PlannedFlow
-	secondary *PlannedFlow
+	// members holds the primary, then the counterpart (nil if unpaired).
+	members [2]*PlannedFlow
 }
+
+// primary returns the flow that drives the group's poll planning.
+func (g *group) primary() *PlannedFlow { return g.members[0] }
 
 // stream returns the group's Fig. 2 stream parameters. A pair's exchange
 // carries maximal segments in both directions.
 func (g *group) stream() Stream {
-	ex := g.primary.Params.Exchange
-	if g.secondary != nil {
-		ex = pairExchangeTime(g.primary.Params.MaxSegmentSlots, g.secondary.Params.MaxSegmentSlots)
+	p, s := g.members[0], g.members[1]
+	ex := p.Params.Exchange
+	if s != nil {
+		ex = pairExchangeTime(p.Params.MaxSegmentSlots, s.Params.MaxSegmentSlots)
 	}
-	return Stream{Interval: g.primary.Params.Interval, Exchange: ex}
+	return Stream{Interval: p.Params.Interval, Exchange: ex}
 }
 
 // flows returns the group's members, primary first.
 func (g *group) flows() []*PlannedFlow {
-	if g.secondary == nil {
-		return []*PlannedFlow{g.primary}
+	if g.members[1] == nil {
+		return g.members[:1]
 	}
-	return []*PlannedFlow{g.primary, g.secondary}
+	return g.members[:]
 }
 
 // Controller runs Guaranteed Service admission control for one piconet. It
 // maintains the accepted flow set with its priority assignment and
 // recomputes the assignment on every admission per the paper's Fig. 3
 // routine. The zero value is not usable; create with NewController.
+//
+// Every change builds its new plan from copies of the accepted flows and
+// only then swaps it in, so a rejected change leaves the controller, and
+// every *PlannedFlow it handed out, untouched.
 type Controller struct {
 	cfg Config
 	// groups holds the accepted poll streams in priority order
 	// (groups[0] has priority 1).
-	groups []*group
+	groups []group
 	// piggyback enables the pairing optimisation of Fig. 3; disabling it
 	// reproduces the naive routine (each flow its own poll stream) for
 	// the paper's "piggybacking accepts more flows" comparison.
@@ -99,16 +108,35 @@ func NewController(cfg Config, opts ...ControllerOption) *Controller {
 // primary first).
 func (c *Controller) Flows() []*PlannedFlow {
 	var out []*PlannedFlow
-	for _, g := range c.groups {
-		out = append(out, g.flows()...)
+	for i := range c.groups {
+		out = append(out, c.groups[i].flows()...)
 	}
 	return out
 }
 
+// copyFlows returns copies of the admitted flows in priority order, less
+// the one with id drop (None keeps all), in one slab with room for extra
+// more: the flows a new plan mutates.
+func (c *Controller) copyFlows(drop piconet.FlowID, extra int) []PlannedFlow {
+	n := extra
+	for i := range c.groups {
+		n += len(c.groups[i].flows())
+	}
+	slab := make([]PlannedFlow, 0, n)
+	for i := range c.groups {
+		for _, f := range c.groups[i].flows() {
+			if f.Request.ID != drop {
+				slab = append(slab, *f)
+			}
+		}
+	}
+	return slab
+}
+
 // Find returns the planned flow with the given id.
 func (c *Controller) Find(id piconet.FlowID) (*PlannedFlow, bool) {
-	for _, g := range c.groups {
-		for _, f := range g.flows() {
+	for i := range c.groups {
+		for _, f := range c.groups[i].flows() {
 			if f.Request.ID == id {
 				return f, true
 			}
@@ -119,13 +147,13 @@ func (c *Controller) Find(id piconet.FlowID) (*PlannedFlow, bool) {
 
 // maxExchange returns the piconet-wide Xi over the given groups, honouring
 // the configured override.
-func (c *Controller) maxExchange(groups []*group) time.Duration {
+func (c *Controller) maxExchange(groups []group) time.Duration {
 	if c.cfg.MaxExchange > 0 {
 		return c.cfg.MaxExchange
 	}
 	var maxEx time.Duration
-	for _, g := range groups {
-		if ex := g.stream().Exchange; ex > maxEx {
+	for i := range groups {
+		if ex := groups[i].stream().Exchange; ex > maxEx {
 			maxEx = ex
 		}
 	}
@@ -137,46 +165,53 @@ func (c *Controller) maxExchange(groups []*group) time.Duration {
 // returned; on rejection the controller is left unchanged and the error
 // wraps ErrRejected.
 func (c *Controller) Admit(req Request) (*PlannedFlow, error) {
-	if _, dup := c.Find(req.ID); dup {
-		return nil, fmt.Errorf("%w: %d", ErrDuplicateFlow, req.ID)
-	}
-	params, err := DeriveParams(req, c.cfg)
+	var shape Params
+	groups, pf, err := c.plan(req, &shape)
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range c.groups {
-		for _, f := range g.flows() {
+	c.groups = groups
+	return pf, nil
+}
+
+// plan runs the Fig. 3 routine for req against the accepted flows and
+// returns the new plan and the new flow's place in it, leaving the
+// controller as it is. shape holds the request's rate-independent
+// parameters (Params.deriveShape): a planner passes the same one for every
+// trial rate of a request, so only the first trial derives it.
+func (c *Controller) plan(req Request, shape *Params) ([]group, *PlannedFlow, error) {
+	if _, dup := c.Find(req.ID); dup {
+		return nil, nil, fmt.Errorf("%w: %d", ErrDuplicateFlow, req.ID)
+	}
+	if err := req.validate(); err != nil {
+		return nil, nil, err
+	}
+	if err := shape.deriveShape(req); err != nil {
+		return nil, nil, err
+	}
+	for i := range c.groups {
+		for _, f := range c.groups[i].flows() {
 			if f.Request.Slave == req.Slave && f.Request.Dir == req.Dir {
-				return nil, fmt.Errorf("%w: slave %d already has a %v GS flow",
+				return nil, nil, fmt.Errorf("%w: slave %d already has a %v GS flow",
 					ErrBadRequest, req.Slave, req.Dir)
 			}
 		}
 	}
 
-	newFlow := &PlannedFlow{Request: req, Params: params}
-
 	// Step b: P = accepted flows + the new one, with initial priority
 	// values (existing flows keep theirs; the new flow inherits its
 	// counterpart's, or gets the lowest).
+	flows := append(c.copyFlows(piconet.None, 1), PlannedFlow{Request: req, Params: shape.atRate(req, c.cfg)})
+	newFlow := &flows[len(flows)-1]
+	groups := c.pairUp(flows)
 	type item struct {
 		g        *group
+		st       Stream
 		initPrio int
 	}
-	var items []item
-	// Rebuild groups from copies so rejection leaves the controller
-	// untouched.
-	all := make([]*PlannedFlow, 0, len(c.Flows())+1)
-	for _, f := range c.Flows() {
-		cp := *f
-		all = append(all, &cp)
-	}
-	all = append(all, newFlow)
-
-	groups, err := c.pairUp(all)
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range groups {
+	items := make([]item, len(groups))
+	for i := range groups {
+		g := &groups[i]
 		// A group's initial priority is that of any existing member
 		// (so a new flow paired with an accepted one inherits its
 		// counterpart's); a group of only the new flow gets the value
@@ -191,92 +226,66 @@ func (c *Controller) Admit(req Request) (*PlannedFlow, error) {
 		if prio == 0 {
 			prio = len(c.groups) + 1
 		}
-		items = append(items, item{g: g, initPrio: prio})
+		items[i] = item{g: g, st: g.stream(), initPrio: prio}
 	}
 
 	// SCO links act as an implicit highest-priority stream and bound the
 	// largest schedulable exchange.
 	scoSt, err := c.cfg.scoStreams()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	for _, g := range groups {
-		if err := c.cfg.checkSCOWindow(g.stream().Exchange); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrRejected, err)
+	for _, it := range items {
+		if err := c.cfg.checkSCOWindow(it.st.Exchange); err != nil {
+			return nil, nil, fmt.Errorf("%w: %w", ErrRejected, err)
 		}
 	}
 
 	// Step e: assign priorities from lowest (value card(P)) to highest,
 	// scanning candidates in descending initial priority so as few flows
-	// as possible change priority.
-	sort.SliceStable(items, func(i, j int) bool { return items[i].initPrio > items[j].initPrio })
+	// as possible change priority. The streams still unassigned compete
+	// with the candidate; ordered fills from its lowest priority up.
+	slices.SortStableFunc(items, func(a, b item) int { return cmp.Compare(b.initPrio, a.initPrio) })
 	xi := c.maxExchange(groups)
-	remaining := items
-	assignedRev := make([]*group, 0, len(items)) // lowest priority first
-	for len(remaining) > 0 {
+	ordered := make([]group, len(items))
+	others := make([]Stream, 0, len(scoSt)+len(items))
+	for remaining := items; len(remaining) > 0; {
 		found := -1
 		for idx, cand := range remaining {
-			others := make([]Stream, 0, len(remaining)-1+len(scoSt))
-			others = append(others, scoSt...)
+			others = append(others[:0], scoSt...)
 			for j, o := range remaining {
 				if j != idx {
-					others = append(others, o.g.stream())
+					others = append(others, o.st)
 				}
 			}
-			st := cand.g.stream()
-			x := DetermineX(xi, others, st.Interval)
-			if Feasible(x, st.Interval) {
+			if Feasible(DetermineX(xi, others, cand.st.Interval), cand.st.Interval) {
 				found = idx
 				break
 			}
 		}
 		if found < 0 {
-			return nil, fmt.Errorf("%w: no priority assignment satisfies x <= t for flow %d",
+			return nil, nil, fmt.Errorf("%w: no priority assignment satisfies x <= t for flow %d",
 				ErrRejected, req.ID)
 		}
-		assignedRev = append(assignedRev, remaining[found].g)
+		ordered[len(remaining)-1] = *remaining[found].g
 		remaining = append(remaining[:found], remaining[found+1:]...)
 	}
-
-	// Reverse into priority order and finalise.
-	ordered := make([]*group, len(assignedRev))
-	for i, g := range assignedRev {
-		ordered[len(assignedRev)-1-i] = g
-	}
 	if err := c.finalize(ordered, xi); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	c.groups = ordered
-	admitted, _ := c.Find(req.ID)
-	return admitted, nil
-}
-
-// clone returns a deep copy of the controller: trial admissions against
-// the copy leave the original untouched.
-func (c *Controller) clone() *Controller {
-	n := &Controller{cfg: c.cfg, piggyback: c.piggyback}
-	for _, g := range c.groups {
-		cp := &group{}
-		p := *g.primary
-		cp.primary = &p
-		if g.secondary != nil {
-			s := *g.secondary
-			cp.secondary = &s
-		}
-		n.groups = append(n.groups, cp)
-	}
-	return n
+	return ordered, newFlow, nil
 }
 
 // AdmitForDelay is the online form of the Guaranteed Service negotiation:
 // the request names a delay target instead of a rate, and the controller
 // picks the smallest rate R whose resulting bound meets the target against
 // the currently accepted flow set (the exported C/D terms shift as the
-// priority assignment changes, so the choice iterates). On success the
-// flow is installed exactly as Admit would install it; on rejection —
-// either infeasibility of the Fig. 3 routine at some trial rate or a
-// target no rate can meet — the controller is left unchanged and the
-// error wraps ErrRejected.
+// priority assignment changes, so the choice iterates). Every trial rate
+// reuses the request's rate-independent shape (eta_min, the largest
+// segment), derived at the first trial. On success the flow is installed
+// exactly as Admit would install it; on rejection — either infeasibility
+// of the Fig. 3 routine at some trial rate or a target no rate can meet —
+// the controller is left unchanged and the error wraps ErrRejected.
 func (c *Controller) AdmitForDelay(dr DelayRequest) (*PlannedFlow, error) {
 	if err := dr.Request.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -292,21 +301,20 @@ func (c *Controller) AdmitForDelay(dr DelayRequest) (*PlannedFlow, error) {
 	// to drain its queue within its windows alone.
 	s := c.cfg.successProbFor(dr.Request)
 	rate := dr.Request.Spec.TokenRate / s
+	var shape Params
 	const maxIters = 60
 	for iter := 0; iter < maxIters; iter++ {
-		trial := c.clone()
 		req := dr.Request
 		req.Rate = rate
-		pf, err := trial.Admit(req)
+		groups, pf, err := c.plan(req, &shape)
 		if err != nil {
 			// Rates only grow across iterations, so an infeasible
 			// trial can never become feasible later.
 			return nil, err
 		}
 		if pf.Bound <= dr.Target {
-			c.groups = trial.groups
-			admitted, _ := c.Find(req.ID)
-			return admitted, nil
+			c.groups = groups
+			return pf, nil
 		}
 		needed, err := gs.RequiredRate(dr.Request.Spec, dr.Target, pf.Terms)
 		if err == nil {
@@ -328,24 +336,26 @@ func (c *Controller) AdmitForDelay(dr DelayRequest) (*PlannedFlow, error) {
 // flow at a new delay target: mid-call tightening (a smaller target
 // reserves a higher rate) or loosening (capacity is handed back). The
 // whole exchange is atomic — it trials release-plus-readmission on a
-// clone, so a rejection leaves the controller, and the flow's existing
-// contract, exactly as they were.
+// copy of the controller, so a rejection leaves the controller, and the
+// flow's existing contract, exactly as they were.
 func (c *Controller) Renegotiate(id piconet.FlowID, target time.Duration) (*PlannedFlow, error) {
 	pf, ok := c.Find(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownFlow, id)
 	}
-	trial := c.clone()
+	// A shallow copy is a safe trial: every change replaces groups with
+	// a plan built from copies of the flows.
+	trial := *c
 	if err := trial.Remove(id); err != nil {
 		return nil, err
 	}
 	req := pf.Request
 	req.Rate = 0
-	if _, err := trial.AdmitForDelay(DelayRequest{Request: req, Target: target}); err != nil {
+	admitted, err := trial.AdmitForDelay(DelayRequest{Request: req, Target: target})
+	if err != nil {
 		return nil, err
 	}
 	c.groups = trial.groups
-	admitted, _ := c.Find(id)
 	return admitted, nil
 }
 
@@ -359,23 +369,10 @@ func (c *Controller) Renegotiate(id piconet.FlowID, target time.Duration) (*Plan
 func (c *Controller) SetSCOLinks(links []sco.Channel) error {
 	oldLinks := c.cfg.SCOLinks
 	c.cfg.SCOLinks = links
-	var kept []*PlannedFlow
-	for _, f := range c.Flows() {
-		cp := *f
-		kept = append(kept, &cp)
-	}
-	groups, err := c.pairUp(kept)
-	if err == nil {
-		sort.SliceStable(groups, func(i, j int) bool {
-			return groups[i].primary.Priority < groups[j].primary.Priority
-		})
-		err = c.finalize(groups, c.maxExchange(groups))
-	}
-	if err != nil {
+	if err := c.replan(piconet.None); err != nil {
 		c.cfg.SCOLinks = oldLinks
 		return err
 	}
-	c.groups = groups
 	return nil
 }
 
@@ -398,23 +395,10 @@ func (c *Controller) SCOLinks() []sco.Channel {
 func (c *Controller) SetSuccessProb(s float64) error {
 	old := c.cfg.SuccessProb
 	c.cfg.SuccessProb = s
-	var kept []*PlannedFlow
-	for _, f := range c.Flows() {
-		cp := *f
-		kept = append(kept, &cp)
-	}
-	groups, err := c.pairUp(kept)
-	if err == nil {
-		sort.SliceStable(groups, func(i, j int) bool {
-			return groups[i].primary.Priority < groups[j].primary.Priority
-		})
-		err = c.finalize(groups, c.maxExchange(groups))
-	}
-	if err != nil {
+	if err := c.replan(piconet.None); err != nil {
 		c.cfg.SuccessProb = old
 		return err
 	}
-	c.groups = groups
 	return nil
 }
 
@@ -429,20 +413,17 @@ func (c *Controller) Remove(id piconet.FlowID) error {
 	if _, ok := c.Find(id); !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownFlow, id)
 	}
-	var kept []*PlannedFlow
-	for _, f := range c.Flows() {
-		if f.Request.ID != id {
-			cp := *f
-			kept = append(kept, &cp)
-		}
-	}
-	groups, err := c.pairUp(kept)
-	if err != nil {
-		return err
-	}
-	// Preserve relative order by previous priority.
-	sort.SliceStable(groups, func(i, j int) bool {
-		return groups[i].primary.Priority < groups[j].primary.Priority
+	return c.replan(id)
+}
+
+// replan re-pairs copies of the accepted flows, less the one with id drop
+// (None keeps all), keeps their relative priority order and recomputes x,
+// error terms and bounds under the current configuration. The new plan
+// replaces the old one only if every flow stays feasible.
+func (c *Controller) replan(drop piconet.FlowID) error {
+	groups := c.pairUp(c.copyFlows(drop, 0))
+	slices.SortStableFunc(groups, func(a, b group) int {
+		return cmp.Compare(a.primary().Priority, b.primary().Priority)
 	})
 	if err := c.finalize(groups, c.maxExchange(groups)); err != nil {
 		return err
@@ -451,23 +432,34 @@ func (c *Controller) Remove(id piconet.FlowID) error {
 	return nil
 }
 
-// pairUp groups flows into poll streams, pairing oppositely-directed flows
-// on the same slave when piggybacking is enabled. The pair's primary is the
-// flow with the smaller poll interval (larger rate demand), per §3.1.4.
-func (c *Controller) pairUp(flows []*PlannedFlow) ([]*group, error) {
-	bySlave := make(map[piconet.SlaveID][]*PlannedFlow)
-	var order []piconet.SlaveID
-	for _, f := range flows {
-		if len(bySlave[f.Request.Slave]) == 0 {
-			order = append(order, f.Request.Slave)
+// pairUp groups flows into poll streams, in the order their slaves first
+// appear, pairing oppositely-directed flows on the same slave when
+// piggybacking is enabled. The pair's primary is the flow with the smaller
+// poll interval (larger rate demand), per §3.1.4. The groups point into
+// flows.
+func (c *Controller) pairUp(flows []PlannedFlow) []group {
+	groups := make([]group, 0, len(flows))
+	for i := range flows {
+		f := &flows[i]
+		slave := f.Request.Slave
+		// The slave's flows are grouped at its first appearance.
+		first, n, mate := true, 1, (*PlannedFlow)(nil)
+		for j := range flows {
+			if j == i || flows[j].Request.Slave != slave {
+				continue
+			}
+			if j < i {
+				first = false
+				break
+			}
+			n++
+			mate = &flows[j]
 		}
-		bySlave[f.Request.Slave] = append(bySlave[f.Request.Slave], f)
-	}
-	var groups []*group
-	for _, slave := range order {
-		fl := bySlave[slave]
-		if c.piggyback && len(fl) == 2 && fl[0].Request.Dir != fl[1].Request.Dir {
-			primary, secondary := fl[0], fl[1]
+		if !first {
+			continue
+		}
+		if c.piggyback && n == 2 && f.Request.Dir != mate.Request.Dir {
+			primary, secondary := f, mate
 			if secondary.Params.Interval < primary.Params.Interval {
 				primary, secondary = secondary, primary
 			}
@@ -475,40 +467,42 @@ func (c *Controller) pairUp(flows []*PlannedFlow) ([]*group, error) {
 			secondary.Primary = false
 			primary.Counterpart = secondary.Request.ID
 			secondary.Counterpart = primary.Request.ID
-			groups = append(groups, &group{primary: primary, secondary: secondary})
+			groups = append(groups, group{members: [2]*PlannedFlow{primary, secondary}})
 			continue
 		}
-		for _, f := range fl {
-			f.Primary = true
-			f.Counterpart = piconet.None
-			groups = append(groups, &group{primary: f})
+		for j := i; j < len(flows); j++ {
+			if o := &flows[j]; o.Request.Slave == slave {
+				o.Primary = true
+				o.Counterpart = piconet.None
+				groups = append(groups, group{members: [2]*PlannedFlow{o}})
+			}
 		}
 	}
-	return groups, nil
+	return groups
 }
 
 // finalize recomputes x, priorities, error terms and bounds for groups in
 // priority order, verifying feasibility.
-func (c *Controller) finalize(ordered []*group, xi time.Duration) error {
+func (c *Controller) finalize(ordered []group, xi time.Duration) error {
 	scoSt, err := c.cfg.scoStreams()
 	if err != nil {
 		return err
 	}
-	for i, g := range ordered {
-		if err := c.cfg.checkSCOWindow(g.stream().Exchange); err != nil {
+	// higher holds the SCO stream, then every group above the current one.
+	higher := make([]Stream, 0, len(scoSt)+len(ordered))
+	higher = append(higher, scoSt...)
+	for i := range ordered {
+		g := &ordered[i]
+		st := g.stream()
+		if err := c.cfg.checkSCOWindow(st.Exchange); err != nil {
 			return fmt.Errorf("%w: %w", ErrRejected, err)
 		}
-		higher := make([]Stream, 0, i+len(scoSt))
-		higher = append(higher, scoSt...)
-		for _, h := range ordered[:i] {
-			higher = append(higher, h.stream())
-		}
-		st := g.stream()
 		x := DetermineX(xi, higher, st.Interval)
 		if !Feasible(x, st.Interval) {
 			return fmt.Errorf("%w: finalize: x=%v > t=%v at priority %d",
 				ErrRejected, x, st.Interval, i+1)
 		}
+		higher = append(higher, st)
 		for _, f := range g.flows() {
 			s := c.cfg.successProbFor(f.Request)
 			f.Priority = i + 1

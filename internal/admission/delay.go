@@ -49,7 +49,10 @@ func SplitBudget(target time.Duration, hops int) []time.Duration {
 // which depends on every flow's poll interval t = eta/R, which depends on
 // the rates chosen from the bounds. Iteration starts from the legal minimum
 // R = r and raises rates until all targets hold (rates only rise, so the
-// iteration is monotone; it fails if a target remains unmet).
+// iteration is monotone; it fails if a target remains unmet). Each
+// iteration re-admits every flow, and every such trial reuses the flow's
+// rate-independent shape (eta_min, the largest segment), derived when the
+// flow is first admitted.
 func PlanForDelay(reqs []DelayRequest, cfg Config, opts ...ControllerOption) (*Controller, error) {
 	if len(reqs) == 0 {
 		return NewController(cfg, opts...), nil
@@ -65,17 +68,14 @@ func PlanForDelay(reqs []DelayRequest, cfg Config, opts ...ControllerOption) (*C
 		rates[i] = dr.Request.Spec.TokenRate / cfg.successProbFor(dr.Request)
 	}
 
+	shapes := make([]Params, len(reqs))
 	const maxIters = 50
 	var ctrl *Controller
 	for iter := 0; iter < maxIters; iter++ {
-		c := NewController(cfg, opts...)
-		for i, dr := range reqs {
-			req := dr.Request
-			req.Rate = rates[i]
-			if _, err := c.Admit(req); err != nil {
-				return nil, fmt.Errorf("%w: flow %d at iteration %d: %v",
-					ErrTargetInfeasible, req.ID, iter, err)
-			}
+		c, refused, err := admitAll(reqs, rates, shapes, cfg, opts)
+		if err != nil {
+			return nil, fmt.Errorf("%w: flow %d at iteration %d: %v",
+				ErrTargetInfeasible, reqs[refused].Request.ID, iter, err)
 		}
 		// Check targets and raise rates where the bound is too loose.
 		allMet := true
@@ -121,7 +121,10 @@ func PlanForDelay(reqs []DelayRequest, cfg Config, opts ...ControllerOption) (*C
 // its highest feasible rate, yielding the tightest achievable bound. The
 // paper's Fig. 5 sweeps delay requirements below the §4.1 supportable
 // minimum of the lowest-priority flow, which only makes sense under this
-// clamping interpretation (see EXPERIMENTS.md).
+// clamping interpretation (see EXPERIMENTS.md). Its search admits the
+// whole flow set at up to 120 proposals of up to 20 backtracking steps
+// each; every trial reuses each flow's rate-independent shape (eta_min,
+// the largest segment), derived when the flow is first admitted.
 func PlanForDelayBestEffort(reqs []DelayRequest, cfg Config, opts ...ControllerOption) (*Controller, error) {
 	if len(reqs) == 0 {
 		return NewController(cfg, opts...), nil
@@ -133,28 +136,18 @@ func PlanForDelayBestEffort(reqs []DelayRequest, cfg Config, opts ...ControllerO
 		}
 		rates[i] = dr.Request.Spec.TokenRate / cfg.successProbFor(dr.Request)
 	}
-	admitAll := func(rs []float64) (*Controller, error) {
-		c := NewController(cfg, opts...)
-		for i, dr := range reqs {
-			req := dr.Request
-			req.Rate = rs[i]
-			if _, err := c.Admit(req); err != nil {
-				return nil, err
-			}
-		}
-		return c, nil
-	}
-
-	lastGood, err := admitAll(rates)
+	shapes := make([]Params, len(reqs))
+	lastGood, _, err := admitAll(reqs, rates, shapes, cfg, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: infeasible even at token rates: %v", ErrTargetInfeasible, err)
 	}
 	goodRates := append([]float64(nil), rates...)
 
+	proposal := make([]float64, len(reqs))
 	const maxIters = 120
 	for iter := 0; iter < maxIters; iter++ {
 		// Propose rates that would meet the remaining targets.
-		proposal := append([]float64(nil), goodRates...)
+		copy(proposal, goodRates)
 		progress := false
 		for i, dr := range reqs {
 			pf, ok := lastGood.Find(dr.Request.ID)
@@ -190,27 +183,25 @@ func PlanForDelayBestEffort(reqs []DelayRequest, cfg Config, opts ...ControllerO
 		if !progress {
 			return lastGood, nil
 		}
-		// Backtrack toward the last feasible rates if rejected.
-		trial := proposal
+		// Backtrack toward the last feasible rates if rejected,
+		// halving the proposal's step in place.
 		feasible := (*Controller)(nil)
 		for bt := 0; bt < 20; bt++ {
-			c, err := admitAll(trial)
+			c, _, err := admitAll(reqs, proposal, shapes, cfg, opts)
 			if err == nil {
 				feasible = c
 				break
 			}
-			next := make([]float64, len(trial))
 			moved := false
-			for i := range trial {
-				next[i] = (trial[i] + goodRates[i]) / 2
-				if next[i] > goodRates[i]*1.0001 {
+			for i := range proposal {
+				proposal[i] = (proposal[i] + goodRates[i]) / 2
+				if proposal[i] > goodRates[i]*1.0001 {
 					moved = true
 				}
 			}
 			if !moved {
 				break
 			}
-			trial = next
 		}
 		if feasible == nil {
 			return lastGood, nil // pinned at the feasibility edge
@@ -223,4 +214,22 @@ func PlanForDelayBestEffort(reqs []DelayRequest, cfg Config, opts ...ControllerO
 		}
 	}
 	return lastGood, nil
+}
+
+// admitAll admits every request, at its rate in rates, into a new
+// controller in order. shapes holds each request's rate-independent
+// parameters across the trials of one planning call. On a refusal it
+// returns the refused request's index with the error.
+func admitAll(reqs []DelayRequest, rates []float64, shapes []Params, cfg Config, opts []ControllerOption) (*Controller, int, error) {
+	c := NewController(cfg, opts...)
+	for i, dr := range reqs {
+		req := dr.Request
+		req.Rate = rates[i]
+		groups, _, err := c.plan(req, &shapes[i])
+		if err != nil {
+			return nil, i, err
+		}
+		c.groups = groups
+	}
+	return c, 0, nil
 }

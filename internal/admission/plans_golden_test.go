@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -92,7 +93,7 @@ func renderPlans(t *testing.T) []byte {
 				// voice link and removes.
 				fmt.Fprintf(&w, "== %s AdmitForDelay\n", head)
 				c = NewController(cc.cfg, opts...)
-				seq := goldenDelayReqs(append(paperFlows[:4:4], planFlow{4, piconet.Up}), target)
+				seq := goldenDelayReqs(slices.Concat(paperFlows, []planFlow{{4, piconet.Up}}), target)
 				for _, dr := range seq {
 					if _, err := c.AdmitForDelay(dr); err != nil {
 						fmt.Fprintf(&w, "admit %d: error: %v\n", dr.Request.ID, err)
@@ -120,22 +121,19 @@ func renderPlans(t *testing.T) []byte {
 	// reservations: the error text each planner reports.
 	malformed := []struct {
 		name string
-		edit func([]DelayRequest)
+		edit func(*Config, []DelayRequest)
 	}{
-		{"duplicate-id", func(r []DelayRequest) { r[2].Request.ID = 1 }},
-		{"duplicate-endpoint", func(r []DelayRequest) { r[2].Request.Dir = piconet.Down }},
-		{"no-acl-types", func(r []DelayRequest) { r[1].Request.Allowed = baseband.NewTypeSet(baseband.TypeHV3) }},
-		{"bad-tspec", func(r []DelayRequest) { r[3].Request.Spec = tspec.CBR(20*time.Millisecond, 200, 176) }},
-		{"zero-id", func(r []DelayRequest) { r[1].Request.ID = piconet.None }},
-		{"hv3-link", func([]DelayRequest) {}},
+		{"duplicate-id", func(_ *Config, r []DelayRequest) { r[2].Request.ID = 1 }},
+		{"duplicate-endpoint", func(_ *Config, r []DelayRequest) { r[2].Request.Dir = piconet.Down }},
+		{"no-acl-types", func(_ *Config, r []DelayRequest) { r[1].Request.Allowed = baseband.NewTypeSet(baseband.TypeHV3) }},
+		{"bad-tspec", func(_ *Config, r []DelayRequest) { r[3].Request.Spec = tspec.CBR(20*time.Millisecond, 200, 176) }},
+		{"zero-id", func(_ *Config, r []DelayRequest) { r[1].Request.ID = piconet.None }},
+		{"hv3-link", func(cfg *Config, _ []DelayRequest) { cfg.SCOLinks = []sco.Channel{hv3} }},
 	}
 	for _, m := range malformed {
 		reqs := goldenDelayReqs(paperFlows, 40*time.Millisecond)
-		m.edit(reqs)
 		cfg := configs[0].cfg
-		if m.name == "hv3-link" {
-			cfg.SCOLinks = []sco.Channel{hv3}
-		}
+		m.edit(&cfg, reqs)
 		fmt.Fprintf(&w, "== malformed %s PlanForDelay\n", m.name)
 		c, err := PlanForDelay(reqs, cfg)
 		writePlan(&w, c, err)

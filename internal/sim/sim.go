@@ -177,7 +177,6 @@ func WithSeed(seed int64) Option {
 // New returns a Simulator with its clock at zero.
 func New(opts ...Option) *Simulator {
 	s := &Simulator{
-		rng:       rand.New(rand.NewSource(1)),
 		free:      noSlot,
 		wheelHead: make([]int32, wheelSlots),
 		wheelTail: make([]int32, wheelSlots),
@@ -188,6 +187,11 @@ func New(opts ...Option) *Simulator {
 	}
 	for _, opt := range opts {
 		opt(s)
+	}
+	// Seeding a source is costly (it fills a 607-word state), so the
+	// default seed-1 source is built only when no option set one.
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(1))
 	}
 	return s
 }

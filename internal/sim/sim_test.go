@@ -19,6 +19,28 @@ func TestNewStartsAtZero(t *testing.T) {
 	}
 }
 
+// TestNewDrawSequences: New without options draws the seed-1 sequence,
+// and New(WithSeed(s)) draws exactly rand.NewSource(s)'s sequence.
+func TestNewDrawSequences(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sim  *Simulator
+		seed int64
+	}{
+		{"default", New(), 1},
+		{"seed 1", New(WithSeed(1)), 1},
+		{"seed 42", New(WithSeed(42)), 42},
+		{"seed -7", New(WithSeed(-7)), -7},
+	} {
+		ref := rand.New(rand.NewSource(tc.seed))
+		for i := 0; i < 1000; i++ {
+			if got, want := tc.sim.Rand().Int63(), ref.Int63(); got != want {
+				t.Fatalf("%s: draw %d = %d, want %d", tc.name, i, got, want)
+			}
+		}
+	}
+}
+
 func TestScheduleAndRunOrder(t *testing.T) {
 	s := New()
 	var order []int
