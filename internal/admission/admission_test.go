@@ -223,6 +223,9 @@ func TestAdmitRejectsBeyondCapacity(t *testing.T) {
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("fourth stream: err = %v, want rejection", err)
 	}
+	if want := "admission: flow rejected: no priority assignment satisfies x <= t for flow 4"; err.Error() != want {
+		t.Fatalf("fourth stream: err = %q, want %q", err, want)
+	}
 	// State unchanged after rejection.
 	if got := len(c.Flows()); got != 3 {
 		t.Fatalf("flows after rejection = %d, want 3", got)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"bluegs/internal/gs"
@@ -264,8 +265,7 @@ func (c *Controller) plan(req Request, shape *Params) ([]group, *PlannedFlow, er
 			}
 		}
 		if found < 0 {
-			return nil, nil, fmt.Errorf("%w: no priority assignment satisfies x <= t for flow %d",
-				ErrRejected, req.ID)
+			return nil, nil, priorityError(req.ID)
 		}
 		ordered[len(remaining)-1] = *remaining[found].g
 		remaining = append(remaining[:found], remaining[found+1:]...)
@@ -275,6 +275,18 @@ func (c *Controller) plan(req Request, shape *Params) ([]group, *PlannedFlow, er
 	}
 	return ordered, newFlow, nil
 }
+
+// priorityError is plan's refusal when no priority assignment satisfies
+// x <= t for the flow it names. It wraps ErrRejected and renders its text
+// only when asked, so the refused trials of a planning search format
+// nothing.
+type priorityError piconet.FlowID
+
+func (e priorityError) Error() string {
+	return ErrRejected.Error() + ": no priority assignment satisfies x <= t for flow " + strconv.Itoa(int(e))
+}
+
+func (priorityError) Unwrap() error { return ErrRejected }
 
 // AdmitForDelay is the online form of the Guaranteed Service negotiation:
 // the request names a delay target instead of a rate, and the controller

@@ -9,7 +9,6 @@ import (
 	"bluegs/internal/piconet"
 	"bluegs/internal/sim"
 	"bluegs/internal/stats"
-	"bluegs/internal/traffic"
 )
 
 // routeState is the live state of one end-to-end route: its derived hops,
@@ -312,9 +311,7 @@ func (r *runner) startRoute(rt *routeState, prs []*piconetRunner, admitted []*ad
 			Route: rt.spec.Name, Hop: i + 1,
 		})
 	}
-	g := rt.spec
-	prs[0].attachSource(g.ID, traffic.CBR{Interval: g.Interval},
-		traffic.UniformSize{Min: g.MinSize, Max: g.MaxSize}, g.Phase, rt.arrive)
+	prs[0].attachRouteSource(rt)
 	for _, p := range prs {
 		p.pn.Kick()
 	}

@@ -333,9 +333,7 @@ func (r *runner) buildPiconet(ps PiconetSpec, hooks Hooks, others int) (*piconet
 	}
 	for _, h := range hops {
 		if h.idx == 0 {
-			g := h.rt.spec
-			p.attachSource(g.ID, traffic.CBR{Interval: g.Interval},
-				traffic.UniformSize{Min: g.MinSize, Max: g.MaxSize}, g.Phase, h.rt.arrive)
+			p.attachRouteSource(h.rt)
 		}
 	}
 
@@ -470,6 +468,56 @@ func (p *piconetRunner) attachBESource(b BEFlow) {
 	p.attachSource(b.ID, gen, traffic.UniformSize{Min: b.PacketSize, Max: b.PacketSize}, b.Phase, nil)
 }
 
+// attachRouteSource starts a route's CBR source in its first-hop
+// piconet: it draws like a GS flow's, and each arrival also enters the
+// route's bookkeeping (routeState.arrive).
+func (p *piconetRunner) attachRouteSource(rt *routeState) {
+	g := rt.spec
+	p.attachSource(g.ID, traffic.CBR{Interval: g.Interval},
+		traffic.UniformSize{Min: g.MinSize, Max: g.MaxSize}, g.Phase, rt)
+}
+
+// maxReserve caps the delays a sample reserves when its source attaches
+// (8 MiB), so an absurd horizon cannot reserve gigabytes up front; a
+// flow that delivers more grows its sample by append past it.
+const maxReserve = 1 << 20
+
+// offerable returns how many arrivals a CBR source attached at now in
+// the named piconet can still offer: the instants now+phase+k·interval
+// up to the horizon, which Run executes, or up to the first timeline
+// event at or after now that stops the source, capped at maxReserve. For
+// a plain flow that event is its remove_flow or move_flow, or the removal
+// of its piconet; for a route's source (rt set) the route's
+// remove_route, or the removal of any piconet it runs through. An event
+// the run then refuses only makes the count short.
+func (s Spec) offerable(pn string, flow piconet.FlowID, rt *routeState, now, phase, interval time.Duration) int {
+	end := s.Duration
+	for _, ev := range s.Timeline {
+		if ev.At < now || ev.At >= end {
+			continue
+		}
+		var stops bool
+		switch {
+		case ev.RemovePiconet != "" && rt != nil:
+			_, stops = rt.hopIndex(ev.RemovePiconet)
+		case ev.RemovePiconet != "":
+			stops = ev.RemovePiconet == pn
+		case rt != nil:
+			stops = ev.RemoveRoute == flow
+		default:
+			stops = ev.Piconet == pn && (ev.Remove == flow || ev.Move != nil && ev.Move.Flow == flow)
+		}
+		if stops {
+			end = ev.At
+		}
+	}
+	first := now + phase
+	if first > end {
+		return 0
+	}
+	return int(min((end-first)/interval+1, maxReserve))
+}
+
 // maxBurst bounds a batched source's pre-enqueued arrivals per kernel
 // event.
 const maxBurst = 64
@@ -482,29 +530,37 @@ const maxBurst = 64
 const batchWindow = 320 * time.Millisecond
 
 // attachSource schedules a self-rescheduling traffic source whose pending
-// tick stays cancellable (flow removal stops the source). arrive, when
-// set, runs at each arrival before its packet is enqueued (a route's
-// origin bookkeeping); such a source never batches. Otherwise, with
+// tick stays cancellable (flow removal stops the source). rt, when set,
+// is the route the source feeds: each arrival runs rt.arrive before its
+// packet is enqueued, and such a source never batches. Otherwise, with
 // Spec.BatchTraffic, sources pre-enqueue one burst of future-dated
 // arrivals per kernel event (see piconet.EnqueuePacketAt) instead of one
 // event per packet; a down flow's pre-enqueued arrivals notify the
 // master at their arrival instants, so its arrival knowledge is
-// untouched.
+// untouched. The flow's delay sample, and the route's, reserve room for
+// every arrival the source can still offer (Spec.offerable), so each is
+// allocated once instead of regrown.
 func (p *piconetRunner) attachSource(flow piconet.FlowID, gen traffic.CBR, sizes traffic.UniformSize,
-	phase time.Duration, arrive func(now sim.Time)) {
+	phase time.Duration, rt *routeState) {
 	if phase < 0 {
 		phase = 0
 	}
 	r := p.r
-	if r.spec.BatchTraffic && arrive == nil {
+	n := r.spec.offerable(p.name, flow, rt, r.s.Now(), phase, gen.NextInterval())
+	if delay, ok := p.pn.FlowDelayStats(flow); ok {
+		delay.Grow(n)
+	}
+	if rt != nil {
+		rt.delay.Grow(n)
+	} else if r.spec.BatchTraffic {
 		p.attachBurstSource(flow, gen, sizes, phase)
 		return
 	}
 	src := &source{}
 	var tick func()
 	tick = func() {
-		if arrive != nil {
-			arrive(r.s.Now())
+		if rt != nil {
+			rt.arrive(r.s.Now())
 		}
 		_ = p.pn.EnqueuePacket(flow, sizes.Draw(r.s.Rand()))
 		src.ev = r.s.After(gen.NextInterval(), tick)

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -128,4 +129,23 @@ func TestPropertyHistogramConservation(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFillHistogram checks that FillHistogram bins every observation, as
+// one Add per value would, without copying the sample.
+func TestFillHistogram(t *testing.T) {
+	d := delaySample(1000, false)
+	want := NewDurationHistogram(30*time.Millisecond, 12)
+	for _, v := range d.s.values {
+		want.Add(time.Duration(v))
+	}
+	got := NewDurationHistogram(30*time.Millisecond, 12)
+	d.FillHistogram(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("FillHistogram binned %+v, want %+v", got.h, want.h)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { d.FillHistogram(got) }); allocs != 0 {
+		t.Fatalf("FillHistogram allocates %v times", allocs)
+	}
+	d.FillHistogram(nil)
 }

@@ -2,12 +2,21 @@
 // streaming moments (Welford), exact-quantile sample stores, duration
 // statistics, throughput meters, and text/CSV table rendering for the
 // experiment harness.
+//
+// A Sample keeps every observation and sorts them once, at its first
+// quantile query. A sample of at least 192 values that are all
+// non-negative and not NaN — every simulator delay is — sorts by an LSD
+// radix sort over the IEEE-754 bits in linear time; a smaller sample, or
+// one holding a negative value, -0 or NaN, sorts with sort.Float64s.
+// Both give the same array. A caller that knows how many observations
+// are coming reserves room for them with DurationStats.Grow, so the
+// sample is allocated once instead of regrown.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -72,7 +81,10 @@ func (w *Welford) Max() float64 {
 }
 
 // Sample stores every observation for exact quantile queries. The zero
-// value is ready to use.
+// value is ready to use. The first quantile query after an Add sorts the
+// values in place (radix sort for at least 192 non-negative, non-NaN
+// values, sort.Float64s otherwise; see sortValues); later queries read
+// the sorted array.
 type Sample struct {
 	values []float64
 	sorted bool
@@ -94,7 +106,7 @@ func (s *Sample) Quantile(q float64) float64 {
 		return 0
 	}
 	if !s.sorted {
-		sort.Float64s(s.values)
+		sortValues(s.values)
 		s.sorted = true
 	}
 	if q <= 0 {
@@ -132,6 +144,11 @@ type DurationStats struct {
 	s Sample
 }
 
+// Grow makes room for n more observations, so the next n Adds allocate
+// nothing; like slices.Grow it changes no statistic and panics if n is
+// negative.
+func (d *DurationStats) Grow(n int) { d.s.values = slices.Grow(d.s.values, n) }
+
 // Add incorporates one duration observation.
 func (d *DurationStats) Add(v time.Duration) {
 	x := float64(v)
@@ -165,7 +182,7 @@ func (d *DurationStats) FillHistogram(h *DurationHistogram) {
 	if h == nil {
 		return
 	}
-	for _, v := range d.s.Values() {
+	for _, v := range d.s.values {
 		h.Add(time.Duration(v))
 	}
 }
