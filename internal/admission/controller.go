@@ -73,9 +73,11 @@ func (g *group) flows() []*PlannedFlow {
 // recomputes the assignment on every admission per the paper's Fig. 3
 // routine. The zero value is not usable; create with NewController.
 //
-// Every change builds its new plan from copies of the accepted flows and
-// only then swaps it in, so a rejected change leaves the controller, and
-// every *PlannedFlow it handed out, untouched.
+// Every change builds its new plan from copies of the accepted flows, in
+// buffers of its own, and only then installs it, so a rejected change
+// leaves the controller, and every *PlannedFlow it handed out, untouched.
+// A plan a caller can see — the controller a planner returns, the flows
+// Flows and Find hand out — lives in memory no later planning call writes.
 type Controller struct {
 	cfg Config
 	// groups holds the accepted poll streams in priority order
@@ -98,11 +100,17 @@ func WithoutPiggybacking() ControllerOption {
 
 // NewController returns an empty admission controller.
 func NewController(cfg Config, opts ...ControllerOption) *Controller {
-	c := &Controller{cfg: cfg, piggyback: true}
+	c := new(Controller)
+	c.reset(cfg, opts)
+	return c
+}
+
+// reset makes c an empty controller with the given configuration.
+func (c *Controller) reset(cfg Config, opts []ControllerOption) {
+	*c = Controller{cfg: cfg, piggyback: true}
 	for _, opt := range opts {
 		opt(c)
 	}
-	return c
 }
 
 // Flows returns the admitted flows in priority order (pairs adjacent,
@@ -115,23 +123,48 @@ func (c *Controller) Flows() []*PlannedFlow {
 	return out
 }
 
-// copyFlows returns copies of the admitted flows in priority order, less
-// the one with id drop (None keeps all), in one slab with room for extra
-// more: the flows a new plan mutates.
-func (c *Controller) copyFlows(drop piconet.FlowID, extra int) []PlannedFlow {
-	n := extra
-	for i := range c.groups {
-		n += len(c.groups[i].flows())
-	}
-	slab := make([]PlannedFlow, 0, n)
+// appendFlows appends copies of the admitted flows in priority order, less
+// the one with id drop (None keeps all), to dst: the flows a new plan
+// mutates.
+func (c *Controller) appendFlows(dst []PlannedFlow, drop piconet.FlowID) []PlannedFlow {
 	for i := range c.groups {
 		for _, f := range c.groups[i].flows() {
 			if f.Request.ID != drop {
-				slab = append(slab, *f)
+				dst = append(dst, *f)
 			}
 		}
 	}
-	return slab
+	return dst
+}
+
+// countFlows returns the number of flows in groups.
+func countFlows(groups []group) int {
+	n := 0
+	for i := range groups {
+		n += len(groups[i].flows())
+	}
+	return n
+}
+
+// detach returns a copy of c whose plan lives in memory of its own: the
+// form in which a planner hands out the plan it built in a workspace.
+func (c *Controller) detach() *Controller {
+	d := *c
+	d.groups = copyPlan(c.groups)
+	return &d
+}
+
+// copyPlan returns a copy of groups and of the flows they point to.
+func copyPlan(groups []group) []group {
+	slab := make([]PlannedFlow, 0, countFlows(groups))
+	out := make([]group, len(groups))
+	for i := range groups {
+		for j, f := range groups[i].flows() {
+			slab = append(slab, *f)
+			out[i].members[j] = &slab[len(slab)-1]
+		}
+	}
+	return out
 }
 
 // Find returns the planned flow with the given id.
@@ -167,20 +200,79 @@ func (c *Controller) maxExchange(groups []group) time.Duration {
 // wraps ErrRejected.
 func (c *Controller) Admit(req Request) (*PlannedFlow, error) {
 	var shape Params
-	groups, pf, err := c.plan(req, &shape)
+	var ws workspace
+	groups, pf, err := c.plan(req, &shape, &ws)
 	if err != nil {
 		return nil, err
 	}
+	// The workspace is this call's alone, so its plan is installed as
+	// it is.
 	c.groups = groups
 	return pf, nil
+}
+
+// item is one poll stream competing in the Fig. 3 priority search.
+type item struct {
+	g        *group
+	st       Stream
+	initPrio int
+}
+
+// workspace holds the buffers the trials of one planning call reuse, so a
+// trial admission allocates nothing once they have grown. A trial reads
+// the installed plan from one turn's flow slab and ordered groups and
+// writes the next plan into the other turn's. Each planning call owns its
+// workspaces; what a caller can see is copied out of them (detach,
+// copyPlan).
+type workspace struct {
+	// flows and ordered are the plans' flow slabs and priority-ordered
+	// groups; the ordered groups of a turn point into its slab.
+	flows   [2][]PlannedFlow
+	ordered [2][]group
+	// turn indexes the buffers the next plan writes.
+	turn int
+	// groups, items, others and higher are scratch within one plan.
+	groups []group
+	items  []item
+	others []Stream
+	higher []Stream
+	// ctrl is admitAll's trial controller.
+	ctrl Controller
+}
+
+// reserve sizes every buffer for plans of up to n flows, so that no trial
+// grows one.
+func (ws *workspace) reserve(n int) {
+	for t := range ws.flows {
+		ws.flows[t] = reuse(ws.flows[t], n)
+		ws.ordered[t] = reuse(ws.ordered[t], n)
+	}
+	ws.groups = reuse(ws.groups, n)
+	ws.items = reuse(ws.items, n)
+	// One more stream for the SCO links.
+	ws.others = reuse(ws.others, n+1)
+	ws.higher = reuse(ws.higher, n+1)
+}
+
+// reuse returns buf emptied, with room for n elements: a workspace buffer
+// is reallocated only when it is too small. (slices.Grow would allocate
+// twice per growth under the race detector, which the allocation tests
+// run under.)
+func reuse[E any](buf []E, n int) []E {
+	if cap(buf) < n {
+		return make([]E, 0, n)
+	}
+	return buf[:0]
 }
 
 // plan runs the Fig. 3 routine for req against the accepted flows and
 // returns the new plan and the new flow's place in it, leaving the
 // controller as it is. shape holds the request's rate-independent
 // parameters (Params.deriveShape): a planner passes the same one for every
-// trial rate of a request, so only the first trial derives it.
-func (c *Controller) plan(req Request, shape *Params) ([]group, *PlannedFlow, error) {
+// trial rate of a request, so only the first trial derives it. The plan is
+// written into ws's buffers of the current turn, which must not hold the
+// controller's plan.
+func (c *Controller) plan(req Request, shape *Params, ws *workspace) ([]group, *PlannedFlow, error) {
 	if _, dup := c.Find(req.ID); dup {
 		return nil, nil, fmt.Errorf("%w: %d", ErrDuplicateFlow, req.ID)
 	}
@@ -190,27 +282,33 @@ func (c *Controller) plan(req Request, shape *Params) ([]group, *PlannedFlow, er
 	if err := shape.deriveShape(req); err != nil {
 		return nil, nil, err
 	}
+	n := 1 // the accepted flows and the new one
 	for i := range c.groups {
 		for _, f := range c.groups[i].flows() {
 			if f.Request.Slave == req.Slave && f.Request.Dir == req.Dir {
 				return nil, nil, fmt.Errorf("%w: slave %d already has a %v GS flow",
 					ErrBadRequest, req.Slave, req.Dir)
 			}
+			n++
 		}
+	}
+	// SCO links act as an implicit highest-priority stream and bound the
+	// largest schedulable exchange.
+	sco, err := c.cfg.scoLimits()
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// Step b: P = accepted flows + the new one, with initial priority
 	// values (existing flows keep theirs; the new flow inherits its
 	// counterpart's, or gets the lowest).
-	flows := append(c.copyFlows(piconet.None, 1), PlannedFlow{Request: req, Params: shape.atRate(req, c.cfg)})
-	newFlow := &flows[len(flows)-1]
-	groups := c.pairUp(flows)
-	type item struct {
-		g        *group
-		st       Stream
-		initPrio int
-	}
-	items := make([]item, len(groups))
+	flows := c.appendFlows(reuse(ws.flows[ws.turn], n), piconet.None)
+	flows = append(flows, PlannedFlow{Request: req, Params: shape.atRate(req, c.cfg)})
+	ws.flows[ws.turn] = flows
+	newFlow := &flows[n-1]
+	groups := c.pairUp(reuse(ws.groups, n), flows)
+	ws.groups = groups
+	items := reuse(ws.items, len(groups))
 	for i := range groups {
 		g := &groups[i]
 		// A group's initial priority is that of any existing member
@@ -227,17 +325,11 @@ func (c *Controller) plan(req Request, shape *Params) ([]group, *PlannedFlow, er
 		if prio == 0 {
 			prio = len(c.groups) + 1
 		}
-		items[i] = item{g: g, st: g.stream(), initPrio: prio}
+		items = append(items, item{g: g, st: g.stream(), initPrio: prio})
 	}
-
-	// SCO links act as an implicit highest-priority stream and bound the
-	// largest schedulable exchange.
-	scoSt, err := c.cfg.scoStreams()
-	if err != nil {
-		return nil, nil, err
-	}
+	ws.items = items
 	for _, it := range items {
-		if err := c.cfg.checkSCOWindow(it.st.Exchange); err != nil {
+		if err := sco.checkWindow(it.st.Exchange); err != nil {
 			return nil, nil, fmt.Errorf("%w: %w", ErrRejected, err)
 		}
 	}
@@ -248,12 +340,14 @@ func (c *Controller) plan(req Request, shape *Params) ([]group, *PlannedFlow, er
 	// with the candidate; ordered fills from its lowest priority up.
 	slices.SortStableFunc(items, func(a, b item) int { return cmp.Compare(b.initPrio, a.initPrio) })
 	xi := c.maxExchange(groups)
-	ordered := make([]group, len(items))
-	others := make([]Stream, 0, len(scoSt)+len(items))
+	ordered := reuse(ws.ordered[ws.turn], len(items))[:len(items)]
+	ws.ordered[ws.turn] = ordered
+	others := reuse(ws.others, sco.n+len(items))
+	ws.others = others
 	for remaining := items; len(remaining) > 0; {
 		found := -1
 		for idx, cand := range remaining {
-			others = append(others[:0], scoSt...)
+			others = append(others[:0], sco.streams()...)
 			for j, o := range remaining {
 				if j != idx {
 					others = append(others, o.st)
@@ -270,7 +364,8 @@ func (c *Controller) plan(req Request, shape *Params) ([]group, *PlannedFlow, er
 		ordered[len(remaining)-1] = *remaining[found].g
 		remaining = append(remaining[:found], remaining[found+1:]...)
 	}
-	if err := c.finalize(ordered, xi); err != nil {
+	ws.higher = reuse(ws.higher, sco.n+len(ordered))
+	if err := c.finalize(ordered, xi, &sco, ws.higher); err != nil {
 		return nil, nil, err
 	}
 	return ordered, newFlow, nil
@@ -294,8 +389,9 @@ func (priorityError) Unwrap() error { return ErrRejected }
 // the currently accepted flow set (the exported C/D terms shift as the
 // priority assignment changes, so the choice iterates). Every trial rate
 // reuses the request's rate-independent shape (eta_min, the largest
-// segment), derived at the first trial. On success the flow is installed
-// exactly as Admit would install it; on rejection — either infeasibility
+// segment), derived at the first trial, and one workspace. On success the
+// accepted plan is copied into memory of its own and installed exactly as
+// Admit would install it; on rejection — either infeasibility
 // of the Fig. 3 routine at some trial rate or a target no rate can meet —
 // the controller is left unchanged and the error wraps ErrRejected.
 func (c *Controller) AdmitForDelay(dr DelayRequest) (*PlannedFlow, error) {
@@ -314,18 +410,20 @@ func (c *Controller) AdmitForDelay(dr DelayRequest) (*PlannedFlow, error) {
 	s := c.cfg.successProbFor(dr.Request)
 	rate := dr.Request.Spec.TokenRate / s
 	var shape Params
+	var ws workspace
 	const maxIters = 60
 	for iter := 0; iter < maxIters; iter++ {
 		req := dr.Request
 		req.Rate = rate
-		groups, pf, err := c.plan(req, &shape)
+		groups, pf, err := c.plan(req, &shape, &ws)
 		if err != nil {
 			// Rates only grow across iterations, so an infeasible
 			// trial can never become feasible later.
 			return nil, err
 		}
 		if pf.Bound <= dr.Target {
-			c.groups = groups
+			c.groups = copyPlan(groups)
+			pf, _ = c.Find(req.ID)
 			return pf, nil
 		}
 		needed, err := gs.RequiredRate(dr.Request.Spec, dr.Target, pf.Terms)
@@ -348,15 +446,16 @@ func (c *Controller) AdmitForDelay(dr DelayRequest) (*PlannedFlow, error) {
 // flow at a new delay target: mid-call tightening (a smaller target
 // reserves a higher rate) or loosening (capacity is handed back). The
 // whole exchange is atomic — it trials release-plus-readmission on a
-// copy of the controller, so a rejection leaves the controller, and the
-// flow's existing contract, exactly as they were.
+// shallow copy of the controller, so a rejection leaves the controller,
+// and the flow's existing contract, exactly as they were.
 func (c *Controller) Renegotiate(id piconet.FlowID, target time.Duration) (*PlannedFlow, error) {
 	pf, ok := c.Find(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownFlow, id)
 	}
 	// A shallow copy is a safe trial: every change replaces groups with
-	// a plan built from copies of the flows.
+	// a new plan in memory of its own and never writes the flows the
+	// old one points to.
 	trial := *c
 	if err := trial.Remove(id); err != nil {
 		return nil, err
@@ -433,11 +532,17 @@ func (c *Controller) Remove(id piconet.FlowID) error {
 // error terms and bounds under the current configuration. The new plan
 // replaces the old one only if every flow stays feasible.
 func (c *Controller) replan(drop piconet.FlowID) error {
-	groups := c.pairUp(c.copyFlows(drop, 0))
+	sco, err := c.cfg.scoLimits()
+	if err != nil {
+		return err
+	}
+	n := countFlows(c.groups)
+	groups := c.pairUp(make([]group, 0, n), c.appendFlows(make([]PlannedFlow, 0, n), drop))
 	slices.SortStableFunc(groups, func(a, b group) int {
 		return cmp.Compare(a.primary().Priority, b.primary().Priority)
 	})
-	if err := c.finalize(groups, c.maxExchange(groups)); err != nil {
+	higher := make([]Stream, 0, sco.n+len(groups))
+	if err := c.finalize(groups, c.maxExchange(groups), &sco, higher); err != nil {
 		return err
 	}
 	c.groups = groups
@@ -447,10 +552,9 @@ func (c *Controller) replan(drop piconet.FlowID) error {
 // pairUp groups flows into poll streams, in the order their slaves first
 // appear, pairing oppositely-directed flows on the same slave when
 // piggybacking is enabled. The pair's primary is the flow with the smaller
-// poll interval (larger rate demand), per §3.1.4. The groups point into
-// flows.
-func (c *Controller) pairUp(flows []PlannedFlow) []group {
-	groups := make([]group, 0, len(flows))
+// poll interval (larger rate demand), per §3.1.4. The groups are appended
+// to groups and point into flows.
+func (c *Controller) pairUp(groups []group, flows []PlannedFlow) []group {
 	for i := range flows {
 		f := &flows[i]
 		slave := f.Request.Slave
@@ -494,19 +598,15 @@ func (c *Controller) pairUp(flows []PlannedFlow) []group {
 }
 
 // finalize recomputes x, priorities, error terms and bounds for groups in
-// priority order, verifying feasibility.
-func (c *Controller) finalize(ordered []group, xi time.Duration) error {
-	scoSt, err := c.cfg.scoStreams()
-	if err != nil {
-		return err
-	}
+// priority order under the plan's SCO limits, verifying feasibility.
+// higher is an empty buffer with room for the SCO stream and every group.
+func (c *Controller) finalize(ordered []group, xi time.Duration, sco *scoLimits, higher []Stream) error {
 	// higher holds the SCO stream, then every group above the current one.
-	higher := make([]Stream, 0, len(scoSt)+len(ordered))
-	higher = append(higher, scoSt...)
+	higher = append(higher, sco.streams()...)
 	for i := range ordered {
 		g := &ordered[i]
 		st := g.stream()
-		if err := c.cfg.checkSCOWindow(st.Exchange); err != nil {
+		if err := sco.checkWindow(st.Exchange); err != nil {
 			return fmt.Errorf("%w: %w", ErrRejected, err)
 		}
 		x := DetermineX(xi, higher, st.Interval)

@@ -52,7 +52,8 @@ func SplitBudget(target time.Duration, hops int) []time.Duration {
 // iteration is monotone; it fails if a target remains unmet). Each
 // iteration re-admits every flow, and every such trial reuses the flow's
 // rate-independent shape (eta_min, the largest segment), derived when the
-// flow is first admitted.
+// flow is first admitted. The trials share one workspace; the returned
+// controller's plan is a copy of its own.
 func PlanForDelay(reqs []DelayRequest, cfg Config, opts ...ControllerOption) (*Controller, error) {
 	if len(reqs) == 0 {
 		return NewController(cfg, opts...), nil
@@ -69,10 +70,12 @@ func PlanForDelay(reqs []DelayRequest, cfg Config, opts ...ControllerOption) (*C
 	}
 
 	shapes := make([]Params, len(reqs))
+	ws := new(workspace)
+	ws.reserve(len(reqs))
 	const maxIters = 50
 	var ctrl *Controller
 	for iter := 0; iter < maxIters; iter++ {
-		c, refused, err := admitAll(reqs, rates, shapes, cfg, opts)
+		c, refused, err := admitAll(reqs, rates, shapes, cfg, opts, ws)
 		if err != nil {
 			return nil, fmt.Errorf("%w: flow %d at iteration %d: %v",
 				ErrTargetInfeasible, reqs[refused].Request.ID, iter, err)
@@ -112,7 +115,7 @@ func PlanForDelay(reqs []DelayRequest, cfg Config, opts ...ControllerOption) (*C
 	if ctrl == nil {
 		return nil, fmt.Errorf("%w: no convergence after %d iterations", ErrTargetInfeasible, maxIters)
 	}
-	return ctrl, nil
+	return ctrl.detach(), nil
 }
 
 // PlanForDelayBestEffort is the evaluation harness's variant of
@@ -124,7 +127,10 @@ func PlanForDelay(reqs []DelayRequest, cfg Config, opts ...ControllerOption) (*C
 // clamping interpretation (see EXPERIMENTS.md). Its search admits the
 // whole flow set at up to 120 proposals of up to 20 backtracking steps
 // each; every trial reuses each flow's rate-independent shape (eta_min,
-// the largest segment), derived when the flow is first admitted.
+// the largest segment), derived when the flow is first admitted. The
+// trials run in two workspaces that swap on each accepted proposal, so the
+// last feasible plan survives the next trials; the returned controller's
+// plan is a copy of its own.
 func PlanForDelayBestEffort(reqs []DelayRequest, cfg Config, opts ...ControllerOption) (*Controller, error) {
 	if len(reqs) == 0 {
 		return NewController(cfg, opts...), nil
@@ -137,7 +143,12 @@ func PlanForDelayBestEffort(reqs []DelayRequest, cfg Config, opts ...ControllerO
 		rates[i] = dr.Request.Spec.TokenRate / cfg.successProbFor(dr.Request)
 	}
 	shapes := make([]Params, len(reqs))
-	lastGood, _, err := admitAll(reqs, rates, shapes, cfg, opts)
+	// good holds lastGood's plan; spare runs the trials.
+	ws := new([2]workspace)
+	good, spare := &ws[0], &ws[1]
+	good.reserve(len(reqs))
+	spare.reserve(len(reqs))
+	lastGood, _, err := admitAll(reqs, rates, shapes, cfg, opts, good)
 	if err != nil {
 		return nil, fmt.Errorf("%w: infeasible even at token rates: %v", ErrTargetInfeasible, err)
 	}
@@ -181,13 +192,13 @@ func PlanForDelayBestEffort(reqs []DelayRequest, cfg Config, opts ...ControllerO
 			}
 		}
 		if !progress {
-			return lastGood, nil
+			return lastGood.detach(), nil
 		}
 		// Backtrack toward the last feasible rates if rejected,
 		// halving the proposal's step in place.
 		feasible := (*Controller)(nil)
 		for bt := 0; bt < 20; bt++ {
-			c, _, err := admitAll(reqs, proposal, shapes, cfg, opts)
+			c, _, err := admitAll(reqs, proposal, shapes, cfg, opts, spare)
 			if err == nil {
 				feasible = c
 				break
@@ -204,32 +215,37 @@ func PlanForDelayBestEffort(reqs []DelayRequest, cfg Config, opts ...ControllerO
 			}
 		}
 		if feasible == nil {
-			return lastGood, nil // pinned at the feasibility edge
+			return lastGood.detach(), nil // pinned at the feasibility edge
 		}
 		lastGood = feasible
+		good, spare = spare, good
 		for i := range goodRates {
 			if pf, ok := feasible.Find(reqs[i].Request.ID); ok {
 				goodRates[i] = pf.Request.Rate
 			}
 		}
 	}
-	return lastGood, nil
+	return lastGood.detach(), nil
 }
 
-// admitAll admits every request, at its rate in rates, into a new
-// controller in order. shapes holds each request's rate-independent
-// parameters across the trials of one planning call. On a refusal it
-// returns the refused request's index with the error.
-func admitAll(reqs []DelayRequest, rates []float64, shapes []Params, cfg Config, opts []ControllerOption) (*Controller, int, error) {
-	c := NewController(cfg, opts...)
+// admitAll admits every request, at its rate in rates, into ws's trial
+// controller, emptied first, in order. shapes holds each request's
+// rate-independent parameters across the trials of one planning call. On a
+// refusal it returns the refused request's index with the error. The
+// returned controller's plan lives in ws until its next admitAll.
+func admitAll(reqs []DelayRequest, rates []float64, shapes []Params, cfg Config, opts []ControllerOption, ws *workspace) (*Controller, int, error) {
+	c := &ws.ctrl
+	c.reset(cfg, opts)
 	for i, dr := range reqs {
 		req := dr.Request
 		req.Rate = rates[i]
-		groups, _, err := c.plan(req, &shapes[i])
+		groups, _, err := c.plan(req, &shapes[i], ws)
 		if err != nil {
 			return nil, i, err
 		}
+		// The next plan reads this one and writes the other turn.
 		c.groups = groups
+		ws.turn ^= 1
 	}
 	return c, 0, nil
 }

@@ -572,7 +572,7 @@ func (s *Scheduler) Decide(now sim.Time, freeSlots int) piconet.Action {
 }
 
 // OnOutcome implements piconet.Scheduler.
-func (s *Scheduler) OnOutcome(o piconet.Outcome) {
+func (s *Scheduler) OnOutcome(o *piconet.Outcome) {
 	switch o.Kind {
 	case piconet.ActionPollBE:
 		s.beOutcomes++
@@ -591,7 +591,7 @@ func (s *Scheduler) OnOutcome(o piconet.Outcome) {
 }
 
 // onGSOutcome advances the planning state of the stream the poll served.
-func (s *Scheduler) onGSOutcome(o piconet.Outcome) {
+func (s *Scheduler) onGSOutcome(o *piconet.Outcome) {
 	var st *stream
 	if o.Down.Flow != piconet.None {
 		st = s.byFlow[o.Down.Flow]

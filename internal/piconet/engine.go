@@ -301,7 +301,7 @@ func (p *Piconet) finishPoll() {
 	if p.tracer != nil {
 		p.tracer.Trace(pe.traceEntry())
 	}
-	p.scheduler.OnOutcome(pe.outcome)
+	p.scheduler.OnOutcome(&pe.outcome)
 	p.superviseExchange(pe)
 	p.decide()
 }

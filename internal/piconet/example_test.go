@@ -15,7 +15,7 @@ import (
 type greedyScheduler struct{}
 
 func (greedyScheduler) Decide(_ sim.Time, _ int) piconet.Action { return piconet.PollBE(1) }
-func (greedyScheduler) OnOutcome(piconet.Outcome)               {}
+func (greedyScheduler) OnOutcome(*piconet.Outcome)              {}
 func (greedyScheduler) OnDownArrival(piconet.FlowID, sim.Time)  {}
 
 // Building a piconet from scratch: one slave, one best-effort downlink

@@ -225,8 +225,10 @@ type Scheduler interface {
 	// returned exchange must fit within it.
 	Decide(now sim.Time, freeSlots int) Action
 	// OnOutcome delivers the result of each executed exchange at its end
-	// time.
-	OnOutcome(o Outcome)
+	// time. The outcome lives in a slot the piconet reuses for the next
+	// exchange, so a scheduler must not keep the pointer past the call;
+	// one that records outcomes copies *o.
+	OnOutcome(o *Outcome)
 	// OnDownArrival notifies the scheduler that a packet arrived in a
 	// master-side (downlink) queue.
 	OnDownArrival(flow FlowID, now sim.Time)

@@ -26,7 +26,7 @@ func (s *rrScheduler) Decide(_ sim.Time, _ int) piconet.Action {
 	return piconet.PollBE(sl)
 }
 
-func (s *rrScheduler) OnOutcome(o piconet.Outcome)            { s.outcomes = append(s.outcomes, o) }
+func (s *rrScheduler) OnOutcome(o *piconet.Outcome)           { s.outcomes = append(s.outcomes, *o) }
 func (s *rrScheduler) OnDownArrival(piconet.FlowID, sim.Time) {}
 
 // gsScheduler polls one GS flow pair at every opportunity.
@@ -40,7 +40,7 @@ func (s *gsScheduler) Decide(_ sim.Time, _ int) piconet.Action {
 	return piconet.PollGS(s.slave, s.down, s.up)
 }
 
-func (s *gsScheduler) OnOutcome(o piconet.Outcome)            { s.outcomes = append(s.outcomes, o) }
+func (s *gsScheduler) OnOutcome(o *piconet.Outcome)           { s.outcomes = append(s.outcomes, *o) }
 func (s *gsScheduler) OnDownArrival(piconet.FlowID, sim.Time) {}
 
 // buildBE returns a piconet with one slave and BE flows both ways.
@@ -366,7 +366,7 @@ type fixedActionScheduler struct {
 }
 
 func (f *fixedActionScheduler) Decide(sim.Time, int) piconet.Action    { return f.action }
-func (f *fixedActionScheduler) OnOutcome(piconet.Outcome)              {}
+func (f *fixedActionScheduler) OnOutcome(*piconet.Outcome)             {}
 func (f *fixedActionScheduler) OnDownArrival(piconet.FlowID, sim.Time) {}
 
 func TestGSPiggybackExchange(t *testing.T) {
