@@ -21,7 +21,7 @@ type routeState struct {
 	// packets currently queued or in delivery at hop i. Per-flow delivery
 	// completions are monotone in time, so the FIFO discipline matches the
 	// piconet queues exactly.
-	origins [][]sim.Time
+	origins []timeFIFO
 	delay   *stats.DurationStats
 
 	offered        uint64
@@ -74,6 +74,30 @@ func (r *runner) initRoutes(rts []RouteSpec) error {
 	return nil
 }
 
+// timeFIFO is a FIFO of instants: q[head:] is pending, oldest first.
+// Pops advance head and compact lazily (once the dead prefix reaches half
+// the slice, as flowState's packet queue does), so the backing array is
+// reused instead of being re-sliced away and reallocated by every push.
+type timeFIFO struct {
+	q    []sim.Time
+	head int
+}
+
+func (f *timeFIFO) len() int { return len(f.q) - f.head }
+
+func (f *timeFIFO) push(t sim.Time) { f.q = append(f.q, t) }
+
+// pop removes and returns the oldest instant; the FIFO must not be empty.
+func (f *timeFIFO) pop() sim.Time {
+	t := f.q[f.head]
+	f.head++
+	if f.head*2 >= len(f.q) {
+		f.q = f.q[:copy(f.q, f.q[f.head:])]
+		f.head = 0
+	}
+	return t
+}
+
 // newRouteState derives a route's hops and allocates its bookkeeping.
 func (r *runner) newRouteState(spec RouteSpec) (*routeState, error) {
 	hops, err := r.spec.routeHops(spec)
@@ -83,7 +107,7 @@ func (r *runner) newRouteState(spec RouteSpec) (*routeState, error) {
 	return &routeState{
 		spec:    spec,
 		hops:    hops,
-		origins: make([][]sim.Time, len(hops)),
+		origins: make([]timeFIFO, len(hops)),
 		delay:   new(stats.DurationStats),
 	}, nil
 }
@@ -181,7 +205,7 @@ func (p *piconetRunner) installHop(rt *routeState, h routeHop) error {
 // equivalent flat GS flow.
 func (rt *routeState) arrive(now sim.Time) {
 	rt.offered++
-	rt.origins[0] = append(rt.origins[0], now)
+	rt.origins[0].push(now)
 }
 
 // onHopComplete is the piconet delivery hook: one higher-layer packet of
@@ -195,11 +219,10 @@ func (r *runner) onHopComplete(p *piconetRunner, flow piconet.FlowID, size int, 
 		return
 	}
 	idx, ok := rt.hopIndex(p.name)
-	if !ok || len(rt.origins[idx]) == 0 {
+	if !ok || rt.origins[idx].len() == 0 {
 		return
 	}
-	origin := rt.origins[idx][0]
-	rt.origins[idx] = rt.origins[idx][1:]
+	origin := rt.origins[idx].pop()
 	if !delivered {
 		// Corrupted on air with ARQ off: the packet dies at this hop.
 		rt.lost++
@@ -216,8 +239,8 @@ func (r *runner) onHopComplete(p *piconetRunner, flow piconet.FlowID, size int, 
 		rt.lost++
 		return
 	}
-	rt.origins[idx+1] = append(rt.origins[idx+1], origin)
-	if n := len(rt.origins[idx+1]); n > rt.peakQueue {
+	rt.origins[idx+1].push(origin)
+	if n := rt.origins[idx+1].len(); n > rt.peakQueue {
 		rt.peakQueue = n
 	}
 	if err := q.pn.EnqueuePacketAt(flow, size, at); err != nil {
@@ -362,7 +385,7 @@ func (r *runner) stopRoute(rt *routeState, rec AdmissionRecord, halt func(p *pic
 		p.accept(rec)
 	}
 	for i := range rt.origins {
-		rt.origins[i] = nil
+		rt.origins[i] = timeFIFO{}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"bluegs/internal/faults"
@@ -231,6 +232,24 @@ func routeOrder(spec Spec) []piconet.FlowID {
 	return order
 }
 
+// kernels recycles event kernels across runs. runShards takes one per
+// shard group and Resets it to the group's seed, which leaves it exactly
+// as New(WithSeed(seed)) would, so a run cannot tell a pooled kernel from
+// a fresh one. A kernel returns to the pool only after a successful,
+// unhooked run has merged its result: a hook (a tracer) may still hold
+// that run's piconets, whose clocks read the kernel, and a failed or
+// panicked run simply drops its kernels rather than vouch for their state.
+var kernels sync.Pool
+
+// kernel returns a kernel in the state New(WithSeed(seed)) gives.
+func kernel(seed int64) *sim.Simulator {
+	if s, ok := kernels.Get().(*sim.Simulator); ok {
+		s.Reset(seed)
+		return s
+	}
+	return sim.New(sim.WithSeed(seed))
+}
+
 // runShards executes a scenario: one runner — kernel, medium, piconets,
 // routes, admission log — per shard group, driven in lockstep
 // interference-exchange epochs by sim.ShardSet. Every input of every
@@ -251,7 +270,7 @@ func runShards(spec Spec, piconets []PiconetSpec, groups [][]string, hooks Hooks
 	for g := range groups {
 		r := &runner{
 			spec:   spec,
-			s:      sim.New(sim.WithSeed(shardSeed(spec.Seed, g))),
+			s:      kernel(shardSeed(spec.Seed, g)),
 			byName: make(map[string]*piconetRunner),
 			// Compiled per shard (cheap, pure) so no oracle state is
 			// shared across worker goroutines.
@@ -368,7 +387,13 @@ func runShards(spec Spec, piconets []PiconetSpec, groups [][]string, hooks Hooks
 			return nil, fmt.Errorf("scenario: timeline: %w", r.err)
 		}
 	}
-	return mergeResults(spec, groups, runners), nil
+	res := mergeResults(spec, groups, runners)
+	if hooks.Zero() {
+		for _, s := range sims {
+			kernels.Put(s)
+		}
+	}
+	return res, nil
 }
 
 // mergeResults assembles the run's Result: the declared piconets in spec

@@ -85,7 +85,9 @@ func (ss *ShardSet) RunEpochs(horizon, epoch Time, workers int, exchange func(en
 	var done chan struct{}
 	var end Time
 	if workers > 1 {
-		tasks = make(chan int)
+		// One slot per shard: the caller queues a whole epoch without
+		// blocking, then collects one receipt per shard.
+		tasks = make(chan int, len(ss.shards))
 		done = make(chan struct{})
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -113,11 +115,9 @@ func (ss *ShardSet) RunEpochs(horizon, epoch Time, workers int, exchange func(en
 			// The sends below happen-before each worker's Run, and every
 			// receive happens-after it: the barrier is a full memory fence
 			// between epochs, so the exchange hook reads settled state.
-			go func(n int) {
-				for i := 0; i < n; i++ {
-					tasks <- i
-				}
-			}(len(ss.shards))
+			for i := range ss.shards {
+				tasks <- i
+			}
 			for range ss.shards {
 				<-done
 			}

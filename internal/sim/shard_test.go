@@ -258,3 +258,32 @@ func TestShardSetEmptyAndSingle(t *testing.T) {
 		t.Fatalf("single-shard set: errs=%v fired=%v now=%v", errs, fired, s.Now())
 	}
 }
+
+// TestRunEpochsAllocs: driving shards on worker goroutines allocates per
+// call (the goroutines, the channels), never per epoch, so a long run
+// costs no more allocations than a short one.
+func TestRunEpochsAllocs(t *testing.T) {
+	const n = 3
+	shards := make([]*Simulator, n)
+	ticks := make([]func(), n)
+	for i := range shards {
+		s := New(WithSeed(int64(i + 1)))
+		shards[i] = s
+		ticks[i] = func() { s.After(SlotGrain, ticks[i]) }
+	}
+	ss := NewShardSet(shards...)
+	allocs := func(epochs int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			for i, s := range shards {
+				s.Reset(int64(i + 1))
+				s.Schedule(0, ticks[i])
+			}
+			ss.RunEpochs(Time(epochs)*25*time.Millisecond, 25*time.Millisecond, 2, nil)
+		})
+	}
+	allocs(4) // warm the slabs
+	short, long := allocs(4), allocs(400)
+	if long > short {
+		t.Fatalf("RunEpochs at 2 workers: %.1f allocations over 400 epochs, %.1f over 4; want no growth", long, short)
+	}
+}

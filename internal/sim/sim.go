@@ -39,6 +39,16 @@
 // depends on map iteration, pointer values, or the free-list state. Two runs
 // that issue the same Schedule/Cancel sequence observe the same firing
 // sequence, always.
+//
+// Reset(seed) returns a used kernel to the state New(WithSeed(seed))
+// gives, keeping its slab, wheel arrays and RNG state: every slot's
+// generation moves on (so no earlier handle can touch the next run), the
+// slots rejoin the free list, and the RNG is reseeded in place. Because no
+// decision depends on the free-list state, a reset kernel fires the same
+// sequence and draws the same stream as a fresh one. The scenario runner
+// keeps used kernels in a sync.Pool and resets one per shard group, so a
+// grid of short runs stops building a kernel (two 1,024-entry wheel
+// arrays and a 607-word RNG state) per run.
 package sim
 
 import (
@@ -194,6 +204,33 @@ func New(opts ...Option) *Simulator {
 		s.rng = rand.New(rand.NewSource(1))
 	}
 	return s
+}
+
+// Reset returns the simulator to the state New(WithSeed(seed)) gives, in
+// place and without allocating: every pending event is discarded, every
+// handle taken before the call goes stale (Pending is false, Cancel is a
+// no-op), the clock and counters return to zero, and the RNG restarts the
+// seed's stream. The event slab, wheel and heap keep their memory, so a
+// kernel reused across runs grows only to the largest run it served.
+func (s *Simulator) Reset(seed int64) {
+	s.free = noSlot
+	for i := len(s.events) - 1; i >= 0; i-- {
+		sl := &s.events[i]
+		sl.gen++
+		sl.fn = nil
+		sl.cancelled = false
+		sl.next = s.free
+		s.free = int32(i)
+	}
+	for i := range s.wheelHead {
+		s.wheelHead[i] = noSlot
+		s.wheelTail[i] = noSlot
+	}
+	s.heap = s.heap[:0]
+	s.now, s.seq, s.stopped = 0, 0, false
+	s.executed, s.live = 0, 0
+	s.wheelCount, s.wheelNext = 0, 0
+	s.rng.Seed(seed)
 }
 
 // Now returns the current virtual time.
