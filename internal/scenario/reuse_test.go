@@ -220,3 +220,34 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledKernelsHoldNoRun: a kernel waits in the pool already reset,
+// so it keeps none of its finished run's pending events, whose closures
+// reach that run's piconets, sources and delay samples; otherwise the
+// heap a pooled kernel pins would depend on when the collector empties
+// the pool. (The race detector drops pool entries at random, so the run
+// repeats until the pool holds a kernel.)
+func TestPooledKernelsHoldNoRun(t *testing.T) {
+	spec, ok := scenario.Lookup("scatternet-pair")
+	if !ok {
+		t.Fatal(`preset "scatternet-pair" not registered`)
+	}
+	spec.Duration = reuseHorizon
+	var pooled int
+	for try := 0; try < 16 && pooled == 0; try++ {
+		scenario.DrainKernels()
+		if _, err := scenario.Run(spec); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range scenario.PooledKernels() {
+			pooled++
+			if s.Now() != 0 || s.Pending() != 0 || s.Executed() != 0 {
+				t.Errorf("pooled kernel at %v with %d pending, %d executed: not reset",
+					s.Now(), s.Pending(), s.Executed())
+			}
+		}
+	}
+	if pooled == 0 {
+		t.Fatal("no run returned a kernel to the pool")
+	}
+}

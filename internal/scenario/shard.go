@@ -390,6 +390,11 @@ func runShards(spec Spec, piconets []PiconetSpec, groups [][]string, hooks Hooks
 	res := mergeResults(spec, groups, runners)
 	if hooks.Zero() {
 		for _, s := range sims {
+			// The events still pending at the horizon hold closures over
+			// this run's piconets, sources and delay samples; clear them
+			// now, or the pool keeps the whole finished run alive (and the
+			// peak heap depends on when the collector empties the pool).
+			s.Reset(0)
 			kernels.Put(s)
 		}
 	}
